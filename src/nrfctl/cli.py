@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import dimpl, factor, nrfsyn, simkit, sstate
 from .errors import NrfError
 from .ratmat import (
     Polynomial,
     RationalFunction,
-    RationalMatrix,
     SparsityPattern,
-    StabilityDomain,
-    invert,
     load_ratmat,
     ratmat_from_obj,
     save_ratmat,
@@ -75,16 +69,6 @@ def _load_plant(path: str) -> StateSpace:
     raise NrfError(f"{path}: neither a state-space nor a rational-matrix file")
 
 
-def _load_plant_tfm(path: str) -> RationalMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "entries" in obj:
-        return ratmat_from_obj(obj)
-    if "A" in obj:
-        return sstate.ss_to_tf(sstate.ss_from_obj(obj))
-    raise NrfError(f"{path}: neither a state-space nor a rational-matrix file")
-
-
 def _load_patterns(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -118,74 +102,6 @@ def _parse_grouping(text: str) -> list[list[int]]:
             continue
         out.append([int(tok) for tok in block.split(",")])
     return out
-
-
-# ---------------------------------------------------------------------------
-# the direct closed-loop table of an NRF controller around a plant
-
-
-def _loop_blocks(pair: nrfsyn.NrfPair, G: RationalMatrix) -> dict:
-    """All sixteen injection-to-signal maps of the loop, built from
-    S = I - Phi + Gamma G (u = S^-1 [Gamma r - Gamma G w - Gamma nu + Phi du])."""
-    m, p = pair.shape
-    domain = pair.domain
-    Im = RationalMatrix.identity(m, domain)
-    Ip = RationalMatrix.identity(p, domain)
-    S = Im - pair.Phi + pair.Gamma @ G
-    Sinv = invert(S)
-    SG = Sinv @ pair.Gamma
-    SPhi = Sinv @ pair.Phi
-    GSG = G @ SG
-    vw = Im - SG @ G
-    blocks = {
-        ("y", "r"): GSG,
-        ("y", "w"): G @ vw,
-        ("y", "nu"): Ip - GSG,
-        ("y", "du"): G @ SPhi,
-        ("u", "r"): SG,
-        ("u", "w"): -(SG @ G),
-        ("u", "nu"): -SG,
-        ("u", "du"): SPhi,
-        ("z", "r"): Ip - GSG,
-        ("z", "w"): -(G @ vw),
-        ("z", "nu"): GSG - Ip,
-        ("z", "du"): -(G @ SPhi),
-        ("v", "r"): SG,
-        ("v", "w"): vw,
-        ("v", "nu"): -SG,
-        ("v", "du"): SPhi,
-    }
-    return blocks
-
-
-def _block_unstable_poles(block: RationalMatrix) -> tuple[complex, ...]:
-    # the pole set of a rational matrix is the union of its entry pole sets,
-    # and scalar realizations stay well conditioned at entry degrees where a
-    # joint row-companion form scatters its eigenvalues
-    found: list[complex] = []
-    for i in range(block.rows):
-        for j in range(block.cols):
-            for pole in dimpl._entry_unstable_poles(block.entry(i, j), block.domain):
-                if all(abs(pole - seen) > 1e-9 for seen in found):
-                    found.append(pole)
-    return tuple(found)
-
-
-def _grid_norm(H: RationalMatrix, grid: int) -> float:
-    """Largest singular value over a uniform boundary grid."""
-    worst = 0.0
-    for k in range(grid + 1):
-        theta = math.pi * k / grid
-        if H.domain is StabilityDomain.DISCRETE:
-            pt = complex(math.cos(theta), math.sin(theta))
-            val = H.eval(pt)
-        else:
-            if k == grid:
-                val = H.gain_at_infinity().astype(complex)
-            else:
-                val = H.eval(complex(0.0, math.tan(theta / 2.0)))
-        worst = max(worst, float(np.linalg.svd(val, compute_uv=False)[0]))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -225,32 +141,21 @@ def cmd_nrf(args) -> CommandResult:
 
 def cmd_check(args) -> CommandResult:
     pair = nrfsyn.load_nrf(args.nrf)
-    G = _load_plant_tfm(args.plant)
-    blocks = _loop_blocks(pair, G)
+    check = dimpl.verify_internal_stability(pair, _load_plant(args.plant))
     report = []
-    all_ok = True
-    for out in ("y", "u", "z", "v"):
-        for inp in ("r", "w", "nu", "du"):
-            bad = _block_unstable_poles(blocks[(out, inp)])
-            ok = len(bad) == 0
-            all_ok = all_ok and ok
-            verdict = "stable" if ok else "UNSTABLE " + str([_fmt_complex(b) for b in bad])
-            report.append(f"T[{out} <- {inp}]: {verdict}")
-    h_report = dimpl.verify_internal_stability_tfm(pair, G)
-    all_ok = all_ok and h_report.stable
-    report.append(
-        f"H-tilde entries: {'all stable' if h_report.stable else 'unstable at ' + str(h_report.unstable_entries)}"
-    )
-    report.append(f"H-tilde cross-check disagreement: {_fmt(h_report.max_disagreement)}")
-    if all_ok and args.grid:
-        stack = None
-        for out in ("y", "u", "z", "v"):
-            row = None
-            for inp in ("r", "w", "nu", "du"):
-                row = blocks[(out, inp)] if row is None else row.hstack(blocks[(out, inp)])
-            stack = row if stack is None else stack.vstack(row)
-        report.append(f"closed-loop grid norm ({args.grid} points): {_fmt(_grid_norm(stack, args.grid))}")
-    return CommandResult("ok" if all_ok else "violated", report)
+    for (out, inp), bad in check.block_poles.items():
+        verdict = "stable" if not bad else "UNSTABLE " + str([_fmt_complex(b) for b in bad])
+        report.append(f"T[{out} <- {inp}]: {verdict}")
+    entries = check.unstable_entries
+    report.append(f"H-tilde entries: {'unstable at ' + str(entries) if entries else 'all stable'}")
+    report.append(f"H-tilde cross-check disagreement: {_fmt(check.max_disagreement)}")
+    if check.stable and args.grid:
+        table = check.loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+        report.append(
+            f"closed-loop grid norm ({args.grid} points): "
+            f"{_fmt(factor.hinf_grid_norm(table, args.grid))}"
+        )
+    return CommandResult("ok" if check.stable else "violated", report)
 
 
 def cmd_realize(args) -> CommandResult:

@@ -6,12 +6,14 @@ denominator LCM, reduced to its controllable part, so node i only ever stores
 the dynamics its own control law needs.  Assembly stacks the rows into a
 block-diagonal state matrix, and the loop with the plant closes through a
 static coupling matrix whose invertibility is certified by a Schur complement
-before the closed-loop state matrix is formed.
+before the closed-loop realization is formed.
 
-Two independent stability verdicts are offered: eigenvalues of the assembled
-closed-loop state matrix, and a transfer-matrix check that forms the full map
-from loop injections to loop signals twice (symbolic inversion against a
-closed-form or sampled product) and inspects every entry for unstable poles.
+That realization is the one loop behind every stability verdict.  It maps
+every injection (reference, disturbances, noise, command) to every loop
+signal, so all loop maps share the state matrix A_CL: when A_CL is stable the
+loop is internally stable, and otherwise each map's unstable poles are the
+unstable eigenvalues of its minimal realization.  The realized H-tilde map is
+cross-checked against (I - Phi + Gamma G)^-1 evaluated pointwise.
 """
 
 from __future__ import annotations
@@ -24,21 +26,13 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
-    IllPosedLoop,
     InconsistentDimensions,
     InvariantViolation,
     SingularCoupling,
-    SingularMatrix,
 )
-from .factor import DoublyCoprime, YoulaShift, _pole_cloud
+from .factor import _pole_cloud
 from .nrfsyn import NrfPair
-from .ratmat import (
-    RationalMatrix,
-    StabilityDomain,
-    diag_part,
-    invert,
-    probe_points,
-)
+from .ratmat import RationalMatrix, StabilityDomain, probe_points
 from . import sstate
 from .sstate import StateSpace
 from .tolerances import RANK_REL_TOL, probe_tolerance
@@ -224,18 +218,44 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
 # ---------------------------------------------------------------------------
 # closing the loop
 
+# Injections into the loop (reference, plant-input disturbance, sensor noise,
+# command-channel disturbance, additive command) and the loop signals read out.
+LOOP_INPUTS = ("r", "w", "nu", "du", "cmd")
+LOOP_OUTPUTS = ("y", "u", "z", "v")
+# the sixteen-block table a user checks: every output from every injection
+# except the command, which only the H-tilde map uses
+TABLE_INPUTS = LOOP_INPUTS[:4]
+
+
+def _signal_index(names, chosen, partition) -> np.ndarray:
+    """Positions of the chosen signals in the stacked vector of names."""
+    m, p = partition
+    width = {name: p if name in ("r", "nu", "y", "z") else m for name in names}
+    start = dict(zip(names, np.cumsum([0] + [width[n] for n in names])))
+    return np.concatenate([np.arange(start[c], start[c] + width[c]) for c in chosen])
+
 
 class ClosedLoopRealization:
-    """State matrix of the interconnection plus its static coupling data."""
+    """State-space realization of the interconnection plus its static coupling data.
 
-    __slots__ = ("A_CL", "Dtilde", "schur", "plant_order", "controller_order", "domain")
+    (A_CL, B, C, D) maps the injections LOOP_INPUTS to the loop signals
+    LOOP_OUTPUTS; ``map`` cuts out any sub-map of it.
+    """
 
-    def __init__(self, A_CL, Dtilde, schur, plant_order, controller_order, domain):
+    __slots__ = (
+        "A_CL", "B", "C", "D", "Dtilde", "schur", "plant_order", "controller_order",
+        "partition", "domain",
+    )
+
+    def __init__(self, A_CL, B, C, D, Dtilde, schur, plant_order, controller_order,
+                 partition, domain):
         self.A_CL = A_CL
+        self.B, self.C, self.D = B, C, D
         self.Dtilde = Dtilde
         self.schur = schur
         self.plant_order = plant_order
         self.controller_order = controller_order
+        self.partition = tuple(partition)
         self.domain = domain
 
     @property
@@ -253,6 +273,14 @@ class ClosedLoopRealization:
     @property
     def is_stable(self) -> bool:
         return len(self.unstable_modes().values) == 0
+
+    def map(self, outputs, inputs) -> StateSpace:
+        """Realization from the named injections to the named loop signals."""
+        rows = _signal_index(LOOP_OUTPUTS, outputs, self.partition)
+        cols = _signal_index(LOOP_INPUTS, inputs, self.partition)
+        return StateSpace(
+            self.A_CL, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)], self.domain
+        )
 
     def __repr__(self) -> str:
         return (
@@ -272,20 +300,35 @@ def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
     return ratio > RANK_REL_TOL, ratio
 
 
-def closed_loop_state_matrix(
-    plant: StateSpace, ctrl: AssembledController
-) -> ClosedLoopRealization:
-    """Close the loop z = r - y, v = u + w around the plant.
-
-    The three static unknowns per step are (-u, y, u); they couple through
+def coupling_matrix(D: np.ndarray, ctrl: AssembledController) -> np.ndarray:
+    """Dtilde, coupling the static unknowns (-u, y, u) of one loop step.
 
         Dtilde = [ I    0    I  ]
                  [ 0    I   -D  ]
                  [ D_K1 D_K2  I ]
+    """
+    m, p = ctrl.partition
+    DK = ctrl.sys.D
+    return np.block(
+        [
+            [np.eye(m), np.zeros((m, p)), np.eye(m)],
+            [np.zeros((p, m)), np.eye(p), -D],
+            [DK[:, :m], DK[:, m:], np.eye(m)],
+        ]
+    )
 
-    whose invertibility is equivalent to that of the Schur complement
+
+def closed_loop_state_matrix(
+    plant: StateSpace, ctrl: AssembledController
+) -> ClosedLoopRealization:
+    """Close the loop z = r - y, v = u + w, y = G v + nu around the plant.
+
+    The controller reads u + du and z, and the command injection adds to its
+    output: u = Phi (u + du) + Gamma z + cmd.  The three static unknowns per
+    step are (-u, y, u); they couple through ``coupling_matrix``, whose
+    invertibility is equivalent to that of the Schur complement
     I - D_K1 + D_K2 D (eliminate the first two block rows).  Both tests must
-    agree before the state matrix is assembled.
+    agree before the realization is assembled.
     """
     m, p = ctrl.partition
     if plant.n_inputs != m or plant.n_outputs != p:
@@ -300,13 +343,7 @@ def closed_loop_state_matrix(
     DK1, DK2 = DK[:, :m], DK[:, m:]
     BK1, BK2 = BK[:, :m], BK[:, m:]
 
-    Dtilde = np.block(
-        [
-            [np.eye(m), np.zeros((m, p)), np.eye(m)],
-            [np.zeros((p, m)), np.eye(p), -D],
-            [DK1, DK2, np.eye(m)],
-        ]
-    )
+    Dtilde = coupling_matrix(D, ctrl)
     schur = np.eye(m) - DK1 + DK2 @ D
     ok_schur, r_schur = _invertibility(schur)
     ok_direct, r_direct = _invertibility(Dtilde)
@@ -335,34 +372,53 @@ def closed_loop_state_matrix(
             [np.zeros((n_k, n_g)), AK],
         ]
     )
-    A_CL = blockdiag + left @ np.linalg.solve(Dtilde, right)
-    return ClosedLoopRealization(A_CL, Dtilde, schur, n_g, n_k, plant.domain)
+    from_states = np.linalg.solve(Dtilde, right)
+    A_CL = blockdiag + left @ from_states
+
+    # injections (r, w, nu, du, cmd) enter the static equations
+    #   y - D u = C x + D w + nu,   u - D_K1 u + D_K2 y = C_K x_K + D_K2 r + D_K1 du + cmd
+    # and the states directly (w drives the plant, r and du the controller)
+    E_r, E_w, E_nu, E_du, E_cmd = np.split(np.eye(2 * p + 3 * m), np.cumsum([p, m, p, m]))
+    static_in = np.vstack([np.zeros_like(E_du), D @ E_w + E_nu, DK2 @ E_r + DK1 @ E_du + E_cmd])
+    from_inputs = np.linalg.solve(Dtilde, static_in)
+    B_CL = np.vstack([B @ E_w, BK2 @ E_r + BK1 @ E_du]) + left @ from_inputs
+    y, u = slice(m, m + p), slice(m + p, None)
+    C_CL = np.vstack([from_states[y], from_states[u], -from_states[y], from_states[u]])
+    D_CL = np.vstack(
+        [from_inputs[y], from_inputs[u], E_r - from_inputs[y], from_inputs[u] + E_w]
+    )
+    return ClosedLoopRealization(
+        A_CL, B_CL, C_CL, D_CL, Dtilde, schur, n_g, n_k, (m, p), plant.domain
+    )
 
 
 # ---------------------------------------------------------------------------
-# transfer-matrix verification
+# internal-stability verification
 
 
 class InternalStabilityReport:
-    """Entrywise stability of the loop-injection map plus a cross-check.
+    """Stability of every loop map, read off one closed-loop realization.
 
-    ``comparison`` records how the second computation of the map was obtained:
-    "closed-form" (stable factor product) or "probe-eval" (pointwise complex
-    arithmetic).  ``max_disagreement`` is the largest probe-point difference
-    between the two computations.
+    ``block_poles`` maps each (output, injection) pair of the sixteen-block
+    table to its unstable poles.  ``entry_stable`` flags each entry of
+    H-tilde = [I; -I; G] (I - Phi + Gamma G)^-1 [I, Phi, Gamma], and
+    ``unstable_poles`` collects the entries' unstable poles.
+    ``max_disagreement`` is the largest probe-point difference between the
+    realization of H-tilde and the formula evaluated pointwise.
     """
 
-    __slots__ = ("entry_stable", "unstable_poles", "max_disagreement", "comparison")
+    __slots__ = ("block_poles", "entry_stable", "unstable_poles", "max_disagreement", "loop")
 
-    def __init__(self, entry_stable, unstable_poles, max_disagreement, comparison):
+    def __init__(self, block_poles, entry_stable, unstable_poles, max_disagreement, loop):
+        self.block_poles = dict(block_poles)
         self.entry_stable = entry_stable
         self.unstable_poles = tuple(unstable_poles)
         self.max_disagreement = float(max_disagreement)
-        self.comparison = comparison
+        self.loop = loop
 
     @property
     def stable(self) -> bool:
-        return all(all(row) for row in self.entry_stable)
+        return not self.unstable_entries and not any(self.block_poles.values())
 
     @property
     def unstable_entries(self) -> tuple[tuple[int, int], ...]:
@@ -377,88 +433,69 @@ class InternalStabilityReport:
         verdict = "stable" if self.stable else f"unstable at {self.unstable_entries}"
         return (
             f"InternalStabilityReport({verdict}, "
-            f"disagreement={self.max_disagreement:.3e}, via {self.comparison})"
+            f"disagreement={self.max_disagreement:.3e})"
         )
 
 
-def _entry_unstable_poles(entry, domain: StabilityDomain) -> tuple[complex, ...]:
-    # cheap screen first: if every denominator root is stable, no realization
-    # is needed (poles of the minimal realization are a subset of the roots)
-    if not any(sstate._is_unstable(complex(r), domain) for r in entry.den.roots()):
-        return ()
-    return sstate.tfm_unstable_poles(RationalMatrix([[entry]], domain))
+def _unstable_poles(sys: StateSpace) -> tuple[complex, ...]:
+    return sstate.unstable_eigs(sstate.minimal(sys).A, sys.domain).values
 
 
-def verify_internal_stability_tfm(
-    pair: NrfPair,
-    plant_tfm: RationalMatrix,
-    dcf: DoublyCoprime | None = None,
-    shift: YoulaShift | None = None,
-) -> InternalStabilityReport:
-    """Close the loop in the transfer-matrix domain and inspect every entry.
+def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabilityReport:
+    """Realize the pair row by row, close the loop around the plant once, and
+    read every stability verdict off that realization.
 
-    The map from the three injection points (reference channel, command
-    disturbance, measurement channel) to (u, -u, y) is
-
-        H = [I; -I; G] (I - Phi + Gamma G)^-1 [I, Phi, Gamma]
-
-    computed by symbolic inversion.  When the pair came from a doubly coprime
-    factorization, passing dcf and shift recomputes H as the product of stable
-    factors for an independent cross-check; otherwise the cross-check samples
-    the formula pointwise in complex arithmetic.
+    The poles of any loop map are among the eigenvalues of A_CL, so a stable
+    A_CL settles every map at once; otherwise each map's unstable poles are
+    those of its minimal realization.  H-tilde is the map from the command,
+    du and r injections to (u, -u, y).  Its realization is cross-checked
+    against (I - Phi + Gamma G)^-1 formed pointwise from Phi, Gamma and G.
     """
-    if (dcf is None) != (shift is None):
-        raise ValueError("dcf and shift must be supplied together")
     m, p = pair.shape
-    if plant_tfm.rows != p or plant_tfm.cols != m:
-        raise DimensionMismatch(
-            f"plant is {plant_tfm.rows}x{plant_tfm.cols}, pair expects {p}x{m}"
-        )
-    if plant_tfm.domain is not pair.domain:
-        raise DomainMismatch("plant and pair disagree on the stability domain")
+    ctrl = assemble(realize_rows(pair))
+    loop = closed_loop_state_matrix(plant, ctrl)
+    H = loop.map(("u", "u", "y"), ("cmd", "du", "r"))
+    sign = np.concatenate([np.ones(m), -np.ones(m), np.ones(p)])[:, None]
+    H = StateSpace(H.A, H.B, sign * H.C, sign * H.D, H.domain)
 
-    domain = pair.domain
-    eye_m = RationalMatrix.identity(m, domain)
-    Phi, Gamma, G = pair.Phi, pair.Gamma, plant_tfm
-    loop = eye_m - Phi + Gamma @ G
-    try:
-        loop_inv = invert(loop)
-    except SingularMatrix as exc:
-        raise IllPosedLoop(f"I - Phi + Gamma G is singular: {exc}") from exc
-    left = eye_m.vstack(-eye_m).vstack(G)
-    right = eye_m.hstack(Phi).hstack(Gamma)
-    H = left @ loop_inv @ right
-
+    unstable = not loop.is_stable
+    block_poles = {
+        (out, inp): _unstable_poles(loop.map((out,), (inp,))) if unstable else ()
+        for out in LOOP_OUTPUTS
+        for inp in TABLE_INPUTS
+    }
     entry_stable = []
     poles: list[complex] = []
-    for i in range(H.rows):
+    for i in range(H.n_outputs):
         row_flags = []
-        for j in range(H.cols):
-            bad = _entry_unstable_poles(H.entry(i, j), domain)
-            row_flags.append(len(bad) == 0)
+        for j in range(H.n_inputs):
+            bad = ()
+            if unstable:
+                entry = StateSpace(H.A, H.B[:, [j]], H.C[[i]], H.D[i : i + 1, j : j + 1], H.domain)
+                bad = _unstable_poles(entry)
+            row_flags.append(not bad)
             poles.extend(bad)
         entry_stable.append(tuple(row_flags))
 
-    pts = probe_points(domain, count=11, avoid=_pole_cloud(H, loop, G))
+    avoid = np.concatenate(
+        [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
+    )
     worst = 0.0
-    if dcf is not None:
-        omega = diag_part(shift.YQ)
-        second = (dcf.M.vstack(-dcf.M).vstack(dcf.N)) @ (
-            omega.hstack(omega - shift.YQ).hstack(shift.XQ)
-        )
-        comparison = "closed-form"
-        for pt in pts:
-            worst = max(worst, float(np.max(np.abs(H.eval(pt) - second.eval(pt)))))
-    else:
-        comparison = "probe-eval"
-        for pt in pts:
-            Phi_e, Gamma_e, G_e = Phi.eval(pt), Gamma.eval(pt), G.eval(pt)
-            S_e = np.eye(m) - Phi_e + Gamma_e @ G_e
-            left_e = np.vstack([np.eye(m), -np.eye(m), G_e])
-            right_e = np.hstack([np.eye(m), Phi_e, Gamma_e])
-            H_e = left_e @ np.linalg.solve(S_e, right_e)
-            worst = max(worst, float(np.max(np.abs(H.eval(pt) - H_e))))
-    return InternalStabilityReport(tuple(entry_stable), poles, worst, comparison)
+    for pt in probe_points(pair.domain, count=11, avoid=avoid):
+        Phi_e, Gamma_e, G_e = pair.Phi.eval(pt), pair.Gamma.eval(pt), plant.eval(pt)
+        S_e = np.eye(m) - Phi_e + Gamma_e @ G_e
+        left_e = np.vstack([np.eye(m), -np.eye(m), G_e])
+        right_e = np.hstack([np.eye(m), Phi_e, Gamma_e])
+        H_e = left_e @ np.linalg.solve(S_e, right_e)
+        worst = max(worst, float(np.max(np.abs(H.eval(pt) - H_e))))
+    return InternalStabilityReport(block_poles, tuple(entry_stable), poles, worst, loop)
+
+
+def verify_internal_stability_tfm(
+    pair: NrfPair, plant_tfm: RationalMatrix
+) -> InternalStabilityReport:
+    """``verify_internal_stability`` around a minimal realization of plant_tfm."""
+    return verify_internal_stability(pair, sstate.tfm_to_ss(plant_tfm))
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class SingularCoupling(NrfError):
     pass
 
 
-class IllPosedLoop(NrfError):
-    pass
-
-
 class IllPosedStep(NrfError):
     pass
 

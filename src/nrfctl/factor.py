@@ -69,10 +69,6 @@ def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _block2(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix, d: RationalMatrix):
-    return a.hstack(b).vstack(c.hstack(d))
-
-
 class DoublyCoprime:
     """Eight stable TFMs tied by the Bézout identity.
 
@@ -566,23 +562,27 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, maps: ClosedLoop
                 )
 
 
-def hinf_grid_norm(maps: ClosedLoopMaps, grid: int = 256) -> float:
-    """Largest singular value of the stacked table over a frequency grid.
+def hinf_grid_norm(H, grid: int = 256) -> float:
+    """Largest singular value of a stable map over a frequency grid.
 
-    Grids nest under doubling (theta = pi*k/grid), so the value is monotone
-    nondecreasing in the grid count; it is a lower bound on the true norm.
+    H is a closed-loop table (its stability is asserted and its 4x3 stack
+    scanned) or any map with ``eval``, ``gain_at_infinity`` and ``domain``:
+    a RationalMatrix or a StateSpace.  Grids nest under doubling
+    (theta = pi*k/grid), so the value is monotone nondecreasing in the grid
+    count; it is a lower bound on the true norm.
     """
-    maps.assert_stable()
-    stacked = maps.stacked()
+    if isinstance(H, ClosedLoopMaps):
+        H.assert_stable()
+        H = H.stacked()
     worst = 0.0
     for k in range(grid + 1):
         theta = np.pi * k / grid
-        if maps.domain is StabilityDomain.DISCRETE:
-            val = stacked.eval(np.exp(1j * theta))
+        if H.domain is StabilityDomain.DISCRETE:
+            val = H.eval(np.exp(1j * theta))
         elif k == grid:
-            val = stacked.gain_at_infinity().astype(complex)
+            val = H.gain_at_infinity().astype(complex)
         else:
-            val = stacked.eval(1j * np.tan(theta / 2.0))
+            val = H.eval(1j * np.tan(theta / 2.0))
         worst = max(worst, float(np.linalg.svd(val, compute_uv=False)[0]))
     return worst
 

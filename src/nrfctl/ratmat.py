@@ -130,17 +130,6 @@ class Polynomial:
         return f"Polynomial({self.coeffs})"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Named-op dispatch: op in {'add', 'sub', 'mul'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # A computed root of multiplicity m carries an error of roughly eps**(1/m), so
 # repeated roots blur far past CANCEL_TOL.  Pairs inside this looser radius are
 # re-examined through a state-space minimal realization, which decides true
@@ -334,22 +323,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num.coeffs}, {self.den.coeffs})"
-
-
-def rat_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Named-op dispatch: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-RF = RationalFunction  # short alias used heavily in tests and demo data
 
 
 class SparsityPattern:
@@ -559,17 +532,6 @@ class RationalMatrix:
         )
 
 
-def matrix_arith(a: RationalMatrix, b: RationalMatrix, op: str) -> RationalMatrix:
-    """Named-op dispatch: op in {'add', 'sub', 'mul'} ('mul' is the matrix product)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a @ b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _pivot_cost(f: RationalFunction) -> tuple[float, float]:
     # prefer low-degree pivots (limits degree growth), then large magnitude
     deg = max(f.num.degree, 0.0) + max(f.den.degree, 0.0)
@@ -624,14 +586,6 @@ def diag_part(a: RationalMatrix) -> RationalMatrix:
         ],
         a.domain,
     )
-
-
-def conforms(a: RationalMatrix, pattern: SparsityPattern) -> bool:
-    return a.conforms(pattern)
-
-
-def eval_matrix(a: RationalMatrix, point: complex) -> np.ndarray:
-    return a.eval(point)
 
 
 def unstable_poles(a: RationalMatrix) -> tuple[complex, ...]:

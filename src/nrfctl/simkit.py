@@ -21,7 +21,6 @@ import numpy as np
 from .dimpl import AssembledController
 from .errors import (
     DimensionMismatch,
-    DomainMismatch,
     IllPosedStep,
     InconsistentDimensions,
     InvariantViolation,
@@ -38,7 +37,6 @@ from .ratmat import (
 from . import dimpl
 from . import sstate
 from .sstate import StateSpace
-from .tolerances import RANK_REL_TOL
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -368,14 +366,6 @@ def grid5_scenario(plant: StateSpace, controller: AssembledController, seed: int
 # simulation
 
 
-def _require_invertible(Mat: np.ndarray, what: str) -> None:
-    if Mat.size == 0:
-        return
-    s = np.linalg.svd(Mat, compute_uv=False)
-    if s[0] == 0.0 or s[-1] / s[0] <= RANK_REL_TOL:
-        raise IllPosedStep(f"{what} is singular; the static loop has no unique solution")
-
-
 def simulate(sc: Scenario) -> SimTrace:
     """Run the loop of the assembled controller around the plant.
 
@@ -394,14 +384,9 @@ def simulate(sc: Scenario) -> SimTrace:
     AK, BK, CK, DK = ctrl.sys.A, ctrl.sys.B, ctrl.sys.C, ctrl.sys.D
     DK1, DK2 = DK[:, :m], DK[:, m:]
     BK1, BK2 = BK[:, :m], BK[:, m:]
-    Dtilde = np.block(
-        [
-            [np.eye(m), np.zeros((m, p)), np.eye(m)],
-            [np.zeros((p, m)), np.eye(p), -D],
-            [DK1, DK2, np.eye(m)],
-        ]
-    )
-    _require_invertible(Dtilde, "the static coupling matrix")
+    Dtilde = dimpl.coupling_matrix(D, ctrl)
+    if not dimpl._invertibility(Dtilde)[0]:
+        raise IllPosedStep("the static coupling matrix is singular; the loop has no unique solution")
     solve_step = np.linalg.inv(Dtilde)  # fixed matrix, one inverse reused each step
 
     r, w, nu, du = sc.signals()
@@ -466,7 +451,8 @@ def simulate_beta_loop(sc: Scenario, u_sys: StateSpace) -> SimTrace:
             [np.zeros((p, m)), -D, np.eye(p)],
         ]
     )
-    _require_invertible(coupling, "the beta-loop coupling matrix")
+    if not dimpl._invertibility(coupling)[0]:
+        raise IllPosedStep("the beta-loop coupling matrix is singular; the loop has no unique solution")
     inv = np.linalg.inv(coupling)
 
     r, w, nu, du = sc.signals()

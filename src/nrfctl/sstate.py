@@ -84,6 +84,10 @@ class StateSpace:
         )
         return self.D + self.C @ resolvent
 
+    def gain_at_infinity(self) -> np.ndarray:
+        """Continuous-time response at s = infinity: the feedthrough D."""
+        return self.D
+
     def transformed(self, T: np.ndarray) -> "StateSpace":
         """Similarity transform by an orthogonal T (x = T xi)."""
         return StateSpace(T.T @ self.A @ T, T.T @ self.B, self.C @ T, self.D, self.domain)
@@ -156,17 +160,11 @@ def _cluster_roots(root_groups: list[np.ndarray]) -> tuple[list[list[complex]], 
             if hit is None:
                 clusters.append([centroid] * mult)
                 hit = len(clusters) - 1
-            elif mult > _cluster_mult(clusters[hit]):
-                base = complex(np.mean(clusters[hit]))
-                merged = 0.5 * (base + centroid) if _cluster_mult(clusters[hit]) == mult else centroid
-                clusters[hit] = [merged] * mult
+            elif mult > len(clusters[hit]):
+                clusters[hit] = [centroid] * mult
             my_clusters.extend([hit] * mult)
         assignments.append(my_clusters)
     return clusters, assignments
-
-
-def _cluster_mult(members: list[complex]) -> int:
-    return len(members)
 
 
 def tf_to_ss_obsv(row: RationalMatrix) -> StateSpace:
@@ -191,7 +189,7 @@ def tf_to_ss_obsv(row: RationalMatrix) -> StateSpace:
 
     groups = [entries[j].den.roots() for j in dyn]
     clusters, assignments = _cluster_roots(groups)
-    mults = [_cluster_mult(c) for c in clusters]
+    mults = [len(c) for c in clusters]
     reps = [complex(np.mean(c)) for c in clusters]
     lcm_roots: list[complex] = []
     for rep, mult in zip(reps, mults):

@@ -123,12 +123,40 @@ def test_nrf_rejects_unstable_q(demo_dir, tmp_path, capsys):
 
 def test_check_grid5_all_stable(demo_dir, capsys):
     code = cli.main(
-        ["check", "--nrf", str(demo_dir / "nrf.json"), "--plant", str(demo_dir / "plant.json")]
+        ["check", "--nrf", str(demo_dir / "nrf.json"), "--plant", str(demo_dir / "plant.json"),
+         "--grid", "256"]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert out.count(": stable") == 16
     assert "H-tilde entries: all stable" in out
+    line = [l for l in out.splitlines() if l.startswith("closed-loop grid norm (256 points): ")]
+    assert len(line) == 1
+    assert abs(float(line[0].split(":")[1]) / 7.98606363595 - 1.0) < 1e-9
+
+
+def test_check_stable_for_shifted_youla_parameter(demo_dir, tmp_path, capsys):
+    # Q = grid5_q() + diag(c_i / (z - a_i)) is stable, so the loop it closes
+    # is stable: no block may report the plant's integrator poles near z = 1
+    a = (-0.0763384, 0.130606, -0.21062, -0.289607, -0.0681333)
+    c = (0.0923406, 0.0829715, -0.0840769, 0.0358429, 0.0644886)
+    extra = RationalMatrix.diag(
+        [RationalFunction(Polynomial([ci]), Polynomial([-ai, 1.0])) for ai, ci in zip(a, c)],
+        DISC,
+    )
+    save_ratmat(simkit.grid5_q() + extra, str(tmp_path / "q.json"))
+    assert cli.main(
+        ["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(tmp_path / "q.json"),
+         "--out", str(tmp_path / "nrf.json")]
+    ) == 0
+    capsys.readouterr()
+    code = cli.main(
+        ["check", "--nrf", str(tmp_path / "nrf.json"), "--plant", str(demo_dir / "plant.json")]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sum(l.endswith("]: stable") for l in out.splitlines()) == 16
+    assert "H-tilde entries: all stable" in out.splitlines()
 
 
 def test_check_flags_unstable_loop(tmp_path, capsys):
