@@ -8,12 +8,14 @@ block-diagonal state matrix, and the loop with the plant closes through a
 static coupling matrix whose invertibility is certified by a Schur complement
 before the closed-loop realization is formed.
 
-That realization is the one loop behind every stability verdict.  It maps
-every injection (reference, disturbances, noise, command) to every loop
-signal, so all loop maps share the state matrix A_CL: when A_CL is stable the
-loop is internally stable, and otherwise each map's unstable poles are the
-unstable eigenvalues of its minimal realization.  The realized H-tilde map is
-cross-checked against (I - Phi + Gamma G)^-1 evaluated pointwise.
+That realization is the one place a loop is closed: every stability verdict
+reads it, and simulation steps it.  It maps every injection (reference,
+disturbances, noise, command) to every loop signal, so all loop maps share
+the state matrix A_CL: when A_CL is stable the loop is internally stable, and
+otherwise each map's unstable poles are the unstable eigenvalues of its
+minimal realization whose A_CL mode passes the PBH tests against the map's
+own B and C.  The realized H-tilde map is cross-checked against
+(I - Phi + Gamma G)^-1 evaluated pointwise.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .nrfsyn import NrfPair
 from .ratmat import RationalMatrix, StabilityDomain, probe_points
 from . import sstate
 from .sstate import StateSpace
-from .tolerances import RANK_REL_TOL, probe_tolerance
+from .tolerances import PROBE_TOL
 
 
 def _compound_rows(pair: NrfPair, group: tuple[int, ...]) -> RationalMatrix:
@@ -94,7 +96,7 @@ def _audit_realization(sys: StateSpace, tfm: RationalMatrix, label: str) -> None
         got = sys.eval(pt)
         scale = max(scale, float(np.max(np.abs(want))))
         worst = max(worst, float(np.max(np.abs(got - want))))
-    if worst > probe_tolerance() * scale:
+    if worst > PROBE_TOL * scale:
         raise InvariantViolation(
             "row-probe-match",
             f"{label}: realization disagrees with the row by {worst:.3e}",
@@ -203,7 +205,7 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
         want = np.vstack([r.sys.eval(pt) for r in rows])[perm, :]
         got = sys.eval(pt)
         err = float(np.max(np.abs(got - want)))
-        if err > probe_tolerance() * max(1.0, float(np.max(np.abs(want)))):
+        if err > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
             raise InvariantViolation("assembly-linearity", f"disagreement {err:.3e}")
     if not sstate.is_stabilizable(sys):
         raise InvariantViolation("assembled-stabilizable", "PBH audit failed")
@@ -289,35 +291,6 @@ class ClosedLoopRealization:
         )
 
 
-def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
-    """(invertible, smallest/largest singular value)."""
-    if Mat.size == 0:
-        return True, 1.0
-    s = np.linalg.svd(Mat, compute_uv=False)
-    if s[0] == 0.0:
-        return False, 0.0
-    ratio = float(s[-1] / s[0])
-    return ratio > RANK_REL_TOL, ratio
-
-
-def coupling_matrix(D: np.ndarray, ctrl: AssembledController) -> np.ndarray:
-    """Dtilde, coupling the static unknowns (-u, y, u) of one loop step.
-
-        Dtilde = [ I    0    I  ]
-                 [ 0    I   -D  ]
-                 [ D_K1 D_K2  I ]
-    """
-    m, p = ctrl.partition
-    DK = ctrl.sys.D
-    return np.block(
-        [
-            [np.eye(m), np.zeros((m, p)), np.eye(m)],
-            [np.zeros((p, m)), np.eye(p), -D],
-            [DK[:, :m], DK[:, m:], np.eye(m)],
-        ]
-    )
-
-
 def closed_loop_state_matrix(
     plant: StateSpace, ctrl: AssembledController
 ) -> ClosedLoopRealization:
@@ -325,8 +298,13 @@ def closed_loop_state_matrix(
 
     The controller reads u + du and z, and the command injection adds to its
     output: u = Phi (u + du) + Gamma z + cmd.  The three static unknowns per
-    step are (-u, y, u); they couple through ``coupling_matrix``, whose
-    invertibility is equivalent to that of the Schur complement
+    step are (-u, y, u); they couple through
+
+        Dtilde = [ I    0    I  ]
+                 [ 0    I   -D  ]
+                 [ D_K1 D_K2  I ]
+
+    whose invertibility is equivalent to that of the Schur complement
     I - D_K1 + D_K2 D (eliminate the first two block rows).  Both tests must
     agree before the realization is assembled.
     """
@@ -343,10 +321,16 @@ def closed_loop_state_matrix(
     DK1, DK2 = DK[:, :m], DK[:, m:]
     BK1, BK2 = BK[:, :m], BK[:, m:]
 
-    Dtilde = coupling_matrix(D, ctrl)
+    Dtilde = np.block(
+        [
+            [np.eye(m), np.zeros((m, p)), np.eye(m)],
+            [np.zeros((p, m)), np.eye(p), -D],
+            [DK1, DK2, np.eye(m)],
+        ]
+    )
     schur = np.eye(m) - DK1 + DK2 @ D
-    ok_schur, r_schur = _invertibility(schur)
-    ok_direct, r_direct = _invertibility(Dtilde)
+    ok_schur, r_schur = sstate._invertibility(schur)
+    ok_direct, r_direct = sstate._invertibility(Dtilde)
     if not ok_schur or not ok_direct:
         raise SingularCoupling(
             f"coupling matrix is singular (schur {r_schur:.3e}, direct {r_direct:.3e})"
@@ -437,8 +421,21 @@ class InternalStabilityReport:
         )
 
 
-def _unstable_poles(sys: StateSpace) -> tuple[complex, ...]:
-    return sstate.unstable_eigs(sstate.minimal(sys).A, sys.domain).values
+def _unstable_poles(sys: StateSpace, modes) -> tuple[complex, ...]:
+    """Unstable poles of a loop map realized on A_CL (unstable modes ``modes``).
+
+    The staircase in ``sstate.minimal`` can keep a mode that the map reaches or
+    sees only to rounding, so a pole of the minimal realization is kept only
+    when the nearest unstable mode of A_CL passes both PBH tests against the
+    map's own B (controllability) and C (observability).  A repeated mode
+    passes when the map reaches and sees it in some direction.
+    """
+    kept = []
+    for lam in sstate.unstable_eigs(sstate.minimal(sys).A, sys.domain).values:
+        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
+        if sstate._pbh_reaches(sys.A, sys.B, mu) and sstate._pbh_reaches(sys.A.T, sys.C.T, mu):
+            kept.append(lam)
+    return tuple(kept)
 
 
 def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabilityReport:
@@ -447,9 +444,10 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
 
     The poles of any loop map are among the eigenvalues of A_CL, so a stable
     A_CL settles every map at once; otherwise each map's unstable poles are
-    those of its minimal realization.  H-tilde is the map from the command,
-    du and r injections to (u, -u, y).  Its realization is cross-checked
-    against (I - Phi + Gamma G)^-1 formed pointwise from Phi, Gamma and G.
+    those of its minimal realization that pass the PBH tests of
+    ``_unstable_poles``.  H-tilde is the map from the command, du and r
+    injections to (u, -u, y).  Its realization is cross-checked against
+    (I - Phi + Gamma G)^-1 formed pointwise from Phi, Gamma and G.
     """
     m, p = pair.shape
     ctrl = assemble(realize_rows(pair))
@@ -458,9 +456,9 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     sign = np.concatenate([np.ones(m), -np.ones(m), np.ones(p)])[:, None]
     H = StateSpace(H.A, H.B, sign * H.C, sign * H.D, H.domain)
 
-    unstable = not loop.is_stable
+    modes = loop.unstable_modes().values
     block_poles = {
-        (out, inp): _unstable_poles(loop.map((out,), (inp,))) if unstable else ()
+        (out, inp): _unstable_poles(loop.map((out,), (inp,)), modes) if modes else ()
         for out in LOOP_OUTPUTS
         for inp in TABLE_INPUTS
     }
@@ -470,9 +468,9 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
         row_flags = []
         for j in range(H.n_inputs):
             bad = ()
-            if unstable:
+            if modes:
                 entry = StateSpace(H.A, H.B[:, [j]], H.C[[i]], H.D[i : i + 1, j : j + 1], H.domain)
-                bad = _unstable_poles(entry)
+                bad = _unstable_poles(entry, modes)
             row_flags.append(not bad)
             poles.extend(bad)
         entry_stable.append(tuple(row_flags))

@@ -77,10 +77,6 @@ class SingularCoupling(NrfError):
     pass
 
 
-class IllPosedStep(NrfError):
-    pass
-
-
 class NonDiscrete(NrfError):
     pass
 

@@ -41,6 +41,7 @@ from .ratmat import (
 )
 from .sstate import (
     StateSpace,
+    _invertibility,
     ctrb_staircase,
     is_detectable,
     is_stabilizable,
@@ -48,15 +49,9 @@ from .sstate import (
     ss_to_tf,
     unstable_eigs,
 )
-from .tolerances import POLE_MATCH_TOL, RANK_REL_TOL, probe_tolerance
+from .tolerances import POLE_MATCH_TOL, PROBE_TOL
 
 CROSS_CHECK_TOL = 1e-6
-
-
-def _inv_margin(mat: np.ndarray) -> float:
-    """Smallest over largest singular value (0 for a singular matrix)."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
 
 
 def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
@@ -141,12 +136,12 @@ class DoublyCoprime:
             if unstable_poles(mat):
                 raise InvariantViolation("factor-stable", f"{name} has unstable poles")
         res = self.bezout_residual(count)
-        if res >= probe_tolerance():
+        if res >= PROBE_TOL:
             raise InvariantViolation("bezout-identity", f"residual {res:.3e}")
         for name in ("Y", "Yt", "M", "Mt"):
             gain = getattr(self, name).gain_at_infinity()
             err = float(np.max(np.abs(gain - np.eye(gain.shape[0]))))
-            if err >= probe_tolerance():
+            if err >= PROBE_TOL:
                 raise InvariantViolation(
                     "gain-at-infinity", f"{name}(inf) deviates from identity by {err:.3e}"
                 )
@@ -155,12 +150,12 @@ class DoublyCoprime:
         avoid = _pole_cloud(self.M, self.N, self.Mt, self.Nt)
         for pt in probe_points(self.domain, count, avoid=avoid):
             Mtv, Mv = self.Mt.eval(pt), self.M.eval(pt)
-            if min(_inv_margin(Mtv), _inv_margin(Mv)) <= RANK_REL_TOL:
+            if not (_invertibility(Mtv)[0] and _invertibility(Mv)[0]):
                 continue
             G_left = np.linalg.solve(Mtv, self.Nt.eval(pt))
             G_right = self.N.eval(pt) @ np.linalg.inv(Mv)
             err = float(np.max(np.abs(G_left - G_right)))
-            if err >= probe_tolerance():
+            if err >= PROBE_TOL:
                 raise InvariantViolation("plant-quotients-agree", f"deviation {err:.3e}")
 
 
@@ -436,7 +431,7 @@ def _check_shift_bezout(dcf: DoublyCoprime, shift: YoulaShift, count: int = 20):
              [dcf.N.eval(pt), shift.YtQ.eval(pt)]]
         )
         err = float(np.max(np.abs(left @ right - eye)))
-        if err >= probe_tolerance():
+        if err >= PROBE_TOL:
             raise InvariantViolation("shifted-bezout-identity", f"residual {err:.3e}")
 
 
@@ -450,7 +445,7 @@ def controller_tfm(shift: YoulaShift) -> RationalMatrix:
     diff = K - K_right
     for pt in probe_points(shift.domain, 20, avoid=_pole_cloud(diff)):
         err = float(np.max(np.abs(diff.eval(pt))))
-        if err >= probe_tolerance():
+        if err >= PROBE_TOL:
             raise InvariantViolation("controller-quotients-agree", f"deviation {err:.3e}")
     return K
 
@@ -473,9 +468,6 @@ class ClosedLoopMaps:
 
     def block(self, output: str, inp: str) -> RationalMatrix:
         return self.blocks[(output, inp)]
-
-    def delta_block(self, output: str) -> RationalMatrix:
-        return self.delta[output]
 
     @property
     def domain(self) -> StabilityDomain:

@@ -341,10 +341,6 @@ class SparsityPattern:
     def diagonal(n: int) -> "SparsityPattern":
         return SparsityPattern(np.eye(n, dtype=bool))
 
-    @staticmethod
-    def full(rows: int, cols: int) -> "SparsityPattern":
-        return SparsityPattern(np.ones((rows, cols), dtype=bool))
-
     def with_diagonal(self) -> "SparsityPattern":
         m = np.asarray(self.mask, dtype=bool)
         if self.rows != self.cols:
@@ -440,12 +436,6 @@ class RationalMatrix:
         if self.cols != other.cols:
             raise DimensionMismatch("vstack needs equal column counts")
         return RationalMatrix(self.entries + other.entries, self.domain)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.domain,
-        )
 
     def _check_domain(self, other: "RationalMatrix"):
         if self.domain is not other.domain:

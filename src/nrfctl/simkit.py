@@ -1,11 +1,14 @@
 """Deterministic closed-loop simulation of the distributed controller.
 
 The interconnection simulated here is the one the rest of the package
-analyzes: z = r - y, v = u + w, the plant advances by x <- Ax + Bv, and the
-controller implements u = Phi (u + delta_u) + Gamma z through its assembled
-state-space rows.  The static part of the loop is solved exactly at every
-step through the same coupling matrix whose invertibility dimpl certifies;
-no one-step delay is inserted anywhere.
+analyzes: z = r - y, v = u + w, y = G v + nu, and the controller implements
+u = Phi (u + delta_u) + Gamma z through its assembled state-space rows.  The
+loop is not closed here: ``simulate`` steps the closed-loop realization that
+``dimpl.closed_loop_state_matrix`` builds, whose static coupling dimpl
+certifies, so an ill-posed loop raises SingularCoupling before any step and
+no one-step delay is inserted anywhere.  Any other loop, such as the
+beta-iteration form of a controller, runs by being written as an NRF pair on
+a wider command vector.
 
 Noise is generated by SplitMix64 so that a scenario (seed included) pins the
 trace down to the last bit, on any platform.
@@ -21,7 +24,6 @@ import numpy as np
 from .dimpl import AssembledController
 from .errors import (
     DimensionMismatch,
-    IllPosedStep,
     InconsistentDimensions,
     InvariantViolation,
     NonDiscrete,
@@ -218,13 +220,12 @@ class Scenario:
 class SimTrace:
     """Arrays of every loop signal, one row per step, plus the state paths."""
 
-    __slots__ = ("r", "w", "nu", "du", "z", "u", "v", "y", "x_plant", "x_ctrl", "beta")
+    __slots__ = ("r", "w", "nu", "du", "z", "u", "v", "y", "x_plant", "x_ctrl")
 
-    def __init__(self, r, w, nu, du, z, u, v, y, x_plant, x_ctrl, beta=None):
+    def __init__(self, r, w, nu, du, z, u, v, y, x_plant, x_ctrl):
         self.r, self.w, self.nu, self.du = r, w, nu, du
         self.z, self.u, self.v, self.y = z, u, v, y
         self.x_plant, self.x_ctrl = x_plant, x_ctrl
-        self.beta = beta
 
     @property
     def horizon(self) -> int:
@@ -369,9 +370,10 @@ def grid5_scenario(plant: StateSpace, controller: AssembledController, seed: int
 def simulate(sc: Scenario) -> SimTrace:
     """Run the loop of the assembled controller around the plant.
 
-    Per step, the static coupling among (-u, y, u) is solved exactly through
-    the same Dtilde matrix dimpl certifies, with the measured output carrying
-    the sensor noise; then both states advance.  The trace is a pure function
+    The loop is closed once, by ``dimpl.closed_loop_state_matrix``; each step
+    then advances its state x <- A_CL x + B e on the injection
+    e = (r, w, nu, du) and reads y and u off C x + D e.  The state stacks the
+    plant's coordinates over the controller's.  The trace is a pure function
     of the scenario.
     """
     plant, ctrl = sc.plant, sc.controller
@@ -379,117 +381,19 @@ def simulate(sc: Scenario) -> SimTrace:
         raise NonDiscrete("simulation advances a discrete-time recursion")
     if ctrl.sys.domain is not StabilityDomain.DISCRETE:
         raise NonDiscrete("controller realization must be discrete")
-    m, p = ctrl.partition
-    A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    AK, BK, CK, DK = ctrl.sys.A, ctrl.sys.B, ctrl.sys.C, ctrl.sys.D
-    DK1, DK2 = DK[:, :m], DK[:, m:]
-    BK1, BK2 = BK[:, :m], BK[:, m:]
-    Dtilde = dimpl.coupling_matrix(D, ctrl)
-    if not dimpl._invertibility(Dtilde)[0]:
-        raise IllPosedStep("the static coupling matrix is singular; the loop has no unique solution")
-    solve_step = np.linalg.inv(Dtilde)  # fixed matrix, one inverse reused each step
+    p = ctrl.partition[1]
+    loop = dimpl.closed_loop_state_matrix(plant, ctrl).map(("y", "u"), dimpl.TABLE_INPUTS)
 
     r, w, nu, du = sc.signals()
-    H = sc.horizon
-    xg = np.zeros(plant.order)
-    xk = np.zeros(ctrl.order)
-    out = {k: np.zeros((H, dim)) for k, dim in
-           (("z", p), ("u", m), ("v", m), ("y", p))}
-    xg_path = np.zeros((H, plant.order))
-    xk_path = np.zeros((H, ctrl.order))
-
-    for n in range(H):
-        xg_path[n] = xg
-        xk_path[n] = xk
-        rhs = np.concatenate(
-            [
-                np.zeros(m),
-                C @ xg + D @ w[n] + nu[n],
-                CK @ xk + DK1 @ du[n] + DK2 @ r[n],
-            ]
-        )
-        sol = solve_step @ rhs
-        y = sol[m : m + p]  # measured output, noise included
-        u = sol[m + p :]
-        z = r[n] - y
-        v = u + w[n]
-        out["z"][n], out["u"][n], out["v"][n], out["y"][n] = z, u, v, y
-        xg = A @ xg + B @ v
-        xk = AK @ xk + BK1 @ (u + du[n]) + BK2 @ z
-
-    return SimTrace(r, w, nu, du, out["z"], out["u"], out["v"], out["y"],
-                    xg_path, xk_path)
-
-
-def simulate_beta_loop(sc: Scenario, u_sys: StateSpace) -> SimTrace:
-    """Run the two-stage representation beta = Phi_b (beta + d) + Gamma_b z,
-    u = [u_beta u_z] [beta; z] around the plant.
-
-    The scenario's controller field holds the realized beta recursion (its
-    command-disturbance spec drives the beta channel); u_sys maps the stacked
-    [beta; z] to the command.  The trace's beta field records the internal
-    channel so its growth can be compared against the command it produces.
-    """
-    plant, bsys = sc.plant, sc.controller
-    if plant.domain is not StabilityDomain.DISCRETE:
-        raise NonDiscrete("simulation advances a discrete-time recursion")
-    m, p = bsys.partition
-    if u_sys.n_inputs != m + p or u_sys.n_outputs != m:
-        raise DimensionMismatch("u map must take [beta; z] to the command vector")
-    A, B, C, D = plant.A, plant.B, plant.C, plant.D
-    Ab, Bb, Cb, Db = bsys.sys.A, bsys.sys.B, bsys.sys.C, bsys.sys.D
-    Db1, Db2 = Db[:, :m], Db[:, m:]
-    Bb1, Bb2 = Bb[:, :m], Bb[:, m:]
-    Au, Bu, Cu, Du = u_sys.A, u_sys.B, u_sys.C, u_sys.D
-    Du1, Du2 = Du[:, :m], Du[:, m:]
-
-    # unknowns (beta, u, y); z = r - y eliminated
-    coupling = np.block(
-        [
-            [np.eye(m) - Db1, np.zeros((m, m)), Db2],
-            [-Du1, np.eye(m), Du2],
-            [np.zeros((p, m)), -D, np.eye(p)],
-        ]
-    )
-    if not dimpl._invertibility(coupling)[0]:
-        raise IllPosedStep("the beta-loop coupling matrix is singular; the loop has no unique solution")
-    inv = np.linalg.inv(coupling)
-
-    r, w, nu, du = sc.signals()
-    H = sc.horizon
-    xg = np.zeros(plant.order)
-    xb = np.zeros(bsys.order)
-    xu = np.zeros(u_sys.order)
-    beta = np.zeros((H, m))
-    out = {k: np.zeros((H, dim)) for k, dim in
-           (("z", p), ("u", m), ("v", m), ("y", p))}
-    xg_path = np.zeros((H, plant.order))
-    xb_path = np.zeros((H, bsys.order))
-
-    for n in range(H):
-        xg_path[n] = xg
-        xb_path[n] = xb
-        rhs = np.concatenate(
-            [
-                Cb @ xb + Db1 @ du[n] + Db2 @ r[n],
-                Cu @ xu + Du2 @ r[n],
-                C @ xg + D @ w[n] + nu[n],
-            ]
-        )
-        sol = inv @ rhs
-        b = sol[:m]
-        u = sol[m : 2 * m]
-        y = sol[2 * m :]
-        z = r[n] - y
-        v = u + w[n]
-        beta[n] = b
-        out["z"][n], out["u"][n], out["v"][n], out["y"][n] = z, u, v, y
-        xg = A @ xg + B @ v
-        xb = Ab @ xb + Bb1 @ (b + du[n]) + Bb2 @ z
-        xu = Au @ xu + Bu @ np.concatenate([b, z])
-
-    return SimTrace(r, w, nu, du, out["z"], out["u"], out["v"], out["y"],
-                    xg_path, xb_path, beta=beta)
+    e = np.hstack([r, w, nu, du])
+    # row n + 1 first holds B e[n], then gains A x[n]; the loop starts at rest
+    x = np.zeros((sc.horizon, loop.order))
+    np.matmul(e[:-1], loop.B.T, out=x[1:])
+    for n in range(1, sc.horizon):
+        x[n] += loop.A @ x[n - 1]
+    yu = x @ loop.C.T + e @ loop.D.T
+    y, u = yu[:, :p], yu[:, p:]
+    return SimTrace(r, w, nu, du, r - y, u, u + w, y, x[:, : plant.order], x[:, plant.order :])
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +441,6 @@ def trace_metrics(t: SimTrace, settle_from: int) -> TraceMetrics:
     max_abs_u = np.max(np.abs(t.u), axis=0)
     channels = [t.y[:, j] for j in range(t.y.shape[1])]
     channels += [t.u[:, j] for j in range(t.u.shape[1])]
-    if t.beta is not None:
-        channels += [t.beta[:, j] for j in range(t.beta.shape[1])]
     diverged = any(_channel_diverges(x) for x in channels)
     return TraceMetrics(max_abs_y, tracking, max_abs_u, diverged)
 

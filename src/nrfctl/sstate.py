@@ -392,6 +392,32 @@ def _pbh_rank_ok(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
     return S.size > 0 and S[-1] > RANK_REL_TOL * S[0]
 
 
+def _pbh_reaches(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
+    """PBH test that Bc reaches some eigenvector of A at lam.
+
+    Appending Bc must raise the numerical rank of A - lam I.  At a simple
+    eigenvalue this is ``_pbh_rank_ok``; at a repeated one it asks for one
+    direction, not all of them.
+    """
+    n = A.shape[0]
+    M = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
+    S = np.linalg.svd(M, compute_uv=False)
+    S_A = np.linalg.svd(M[:, :n], compute_uv=False)
+    cut = RANK_REL_TOL * S[0]
+    return int(np.sum(S > cut)) > int(np.sum(S_A > cut))
+
+
+def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
+    """(invertible, smallest/largest singular value)."""
+    if Mat.size == 0:
+        return True, 1.0
+    s = np.linalg.svd(Mat, compute_uv=False)
+    if s[0] == 0.0:
+        return False, 0.0
+    ratio = float(s[-1] / s[0])
+    return ratio > RANK_REL_TOL, ratio
+
+
 def is_stabilizable(sys: StateSpace) -> bool:
     """PBH test at every unstable eigenvalue of A."""
     for lam in unstable_eigs(sys.A, sys.domain).values:
@@ -470,9 +496,7 @@ def tfm_unstable_poles(mat: RationalMatrix) -> tuple[complex, ...]:
     """
     if not mat.is_proper:
         raise NotProper("pole extraction needs a proper matrix")
-    sys = minimal(stack_outputs([tf_to_ss_obsv(mat.row(i)) for i in range(mat.rows)]))
-    eigs = unstable_eigs(sys.A, mat.domain)
-    return eigs.values
+    return unstable_eigs(tfm_to_ss(mat).A, mat.domain).values
 
 
 def match_multisets(a, b, tol: float) -> bool:

@@ -1,12 +1,7 @@
 """Numerical tolerances used throughout the package.
 
 All comparisons against these constants are documented at the point of use.
-The probe tolerance (residual checks of algebraic identities at sample
-frequency points) can be overridden through the NRFCTL_TOL environment
-variable; that hook exists for test experiments only.
 """
-
-import os
 
 # A polynomial coefficient c is treated as zero when |c| <= COEFF_ZERO_REL * (1 + max |coeff|).
 COEFF_ZERO_REL = 1e-10
@@ -30,10 +25,6 @@ RANK_REL_TOL = 1e-8
 # Greedy multiset matching tolerance for eigenvalue / pole comparisons.
 POLE_MATCH_TOL = 1e-6
 
-
-def probe_tolerance() -> float:
-    """Residual tolerance for probe-point identity checks (default 1e-8)."""
-    raw = os.environ.get("NRFCTL_TOL")
-    if raw is None:
-        return 1e-8
-    return float(raw)
+# Residual tolerance for probe-point identity checks (algebraic identities
+# evaluated at sample frequency points).
+PROBE_TOL = 1e-8

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nrfctl import dimpl, factor, nrfsyn, simkit
+from nrfctl import dimpl, factor, nrfsyn, simkit, sstate
 from nrfctl.factor import closed_loop_maps, youla_shift
 from nrfctl.nrfsyn import mr2_certificate, mr3_certificate
 from nrfctl.ratmat import (
@@ -110,8 +110,8 @@ def test_ac4_distributed_realization(grid5_plant, grid5_rows, grid5_ctrl):
     assert cl.A_CL.shape == (24, 24)
     radius = max(abs(v) for v in cl.eigenvalues())
     assert radius < 1.0 - 1e-6
-    ok_schur, m_schur = dimpl._invertibility(cl.schur)
-    ok_direct, m_direct = dimpl._invertibility(cl.Dtilde)
+    ok_schur, m_schur = sstate._invertibility(cl.schur)
+    ok_direct, m_direct = sstate._invertibility(cl.Dtilde)
     assert ok_schur and ok_direct
     print(
         f"AC-4 PASS: orders [2,3,4,3,3], A_CL 24x24 with radius {radius:.9f}, "

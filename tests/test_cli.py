@@ -1,5 +1,6 @@
 """Command-line frontend: exit codes, reports, artifact round trips."""
 
+import ast
 import json
 
 import numpy as np
@@ -170,6 +171,9 @@ def test_check_flags_unstable_loop(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "status: violated" in out
+    # the plant's two unstable modes are one repeated eigenvalue of A_CL,
+    # and each diagonal entry of G reaches only one of its directions
+    assert "H-tilde entries: unstable at ((4, 0), (5, 1))" in out
 
 
 def test_check_zero_plant_ok(tmp_path, capsys):
@@ -211,6 +215,15 @@ def test_check_sign_flip_flags_both_routes(demo_dir, tmp_path, capsys):
     assert code == 2
     assert "UNSTABLE" in out
     assert "H-tilde entries: unstable at" in out
+    # every flagged block carries exactly the two unstable modes of A_CL
+    flagged = [line for line in out.splitlines() if "UNSTABLE" in line]
+    assert len(flagged) == 12
+    assert all(line.endswith("['-1.23053958876', '1.5840590121']") for line in flagged)
+    # entries that reach those modes only to rounding are not listed
+    line = next(l for l in out.splitlines() if l.startswith("H-tilde entries:"))
+    entries = ast.literal_eval(line.split("unstable at", 1)[1].strip())
+    assert len(entries) == 22
+    assert (2, 11) not in entries and (7, 11) not in entries
 
 
 def test_usage_error_exits_one(capsys):

@@ -77,8 +77,8 @@ def test_closed_loop_state_matrix_grid5(grid5_plant, grid5_ctrl):
     assert radius < 1.0 - 1e-6
     assert cl.is_stable
     # both invertibility certificates for the coupling matrix
-    ok_schur, margin_schur = dimpl._invertibility(cl.schur)
-    ok_direct, margin_direct = dimpl._invertibility(cl.Dtilde)
+    ok_schur, margin_schur = sstate._invertibility(cl.schur)
+    ok_direct, margin_direct = sstate._invertibility(cl.Dtilde)
     assert ok_schur and ok_direct
     assert min(margin_schur, margin_direct) > 1e-8
 
@@ -100,6 +100,9 @@ def test_singular_coupling_detected():
     plant = tfm_to_ss(lagp)
     with pytest.raises(SingularCoupling):
         dimpl.closed_loop_state_matrix(plant, ctrl)
+    quiet = [simkit.SignalSpec.zero()] * 2
+    with pytest.raises(SingularCoupling):
+        simkit.simulate(simkit.Scenario(5, quiet, quiet, quiet, quiet, 0, plant, ctrl))
 
 
 def test_internal_stability_two_routes_agree(grid5_pair, grid5_tfm):

@@ -6,9 +6,9 @@ import pytest
 from nrfctl import dimpl, nrfsyn, simkit
 from nrfctl.errors import InvariantViolation, NonDiscrete
 from nrfctl.nrfsyn import NrfPair
-from nrfctl.ratmat import StabilityDomain, probe_points
+from nrfctl.ratmat import RationalMatrix, StabilityDomain, probe_points
 from nrfctl.simkit import Scenario, SignalSpec
-from nrfctl.sstate import is_detectable, is_stabilizable, tfm_to_ss
+from nrfctl.sstate import StateSpace, is_detectable, is_stabilizable, tfm_to_ss
 
 DISC = StabilityDomain.DISCRETE
 
@@ -79,6 +79,19 @@ def test_simulate_loop_identities(grid5_plant, grid5_ctrl):
     assert np.array_equal(t.z, r - t.y)
     assert np.array_equal(t.v, t.u + w)
     assert t.horizon == 100
+
+    # the loop equations, on the plant's and the controller's own coordinates
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    G, K = grid5_plant, grid5_ctrl.sys
+    xg, xk = t.x_plant, t.x_ctrl
+    m = t.u.shape[1]
+    fed = t.u + du
+    close(xg[1:], xg[:-1] @ G.A.T + t.v[:-1] @ G.B.T)
+    close(t.y, xg @ G.C.T + t.v @ G.D.T + nu)
+    close(xk[1:], xk[:-1] @ K.A.T + fed[:-1] @ K.B[:, :m].T + t.z[:-1] @ K.B[:, m:].T)
+    close(t.u, xk @ K.C.T + fed @ K.D[:, :m].T + t.z @ K.D[:, m:].T)
     met = simkit.trace_metrics(t, settle_from=60)
     assert not met.diverged
     assert np.max(met.max_abs_y) <= 3.0
@@ -126,10 +139,6 @@ def test_simulate_requires_discrete():
     cont = tfm_to_ss(
         simkit.grid5_tfm()
     )  # discrete; build a continuous impostor via transform
-    import dataclasses
-
-    from nrfctl.sstate import StateSpace
-
     bad_plant = StateSpace(cont.A, cont.B, cont.C, cont.D, StabilityDomain.CONTINUOUS)
     sc_kwargs = dict(
         horizon=5,
@@ -146,8 +155,6 @@ def test_simulate_requires_discrete():
 
 
 def _zero_ctrl(m, p):
-    from nrfctl.ratmat import RationalMatrix
-
     pair = NrfPair(RationalMatrix.zeros(m, m, DISC), RationalMatrix.zeros(m, p, DISC))
     return dimpl.assemble(dimpl.realize_rows(pair))
 
@@ -159,27 +166,37 @@ def test_horizon_zero_trace(grid5_plant, grid5_ctrl):
     assert t.y.shape == (0, 5)
 
 
-def test_beta_iteration_diverges_while_output_matches(grid5_plant, grid5_dcf, grid5_shift, grid5_pair, grid5_ctrl):
+def test_beta_iteration_diverges_while_output_matches(grid5_plant, grid5_dcf, grid5_shift, grid5_ctrl):
     """The beta recursion reproduces the external behaviour but its internal
     signal drifts: the representation is not internally stable around an
-    unstable plant, which is exactly what the mr3 witness predicts."""
+    unstable plant, which is exactly what the mr3 witness predicts.
+
+    The recursion runs as an NRF pair on the stacked command [beta; u],
+    Phi = [[beta_phi, 0], [u_beta, 0]], Gamma = [[beta_gamma], [u_z]],
+    around the plant [0 G], which only the u part drives."""
     beta_phi, beta_gamma, u_beta, u_z = nrfsyn.sls_like_rep(grid5_dcf, grid5_shift)
-    beta_pair = NrfPair(beta_phi, beta_gamma)
-    beta_ctrl = dimpl.assemble(dimpl.realize_rows(beta_pair))
-    u_sys = tfm_to_ss(u_beta.hstack(u_z))
+    p, m = beta_phi.rows, u_beta.rows
+    Phi = beta_phi.hstack(RationalMatrix.zeros(p, m, DISC)).vstack(
+        u_beta.hstack(RationalMatrix.zeros(m, m, DISC))
+    )
+    beta_ctrl = dimpl.assemble(dimpl.realize_rows(NrfPair(Phi, beta_gamma.vstack(u_z))))
+    assert beta_ctrl.row_orders == [3, 3, 3, 3, 3, 3, 4, 4, 4, 4]
+    G = grid5_plant
+    wide = StateSpace(G.A, np.hstack([np.zeros((G.order, p)), G.B]), G.C,
+                      np.hstack([np.zeros((p, p)), G.D]), DISC)
     # the unstable map is the one from the input disturbance, so a step on w
-    # is the exciting input; the command channel stays quiet because it is
-    # injected at a different point in the two representations
-    refs = steps(5)
-    wsig = [SignalSpec.step(0.5, at=20)] + [SignalSpec.zero()] * 4
-    noise = [SignalSpec.uniform(0.05)] * 5
-    sc = Scenario(100, refs, wsig, noise, quiet(5), 42, grid5_plant, beta_ctrl)
-    t_beta = simkit.simulate_beta_loop(sc, u_sys)
+    # is the exciting input.  Noise substreams are numbered through
+    # (r, w, nu, du), so only the reference channels draw alike at command
+    # widths 5 and 10: the noise goes there.
+    refs = [SignalSpec.uniform(0.05)] * p
+    wsig = [SignalSpec.step(0.5, at=20)] + quiet(m - 1)
+    sc = Scenario(100, refs, quiet(p) + wsig, quiet(p), quiet(p + m), 42, wide, beta_ctrl)
+    t_beta = simkit.simulate(sc)
     met = simkit.trace_metrics(t_beta, settle_from=60)
     assert met.diverged  # the internal beta channel grows without bound
-    assert np.max(np.abs(t_beta.beta)) > 10.0
+    assert np.max(np.abs(t_beta.u[:, :p])) > 10.0
 
-    sc_nrf = Scenario(100, refs, wsig, noise, quiet(5), 42, grid5_plant, grid5_ctrl)
+    sc_nrf = Scenario(100, refs, wsig, quiet(p), quiet(m), 42, grid5_plant, grid5_ctrl)
     t_nrf = simkit.simulate(sc_nrf)
     assert not simkit.trace_metrics(t_nrf, settle_from=60).diverged
     # external agreement despite the internal drift
