@@ -32,7 +32,7 @@ from .errors import (
     InvariantViolation,
     SingularCoupling,
 )
-from .factor import _pole_cloud
+from .factor import _max_abs, _pole_cloud
 from .nrfsyn import NrfPair
 from .ratmat import RationalMatrix, StabilityDomain, probe_points
 from . import sstate
@@ -89,13 +89,9 @@ def _as_group(index) -> tuple[int, ...]:
 def _audit_realization(sys: StateSpace, tfm: RationalMatrix, label: str) -> None:
     """Probe-point agreement with the target rows plus PBH audits."""
     pts = probe_points(tfm.domain, count=7, avoid=_pole_cloud(tfm))
-    scale = 1.0
-    worst = 0.0
-    for pt in pts:
-        want = tfm.eval(pt)
-        got = sys.eval(pt)
-        scale = max(scale, float(np.max(np.abs(want))))
-        worst = max(worst, float(np.max(np.abs(got - want))))
+    want = tfm.eval_many(pts)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    worst = float(np.max(np.abs(sys.eval_many(pts) - want)))
     if worst > PROBE_TOL * scale:
         raise InvariantViolation(
             "row-probe-match",
@@ -201,12 +197,11 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
     sys = StateSpace(stacked.A, stacked.B, stacked.C[perm, :], stacked.D[perm, :], domain)
 
     pts = probe_points(domain, count=5)
-    for pt in pts:
-        want = np.vstack([r.sys.eval(pt) for r in rows])[perm, :]
-        got = sys.eval(pt)
-        err = float(np.max(np.abs(got - want)))
-        if err > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
-            raise InvariantViolation("assembly-linearity", f"disagreement {err:.3e}")
+    want = np.concatenate([r.sys.eval_many(pts) for r in rows], axis=1)[:, perm, :]
+    errs = _max_abs(sys.eval_many(pts) - want)
+    bad = np.flatnonzero(errs > PROBE_TOL * np.maximum(1.0, _max_abs(want)))
+    if bad.size:
+        raise InvariantViolation("assembly-linearity", f"disagreement {errs[bad[0]]:.3e}")
     if not sstate.is_stabilizable(sys):
         raise InvariantViolation("assembled-stabilizable", "PBH audit failed")
     if not sstate.is_detectable(sys):
@@ -478,14 +473,14 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     avoid = np.concatenate(
         [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
     )
-    worst = 0.0
-    for pt in probe_points(pair.domain, count=11, avoid=avoid):
-        Phi_e, Gamma_e, G_e = pair.Phi.eval(pt), pair.Gamma.eval(pt), plant.eval(pt)
-        S_e = np.eye(m) - Phi_e + Gamma_e @ G_e
-        left_e = np.vstack([np.eye(m), -np.eye(m), G_e])
-        right_e = np.hstack([np.eye(m), Phi_e, Gamma_e])
-        H_e = left_e @ np.linalg.solve(S_e, right_e)
-        worst = max(worst, float(np.max(np.abs(H.eval(pt) - H_e))))
+    pts = probe_points(pair.domain, count=11, avoid=avoid)
+    Phi_e, Gamma_e, G_e = pair.Phi.eval_many(pts), pair.Gamma.eval_many(pts), plant.eval_many(pts)
+    eye = np.broadcast_to(np.eye(m), Phi_e.shape)
+    S_e = eye - Phi_e + Gamma_e @ G_e
+    left_e = np.concatenate([eye, -eye, G_e], axis=1)
+    right_e = np.concatenate([eye, Phi_e, Gamma_e], axis=2)
+    H_e = left_e @ np.linalg.solve(S_e, right_e)
+    worst = float(np.max(np.abs(H.eval_many(pts) - H_e), initial=0.0))
     return InternalStabilityReport(block_poles, tuple(entry_stable), poles, worst, loop)
 
 

@@ -55,13 +55,37 @@ CROSS_CHECK_TOL = 1e-6
 
 
 def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
-    """Approximate pole locations of every entry, for probe-point avoidance."""
-    out: list[complex] = []
+    """Approximate pole locations of every entry, for probe-point avoidance.
+
+    Entries share denominators, so the roots of each distinct denominator are
+    computed and listed once.
+    """
+    roots: dict[tuple[float, ...], list[complex]] = {}
     for mat in mats:
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                out.extend(complex(r) for r in mat.entry(i, j).den.roots())
-    return tuple(out)
+        for row in mat.entries:
+            for e in row:
+                if e.den.coeffs not in roots:
+                    roots[e.den.coeffs] = [complex(r) for r in e.den.roots()]
+    return tuple(r for rs in roots.values() for r in rs)
+
+
+def _first_failure(errs: np.ndarray, tol: float) -> int | None:
+    """Index of the first probe point whose error reaches tol, or None."""
+    bad = np.flatnonzero(errs >= tol)
+    return int(bad[0]) if bad.size else None
+
+
+def _max_abs(vals: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude at each point of a (K, rows, cols) stack."""
+    return np.max(np.abs(vals), axis=(1, 2))
+
+
+def _bezout_errors(Y, X, Nt, Mt, M, Xt, N, Yt) -> np.ndarray:
+    """Per-point deviation of [Y X; -Nt Mt] [M -Xt; N Yt] from identity,
+    each factor given as its (K, rows, cols) evaluation."""
+    left = np.block([[Y, X], [-Nt, Mt]])
+    right = np.block([[M, -Xt], [N, Yt]])
+    return _max_abs(left @ right - np.eye(left.shape[1]))
 
 
 class DoublyCoprime:
@@ -105,24 +129,13 @@ class DoublyCoprime:
     def bezout_residual(self, count: int = 20) -> float:
         """Max deviation of the Bézout product from identity over probe points.
 
-        The factors are evaluated and multiplied numerically per point; a
-        symbolic product would square every denominator degree for nothing.
+        The factors are evaluated over all probe points and multiplied
+        numerically point by point; a symbolic product would square every
+        denominator degree for nothing.
         """
-        p, m = self.shape
-        eye = np.eye(m + p)
-        worst = 0.0
-        avoid = _pole_cloud(*self.factors().values())
-        for pt in probe_points(self.domain, count, avoid=avoid):
-            left = np.block(
-                [[self.Y.eval(pt), self.X.eval(pt)],
-                 [-self.Nt.eval(pt), self.Mt.eval(pt)]]
-            )
-            right = np.block(
-                [[self.M.eval(pt), -self.Xt.eval(pt)],
-                 [self.N.eval(pt), self.Yt.eval(pt)]]
-            )
-            worst = max(worst, float(np.max(np.abs(left @ right - eye))))
-        return worst
+        mats = (self.Y, self.X, self.Nt, self.Mt, self.M, self.Xt, self.N, self.Yt)
+        pts = probe_points(self.domain, count, avoid=_pole_cloud(*mats))
+        return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
 
     def plant(self) -> RationalMatrix:
         """G = Mt^-1 Nt (left quotient keeps the inversion at size p)."""
@@ -147,13 +160,13 @@ class DoublyCoprime:
                 )
         # the two quotients must describe one plant; compare pointwise since
         # symbolic inversion inflates degrees on higher-order factors
-        avoid = _pole_cloud(self.M, self.N, self.Mt, self.Nt)
-        for pt in probe_points(self.domain, count, avoid=avoid):
-            Mtv, Mv = self.Mt.eval(pt), self.M.eval(pt)
-            if not (_invertibility(Mtv)[0] and _invertibility(Mv)[0]):
+        pts = probe_points(self.domain, count, avoid=_pole_cloud(self.M, self.N, self.Mt, self.Nt))
+        Mt, M, Nt, N = (mat.eval_many(pts) for mat in (self.Mt, self.M, self.Nt, self.N))
+        for k in range(len(pts)):
+            if not (_invertibility(Mt[k])[0] and _invertibility(M[k])[0]):
                 continue
-            G_left = np.linalg.solve(Mtv, self.Nt.eval(pt))
-            G_right = self.N.eval(pt) @ np.linalg.inv(Mv)
+            G_left = np.linalg.solve(Mt[k], Nt[k])
+            G_right = N[k] @ np.linalg.inv(M[k])
             err = float(np.max(np.abs(G_left - G_right)))
             if err >= PROBE_TOL:
                 raise InvariantViolation("plant-quotients-agree", f"deviation {err:.3e}")
@@ -416,23 +429,12 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
 
 
 def _check_shift_bezout(dcf: DoublyCoprime, shift: YoulaShift, count: int = 20):
-    p, m = dcf.shape
-    eye = np.eye(m + p)
-    avoid = _pole_cloud(
-        shift.YQ, shift.XQ, shift.XtQ, shift.YtQ, dcf.M, dcf.N, dcf.Mt, dcf.Nt
-    )
-    for pt in probe_points(dcf.domain, count, avoid=avoid):
-        left = np.block(
-            [[shift.YQ.eval(pt), shift.XQ.eval(pt)],
-             [-dcf.Nt.eval(pt), dcf.Mt.eval(pt)]]
-        )
-        right = np.block(
-            [[dcf.M.eval(pt), -shift.XtQ.eval(pt)],
-             [dcf.N.eval(pt), shift.YtQ.eval(pt)]]
-        )
-        err = float(np.max(np.abs(left @ right - eye)))
-        if err >= PROBE_TOL:
-            raise InvariantViolation("shifted-bezout-identity", f"residual {err:.3e}")
+    mats = (shift.YQ, shift.XQ, dcf.Nt, dcf.Mt, dcf.M, shift.XtQ, dcf.N, shift.YtQ)
+    pts = probe_points(dcf.domain, count, avoid=_pole_cloud(*mats))
+    errs = _bezout_errors(*(mat.eval_many(pts) for mat in mats))
+    k = _first_failure(errs, PROBE_TOL)
+    if k is not None:
+        raise InvariantViolation("shifted-bezout-identity", f"residual {errs[k]:.3e}")
 
 
 def controller_tfm(shift: YoulaShift) -> RationalMatrix:
@@ -443,10 +445,10 @@ def controller_tfm(shift: YoulaShift) -> RationalMatrix:
     except SingularMatrix as exc:
         raise SingularDenominator(str(exc)) from exc
     diff = K - K_right
-    for pt in probe_points(shift.domain, 20, avoid=_pole_cloud(diff)):
-        err = float(np.max(np.abs(diff.eval(pt))))
-        if err >= PROBE_TOL:
-            raise InvariantViolation("controller-quotients-agree", f"deviation {err:.3e}")
+    errs = _max_abs(diff.eval_many(probe_points(shift.domain, 20, avoid=_pole_cloud(diff))))
+    k = _first_failure(errs, PROBE_TOL)
+    if k is not None:
+        raise InvariantViolation("controller-quotients-agree", f"deviation {errs[k]:.3e}")
     return K
 
 
@@ -530,11 +532,13 @@ def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> ClosedLoopMaps:
 def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, maps: ClosedLoopMaps, count: int = 20):
     """Compare the affine table with the direct loop solution at probe points."""
     p, m = dcf.shape
-    avoid = _pole_cloud(maps.stacked(), dcf.Mt, shift.YQ)
-    for pt in probe_points(dcf.domain, count, avoid=avoid):
+    pts = probe_points(dcf.domain, count, avoid=_pole_cloud(maps.stacked(), dcf.Mt, shift.YQ))
+    Mt, Nt, YQ, XQ = (mat.eval_many(pts) for mat in (dcf.Mt, dcf.Nt, shift.YQ, shift.XQ))
+    table = {key: mat.eval_many(pts) for key, mat in maps.blocks.items()}
+    for k, pt in enumerate(pts):
         try:
-            Gz = np.linalg.solve(dcf.Mt.eval(pt), dcf.Nt.eval(pt))
-            Kz = np.linalg.solve(shift.YQ.eval(pt), shift.XQ.eval(pt))
+            Gz = np.linalg.solve(Mt[k], Nt[k])
+            Kz = np.linalg.solve(YQ[k], XQ[k])
             SG = np.linalg.inv(np.eye(p) + Gz @ Kz)
             SK = np.linalg.inv(np.eye(m) + Kz @ Gz)
         except np.linalg.LinAlgError:
@@ -546,8 +550,7 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, maps: ClosedLoop
             ("v", "r"): SK @ Kz, ("v", "w"): SK, ("v", "nu"): -SK @ Kz,
         }
         for key, want in direct.items():
-            got = maps.block(*key).eval(pt)
-            err = float(np.max(np.abs(got - want)))
+            err = float(np.max(np.abs(table[key][k] - want)))
             if err >= CROSS_CHECK_TOL:
                 raise InvariantViolation(
                     "closed-loop-table-vs-direct", f"block {key} deviates by {err:.3e} at {pt}"
@@ -558,7 +561,7 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
     """Largest singular value of a stable map over a frequency grid.
 
     H is a closed-loop table (its stability is asserted and its 4x3 stack
-    scanned) or any map with ``eval``, ``gain_at_infinity`` and ``domain``:
+    scanned) or any map with ``eval_many``, ``gain_at_infinity`` and ``domain``:
     a RationalMatrix or a StateSpace.  Grids nest under doubling
     (theta = pi*k/grid), so the value is monotone nondecreasing in the grid
     count; it is a lower bound on the true norm.
@@ -566,17 +569,14 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
     if isinstance(H, ClosedLoopMaps):
         H.assert_stable()
         H = H.stacked()
-    worst = 0.0
-    for k in range(grid + 1):
-        theta = np.pi * k / grid
-        if H.domain is StabilityDomain.DISCRETE:
-            val = H.eval(np.exp(1j * theta))
-        elif k == grid:
-            val = H.gain_at_infinity().astype(complex)
-        else:
-            val = H.eval(1j * np.tan(theta / 2.0))
-        worst = max(worst, float(np.linalg.svd(val, compute_uv=False)[0]))
-    return worst
+    theta = np.pi * np.arange(grid + 1) / grid
+    if H.domain is StabilityDomain.DISCRETE:
+        vals = H.eval_many(np.exp(1j * theta))
+    else:
+        # theta = pi is s = infinity
+        at_inf = np.asarray(H.gain_at_infinity(), dtype=complex)[None]
+        vals = np.concatenate([H.eval_many(1j * np.tan(theta[:-1] / 2.0)), at_inf])
+    return float(np.max(np.linalg.svd(vals, compute_uv=False)[:, 0], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

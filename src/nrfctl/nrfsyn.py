@@ -22,7 +22,7 @@ from .errors import (
     NotSquare,
     SingularDiagonal,
 )
-from .factor import DoublyCoprime, YoulaShift, _pole_cloud
+from .factor import DoublyCoprime, YoulaShift, _first_failure, _max_abs, _pole_cloud
 from .ratmat import (
     RationalFunction,
     RationalMatrix,
@@ -76,10 +76,8 @@ class NrfPair:
     def reproduces(self, K: RationalMatrix, count: int = 20, tol: float = ROUND_TRIP_TOL) -> bool:
         """Probe-point agreement between (I-Phi)^-1 Gamma and a given controller."""
         diff = self.controller() - K
-        for pt in probe_points(self.domain, count, avoid=_pole_cloud(diff)):
-            if float(np.max(np.abs(diff.eval(pt)))) >= tol:
-                return False
-        return True
+        errs = _max_abs(diff.eval_many(probe_points(self.domain, count, avoid=_pole_cloud(diff))))
+        return _first_failure(errs, tol) is None
 
 
 def _diag_reciprocals(mat: RationalMatrix, context: str) -> list[RationalFunction]:
@@ -136,14 +134,15 @@ def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
     """
     pair = nrf_from_left_factorization(shift.YQ, shift.XQ)
     omega = diag_part(shift.YQ)
-    avoid = _pole_cloud(pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt, omega)
+    mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt, omega)
+    pts = probe_points(dcf.domain, 20, avoid=_pole_cloud(*mats))
+    Phi, Gamma, M, Mt, Nt, Om = (mat.eval_many(pts) for mat in mats)
     eye = np.eye(pair.shape[0])
-    for pt in probe_points(dcf.domain, 20, avoid=avoid):
-        Gv = np.linalg.solve(dcf.Mt.eval(pt), dcf.Nt.eval(pt))
-        Sv = eye - pair.Phi.eval(pt) + pair.Gamma.eval(pt) @ Gv
-        res = float(np.max(np.abs(Sv @ dcf.M.eval(pt) @ omega.eval(pt) - eye)))
-        if res >= ROUND_TRIP_TOL:
-            raise InvariantViolation("loop-sensitivity-inverse", f"residual {res:.3e}")
+    S = eye - Phi + Gamma @ np.linalg.solve(Mt, Nt)
+    errs = _max_abs(S @ M @ Om - eye)
+    k = _first_failure(errs, ROUND_TRIP_TOL)
+    if k is not None:
+        raise InvariantViolation("loop-sensitivity-inverse", f"residual {errs[k]:.3e}")
     return pair
 
 

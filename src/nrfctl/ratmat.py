@@ -325,6 +325,18 @@ class RationalFunction:
         return f"RationalFunction({self.num.coeffs}, {self.den.coeffs})"
 
 
+# Batched evaluations run over blocks of points that hold about this many
+# matrix entries each, so a long frequency grid costs its output array plus
+# block-sized temporaries rather than several grid-sized ones.
+EVAL_BLOCK_ENTRIES = 8192
+
+
+def _point_blocks(count: int, entries_per_point: int) -> list[slice]:
+    """Consecutive slices of ``count`` points, about EVAL_BLOCK_ENTRIES entries each."""
+    step = max(1, EVAL_BLOCK_ENTRIES // max(1, entries_per_point))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
 class SparsityPattern:
     """Boolean support mask for a rational matrix."""
 
@@ -502,9 +514,45 @@ class RationalMatrix:
 
     def eval(self, point: complex) -> np.ndarray:
         """Evaluate entrywise; raises EvaluationAtPole on a vanishing denominator."""
-        return np.array(
-            [[e(complex(point)) for e in row] for row in self.entries], dtype=complex
-        )
+        return self.eval_many([point])[0]
+
+    def eval_many(self, points) -> np.ndarray:
+        """Evaluate entrywise at every point, shape (K, rows, cols).
+
+        The coefficients are padded into one numerator and one denominator
+        array once, and Horner's rule runs on a whole block of points at a
+        time.  The pole test is ``RationalFunction.__call__``'s;
+        EvaluationAtPole names the first offending point in the given order.
+        """
+        x = np.asarray(points, dtype=complex).ravel()
+        ents = [e for row in self.entries for e in row]
+        shape = (self.rows, self.cols)
+
+        def padded(polys):
+            width = max(len(q.coeffs) for q in polys)
+            arr = np.array([q.coeffs + (0.0,) * (width - len(q.coeffs)) for q in polys])
+            return arr.T.reshape((width,) + shape)
+
+        def horner(coeffs, xb):
+            acc = np.zeros(xb.shape[:1] + shape, dtype=complex)
+            for c in coeffs[::-1]:
+                acc *= xb
+                acc += c
+            return acc
+
+        num, den = padded([e.num for e in ents]), padded([e.den for e in ents])
+        deg = np.array([len(e.den.coeffs) - 1 for e in ents], dtype=float).reshape(shape)
+        den_abs = np.abs(den).sum(axis=0)
+        out = np.empty((x.size,) + shape, dtype=complex)
+        for blk in _point_blocks(x.size, self.rows * self.cols):
+            xb = x[blk, None, None]
+            dv = horner(den, xb)
+            at_pole = np.abs(dv) <= 1e-12 * (den_abs * np.maximum(1.0, np.abs(xb)) ** deg + 1.0)
+            if at_pole.any():
+                first = complex(xb.ravel()[np.argmax(at_pole.any(axis=(1, 2)))])
+                raise EvaluationAtPole(f"denominator vanishes at {first}")
+            np.divide(horner(num, xb), dv, out=out[blk])
+        return out
 
     def conforms(self, pattern: SparsityPattern) -> bool:
         """True when every entry outside the pattern support is the zero function."""

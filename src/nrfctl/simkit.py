@@ -466,25 +466,21 @@ def save_trace(path: str, t: SimTrace) -> None:
     """CSV with repr-shortest doubles, so reading the file back is lossless."""
     m = t.u.shape[1]
     p = t.y.shape[1]
+    data = np.hstack([t.r, t.w, t.nu, t.du, t.z, t.u, t.v, t.y]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_trace_header(m, p))
-        for n in range(t.horizon):
-            row = [n]
-            for block in (t.r, t.w, t.nu, t.du, t.z, t.u, t.v, t.y):
-                row.extend(repr(float(x)) for x in block[n])
-            writer.writerow(row)
+        csv.writer(fh).writerow(_trace_header(m, p))
+        # no repr of a float needs csv quoting; rows end as csv.writer ends them
+        fh.writelines(f"{n}," + ",".join(map(repr, row)) + "\r\n" for n, row in enumerate(data))
 
 
 def load_trace(path: str) -> SimTrace:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader]
+        header = next(csv.reader(fh))
+        body = fh.read().splitlines()
     names = [c.rstrip("0123456789") for c in header]
     widths = {k: names.count(k) for k in ("r", "w", "nu", "du", "z", "u", "v", "y")}
-    m, p = widths["u"], widths["y"]
-    data = np.array([[float(x) for x in row[1:]] for row in rows])
+    data = np.loadtxt(body, delimiter=",", ndmin=2) if body else np.zeros((0, len(header)))
+    data = data[:, 1:]  # column 0 is the step number
     blocks = {}
     offset = 0
     for key in ("r", "w", "nu", "du", "z", "u", "v", "y"):

@@ -26,6 +26,7 @@ from .ratmat import (
     RationalFunction,
     RationalMatrix,
     StabilityDomain,
+    _point_blocks,
 )
 from .tolerances import LCM_CLUSTER_TOL, RANK_REL_TOL, STABILITY_MARGIN
 
@@ -77,12 +78,25 @@ class StateSpace:
 
     def eval(self, point: complex) -> np.ndarray:
         """Frequency response D + C (pI - A)^-1 B."""
-        if self.order == 0:
-            return self.D.astype(complex)
-        resolvent = np.linalg.solve(
-            point * np.eye(self.order) - self.A.astype(complex), self.B.astype(complex)
-        )
-        return self.D + self.C @ resolvent
+        return self.eval_many([point])[0]
+
+    def eval_many(self, points) -> np.ndarray:
+        """Frequency responses at every point, shape (K, outputs, inputs).
+
+        Batched solves on the stacked pencils x_k I - A, one per block of
+        points.
+        """
+        x = np.asarray(points, dtype=complex).ravel()
+        n = self.order
+        out = np.empty((x.size, self.n_outputs, self.n_inputs), dtype=complex)
+        out[:] = self.D
+        if n == 0:
+            return out
+        for blk in _point_blocks(x.size, n * (n + self.n_inputs)):
+            xb = x[blk, None, None]
+            rhs = np.broadcast_to(self.B, (xb.shape[0],) + self.B.shape)
+            out[blk] += self.C @ np.linalg.solve(xb * np.eye(n) - self.A, rhs)
+        return out
 
     def gain_at_infinity(self) -> np.ndarray:
         """Continuous-time response at s = infinity: the feedthrough D."""

@@ -43,11 +43,14 @@ def test_demo_writes_all_artifacts(demo_dir, capsys):
 
 
 def test_demo_report_lines(tmp_path, capsys):
-    code = cli.main(["demo", "grid5", "--out", str(tmp_path / "d"), "--no-sim"])
+    code = cli.main(["demo", "grid5", "--out", str(tmp_path / "d"), "--no-sim", "--grid", "256"])
     out = capsys.readouterr().out
     assert code == 0
     assert "matches the grid5 closed form coefficient-wise: True" in out
     assert "row orders: [2, 3, 4, 3, 3] (total 15)" in out
+    line = [l for l in out.splitlines() if l.startswith("closed-loop grid norm (256 points): ")]
+    assert len(line) == 1
+    assert abs(float(line[0].split(":")[1]) / 7.25325527697 - 1.0) < 1e-9
     assert "status: ok" in out
     assert "trace.csv" not in out  # --no-sim stops before simulation
 

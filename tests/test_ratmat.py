@@ -11,6 +11,7 @@ from nrfctl.errors import (
     NotSquare,
     SingularMatrix,
 )
+from nrfctl.factor import closed_loop_maps
 from nrfctl.ratmat import (
     Polynomial,
     RationalFunction,
@@ -82,6 +83,69 @@ def test_evaluation_at_pole_raises():
     f = lag(1.0, 0.5)
     with pytest.raises(EvaluationAtPole):
         f(0.5)
+
+
+def _entrywise(mat, points):
+    """Reference evaluation: RationalFunction.__call__ per entry and point."""
+    return np.array(
+        [[[e(complex(x)) for e in row] for row in mat.entries] for x in points],
+        dtype=complex,
+    ).reshape(len(points), mat.rows, mat.cols)
+
+
+def test_eval_many_matches_entrywise_on_grid5_table(grid5_dcf, grid5_shift):
+    table = closed_loop_maps(grid5_dcf, grid5_shift).stacked()
+    points = np.exp(1j * np.pi * np.arange(257) / 256)
+    got = table.eval_many(points)
+    assert got.shape == (257, 20, 15)
+    np.testing.assert_allclose(got, _entrywise(table, points), rtol=1e-13, atol=0.0)
+
+
+def test_eval_many_matches_entrywise_on_mixed_entries():
+    rng = np.random.default_rng(5)
+
+    def stable_den(deg):
+        # conjugate pairs and reals inside radius 0.9, so no probe point is a pole
+        roots = []
+        while len(roots) < deg - 1:
+            z = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            roots += [z, np.conj(z)]
+        roots += [rng.uniform(-0.9, 0.9)] * (deg - len(roots))
+        return Polynomial.from_roots(roots)
+
+    entries = [
+        [RationalFunction.const(0.0), RationalFunction.const(-2.5),
+         RationalFunction(Polynomial(rng.normal(size=9)), stable_den(9))],
+        [RationalFunction(Polynomial(rng.normal(size=3)), stable_den(7)),
+         lag(0.3, -0.4), RationalFunction(Polynomial(rng.normal(size=2)), stable_den(2))],
+    ]
+    mat = RationalMatrix(entries, DISC)
+    points = probe_points(DISC, 20) + list(np.exp(1j * rng.uniform(0, 2 * np.pi, 13)))
+    got = mat.eval_many(points)
+    np.testing.assert_allclose(got, _entrywise(mat, points), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(mat.eval(points[3]), got[3], rtol=1e-15, atol=0.0)
+
+
+def test_eval_many_names_first_pole_in_point_order():
+    mat = RationalMatrix([[lag(1.0, 0.5), lag(1.0, -0.25)]], DISC)
+    with pytest.raises(EvaluationAtPole, match=r"at \(-0\.25\+0j\)$"):
+        mat.eval_many([2.0, -0.25, 0.5])
+    # across blocks of points too
+    points = np.full(9000, 2.0 + 0j)
+    points[[6000, 8500]] = [-0.25, 0.5]
+    with pytest.raises(EvaluationAtPole, match=r"at \(-0\.25\+0j\)$"):
+        mat.eval_many(points)
+    with pytest.raises(EvaluationAtPole, match=r"at \(0\.5\+0j\)$"):
+        mat.eval(0.5)
+    with pytest.raises(EvaluationAtPole, match=r"at \(0\.5\+0j\)$"):
+        mat.entry(0, 0)(0.5 + 0j)
+    # near a pole the batched test decides as the scalar one does
+    with pytest.raises(EvaluationAtPole):
+        mat.entry(0, 0)(0.5 + 1e-13 + 0j)
+    with pytest.raises(EvaluationAtPole):
+        mat.eval_many([0.5 + 1e-13])
+    assert np.isfinite(mat.entry(0, 0)(0.5 + 1e-10 + 0j))
+    assert np.all(np.isfinite(mat.eval_many([0.5 + 1e-10])))
 
 
 def test_reciprocal_and_properness():

@@ -1,5 +1,7 @@
 """Noise streams, scenario plumbing, and closed-loop simulation."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,43 @@ def test_simulate_deterministic_and_csv_roundtrip(tmp_path, grid5_plant, grid5_c
         assert np.array_equal(getattr(back, name), getattr(t1, name))
     # the CSV is a signal boundary; states are not serialized
     assert back.x_plant.shape == (60, 0)
+
+
+def _csv_writer_trace(path, t):
+    """Reference writer: one csv.writer row per step with repr-shortest doubles."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(simkit._trace_header(t.u.shape[1], t.y.shape[1]))
+        for n in range(t.horizon):
+            row = [n]
+            for block in (t.r, t.w, t.nu, t.du, t.z, t.u, t.v, t.y):
+                row.extend(repr(float(x)) for x in block[n])
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7])
+def test_trace_csv_bytes_and_bit_exact_roundtrip(tmp_path, horizon):
+    m, p = 2, 3
+    edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1e-300, 1.0, -7.5]
+    rng = np.random.default_rng(horizon)
+    blocks = []
+    for width in (p, m, p, m, p, m, m, p):
+        vals = rng.normal(size=(horizon, width)) * 10.0 ** rng.integers(-20, 20, (horizon, width))
+        blocks.append(vals)
+    if horizon:
+        blocks[0][0] = edge[:p]
+        blocks[-1][-1] = edge[-p:]
+        blocks[5][0] = edge[3:5]
+    t = simkit.SimTrace(*blocks, np.zeros((horizon, 0)), np.zeros((horizon, 0)))
+    path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    simkit.save_trace(str(path), t)
+    _csv_writer_trace(str(ref), t)
+    assert path.read_bytes() == ref.read_bytes()
+    back = simkit.load_trace(str(path))
+    for name, want in zip(("r", "w", "nu", "du", "z", "u", "v", "y"), blocks):
+        got = getattr(back, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit-exact, signed zero included
 
 
 def test_superposition_without_noise(grid5_plant, grid5_ctrl):

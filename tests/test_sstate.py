@@ -53,6 +53,25 @@ def test_zero_order_system():
     assert unstable_eigs(sys.A, DISC).empty
 
 
+def test_eval_many_matches_pointwise_solve():
+    rng = np.random.default_rng(3)
+    A, B, C, D = (rng.normal(size=s) for s in ((4, 4), (4, 3), (2, 4), (2, 3)))
+    sys = StateSpace(0.3 * A, B, C, D, DISC)
+    points = [2.0 + 0.5j, -1.5, 1j, 3.0 - 2.0j]
+    got = sys.eval_many(points)
+    assert got.shape == (4, 2, 3)
+    for k, z in enumerate(points):
+        want = D + C @ np.linalg.solve(z * np.eye(4) - 0.3 * A, B)
+        np.testing.assert_allclose(got[k], want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sys.eval(z), got[k], rtol=1e-13, atol=1e-15)
+    # a grid long enough to span several blocks of points
+    grid = np.exp(1j * np.linspace(0.0, np.pi, 800))
+    want = np.array([D + C @ np.linalg.solve(z * np.eye(4) - 0.3 * A, B) for z in grid])
+    np.testing.assert_allclose(sys.eval_many(grid), want, rtol=1e-12, atol=1e-14)
+    static = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), [[3.0, -1.0]], DISC)
+    assert np.array_equal(static.eval_many(points), np.tile([[3.0, -1.0]], (4, 1, 1)))
+
+
 def test_tf_to_ss_obsv_roundtrip():
     row = RationalMatrix([[lag(1.0, 0.5), lag(2.0, -0.3)]], DISC)
     sys = tf_to_ss_obsv(row)
