@@ -303,11 +303,11 @@ def cmd_demo(args) -> CommandResult:
     report.append(
         f"closed-loop order {cl.order}, spectral radius {_fmt(radius)}, stable: {cl.is_stable}"
     )
-    if args.grid:
-        maps = factor.closed_loop_maps(dcf, shift)
+    if cl.is_stable and args.grid:
+        table = cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu"))
         report.append(
             f"closed-loop grid norm ({args.grid} points): "
-            f"{_fmt(factor.hinf_grid_norm(maps, args.grid))}"
+            f"{_fmt(factor.hinf_grid_norm(table, args.grid))}"
         )
     if not cl.is_stable:
         return CommandResult("violated", report, artifacts)
@@ -401,7 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "grid", 0) < 0:
+        parser.error("argument --grid: must be >= 0 (0 skips the norm line)")
     try:
         result = args.handler(args)
     except NrfError as exc:

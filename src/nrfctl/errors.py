@@ -85,6 +85,10 @@ class UnstableMap(NrfError):
     pass
 
 
+class InvalidGrid(NrfError):
+    pass
+
+
 class InvariantViolation(NrfError):
     """Raised by loaders/validators; carries the name of the violated invariant."""
 

@@ -6,7 +6,9 @@ the standard observer/state-feedback formulas, already normalized so that M,
 M̃, Y and Ỹ all have identity gain at infinity.  Identities between factors
 are checked by residuals at deterministic probe points rather than
 symbolically; at the degrees involved, evaluation bounds are decisive and
-coefficient-level comparison is brittle.
+coefficient-level comparison is brittle.  The closed-loop table of the Youla
+formulas is a state-space series connection of realized factors, not a
+symbolic product.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     DomainMismatch,
     GainsNotStabilizing,
+    InvalidGrid,
     InvariantViolation,
     NotDetectable,
     NotStabilizable,
@@ -46,7 +49,9 @@ from .sstate import (
     is_detectable,
     is_stabilizable,
     match_multisets,
+    series,
     ss_to_tf,
+    tfm_to_ss,
     unstable_eigs,
 )
 from .tolerances import POLE_MATCH_TOL, PROBE_TOL
@@ -456,119 +461,80 @@ def controller_tfm(shift: YoulaShift) -> RationalMatrix:
 # closed-loop maps
 
 
-OUTPUTS = ("y", "u", "z", "v")
-INPUTS = ("r", "w", "nu")
+def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> StateSpace:
+    """The closed-loop table (r, w, nu, du) -> (y, u, z, v), in state space.
 
-
-class ClosedLoopMaps:
-    """The 4x3 closed-loop block table plus the delta_u column."""
-
-    def __init__(self, blocks: dict, delta: dict):
-        self.blocks = dict(blocks)
-        self.delta = dict(delta)
-        self._stability_checked = False
-
-    def block(self, output: str, inp: str) -> RationalMatrix:
-        return self.blocks[(output, inp)]
-
-    @property
-    def domain(self) -> StabilityDomain:
-        return self.blocks[("y", "r")].domain
-
-    def all_blocks(self):
-        for key in self.blocks:
-            yield key, self.blocks[key]
-        for out in OUTPUTS:
-            yield (out, "du"), self.delta[out]
-
-    def stacked(self) -> RationalMatrix:
-        """The (y,u,z,v) x (r,w,nu) table as one rational matrix."""
-        rows = []
-        for out in OUTPUTS:
-            row = self.block(out, "r")
-            for inp in INPUTS[1:]:
-                row = row.hstack(self.block(out, inp))
-            rows.append(row)
-        stacked = rows[0]
-        for row in rows[1:]:
-            stacked = stacked.vstack(row)
-        return stacked
-
-    def assert_stable(self):
-        if self._stability_checked:
-            return
-        for key, mat in self.all_blocks():
-            if unstable_poles(mat):
-                raise UnstableMap(f"closed-loop block {key} is unstable")
-        self._stability_checked = True
-
-
-def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> ClosedLoopMaps:
-    """All closed-loop maps of the (r, w, nu, delta_u) loop, by the affine formulas."""
+    Every block is affine in R W, with R = [N; M] and
+    W = [X_Q, Y_Q, -X_Q, -(Y_Q - diag Y_Q)] (du enters through the hollow
+    part of Y_Q, as it does in the NRF loop).  So the table is S R W + D0,
+    with S = [I 0; 0 I; -I 0; 0 I] and the constant D0 holding the identity
+    terms of y <- nu, u <- w, z <- r and z <- nu.  R and W are realized
+    separately and joined in series, so the table's modes are theirs.
+    Signals are ordered as dimpl's TABLE_INPUTS and LOOP_OUTPUTS.
+    """
     p, m = dcf.shape
     dom = dcf.domain
-    Ip = RationalMatrix.identity(p, dom)
-    Im = RationalMatrix.identity(m, dom)
-    NXQ = dcf.N @ shift.XQ
-    NYQ = dcf.N @ shift.YQ
-    MXQ = dcf.M @ shift.XQ
-    MYQ = dcf.M @ shift.YQ
-    hollow = shift.YQ - diag_part(shift.YQ)
-    N_h = dcf.N @ hollow
-    M_h = dcf.M @ hollow
-    blocks = {
-        ("y", "r"): NXQ, ("y", "w"): NYQ, ("y", "nu"): Ip - NXQ,
-        ("u", "r"): MXQ, ("u", "w"): MYQ - Im, ("u", "nu"): -MXQ,
-        ("z", "r"): Ip - NXQ, ("z", "w"): -NYQ, ("z", "nu"): NXQ - Ip,
-        ("v", "r"): MXQ, ("v", "w"): MYQ, ("v", "nu"): -MXQ,
-    }
-    delta = {"y": -N_h, "u": -M_h, "z": N_h, "v": -M_h}
-    maps = ClosedLoopMaps(blocks, delta)
-    maps.assert_stable()
-    _cross_check_vs_loop(dcf, shift, maps)
-    return maps
+    R = tfm_to_ss(dcf.N.vstack(dcf.M))
+    W = tfm_to_ss(
+        shift.XQ.hstack(shift.YQ).hstack(-shift.XQ).hstack(diag_part(shift.YQ) - shift.YQ)
+    )
+    RW = series(R, W)
+    Ip, Im = np.eye(p), np.eye(m)
+    Zpp, Zpm, Zmp, Zmm = np.zeros((p, p)), np.zeros((p, m)), np.zeros((m, p)), np.zeros((m, m))
+    S = np.block([[Ip, Zpm], [Zmp, Im], [-Ip, Zpm], [Zmp, Im]])
+    D0 = np.block([
+        [Zpp, Zpm, Ip, Zpm],
+        [Zmp, -Im, Zmp, Zmm],
+        [Ip, Zpm, -Ip, Zpm],
+        [Zmp, Zmm, Zmp, Zmm],
+    ])
+    table = StateSpace(RW.A, RW.B, S @ RW.C, S @ RW.D + D0, dom)
+    bad = unstable_eigs(table.A, dom).values
+    if bad:
+        raise UnstableMap(f"closed-loop table has unstable modes {list(bad)}")
+    _cross_check_vs_loop(dcf, shift, table)
+    return table
 
 
-def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, maps: ClosedLoopMaps, count: int = 20):
-    """Compare the affine table with the direct loop solution at probe points."""
+def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpace, count: int = 20):
+    """Compare the table with the loop solved directly at probe points.
+
+    With G = Mt^-1 Nt, K = YQ^-1 XQ and du entering the command as
+    Kd du, Kd = -YQ^-1 (YQ - diag YQ), the command row is
+    U = (I + K G)^-1 [K, -K G, -K, Kd]; then y = G (u + w) + nu, z = r - y
+    and v = u + w.
+    """
     p, m = dcf.shape
-    pts = probe_points(dcf.domain, count, avoid=_pole_cloud(maps.stacked(), dcf.Mt, shift.YQ))
+    pts = probe_points(dcf.domain, count)  # the table is stable: no pole lies near them
+    got = table.eval_many(pts)
     Mt, Nt, YQ, XQ = (mat.eval_many(pts) for mat in (dcf.Mt, dcf.Nt, shift.YQ, shift.XQ))
-    table = {key: mat.eval_many(pts) for key, mat in maps.blocks.items()}
+    E_r, E_w, E_nu, _ = np.split(np.eye(2 * (p + m)), np.cumsum([p, m, p]))
     for k, pt in enumerate(pts):
+        hollow = YQ[k] - np.diag(np.diag(YQ[k]))
         try:
-            Gz = np.linalg.solve(Mt[k], Nt[k])
-            Kz = np.linalg.solve(YQ[k], XQ[k])
-            SG = np.linalg.inv(np.eye(p) + Gz @ Kz)
-            SK = np.linalg.inv(np.eye(m) + Kz @ Gz)
+            G = np.linalg.solve(Mt[k], Nt[k])
+            K, Kd = np.split(np.linalg.solve(YQ[k], np.hstack([XQ[k], -hollow])), [p], axis=1)
+            U = np.linalg.solve(np.eye(m) + K @ G, np.hstack([K, -K @ G, -K, Kd]))
         except np.linalg.LinAlgError:
             continue
-        direct = {
-            ("y", "r"): SG @ Gz @ Kz, ("y", "w"): SG @ Gz, ("y", "nu"): SG,
-            ("u", "r"): SK @ Kz, ("u", "w"): -SK @ Kz @ Gz, ("u", "nu"): -SK @ Kz,
-            ("z", "r"): SG, ("z", "w"): -SG @ Gz, ("z", "nu"): -SG,
-            ("v", "r"): SK @ Kz, ("v", "w"): SK, ("v", "nu"): -SK @ Kz,
-        }
-        for key, want in direct.items():
-            err = float(np.max(np.abs(table[key][k] - want)))
-            if err >= CROSS_CHECK_TOL:
-                raise InvariantViolation(
-                    "closed-loop-table-vs-direct", f"block {key} deviates by {err:.3e} at {pt}"
-                )
+        Y = G @ (U + E_w) + E_nu
+        err = float(np.max(np.abs(got[k] - np.vstack([Y, U, E_r - Y, U + E_w]))))
+        if err >= CROSS_CHECK_TOL:
+            raise InvariantViolation(
+                "closed-loop-table-vs-direct", f"table deviates by {err:.3e} at {pt}"
+            )
 
 
 def hinf_grid_norm(H, grid: int = 256) -> float:
     """Largest singular value of a stable map over a frequency grid.
 
-    H is a closed-loop table (its stability is asserted and its 4x3 stack
-    scanned) or any map with ``eval_many``, ``gain_at_infinity`` and ``domain``:
-    a RationalMatrix or a StateSpace.  Grids nest under doubling
-    (theta = pi*k/grid), so the value is monotone nondecreasing in the grid
-    count; it is a lower bound on the true norm.
+    H is any map with ``eval_many``, ``gain_at_infinity`` and ``domain``: a
+    RationalMatrix or a StateSpace such as the closed-loop table.  Grids nest
+    under doubling (theta = pi*k/grid), so the value is monotone nondecreasing
+    in the grid count; it is a lower bound on the true norm.
     """
-    if isinstance(H, ClosedLoopMaps):
-        H.assert_stable()
-        H = H.stacked()
+    if grid < 1:
+        raise InvalidGrid(f"a frequency grid needs at least one interval, got {grid}")
     theta = np.pi * np.arange(grid + 1) / grid
     if H.domain is StabilityDomain.DISCRETE:
         vals = H.eval_many(np.exp(1j * theta))

@@ -276,6 +276,27 @@ def stack_outputs(pieces: list[StateSpace]) -> StateSpace:
     return StateSpace(A, B, C, D, domain)
 
 
+def series(left: StateSpace, right: StateSpace) -> StateSpace:
+    """Realization of the product left·right: right's output drives left.
+
+    The state is (x_left, x_right), so the state matrix is block upper
+    triangular and its spectrum is the union of the factors' spectra.
+    """
+    if left.n_inputs != right.n_outputs:
+        raise DimensionMismatch(
+            f"series needs {left.n_inputs} outputs from the right factor, got {right.n_outputs}"
+        )
+    if left.domain is not right.domain:
+        raise DomainMismatch("series factors must share the domain")
+    A = np.block([
+        [left.A, left.B @ right.C],
+        [np.zeros((right.order, left.order)), right.A],
+    ])
+    B = np.vstack([left.B @ right.D, right.B])
+    C = np.hstack([left.C, left.D @ right.C])
+    return StateSpace(A, B, C, left.D @ right.D, left.domain)
+
+
 # ---------------------------------------------------------------------------
 # staircase forms
 

@@ -139,6 +139,22 @@ def test_check_grid5_all_stable(demo_dir, capsys):
     assert abs(float(line[0].split(":")[1]) / 7.98606363595 - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("command", ["check", "demo"])
+def test_negative_grid_is_a_usage_error(command, demo_dir, tmp_path, capsys):
+    argv = {
+        "check": ["check", "--nrf", str(demo_dir / "nrf.json"), "--plant", str(demo_dir / "plant.json")],
+        "demo": ["demo", "grid5", "--no-sim", "--out", str(tmp_path / "d")],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--grid", "-3"])
+    assert info.value.code == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()  # rejected before any work
+    # 0 still means "no norm line"
+    assert cli.main(argv + ["--grid", "0"]) == 0
+    assert "grid norm" not in capsys.readouterr().out
+
+
 def test_check_stable_for_shifted_youla_parameter(demo_dir, tmp_path, capsys):
     # Q = grid5_q() + diag(c_i / (z - a_i)) is stable, so the loop it closes
     # is stable: no block may report the plant's integrator poles near z = 1

@@ -1,14 +1,15 @@
-"""Coprime factorizations, pole placement, Youla shifts, closed-loop tables."""
+"""Coprime factorizations, pole placement, Youla shifts, the closed-loop table."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrfctl import factor
+from nrfctl import dimpl, factor, nrfsyn, simkit
 from nrfctl.errors import (
     DimensionMismatch,
     GainsNotStabilizing,
+    InvalidGrid,
     InvariantViolation,
     NotStabilizable,
     PlacementFailed,
@@ -34,7 +35,7 @@ from nrfctl.ratmat import (
     StabilityDomain,
     probe_points,
 )
-from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf
+from nrfctl.sstate import StateSpace, is_stable_matrix, match_multisets, ss_to_tf
 
 DISC = StabilityDomain.DISCRETE
 
@@ -212,18 +213,32 @@ def test_zero_q_reduces_to_central_controller(grid5_dcf):
 
 
 def test_closed_loop_maps_stable_and_consistent(grid5_dcf, grid5_shift):
-    maps = closed_loop_maps(grid5_dcf, grid5_shift)
-    maps.assert_stable()
-    # z = r - y and v-row relations hold blockwise
-    eye5 = np.eye(5)
-    for pt in probe_points(DISC, 5):
-        assert np.allclose(
-            maps.block("z", "r").eval(pt), eye5 - maps.block("y", "r").eval(pt), atol=1e-9
-        )
-        assert np.allclose(
-            maps.block("v", "w").eval(pt), eye5 + maps.block("u", "w").eval(pt), atol=1e-9
-        )
-        assert np.allclose(maps.block("v", "r").eval(pt), maps.block("u", "r").eval(pt), atol=1e-9)
+    table = closed_loop_maps(grid5_dcf, grid5_shift)
+    assert is_stable_matrix(table.A, DISC)
+    # rows are (y, u, z, v) and columns (r, w, nu, du), five channels each;
+    # z = r - y and v = u + w hold for every injection
+    T = table.eval_many(probe_points(DISC, 5))
+    y, u, z, v = (T[:, 5 * k : 5 * k + 5] for k in range(4))
+    assert np.allclose(z, np.eye(5, 20) - y, atol=1e-9)
+    assert np.allclose(v, u + np.eye(5, 20, k=5), atol=1e-9)
+
+
+def test_closed_loop_maps_matches_realized_loop_on_platoon():
+    # chain of three vehicles with the platoon demo's gains and Q = 0: the
+    # loop is stable, and the table must agree with the realized loop
+    n = 3
+    plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
+    F, _ = place_gains(plant, [0.6 + 0.03 * k for k in range(plant.order)])
+    _, L = place_gains(plant, [0.45 + 0.03 * k for k in range(plant.order)])
+    dcf = dcf_from_ss(plant, F, L)
+    shift = youla_shift(dcf, RationalMatrix.zeros(n, n, DISC))
+    table = closed_loop_maps(dcf, shift)
+    ctrl = dimpl.assemble(dimpl.realize_rows(nrfsyn.nrf_from_dcf(dcf, shift)))
+    loop = dimpl.closed_loop_state_matrix(plant, ctrl)
+    assert loop.is_stable
+    realized = loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+    pts = probe_points(DISC, 5)
+    assert np.max(np.abs(table.eval_many(pts) - realized.eval_many(pts))) < 1e-8
 
 
 def test_affinity_in_q(grid5_dcf):
@@ -236,14 +251,10 @@ def test_affinity_in_q(grid5_dcf):
         RationalFunction(Polynomial([-0.2]), Polynomial([0.5, 1.0])), 5, DISC
     )
     qm = (qa + qb).scale(RationalFunction.const(0.5))
-    ma = closed_loop_maps(grid5_dcf, youla_shift(grid5_dcf, qa))
-    mb = closed_loop_maps(grid5_dcf, youla_shift(grid5_dcf, qb))
-    mm = closed_loop_maps(grid5_dcf, youla_shift(grid5_dcf, qm))
-    for out in ("y", "u", "z", "v"):
-        for inp in ("r", "w", "nu"):
-            for pt in probe_points(DISC, 4):
-                avg = 0.5 * (ma.block(out, inp).eval(pt) + mb.block(out, inp).eval(pt))
-                assert np.max(np.abs(mm.block(out, inp).eval(pt) - avg)) < 1e-8
+    pts = probe_points(DISC, 4)
+    ma, mb, mm = (closed_loop_maps(grid5_dcf, youla_shift(grid5_dcf, q)).eval_many(pts)
+                  for q in (qa, qb, qm))
+    assert np.max(np.abs(mm - 0.5 * (ma + mb))) < 1e-8
 
 
 def test_hinf_grid_norm_continuous_first_order():
@@ -257,6 +268,13 @@ def test_hinf_grid_norm_continuous_first_order():
 
 
 def test_hinf_grid_norm_bounds_samples(grid5_dcf, grid5_shift):
-    maps = closed_loop_maps(grid5_dcf, grid5_shift)
-    norm = hinf_grid_norm(maps, grid=64)
+    table = closed_loop_maps(grid5_dcf, grid5_shift)
+    norm = hinf_grid_norm(table, grid=64)
     assert np.isfinite(norm) and norm >= 1.0  # the table contains identity blocks
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_hinf_grid_norm_rejects_empty_grid(grid):
+    lag = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
+    with pytest.raises(InvalidGrid):
+        hinf_grid_norm(lag, grid=grid)

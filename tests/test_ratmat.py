@@ -11,7 +11,6 @@ from nrfctl.errors import (
     NotSquare,
     SingularMatrix,
 )
-from nrfctl.factor import closed_loop_maps
 from nrfctl.ratmat import (
     Polynomial,
     RationalFunction,
@@ -94,7 +93,13 @@ def _entrywise(mat, points):
 
 
 def test_eval_many_matches_entrywise_on_grid5_table(grid5_dcf, grid5_shift):
-    table = closed_loop_maps(grid5_dcf, grid5_shift).stacked()
+    # the (y, u, z, v) x (r, w, nu) Youla table, formed symbolically
+    eye = RationalMatrix.identity(5, DISC)
+    N, M, XQ, YQ = grid5_dcf.N, grid5_dcf.M, grid5_shift.XQ, grid5_shift.YQ
+    NX, NY, MX, MY = N @ XQ, N @ YQ, M @ XQ, M @ YQ
+    blocks = [[NX, NY, eye - NX], [MX, MY - eye, -MX], [eye - NX, -NY, NX - eye], [MX, MY, -MX]]
+    rows = [r.hstack(w).hstack(nu) for r, w, nu in blocks]
+    table = rows[0].vstack(rows[1]).vstack(rows[2]).vstack(rows[3])
     points = np.exp(1j * np.pi * np.arange(257) / 256)
     got = table.eval_many(points)
     assert got.shape == (257, 20, 15)
