@@ -62,7 +62,7 @@ def main() -> int:
           f"spectral radius {radius:.9f}")
     if cl.is_stable:
         norm = hinf_grid_norm(cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu")), grid=args.grid)
-        print(f"closed-loop table: all 16 blocks stable, grid norm {norm:.6g}")
+        print(f"closed-loop grid norm over (r, w, nu), 12 blocks: {norm:.6g}")
     eig_path = os.path.join(args.out, "acl_eigs.csv")
     with open(eig_path, "w") as fh:
         fh.write("re,im,modulus\n")

@@ -40,11 +40,11 @@ from .ratmat import (
     probe_points,
     ratmat_from_obj,
     ratmat_to_obj,
-    unstable_poles,
 )
 from .sstate import (
     StateSpace,
     _invertibility,
+    _is_unstable,
     ctrb_staircase,
     is_detectable,
     is_stabilizable,
@@ -59,11 +59,10 @@ from .tolerances import POLE_MATCH_TOL, PROBE_TOL
 CROSS_CHECK_TOL = 1e-6
 
 
-def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
-    """Approximate pole locations of every entry, for probe-point avoidance.
+def _den_roots(*mats: RationalMatrix) -> dict[tuple[float, ...], list[complex]]:
+    """Roots of every distinct entry denominator, keyed by its coefficients.
 
-    Entries share denominators, so the roots of each distinct denominator are
-    computed and listed once.
+    Entries share denominators, so each one is rooted once.
     """
     roots: dict[tuple[float, ...], list[complex]] = {}
     for mat in mats:
@@ -71,7 +70,22 @@ def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
             for e in row:
                 if e.den.coeffs not in roots:
                     roots[e.den.coeffs] = [complex(r) for r in e.den.roots()]
-    return tuple(r for rs in roots.values() for r in rs)
+    return roots
+
+
+def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
+    """Approximate pole locations of every entry, for probe-point avoidance."""
+    return tuple(r for rs in _den_roots(*mats).values() for r in rs)
+
+
+def _has_unstable_entry(mat: RationalMatrix, roots: dict) -> bool:
+    """True when the denominator of some entry has an unstable root in ``roots``."""
+    return any(
+        _is_unstable(r, mat.domain)
+        for row in mat.entries
+        for e in row
+        for r in roots[e.den.coeffs]
+    )
 
 
 def _first_failure(errs: np.ndarray, tol: float) -> int | None:
@@ -131,15 +145,18 @@ class DoublyCoprime:
             "X": self.X, "Y": self.Y, "Xt": self.Xt, "Yt": self.Yt,
         }
 
-    def bezout_residual(self, count: int = 20) -> float:
+    def bezout_residual(self, count: int = 20, avoid=None) -> float:
         """Max deviation of the Bézout product from identity over probe points.
 
         The factors are evaluated over all probe points and multiplied
         numerically point by point; a symbolic product would square every
-        denominator degree for nothing.
+        denominator degree for nothing.  ``avoid`` is the factors' pole
+        cloud when the caller has it already.
         """
         mats = (self.Y, self.X, self.Nt, self.Mt, self.M, self.Xt, self.N, self.Yt)
-        pts = probe_points(self.domain, count, avoid=_pole_cloud(*mats))
+        if avoid is None:
+            avoid = _pole_cloud(*mats)
+        pts = probe_points(self.domain, count, avoid=avoid)
         return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
 
     def plant(self) -> RationalMatrix:
@@ -147,13 +164,22 @@ class DoublyCoprime:
         return invert(self.Mt) @ self.Nt
 
     def validate(self, count: int = 20):
-        """Check every structural invariant; raise with the violated one named."""
-        for name, mat in self.factors().items():
+        """Check every structural invariant; raise with the violated one named.
+
+        A factor is stable exactly when every entry is, so stability is read
+        off the roots of each distinct entry denominator (entries come reduced
+        from their constructors); no realization of the factor is needed.
+        The same roots are the pole cloud both probe sets keep clear of.
+        """
+        factors = self.factors()
+        roots = _den_roots(*factors.values())
+        for name, mat in factors.items():
             if not mat.is_proper:
                 raise InvariantViolation("factor-proper", f"{name} has an improper entry")
-            if unstable_poles(mat):
+            if _has_unstable_entry(mat, roots):
                 raise InvariantViolation("factor-stable", f"{name} has unstable poles")
-        res = self.bezout_residual(count)
+        avoid = [r for rs in roots.values() for r in rs]
+        res = self.bezout_residual(count, avoid)
         if res >= PROBE_TOL:
             raise InvariantViolation("bezout-identity", f"residual {res:.3e}")
         for name in ("Y", "Yt", "M", "Mt"):
@@ -165,7 +191,7 @@ class DoublyCoprime:
                 )
         # the two quotients must describe one plant; compare pointwise since
         # symbolic inversion inflates degrees on higher-order factors
-        pts = probe_points(self.domain, count, avoid=_pole_cloud(self.M, self.N, self.Mt, self.Nt))
+        pts = probe_points(self.domain, count, avoid=avoid)
         Mt, M, Nt, N = (mat.eval_many(pts) for mat in (self.Mt, self.M, self.Nt, self.N))
         for k in range(len(pts)):
             if not (_invertibility(Mt[k])[0] and _invertibility(M[k])[0]):
@@ -420,7 +446,7 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
         raise DomainMismatch("Q disagrees with the factorization domain")
     if not Q.is_proper:
         raise UnstableParameter("Q must be proper")
-    if unstable_poles(Q):
+    if _has_unstable_entry(Q, _den_roots(Q)):
         raise UnstableParameter("Q has poles outside the stability region")
     shift = YoulaShift(
         Q=Q,

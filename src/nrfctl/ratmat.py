@@ -643,6 +643,7 @@ def probe_points(domain: StabilityDomain, count: int = 20, avoid=()) -> list[com
     Discrete: a circle of radius 2 (clear of the closed unit disk); continuous:
     the vertical line Re = 1.  Points near entries of `avoid` get nudged.
     """
+    avoid = np.asarray(avoid, dtype=complex).ravel()
     pts: list[complex] = []
     for k in range(count):
         if domain is StabilityDomain.DISCRETE:
@@ -651,7 +652,7 @@ def probe_points(domain: StabilityDomain, count: int = 20, avoid=()) -> list[com
         else:
             z = complex(1.0, -4.75 + 0.5 * k)
         shift = 0
-        while any(abs(z - complex(p)) < 1e-6 for p in avoid) and shift < 50:
+        while np.any(np.abs(z - avoid) < 1e-6) and shift < 50:
             z += complex(0.0137, 0.0071)
             shift += 1
         pts.append(z)

@@ -368,12 +368,15 @@ def obsv_staircase(sys: StateSpace) -> tuple[StateSpace, int, np.ndarray]:
     return out, k, T
 
 
+def _controllable_part(sys: StateSpace) -> StateSpace:
+    staired, k, _ = ctrb_staircase(sys)
+    return staired.truncated(k)
+
+
 def minimal(sys: StateSpace) -> StateSpace:
     """Minimal realization: observable part first, then its controllable part."""
     staired, k_obs, _ = obsv_staircase(sys)
-    obs = staired.truncated(k_obs)
-    staired2, k_ctrb, _ = ctrb_staircase(obs)
-    return staired2.truncated(k_ctrb)
+    return _controllable_part(staired.truncated(k_obs))
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +512,26 @@ def _faddeev_tf(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float) -> Ration
 
 
 def ss_to_tf(sys: StateSpace) -> RationalMatrix:
-    """Entrywise transfer matrix; each entry is reduced over its own minimal part."""
+    """Entrywise transfer matrix; each entry is reduced over its own minimal part.
+
+    The observability staircase of entry (i, j) depends only on (A, c_i), so
+    it runs once per output row; each column then takes its own
+    controllability staircase, and the result is the same as ``minimal`` on
+    every entry.
+    """
     rows = []
     for i in range(sys.n_outputs):
+        staired, k_obs, T = obsv_staircase(
+            StateSpace(sys.A, sys.B, sys.C[[i], :], sys.D[[i], :], sys.domain)
+        )
         row = []
         for j in range(sys.n_inputs):
+            # one column at a time, as minimal forms it: a product with all
+            # of B can round differently and shift the coefficients
             sub = StateSpace(
-                sys.A, sys.B[:, [j]], sys.C[[i], :], sys.D[[i], :][:, [j]], sys.domain
+                staired.A, T.T @ sys.B[:, [j]], staired.C, sys.D[[i], :][:, [j]], sys.domain
             )
-            sub = minimal(sub)
+            sub = _controllable_part(sub.truncated(k_obs))
             row.append(_faddeev_tf(sub.A, sub.B[:, 0], sub.C[0, :], float(sub.D[0, 0])))
         rows.append(row)
     return RationalMatrix(rows, sys.domain)

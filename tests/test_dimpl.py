@@ -124,6 +124,21 @@ def test_platoon_transfer_verdict_matches_eigenvalues(n):
     assert report.stable == cl.is_stable
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvariantViolation,
+    reason="ROADMAP open item 2: the symbolic row path realizes row 1 of the "
+    "numerically factored grid5 pair 7.1e-7 away from its row (row-probe-match)",
+)
+def test_numerically_factored_grid5_realizes(grid5_plant, grid5_q):
+    # the README's `nrfctl dcf` targets, then the demo's Youla parameter
+    targets = [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]
+    dcf = factor.dcf_from_ss(grid5_plant, *factor.place_gains(grid5_plant, targets))
+    pair = nrfsyn.nrf_from_dcf(dcf, factor.youla_shift(dcf, grid5_q))
+    ctrl = dimpl.assemble(dimpl.realize_rows(pair))
+    assert dimpl.closed_loop_state_matrix(grid5_plant, ctrl).is_stable
+
+
 def test_internal_stability_flags_unstable_sensing():
     # Gamma carries an unstable filter and G = 0 cannot hide it
     unstable = RationalFunction((1.0,), (-1.4, 1.0))

@@ -1,5 +1,7 @@
 """Coprime factorizations, pole placement, Youla shifts, the closed-loop table."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from nrfctl.ratmat import (
     RationalMatrix,
     StabilityDomain,
     probe_points,
+    ratmat_from_obj,
 )
 from nrfctl.sstate import StateSpace, is_stable_matrix, match_multisets, ss_to_tf
 
@@ -180,6 +183,29 @@ def test_dcf_json_roundtrip(tmp_path, grid5_dcf):
     assert dcf_to_obj(dcf_from_obj(obj)) == obj
 
 
+def _continuous_dcf():
+    plant = StateSpace([[0.0, 1.0], [-2.0, 0.3]], np.eye(2), np.eye(2), np.zeros((2, 2)),
+                       StabilityDomain.CONTINUOUS)
+    return dcf_from_ss(plant, *place_gains(plant, [-1.0, -2.0]))
+
+
+@pytest.mark.parametrize("domain, pole", [("discrete", 1.5), ("continuous", 0.5)])
+def test_validate_rejects_one_unstable_entry(tmp_path, grid5_dcf, domain, pole):
+    # every other entry of every factor is stable; one off-diagonal entry of
+    # X gets a single unstable pole
+    obj = dcf_to_obj(grid5_dcf if domain == "discrete" else _continuous_dcf())
+    obj["X"]["entries"][0][1] = {"num": [1.0], "den": [-pole, 1.0]}
+    bad = factor.DoublyCoprime(**{name: ratmat_from_obj(obj[name]) for name in obj})
+    with pytest.raises(InvariantViolation) as exc:
+        bad.validate()
+    assert exc.value.invariant == "factor-stable"
+    path = tmp_path / "dcf.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvariantViolation) as exc:
+        load_dcf(str(path))
+    assert exc.value.invariant == "factor-stable"
+
+
 # --- Youla shifts ---
 
 
@@ -189,6 +215,17 @@ def test_youla_shift_rejects_unstable_q(grid5_dcf):
     )
     with pytest.raises(UnstableParameter):
         youla_shift(grid5_dcf, bad)
+
+
+def test_youla_shift_rejects_off_diagonal_unstable_entry(grid5_dcf):
+    # the diagonal is stable, and one off-diagonal entry has a pole at 1.2
+    stable = RationalFunction(Polynomial([0.3]), Polynomial([-0.2, 1.0]))
+    unstable = RationalFunction(Polynomial([0.1]), Polynomial([-1.2, 1.0]))
+    zero = RationalFunction.const(0.0)
+    entries = [[stable if i == j else zero for j in range(5)] for i in range(5)]
+    entries[3][1] = unstable
+    with pytest.raises(UnstableParameter):
+        youla_shift(grid5_dcf, RationalMatrix(entries, DISC))
 
 
 def test_youla_shift_dimension_guard(grid5_dcf):

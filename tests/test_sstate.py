@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrfctl import simkit
 from nrfctl.errors import NotProper
+from nrfctl.factor import place_gains
 from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
 from nrfctl.sstate import (
     StateSpace,
@@ -15,6 +17,7 @@ from nrfctl.sstate import (
     is_stable_matrix,
     load_ss,
     match_multisets,
+    _faddeev_tf,
     minimal,
     obsv_staircase,
     save_ss,
@@ -79,6 +82,52 @@ def test_tf_to_ss_obsv_roundtrip():
     back = ss_to_tf(sys)
     for z in (1.5 + 0.2j, 2.0 - 1.0j):
         assert np.allclose(back.eval(z), row.eval(z), atol=1e-10)
+
+
+def _entrywise_tf(sys):
+    """Coefficients of every entry reduced by its own ``minimal`` call."""
+    out = []
+    for i in range(sys.n_outputs):
+        for j in range(sys.n_inputs):
+            sub = minimal(StateSpace(sys.A, sys.B[:, [j]], sys.C[[i], :],
+                                     sys.D[[i], :][:, [j]], sys.domain))
+            f = _faddeev_tf(sub.A, sub.B[:, 0], sub.C[0, :], float(sub.D[0, 0]))
+            out.append((f.num.coeffs, f.den.coeffs))
+    return out
+
+
+def _coeffs(mat):
+    return [(e.num.coeffs, e.den.coeffs) for row in mat.entries for e in row]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ss_to_tf_row_staircase_is_exact_on_platoon_factor(n):
+    # the A + BF factor [M; N] of a chain of n vehicles, placed at the
+    # benchmark's feedback targets; sharing a row's observability staircase
+    # must not change one bit of any coefficient
+    plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
+    order = plant.order
+    step = min(0.03, 0.36 / (order - 1))
+    F, _ = place_gains(plant, [0.6 + step * k for k in range(order)])
+    sys = StateSpace(plant.A + plant.B @ F, plant.B, np.vstack([F, plant.C]),
+                     np.vstack([np.eye(n), np.zeros((n, n))]), DISC)
+    assert _coeffs(ss_to_tf(sys)) == _entrywise_tf(sys)
+
+
+def test_ss_to_tf_row_staircase_is_exact_on_random_mimo():
+    rng = np.random.default_rng(17)
+    sys = StateSpace(0.4 * rng.normal(size=(8, 8)), rng.normal(size=(8, 3)),
+                     rng.normal(size=(4, 8)), rng.normal(size=(4, 3)), DISC)
+    # one output row sees only part of the state, so its staircase truncates
+    C = np.array(sys.C)
+    C[1] = 0.0
+    C[1, 0] = 1.0
+    A = np.array(sys.A)
+    A[0, 1:] = 0.0
+    sys = StateSpace(A, sys.B, C, sys.D, DISC)
+    got = ss_to_tf(sys)
+    assert _coeffs(got) == _entrywise_tf(sys)
+    assert got.entry(1, 0).den.degree == 1
 
 
 def test_tf_to_ss_obsv_shares_repeated_pole():
