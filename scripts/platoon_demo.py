@@ -8,9 +8,9 @@ controller rows are realized from the synthesized pair.  The whole platoon
 gets a unit speed-reference step at n = 10 with bounded actuator and sensor
 noise; the run reports loop stability and settled tracking.
 
-Kept at desk scale on purpose: beyond five or six vehicles the synthesized
-factors bunch a dozen poles into a narrow band and root clustering degrades
-before the audits do.
+Kept at 2..5 vehicles: from six on, the NRF pair formed symbolically from the
+shifted factors fails ``nrf_from_dcf``'s loop-sensitivity audit (residual
+2.9e-8 at six vehicles, tolerance 1e-8).
 """
 
 import argparse
@@ -43,8 +43,8 @@ def main() -> int:
     print(f"platoon of {n}: plant order {plant.order} "
           f"({n} integrators + {n - 1} coupling lags)")
 
-    # separate spreads keep the feedback and observer spectra apart, which
-    # keeps the synthesized factors' roots well clustered downstream
+    # separate spreads keep the feedback and observer spectra apart, so no
+    # pole of the synthesized factors is repeated
     F, _ = factor.place_gains(plant, [0.6 + 0.03 * k for k in range(plant.order)])
     _, L = factor.place_gains(plant, [0.45 + 0.03 * k for k in range(plant.order)])
     dcf = factor.dcf_from_ss(plant, F, L)

@@ -1,9 +1,9 @@
 """Distributed implementation of an NRF pair and closed-loop verification.
 
-The controller u = Phi u + Gamma z is realized one row at a time: each row of
-the compound [Phi Gamma] gets an observable companion realization over its own
-denominator LCM, reduced to its controllable part, so node i only ever stores
-the dynamics its own control law needs.  Assembly stacks the rows into a
+The controller u = Phi u + Gamma z is realized one row (or block of rows) at a
+time: ``sstate.tfm_to_ss`` sums the entries' own companion forms and reduces
+the result to a minimal realization, so node i only ever stores the dynamics
+its own control law needs.  Assembly stacks the rows into a
 block-diagonal state matrix, and the loop with the plant closes through a
 static coupling matrix whose invertibility is certified by a Schur complement
 before the closed-loop realization is formed.
@@ -42,11 +42,9 @@ from .tolerances import PROBE_TOL
 
 def _compound_rows(pair: NrfPair, group: tuple[int, ...]) -> RationalMatrix:
     """Stack of rows [Phi Gamma] for the (1-based) row numbers in group."""
-    stacked = None
-    for i in group:
-        row = pair.Phi.row(i - 1).hstack(pair.Gamma.row(i - 1))
-        stacked = row if stacked is None else stacked.vstack(row)
-    return stacked
+    return RationalMatrix(
+        [pair.Phi.entries[i - 1] + pair.Gamma.entries[i - 1] for i in group], pair.domain
+    )
 
 
 class RowRealization:
@@ -123,13 +121,7 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     out = []
     for g in groups:
         tfm = _compound_rows(pair, g)
-        if len(g) == 1:
-            companion = sstate.tf_to_ss_obsv(tfm)
-            reduced, k, T = sstate.ctrb_staircase(companion)
-            sys = reduced.truncated(k)
-        else:
-            pieces = [sstate.tf_to_ss_obsv(tfm.row(r)) for r in range(tfm.rows)]
-            sys = sstate.minimal(sstate.stack_outputs(pieces))
+        sys = sstate.tfm_to_ss(tfm)
         _audit_realization(sys, tfm, f"rows {g}")
         out.append(RowRealization(g[0] if len(g) == 1 else g, sys))
     return out
@@ -345,14 +337,8 @@ def closed_loop_state_matrix(
             [np.zeros((m, n_g)), CK],
         ]
     )
-    blockdiag = np.block(
-        [
-            [A, np.zeros((n_g, n_k))],
-            [np.zeros((n_k, n_g)), AK],
-        ]
-    )
     from_states = np.linalg.solve(Dtilde, right)
-    A_CL = blockdiag + left @ from_states
+    A_CL = sstate._block_diag([A, AK]) + left @ from_states
 
     # injections (r, w, nu, du, cmd) enter the static equations
     #   y - D u = C x + D w + nu,   u - D_K1 u + D_K2 y = C_K x_K + D_K2 r + D_K1 du + cmd
@@ -416,23 +402,6 @@ class InternalStabilityReport:
         )
 
 
-def _unstable_poles(sys: StateSpace, modes) -> tuple[complex, ...]:
-    """Unstable poles of a loop map realized on A_CL (unstable modes ``modes``).
-
-    The staircase in ``sstate.minimal`` can keep a mode that the map reaches or
-    sees only to rounding, so a pole of the minimal realization is kept only
-    when the nearest unstable mode of A_CL passes both PBH tests against the
-    map's own B (controllability) and C (observability).  A repeated mode
-    passes when the map reaches and sees it in some direction.
-    """
-    kept = []
-    for lam in sstate.unstable_eigs(sstate.minimal(sys).A, sys.domain).values:
-        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
-        if sstate._pbh_reaches(sys.A, sys.B, mu) and sstate._pbh_reaches(sys.A.T, sys.C.T, mu):
-            kept.append(lam)
-    return tuple(kept)
-
-
 def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabilityReport:
     """Realize the pair row by row, close the loop around the plant once, and
     read every stability verdict off that realization.
@@ -440,7 +409,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     The poles of any loop map are among the eigenvalues of A_CL, so a stable
     A_CL settles every map at once; otherwise each map's unstable poles are
     those of its minimal realization that pass the PBH tests of
-    ``_unstable_poles``.  H-tilde is the map from the command, du and r
+    ``sstate.unstable_map_poles``.  H-tilde is the map from the command, du and r
     injections to (u, -u, y).  Its realization is cross-checked against
     (I - Phi + Gamma G)^-1 formed pointwise from Phi, Gamma and G.
     """
@@ -453,7 +422,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
 
     modes = loop.unstable_modes().values
     block_poles = {
-        (out, inp): _unstable_poles(loop.map((out,), (inp,)), modes) if modes else ()
+        (out, inp): sstate.unstable_map_poles(loop.map((out,), (inp,)), modes) if modes else ()
         for out in LOOP_OUTPUTS
         for inp in TABLE_INPUTS
     }
@@ -465,7 +434,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
             bad = ()
             if modes:
                 entry = StateSpace(H.A, H.B[:, [j]], H.C[[i]], H.D[i : i + 1, j : j + 1], H.domain)
-                bad = _unstable_poles(entry, modes)
+                bad = sstate.unstable_map_poles(entry, modes)
             row_flags.append(not bad)
             poles.extend(bad)
         entry_stable.append(tuple(row_flags))

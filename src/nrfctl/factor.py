@@ -159,9 +159,20 @@ class DoublyCoprime:
         pts = probe_points(self.domain, count, avoid=avoid)
         return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
 
-    def plant(self) -> RationalMatrix:
-        """G = Mt^-1 Nt (left quotient keeps the inversion at size p)."""
-        return invert(self.Mt) @ self.Nt
+    def plant(self) -> StateSpace:
+        """G = Mt^-1 Nt, read off one realization of [Mt Nt].
+
+        With [Mt Nt] = (A, [B1 B2], C, [D1 D2]), driving it with (G u, -u)
+        holds its output at zero, which gives
+        G = (A - B1 D1^-1 C, B1 D1^-1 D2 - B2, -D1^-1 C, D1^-1 D2)
+        (Zhou, Doyle and Glover, Robust and Optimal Control, 1996).
+        """
+        p = self.Mt.rows
+        sys = tfm_to_ss(self.Mt.hstack(self.Nt))
+        B1, B2 = sys.B[:, :p], sys.B[:, p:]
+        gain = np.linalg.solve(sys.D[:, :p], sys.D[:, p:])  # D1^-1 D2
+        out = np.linalg.solve(sys.D[:, :p], sys.C)  # D1^-1 C
+        return StateSpace(sys.A - B1 @ out, B1 @ gain - B2, -out, gain, self.domain)
 
     def validate(self, count: int = 20):
         """Check every structural invariant; raise with the violated one named.

@@ -33,7 +33,14 @@ from .ratmat import (
     probe_points,
     ratmat_from_obj,
     ratmat_to_obj,
-    unstable_poles,
+)
+from .sstate import (
+    StateSpace,
+    parallel,
+    series,
+    tfm_to_ss,
+    unstable_eigs,
+    unstable_map_poles,
 )
 
 ROUND_TRIP_TOL = 1e-8
@@ -200,7 +207,8 @@ class CertificateMode(enum.Enum):
 
 
 class InstabilityCertificate:
-    """Witness map for an alternative representation, with its unstable poles.
+    """Witness map (a StateSpace) for an alternative representation, with its
+    unstable poles.
 
     An empty pole multiset means the representation's obstruction vanishes for
     this plant and shift; a nonempty one names the poles that no stable Q can
@@ -232,19 +240,32 @@ def _require_nonzero_diagonal(Omega: RationalMatrix, context: str):
             raise SingularDiagonal(f"{context}: diagonal entry {i} is identically zero")
 
 
+def _negated(sys: StateSpace) -> StateSpace:
+    return StateSpace(sys.A, sys.B, -sys.C, -sys.D, sys.domain)
+
+
+def _certificate(mode: CertificateMode, Omega: RationalMatrix, witness: StateSpace):
+    """Unstable poles of a witness realization, filtered as the loop maps are."""
+    modes = unstable_eigs(witness.A, witness.domain).values
+    poles = unstable_map_poles(witness, modes) if modes else ()
+    return InstabilityCertificate(mode, Omega, witness, poles)
+
+
 def mr2_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertificate:
     """Obstruction for the representation scaled by (M YQ)^diag.
 
     The delta_u-to-z map of that implementation is N YQ - G Omega; since
     N YQ is stable, any unstable pole must come from G Omega and survives for
-    every stable Q.
+    every stable Q.  The witness is realized by series and parallel
+    connections of the realized factors.
     """
     Omega = diag_part(dcf.M @ shift.YQ)
     _require_nonzero_diagonal(Omega, "mr2 certificate")
-    witness = dcf.N @ shift.YQ - dcf.plant() @ Omega
-    return InstabilityCertificate(
-        CertificateMode.MR2, Omega, witness, unstable_poles(witness)
+    witness = parallel(
+        series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)),
+        _negated(series(dcf.plant(), tfm_to_ss(Omega))),
     )
+    return _certificate(CertificateMode.MR2, Omega, witness)
 
 
 def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertificate:
@@ -255,10 +276,10 @@ def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     """
     Omega = diag_part(shift.YtQ @ dcf.Mt)
     _require_nonzero_diagonal(Omega, "mr3 certificate")
-    witness = dcf.plant() - dcf.N @ shift.YQ
-    return InstabilityCertificate(
-        CertificateMode.MR3, Omega, witness, unstable_poles(witness)
+    witness = parallel(
+        dcf.plant(), _negated(series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)))
     )
+    return _certificate(CertificateMode.MR3, Omega, witness)
 
 
 def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):

@@ -6,9 +6,9 @@ and cancel shared numerator/denominator roots (companion-matrix roots, greedy
 nearest matching within an absolute tolerance).  Matrices carry a stability
 domain tag so that discrete and continuous objects never mix silently.
 
-Pole computations for whole matrices delegate to the state-space layer, which
-is the only reliable way to get multiplicities right without a symbolic
-Smith-McMillan form.
+Pole computations for whole matrices live in the state-space layer
+(``sstate.tfm_unstable_poles``), which is the only reliable way to get
+multiplicities right without a symbolic Smith-McMillan form.
 """
 
 from __future__ import annotations
@@ -624,17 +624,6 @@ def diag_part(a: RationalMatrix) -> RationalMatrix:
         ],
         a.domain,
     )
-
-
-def unstable_poles(a: RationalMatrix) -> tuple[complex, ...]:
-    """Unstable poles of a proper rational matrix, with multiplicities.
-
-    Computed from a minimal state-space realization; the import is deferred
-    because the state-space layer builds on this module.
-    """
-    from . import sstate
-
-    return sstate.tfm_unstable_poles(a)
 
 
 def probe_points(domain: StabilityDomain, count: int = 20, avoid=()) -> list[complex]:

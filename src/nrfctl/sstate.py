@@ -1,11 +1,10 @@
 """State-space realizations, staircase reductions, and pole extraction.
 
-The realization entry point for a single proper rational row is an observable
-companion form over the monic least common denominator of the row (denominator
-coefficients sit in the last column of the state matrix, the output picks the
-last state).  Minimality is obtained by an observability staircase followed by
-a controllability staircase, both built on orthogonal SVD transforms, so the
-transfer function is preserved exactly up to floating point.
+A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
+``tfm_to_ss``): poles shared between entries are merged by rank decisions of
+orthogonal staircases, never by comparing computed roots, and the transfer
+function is preserved up to floating point.  The unstable poles of a map are
+those of its minimal realization that pass PBH tests against its own B and C.
 """
 
 from __future__ import annotations
@@ -17,18 +16,16 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
-    InvariantViolation,
     NotProper,
     NotSquare,
 )
 from .ratmat import (
-    Polynomial,
     RationalFunction,
     RationalMatrix,
     StabilityDomain,
     _point_blocks,
 )
-from .tolerances import LCM_CLUSTER_TOL, RANK_REL_TOL, STABILITY_MARGIN
+from .tolerances import RANK_REL_TOL, STABILITY_MARGIN
 
 
 class StateSpace:
@@ -123,130 +120,65 @@ class StateSpace:
 # realization of rational rows
 
 
-def _mult_tol(m: int, magnitude: float) -> float:
-    """Grouping tolerance for a candidate root group of size m.
-
-    A root of multiplicity m computed from coefficients carrying error eps
-    scatters by roughly eps**(1/m), so copies of one multiple root can land
-    much farther apart than two genuinely distinct roots ever sit in the
-    plants this package targets.  The widths below assume coefficient errors
-    up to ~1e-10 and give up on separations tighter than 2e-3 for
-    multiplicity four and beyond.
-    """
-    widths = {2: 3e-5, 3: 3e-4}
-    base = widths.get(m, 2e-3 if m >= 4 else LCM_CLUSTER_TOL)
-    return max(LCM_CLUSTER_TOL, base) * max(1.0, magnitude)
-
-
-def _cluster_roots(root_groups: list[np.ndarray]) -> tuple[list[list[complex]], list[list[int]]]:
-    """Cluster roots from several polynomials into shared representatives.
-
-    Within one polynomial, computed copies of a multiple root are averaged to
-    a centroid first (the symmetric spread cancels, and the grouping width
-    grows with the candidate multiplicity).  Across polynomials, clusters
-    within LCM_CLUSTER_TOL merge.  Returns the cluster multiset as
-    per-cluster root lists plus, for each input polynomial, the list of
-    cluster indices it occupies (with multiplicity).
-    """
-    clusters: list[list[complex]] = []  # members, len = current multiplicity bound
-    assignments: list[list[int]] = []
-    for roots in root_groups:
-        # group within the polynomial
-        local: list[list[complex]] = []
-        for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-            placed = False
-            for grp in local:
-                if abs(np.mean(grp) - r) <= _mult_tol(len(grp) + 1, abs(r)):
-                    grp.append(r)
-                    placed = True
-                    break
-            if not placed:
-                local.append([r])
-        my_clusters: list[int] = []
-        for grp in local:
-            centroid = complex(np.mean(grp))
-            mult = len(grp)
-            hit = None
-            for ci, members in enumerate(clusters):
-                if abs(complex(np.mean(members)) - centroid) <= LCM_CLUSTER_TOL:
-                    hit = ci
-                    break
-            if hit is None:
-                clusters.append([centroid] * mult)
-                hit = len(clusters) - 1
-            elif mult > len(clusters[hit]):
-                clusters[hit] = [centroid] * mult
-            my_clusters.extend([hit] * mult)
-        assignments.append(my_clusters)
-    return clusters, assignments
-
-
 def tf_to_ss_obsv(row: RationalMatrix) -> StateSpace:
-    """Observable companion realization of a proper 1 x k rational row.
+    """Realization of a proper 1 x k rational row, built entry by entry.
 
-    The order equals the degree of the monic least common denominator of the
-    row.  The state matrix carries the LCM coefficients in its last column
-    with ones on the first subdiagonal; C picks the last state, and input j
-    feeds the ascending coefficients of its strictly proper numerator (over
-    the common denominator) into B.
+    Each dynamic entry gets the observable companion form of its own monic
+    denominator: ones on the first subdiagonal, the negated denominator
+    coefficients in the last column, C picking the last state, and the
+    ascending coefficients of the strictly proper numerator in column j of B.
+    The entries are summed into the row one at a time, and after each sum an
+    observability staircase keeps only what the row's output sees, so a pole
+    shared by several entries is kept once by a subspace rank decision, not by
+    comparing computed roots.
     """
     if row.rows != 1:
         raise DimensionMismatch("expected a single-row matrix")
     if not row.is_proper:
         raise NotProper("row has an improper entry")
     k = row.cols
-    entries = [row.entry(0, j) for j in range(k)]
-    dyn = [j for j in range(k) if entries[j].den.degree >= 1 and not entries[j].is_zero]
-    D = np.array([[entries[j].gain_at_infinity() for j in range(k)]])
-    if not dyn:
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, k)), np.zeros((1, 0)), D, row.domain)
-
-    groups = [entries[j].den.roots() for j in dyn]
-    clusters, assignments = _cluster_roots(groups)
-    mults = [len(c) for c in clusters]
-    reps = [complex(np.mean(c)) for c in clusters]
-    lcm_roots: list[complex] = []
-    for rep, mult in zip(reps, mults):
-        lcm_roots.extend([rep] * mult)
-    den = Polynomial.from_roots(lcm_roots)  # monic by construction
-    n = len(lcm_roots)
-    if den.degree != n:
-        # coefficient stripping ate the leading term: the root cloud is too
-        # ill-conditioned for a companion form to mean anything
-        raise InvariantViolation(
-            "lcm-conditioning",
-            f"common denominator of degree {n} collapsed to {den.degree}",
+    D = np.array([[e.gain_at_infinity() for e in row.entries[0]]])
+    sys = StateSpace(np.zeros((0, 0)), np.zeros((0, k)), np.zeros((1, 0)), D, row.domain)
+    for j, e in enumerate(row.entries[0]):
+        n = int(e.den.degree)
+        if n < 1:
+            continue  # static entries contribute only through D
+        A = np.eye(n, k=-1)
+        A[:, n - 1] = -np.asarray(e.den.coeffs[:-1], dtype=float)
+        B = np.zeros((n, k))
+        strict = (e.num - e.den.scaled(D[0, j])).coeffs[:n]  # trailing terms are zero
+        B[: len(strict), j] = strict
+        C = np.zeros((1, n))
+        C[0, n - 1] = 1.0
+        staired, k_obs, _ = obsv_staircase(
+            parallel(sys, StateSpace(A, B, C, np.zeros((1, k)), row.domain))
         )
-
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        A[i, i - 1] = 1.0
-    A[:, n - 1] = -np.asarray(den.coeffs[:-1], dtype=float)
-    C = np.zeros((1, n))
-    C[0, n - 1] = 1.0
-    B = np.zeros((n, k))
-    for idx, j in enumerate(dyn):
-        e = entries[j]
-        counts = {ci: assignments[idx].count(ci) for ci in set(assignments[idx])}
-        cof_roots: list[complex] = []
-        for ci, (rep, mult) in enumerate(zip(reps, mults)):
-            extra = mult - counts.get(ci, 0)
-            cof_roots.extend([rep] * extra)
-        cof = Polynomial.from_roots(cof_roots)
-        strict = e.num - e.den.scaled(D[0, j])
-        num = strict * cof
-        coeffs = list(num.coeffs)
-        if len(coeffs) > n:
-            coeffs = coeffs[:n]  # guard: trailing values are zero up to tolerance
-        B[: len(coeffs), j] = coeffs
-    # static entries contribute only through D
-    return StateSpace(A, B, C, D, row.domain)
+        sys = staired.truncated(k_obs)
+    return sys
 
 
 def tfm_to_ss(mat: RationalMatrix) -> StateSpace:
-    """Minimal realization of a proper rational matrix via stacked row forms."""
-    pieces = [tf_to_ss_obsv(mat.row(i)) for i in range(mat.rows)]
-    return minimal(stack_outputs(pieces))
+    """Minimal realization of a proper rational matrix.
+
+    Rows are realized by ``tf_to_ss_obsv``, stacked, and reduced by
+    ``minimal``.  A matrix with more rows than columns is realized through its
+    transpose and dualized, (A', C', B', D'), so the entrywise sums run along
+    the longer side and poles shared down a column are merged before stacking.
+    """
+    if mat.rows > mat.cols:
+        dual = tfm_to_ss(RationalMatrix(list(zip(*mat.entries)), mat.domain))
+        return StateSpace(dual.A.T, dual.C.T, dual.B.T, dual.D.T, mat.domain)
+    return minimal(stack_outputs([tf_to_ss_obsv(mat.row(i)) for i in range(mat.rows)]))
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks (empty blocks allowed)."""
+    out = np.zeros(tuple(np.sum([b.shape for b in blocks], axis=0)))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def stack_outputs(pieces: list[StateSpace]) -> StateSpace:
@@ -258,22 +190,10 @@ def stack_outputs(pieces: list[StateSpace]) -> StateSpace:
             raise DimensionMismatch("stacked systems must share the input dimension")
         if s.domain is not domain:
             raise DomainMismatch("stacked systems must share the domain")
-    n = sum(s.order for s in pieces)
-    p = sum(s.n_outputs for s in pieces)
-    A = np.zeros((n, n))
-    B = np.zeros((n, m))
-    C = np.zeros((p, n))
-    D = np.zeros((p, m))
-    ni = 0
-    pi = 0
-    for s in pieces:
-        A[ni : ni + s.order, ni : ni + s.order] = s.A
-        B[ni : ni + s.order, :] = s.B
-        C[pi : pi + s.n_outputs, ni : ni + s.order] = s.C
-        D[pi : pi + s.n_outputs, :] = s.D
-        ni += s.order
-        pi += s.n_outputs
-    return StateSpace(A, B, C, D, domain)
+    return StateSpace(
+        _block_diag([s.A for s in pieces]), np.vstack([s.B for s in pieces]),
+        _block_diag([s.C for s in pieces]), np.vstack([s.D for s in pieces]), domain,
+    )
 
 
 def series(left: StateSpace, right: StateSpace) -> StateSpace:
@@ -295,6 +215,20 @@ def series(left: StateSpace, right: StateSpace) -> StateSpace:
     B = np.vstack([left.B @ right.D, right.B])
     C = np.hstack([left.C, left.D @ right.C])
     return StateSpace(A, B, C, left.D @ right.D, left.domain)
+
+
+def parallel(left: StateSpace, right: StateSpace) -> StateSpace:
+    """Realization of the sum left + right on the stacked state (x_left, x_right)."""
+    if (left.n_outputs, left.n_inputs) != (right.n_outputs, right.n_inputs):
+        raise DimensionMismatch(
+            f"parallel needs equal shapes, got {left.D.shape} and {right.D.shape}"
+        )
+    if left.domain is not right.domain:
+        raise DomainMismatch("parallel terms must share the domain")
+    return StateSpace(
+        _block_diag([left.A, right.A]), np.vstack([left.B, right.B]),
+        np.hstack([left.C, right.C]), left.D + right.D, left.domain,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +379,23 @@ def _pbh_reaches(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
     return int(np.sum(S > cut)) > int(np.sum(S_A > cut))
 
 
+def unstable_map_poles(sys: StateSpace, modes) -> tuple[complex, ...]:
+    """Unstable poles of a map realized on a state matrix with unstable modes ``modes``.
+
+    The staircase in ``minimal`` can keep a mode that the map reaches or
+    sees only to rounding, so a pole of the minimal realization is kept only
+    when the nearest unstable mode of sys.A passes both PBH tests against the
+    map's own B (controllability) and C (observability).  A repeated mode
+    passes when the map reaches and sees it in some direction.
+    """
+    kept = []
+    for lam in unstable_eigs(minimal(sys).A, sys.domain).values:
+        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
+        if _pbh_reaches(sys.A, sys.B, mu) and _pbh_reaches(sys.A.T, sys.C.T, mu):
+            kept.append(lam)
+    return tuple(kept)
+
+
 def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
     """(invertible, smallest/largest singular value)."""
     if Mat.size == 0:
@@ -478,12 +429,9 @@ def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:
     bottom = np.hstack([sys.C, sys.D]).astype(complex)
     P = np.vstack([top, bottom])
     S = np.linalg.svd(P, compute_uv=False)
-    want = min(P.shape)
-    if P.shape[0] > P.shape[1]:
+    if P.shape[0] > P.shape[1] or S.size == 0 or S[0] == 0.0:
         return False
-    if S.size == 0 or S[0] == 0.0:
-        return False
-    return int(np.sum(S > RANK_REL_TOL * S[0])) == P.shape[0] and want >= P.shape[0]
+    return int(np.sum(S > RANK_REL_TOL * S[0])) == P.shape[0]
 
 
 # ---------------------------------------------------------------------------

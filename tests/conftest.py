@@ -1,8 +1,13 @@
-"""Shared fixtures: the five-node grid demo instance, built once per session."""
+"""Shared fixtures: the five-node grid demo instance, built once per session,
+and platoon chains factored at the benchmark's pole targets."""
 
+import functools
+
+import numpy as np
 import pytest
 
 from nrfctl import dimpl, factor, nrfsyn, simkit
+from nrfctl.ratmat import RationalMatrix, StabilityDomain
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +50,27 @@ def grid5_rows(grid5_pair):
 @pytest.fixture(scope="session")
 def grid5_ctrl(grid5_rows):
     return dimpl.assemble(grid5_rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _platoon(n: int):
+    """Chain of n vehicles, its factorization and the Q = 0 shift.
+
+    Targets 0.6 + s k (feedback) and 0.45 + s k (observer) with
+    s = min(0.03, 0.36 / (order - 1)), as the benchmark's platoon sweep
+    places them.
+    """
+    plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
+    order = plant.order
+    step = min(0.03, 0.36 / (order - 1))
+    F, _ = factor.place_gains(plant, [0.6 + step * k for k in range(order)])
+    _, L = factor.place_gains(plant, [0.45 + step * k for k in range(order)])
+    dcf = factor.dcf_from_ss(plant, F, L)
+    shift = factor.youla_shift(dcf, RationalMatrix.zeros(n, n, StabilityDomain.DISCRETE))
+    return plant, dcf, shift
+
+
+@pytest.fixture(scope="session")
+def platoon():
+    """platoon(n) -> (plant, dcf, Q = 0 shift), each size built once."""
+    return _platoon

@@ -288,6 +288,24 @@ def test_cert_exit_codes(demo_dir, capsys):
     assert "no obstruction found" in out
 
 
+def test_cert_on_numerically_factored_grid5(demo_dir, tmp_path, capsys):
+    # README's `nrfctl dcf` targets: the certificate reads the plant's five
+    # integrators off the numerically factored plant too
+    dcf = tmp_path / "dcf.json"
+    assert cli.main(
+        ["dcf", "--plant", str(demo_dir / "plant.json"), "--targets",
+         "0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7", "--out", str(dcf)]
+    ) == 0
+    capsys.readouterr()
+    code = cli.main(["cert", "--dcf", str(dcf), "--q", str(demo_dir / "q.json"), "--mode", "mr3"])
+    out = capsys.readouterr().out
+    assert code == 2
+    line = [l for l in out.splitlines() if l.startswith("unstable witness poles: ")]
+    poles = [complex(t) for t in line[0].split("[")[1].rstrip("]").split(",")]
+    assert len(poles) == 5
+    assert all(abs(p - 1.0) <= 1e-6 for p in poles)
+
+
 def test_simulate_idempotent_and_seed_override(demo_dir, tmp_path, capsys):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     for path in (a, b):

@@ -111,25 +111,19 @@ def test_internal_stability_two_routes_agree(grid5_pair, grid5_tfm):
     assert probe_only.max_disagreement < 1e-6
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_platoon_transfer_verdict_matches_eigenvalues(n):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_platoon_transfer_verdict_matches_eigenvalues(platoon, n):
     # chain of n vehicles with the platoon demo's gains and Q = 0
-    plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
-    F, _ = factor.place_gains(plant, [0.6 + 0.03 * k for k in range(plant.order)])
-    _, L = factor.place_gains(plant, [0.45 + 0.03 * k for k in range(plant.order)])
-    dcf = factor.dcf_from_ss(plant, F, L)
-    pair = nrfsyn.nrf_from_dcf(dcf, factor.youla_shift(dcf, RationalMatrix.zeros(n, n, DISC)))
+    plant, dcf, shift = platoon(n)
+    pair = nrfsyn.nrf_from_dcf(dcf, shift)
     cl = dimpl.closed_loop_state_matrix(plant, dimpl.assemble(dimpl.realize_rows(pair)))
     report = dimpl.verify_internal_stability_tfm(pair, sstate.ss_to_tf(plant))
     assert report.stable == cl.is_stable
+    # the loop's slowest mode is the largest placed target, 0.6 + 0.03 (order - 1)
+    radius = max(abs(v) for v in cl.eigenvalues())
+    assert abs(radius - (0.6 + 0.03 * (plant.order - 1))) <= 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InvariantViolation,
-    reason="ROADMAP open item 2: the symbolic row path realizes row 1 of the "
-    "numerically factored grid5 pair 7.1e-7 away from its row (row-probe-match)",
-)
 def test_numerically_factored_grid5_realizes(grid5_plant, grid5_q):
     # the README's `nrfctl dcf` targets, then the demo's Youla parameter
     targets = [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]

@@ -134,7 +134,7 @@ def test_dcf_rejects_destabilizing_gains():
     m=st.integers(1, 2),
     p=st.integers(1, 2),
 )
-@example(seed=322, n=3, m=2, p=2)  # the draw of test_symbolic_plant_quotient_keeps_spurious_pairs
+@example(seed=322, n=3, m=2, p=2)  # the draw of test_plant_quotient_realization_matches_plant
 def test_dcf_roundtrip_random_plants(seed, n, m, p):
     """Construction either rejects the sample or yields a valid factorization."""
     plant = make_plant(seed, n, m, p)
@@ -152,12 +152,9 @@ def test_dcf_roundtrip_random_plants(seed, n, m, p):
     assert np.max(np.abs(np.linalg.solve(Mt, Nt) - want)) < 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP open item 3: the symbolic quotient invert(Mt) @ Nt keeps "
-    "uncancelled pole-zero pairs (degree-5 denominators for an order-3 plant)",
-)
-def test_symbolic_plant_quotient_keeps_spurious_pairs():
+def test_plant_quotient_realization_matches_plant():
+    # the draw where the symbolic quotient Mt^-1 Nt kept uncancelled
+    # pole-zero pairs; the quotient read off a realization of [Mt Nt] does not
     plant = make_plant(322, 3, 2, 2)
     dcf = dcf_from_ss(plant, *place_gains(plant, spread_targets(3)))
     assert dcf.bezout_residual() < 1e-8
@@ -315,3 +312,12 @@ def test_hinf_grid_norm_rejects_empty_grid(grid):
     lag = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
     with pytest.raises(InvalidGrid):
         hinf_grid_norm(lag, grid=grid)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_closed_loop_maps_on_long_platoons(platoon, n):
+    # the table's own audits (stable modes, cross-check against the loop
+    # solved pointwise) are the assertion
+    _, dcf, shift = platoon(n)
+    table = factor.closed_loop_maps(dcf, shift)
+    assert table.n_outputs == table.n_inputs == 4 * n

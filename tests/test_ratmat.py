@@ -23,8 +23,8 @@ from nrfctl.ratmat import (
     ratmat_from_obj,
     ratmat_to_obj,
     save_ratmat,
-    unstable_poles,
 )
+from nrfctl.sstate import tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -211,10 +211,10 @@ def test_invert_rejects_singular_and_nonsquare():
 
 def test_unstable_poles_by_domain():
     f_disc = lag(1.0, 1.5)
-    assert unstable_poles(RationalMatrix([[f_disc]], DISC))
-    assert not unstable_poles(RationalMatrix([[lag(1.0, 0.5)]], DISC))
+    assert tfm_unstable_poles(RationalMatrix([[f_disc]], DISC))
+    assert not tfm_unstable_poles(RationalMatrix([[lag(1.0, 0.5)]], DISC))
     f_cont = RationalFunction(Polynomial([1.0]), Polynomial([-2.0, 1.0]))  # pole at +2
-    assert unstable_poles(RationalMatrix([[f_cont]], CONT))
+    assert tfm_unstable_poles(RationalMatrix([[f_cont]], CONT))
 
 
 def test_probe_points_avoid_listed_poles():
