@@ -7,10 +7,6 @@ are placed numerically, the coprime factors come from the realization, and the
 controller rows are realized from the synthesized pair.  The whole platoon
 gets a unit speed-reference step at n = 10 with bounded actuator and sensor
 noise; the run reports loop stability and settled tracking.
-
-Kept at 2..5 vehicles: from six on, the NRF pair formed symbolically from the
-shifted factors fails ``nrf_from_dcf``'s loop-sensitivity audit (residual
-2.9e-8 at six vehicles, tolerance 1e-8).
 """
 
 import argparse
@@ -31,22 +27,26 @@ def chain_incidence(n: int) -> np.ndarray:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--vehicles", type=int, default=4, choices=range(2, 6),
-                    metavar="N", help="platoon length, 2..5")
+    ap.add_argument("--vehicles", type=int, default=4, metavar="N",
+                    help="platoon length, at least 2")
     ap.add_argument("--horizon", type=int, default=200)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--out", default=None, help="optional trace CSV path")
     args = ap.parse_args()
     n = args.vehicles
+    if n < 2:
+        ap.error("a platoon needs at least 2 vehicles")
 
     plant = simkit.build_network_plant(chain_incidence(n))
     print(f"platoon of {n}: plant order {plant.order} "
           f"({n} integrators + {n - 1} coupling lags)")
 
     # separate spreads keep the feedback and observer spectra apart, so no
-    # pole of the synthesized factors is repeated
-    F, _ = factor.place_gains(plant, [0.6 + 0.03 * k for k in range(plant.order)])
-    _, L = factor.place_gains(plant, [0.45 + 0.03 * k for k in range(plant.order)])
+    # pole of the synthesized factors is repeated; the spacing narrows with
+    # the order so the slowest target stays at or below 0.96
+    step = min(0.03, 0.36 / (plant.order - 1))
+    F, _ = factor.place_gains(plant, [0.6 + step * k for k in range(plant.order)])
+    _, L = factor.place_gains(plant, [0.45 + step * k for k in range(plant.order)])
     dcf = factor.dcf_from_ss(plant, F, L)
     print(f"factorization: identity residual {dcf.bezout_residual():.3e}")
 

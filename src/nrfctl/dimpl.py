@@ -1,9 +1,10 @@
 """Distributed implementation of an NRF pair and closed-loop verification.
 
 The controller u = Phi u + Gamma z is realized one row (or block of rows) at a
-time: ``sstate.tfm_to_ss`` sums the entries' own companion forms and reduces
-the result to a minimal realization, so node i only ever stores the dynamics
-its own control law needs.  Assembly stacks the rows into a
+time: each block is a minimal realization of the row systems the pair carries
+(the state-space quotients ``nrfsyn`` formed them as, or each row's own entry
+by entry realization for a pair read from JSON), so node i only ever stores
+the dynamics its own control law needs.  Assembly stacks the rows into a
 block-diagonal state matrix, and the loop with the plant closes through a
 static coupling matrix whose invertibility is certified by a Schur complement
 before the closed-loop realization is formed.
@@ -38,13 +39,6 @@ from .ratmat import RationalMatrix, StabilityDomain, probe_points
 from . import sstate
 from .sstate import StateSpace
 from .tolerances import PROBE_TOL
-
-
-def _compound_rows(pair: NrfPair, group: tuple[int, ...]) -> RationalMatrix:
-    """Stack of rows [Phi Gamma] for the (1-based) row numbers in group."""
-    return RationalMatrix(
-        [pair.Phi.entries[i - 1] + pair.Gamma.entries[i - 1] for i in group], pair.domain
-    )
 
 
 class RowRealization:
@@ -84,30 +78,14 @@ def _as_group(index) -> tuple[int, ...]:
     return tuple(int(i) for i in index)
 
 
-def _audit_realization(sys: StateSpace, tfm: RationalMatrix, label: str) -> None:
-    """Probe-point agreement with the target rows plus PBH audits."""
-    pts = probe_points(tfm.domain, count=7, avoid=_pole_cloud(tfm))
-    want = tfm.eval_many(pts)
-    scale = max(1.0, float(np.max(np.abs(want))))
-    worst = float(np.max(np.abs(sys.eval_many(pts) - want)))
-    if worst > PROBE_TOL * scale:
-        raise InvariantViolation(
-            "row-probe-match",
-            f"{label}: realization disagrees with the row by {worst:.3e}",
-        )
-    if not sstate.is_stabilizable(sys):
-        raise InvariantViolation("row-stabilizable", label)
-    if not sstate.is_detectable(sys):
-        raise InvariantViolation("row-detectable", label)
-
-
 def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     """Per-row realizations of [Phi Gamma].
 
     The default grouping is one row per realization.  A grouping is a list of
-    disjoint blocks of 1-based row numbers covering 1..m; each block is
-    realized jointly (a minimal realization of the block-row), which can share
-    dynamics between rows with common denominators.
+    disjoint blocks of 1-based row numbers covering 1..m; each block is the
+    minimal realization of its stacked row systems, which can share dynamics
+    between rows with common denominators.  Each block must match its rows of
+    [Phi Gamma] at probe points and pass the PBH audits.
     """
     m, p = pair.shape
     if grouping is None:
@@ -118,11 +96,22 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
         raise InconsistentDimensions(
             f"grouping {groups} is not a partition of rows 1..{m}"
         )
+    target = pair.Phi.hstack(pair.Gamma)
+    pts = probe_points(pair.domain, count=7, avoid=_pole_cloud(target))
+    values = target.eval_many(pts)
     out = []
     for g in groups:
-        tfm = _compound_rows(pair, g)
-        sys = sstate.tfm_to_ss(tfm)
-        _audit_realization(sys, tfm, f"rows {g}")
+        sys = sstate.minimal(sstate.stack_outputs([pair.row_systems[i - 1] for i in g]))
+        want = values[:, [i - 1 for i in g], :]
+        worst = float(np.max(np.abs(sys.eval_many(pts) - want)))
+        if worst > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
+            raise InvariantViolation(
+                "row-probe-match", f"rows {g}: realization disagrees with the row by {worst:.3e}"
+            )
+        if not sstate.is_stabilizable(sys):
+            raise InvariantViolation("row-stabilizable", f"rows {g}")
+        if not sstate.is_detectable(sys):
+            raise InvariantViolation("row-detectable", f"rows {g}")
         out.append(RowRealization(g[0] if len(g) == 1 else g, sys))
     return out
 

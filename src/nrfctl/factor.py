@@ -48,6 +48,7 @@ from .sstate import (
     ctrb_staircase,
     is_detectable,
     is_stabilizable,
+    left_quotient,
     match_multisets,
     series,
     ss_to_tf,
@@ -160,19 +161,10 @@ class DoublyCoprime:
         return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
 
     def plant(self) -> StateSpace:
-        """G = Mt^-1 Nt, read off one realization of [Mt Nt].
-
-        With [Mt Nt] = (A, [B1 B2], C, [D1 D2]), driving it with (G u, -u)
-        holds its output at zero, which gives
-        G = (A - B1 D1^-1 C, B1 D1^-1 D2 - B2, -D1^-1 C, D1^-1 D2)
-        (Zhou, Doyle and Glover, Robust and Optimal Control, 1996).
-        """
+        """G = Mt^-1 Nt: the Nt columns of Mt^-1 [Mt Nt], on one realization."""
         p = self.Mt.rows
-        sys = tfm_to_ss(self.Mt.hstack(self.Nt))
-        B1, B2 = sys.B[:, :p], sys.B[:, p:]
-        gain = np.linalg.solve(sys.D[:, :p], sys.D[:, p:])  # D1^-1 D2
-        out = np.linalg.solve(sys.D[:, :p], sys.C)  # D1^-1 C
-        return StateSpace(sys.A - B1 @ out, B1 @ gain - B2, -out, gain, self.domain)
+        q = left_quotient(tfm_to_ss(self.Mt.hstack(self.Nt)), list(range(p)))
+        return StateSpace(q.A, q.B[:, p:], q.C, q.D[:, p:], self.domain)
 
     def validate(self, count: int = 20):
         """Check every structural invariant; raise with the violated one named.

@@ -4,7 +4,10 @@ instability certificates for the alternative controller representations.
 An NRF pair (Phi, Gamma) implements u = Phi u + Gamma z with a hollow Phi.
 The diagonal of Phi is zero *structurally* (entries are literal zero
 functions), never merely small: self-loops are a causality violation, not a
-numerical artifact.
+numerical artifact.  Each row of [Phi Gamma] is formed, and kept for its
+realization, as a state-space quotient of one row of a left factorization by
+its diagonal entry; the rational Phi and Gamma are read off those rows for
+JSON, sparsity correspondence and the audits.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
 )
 from .factor import DoublyCoprime, YoulaShift, _first_failure, _max_abs, _pole_cloud
 from .ratmat import (
-    RationalFunction,
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
@@ -36,8 +38,12 @@ from .ratmat import (
 )
 from .sstate import (
     StateSpace,
+    left_quotient,
+    minimal,
     parallel,
     series,
+    ss_to_tf,
+    tf_to_ss_obsv,
     tfm_to_ss,
     unstable_eigs,
     unstable_map_poles,
@@ -47,11 +53,15 @@ ROUND_TRIP_TOL = 1e-8
 
 
 class NrfPair:
-    """Hollow Phi (m x m) and Gamma (m x p) describing u = Phi u + Gamma z."""
+    """Hollow Phi (m x m) and Gamma (m x p) describing u = Phi u + Gamma z.
 
-    __slots__ = ("Phi", "Gamma")
+    ``row_systems`` realizes each row of [Phi Gamma]; a pair built from
+    rational matrices realizes them entry by entry on first use.
+    """
 
-    def __init__(self, Phi: RationalMatrix, Gamma: RationalMatrix):
+    __slots__ = ("Phi", "Gamma", "_row_systems")
+
+    def __init__(self, Phi: RationalMatrix, Gamma: RationalMatrix, row_systems=None):
         if Phi.rows != Phi.cols:
             raise NotSquare("Phi must be square")
         if Gamma.rows != Phi.rows:
@@ -65,6 +75,7 @@ class NrfPair:
                 )
         self.Phi = Phi
         self.Gamma = Gamma
+        self._row_systems = row_systems
 
     @property
     def domain(self) -> StabilityDomain:
@@ -74,6 +85,13 @@ class NrfPair:
     def shape(self) -> tuple[int, int]:
         """(m, p): control inputs by regulated measurements."""
         return self.Gamma.rows, self.Gamma.cols
+
+    @property
+    def row_systems(self) -> tuple[StateSpace, ...]:
+        if self._row_systems is None:
+            rows = self.Phi.hstack(self.Gamma)
+            self._row_systems = tuple(tf_to_ss_obsv(rows.row(i)) for i in range(rows.rows))
+        return self._row_systems
 
     def controller(self) -> RationalMatrix:
         """K = (I - Phi)^-1 Gamma."""
@@ -87,46 +105,39 @@ class NrfPair:
         return _first_failure(errs, tol) is None
 
 
-def _diag_reciprocals(mat: RationalMatrix, context: str) -> list[RationalFunction]:
-    """Reciprocals of the diagonal, rejecting entries that cannot be inverted
-    inside the proper rational functions."""
-    recips = []
-    for i in range(mat.rows):
-        d = mat.entry(i, i)
-        if d.is_zero:
+def _require_nonzero_diagonal(Omega: RationalMatrix, context: str):
+    for i in range(Omega.rows):
+        if Omega.entry(i, i).is_zero:
             raise SingularDiagonal(f"{context}: diagonal entry {i} is identically zero")
-        if d.is_proper and d.gain_at_infinity() == 0.0:
-            raise SingularDiagonal(
-                f"{context}: diagonal entry {i} is strictly proper, reciprocal improper"
-            )
-        recips.append(d.reciprocal())
-    return recips
 
 
 def nrf_from_left_factorization(R: RationalMatrix, P: RationalMatrix) -> NrfPair:
     """NRF pair from a left factorization R u = P z.
 
-    Phi = I - (R^diag)^-1 R with the diagonal zeroed structurally, and
-    Gamma = (R^diag)^-1 P.  Row scaling preserves the sparsity patterns of R
-    (off-diagonal) and P.
+    Phi_i = e_i - omega_i^-1 R_i and Gamma_i = omega_i^-1 P_i with omega_i =
+    R_ii, which keeps the patterns of R (off-diagonal) and P.  On one
+    realization of [R P], row i is its ``left_quotient`` by column i, whose B
+    column is exactly zero and D entry exactly one, so Phi_ii = 0 by
+    construction.  The rational Phi and Gamma are read off the row systems.
     """
     if R.rows != R.cols:
         raise NotSquare("R must be square")
-    if P.rows != R.rows:
-        raise DimensionMismatch("P must have one row per row of R")
-    if P.domain is not R.domain:
-        raise DomainMismatch("R and P disagree on the stability domain")
-    recips = _diag_reciprocals(R, "left factorization")
-    zero = RationalFunction.const(0.0)
-    phi_rows = []
-    gamma_rows = []
-    for i in range(R.rows):
-        phi_rows.append(
-            [zero if j == i else -(recips[i] * R.entry(i, j)) for j in range(R.cols)]
-        )
-        gamma_rows.append([recips[i] * P.entry(i, j) for j in range(P.cols)])
+    _require_nonzero_diagonal(R, "left factorization")
+    m = R.rows
+    sys = tfm_to_ss(R.hstack(P))  # hstack rejects a P of another height or domain
+    sign = np.concatenate([-np.ones(m), np.ones(P.cols)])  # [Phi_i Gamma_i] = e_i + q sign
+    row_systems = []
+    for i in range(m):
+        if sys.D[i, i] == 0.0:
+            raise SingularDiagonal(f"left factorization: diagonal entry {i} is strictly proper")
+        q = left_quotient(StateSpace(sys.A, sys.B, sys.C[[i]], sys.D[[i]], sys.domain), [i])
+        unit = np.eye(1, m + P.cols, i)
+        row_systems.append(minimal(StateSpace(q.A, q.B * sign, q.C, unit + q.D * sign, q.domain)))
+    rows = [ss_to_tf(s).entries[0] for s in row_systems]
     return NrfPair(
-        RationalMatrix(phi_rows, R.domain), RationalMatrix(gamma_rows, R.domain)
+        RationalMatrix([r[:m] for r in rows], R.domain),
+        RationalMatrix([r[m:] for r in rows], R.domain),
+        tuple(row_systems),
     )
 
 
@@ -234,14 +245,15 @@ class InstabilityCertificate:
         )
 
 
-def _require_nonzero_diagonal(Omega: RationalMatrix, context: str):
-    for i in range(Omega.rows):
-        if Omega.entry(i, i).is_zero:
-            raise SingularDiagonal(f"{context}: diagonal entry {i} is identically zero")
-
-
 def _negated(sys: StateSpace) -> StateSpace:
     return StateSpace(sys.A, sys.B, -sys.C, -sys.D, sys.domain)
+
+
+def _product_diagonal(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    """diag_part(left @ right), each entry row i @ column i, summed as ``@`` sums."""
+    cols = [RationalMatrix([[e] for e in col], right.domain) for col in zip(*right.entries)]
+    diag = [(left.row(i) @ cols[i]).entry(0, 0) for i in range(left.rows)]
+    return RationalMatrix.diag(diag, left.domain)
 
 
 def _certificate(mode: CertificateMode, Omega: RationalMatrix, witness: StateSpace):
@@ -259,7 +271,7 @@ def mr2_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     every stable Q.  The witness is realized by series and parallel
     connections of the realized factors.
     """
-    Omega = diag_part(dcf.M @ shift.YQ)
+    Omega = _product_diagonal(dcf.M, shift.YQ)
     _require_nonzero_diagonal(Omega, "mr2 certificate")
     witness = parallel(
         series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)),
@@ -274,7 +286,7 @@ def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     The w-to-beta map is G - N YQ, so the iteration inherits every unstable
     pole of the plant itself.
     """
-    Omega = diag_part(shift.YtQ @ dcf.Mt)
+    Omega = _product_diagonal(shift.YtQ, dcf.Mt)
     _require_nonzero_diagonal(Omega, "mr3 certificate")
     witness = parallel(
         dcf.plant(), _negated(series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)))
@@ -289,17 +301,14 @@ def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):
 
         beta = beta_phi (beta + delta_beta) + beta_gamma z,   u = u_beta beta + u_z z.
 
-    Eliminating beta recovers K_Q = XtQ YtQ^-1.
+    (beta_phi, beta_gamma) is the NRF pair of the left factorization
+    T beta = (T - I) z with T = YtQ Mt.  Eliminating beta recovers
+    K_Q = XtQ YtQ^-1.
     """
     T = shift.YtQ @ dcf.Mt
-    recips = _diag_reciprocals(T, "beta iteration")
-    Oinv = RationalMatrix.diag(recips, T.domain)
-    p = T.rows
-    Ip = RationalMatrix.identity(p, T.domain)
+    beta = nrf_from_left_factorization(T, T - RationalMatrix.identity(T.rows, T.domain))
     XtM = shift.XtQ @ dcf.Mt
-    beta_phi = Ip - Oinv @ T
-    beta_gamma = Oinv @ (T - Ip)
-    return beta_phi, beta_gamma, -XtM, XtM
+    return beta.Phi, beta.Gamma, -XtM, XtM
 
 
 # ---------------------------------------------------------------------------

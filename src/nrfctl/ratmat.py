@@ -313,9 +313,6 @@ class RationalFunction:
         b_num, a_den = _greedy_cancel(other.num, self.den)
         return RationalFunction(a_num * b_num, a_den * b_den)
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return self * other.reciprocal()
-
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero:
             raise DivisionByZeroFunction("reciprocal of the zero function")

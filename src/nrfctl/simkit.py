@@ -421,6 +421,8 @@ def _channel_diverges(x: np.ndarray) -> bool:
     # sustained growth test: the last quarter's mean level more than doubles
     # the second quarter's (a mode on the unit circle grows linearly, so the
     # ratio tends to E[7H/8]/E[3H/8] = 7/3; a settling channel tends to 1)
+    # and passes every value of the first half, which the noise on a settled
+    # channel with slow poles does not, however it wanders between quarters
     if not np.all(np.isfinite(x)):
         return True
     H = x.shape[0]
@@ -428,7 +430,7 @@ def _channel_diverges(x: np.ndarray) -> bool:
         return False
     a = float(np.mean(np.abs(x[H // 4 : H // 2])))
     b = float(np.mean(np.abs(x[3 * H // 4 :])))
-    return b > 2.0 * a and b > 1e-6
+    return b > 2.0 * a and b > float(np.max(np.abs(x[: H // 2]))) and b > 1e-6
 
 
 def trace_metrics(t: SimTrace, settle_from: int) -> TraceMetrics:

@@ -231,6 +231,16 @@ def parallel(left: StateSpace, right: StateSpace) -> StateSpace:
     )
 
 
+def left_quotient(sys: StateSpace, cols) -> StateSpace:
+    """X^-1 sys on sys's own state, X = (A, B_X, C, D_X) the square map from the
+    inputs ``cols``: (A - B_X D_X^-1 C, B - B_X D_X^-1 D, D_X^-1 C, D_X^-1 D)
+    (Zhou, Doyle and Glover, 1996).  Columns ``cols`` become zero in B and I in
+    D, exactly when X is a single entry."""
+    BX, DX = sys.B[:, cols], sys.D[:, cols]
+    C, D = np.split(np.linalg.solve(DX, np.hstack([sys.C, sys.D])), [sys.order], axis=1)
+    return StateSpace(sys.A - BX @ C, sys.B - BX @ D, C, D, sys.domain)
+
+
 # ---------------------------------------------------------------------------
 # staircase forms
 

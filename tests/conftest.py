@@ -52,6 +52,11 @@ def grid5_ctrl(grid5_rows):
     return dimpl.assemble(grid5_rows)
 
 
+def _platoon_spread(order: int) -> float:
+    """Spacing s of the platoon's pole targets for a plant of this order."""
+    return min(0.03, 0.36 / (order - 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _platoon(n: int):
     """Chain of n vehicles, its factorization and the Q = 0 shift.
@@ -62,7 +67,7 @@ def _platoon(n: int):
     """
     plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
     order = plant.order
-    step = min(0.03, 0.36 / (order - 1))
+    step = _platoon_spread(order)
     F, _ = factor.place_gains(plant, [0.6 + step * k for k in range(order)])
     _, L = factor.place_gains(plant, [0.45 + step * k for k in range(order)])
     dcf = factor.dcf_from_ss(plant, F, L)
@@ -74,3 +79,9 @@ def _platoon(n: int):
 def platoon():
     """platoon(n) -> (plant, dcf, Q = 0 shift), each size built once."""
     return _platoon
+
+
+@pytest.fixture(scope="session")
+def platoon_spread():
+    """platoon_spread(order) -> the spacing s of the platoon fixture's targets."""
+    return _platoon_spread

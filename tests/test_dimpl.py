@@ -111,17 +111,28 @@ def test_internal_stability_two_routes_agree(grid5_pair, grid5_tfm):
     assert probe_only.max_disagreement < 1e-6
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_platoon_transfer_verdict_matches_eigenvalues(platoon, n):
-    # chain of n vehicles with the platoon demo's gains and Q = 0
+@pytest.mark.parametrize("n", range(3, 9))
+def test_platoon_transfer_verdict_matches_eigenvalues(platoon, platoon_spread, n):
+    # chain of n vehicles with the benchmark's gains and Q = 0
     plant, dcf, shift = platoon(n)
     pair = nrfsyn.nrf_from_dcf(dcf, shift)
     cl = dimpl.closed_loop_state_matrix(plant, dimpl.assemble(dimpl.realize_rows(pair)))
     report = dimpl.verify_internal_stability_tfm(pair, sstate.ss_to_tf(plant))
     assert report.stable == cl.is_stable
-    # the loop's slowest mode is the largest placed target, 0.6 + 0.03 (order - 1)
+    # the loop's slowest mode is the largest placed target, 0.6 + s (order - 1)
     radius = max(abs(v) for v in cl.eigenvalues())
-    assert abs(radius - (0.6 + 0.03 * (plant.order - 1))) <= 1e-6
+    assert abs(radius - (0.6 + platoon_spread(plant.order) * (plant.order - 1))) <= 1e-6
+
+
+def test_json_pair_realizes_at_the_synthesized_orders(grid5_pair):
+    # a pair read back from JSON realizes its rows from the rational entries
+    back = nrfsyn.nrf_from_obj(nrfsyn.nrf_to_obj(grid5_pair))
+    want = [r.order for r in dimpl.realize_rows(grid5_pair)]
+    assert [r.order for r in dimpl.realize_rows(back)] == want == [2, 3, 4, 3, 3]
+    grouping = [[1], [2, 3], [4], [5]]
+    assert [r.order for r in dimpl.realize_rows(back, grouping)] == [
+        r.order for r in dimpl.realize_rows(grid5_pair, grouping)
+    ]
 
 
 def test_numerically_factored_grid5_realizes(grid5_plant, grid5_q):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nrfctl import factor, nrfsyn
+from nrfctl import dimpl, factor, nrfsyn
 from nrfctl.errors import InvariantViolation, SingularDiagonal
 from nrfctl.nrfsyn import (
     NrfPair,
@@ -25,7 +25,9 @@ from nrfctl.ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
+    diag_part,
     probe_points,
+    ratmat_to_obj,
 )
 from nrfctl.sstate import StateSpace, match_multisets
 from nrfctl import simkit
@@ -79,6 +81,30 @@ def test_grid5_nrf_closed_form(grid5_pair):
                 assert coeffs_match(Gamma.entry(i, i), [-0.85, 1.05], [-0.8, -0.2, 1.0])
             else:
                 assert Gamma.entry(i, j).is_zero
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_nrf_from_dcf_on_platoon(platoon, n):
+    plant, dcf, shift = platoon(n)
+    pair = nrf_from_dcf(dcf, shift)
+    # loop sensitivity (I - Phi + Gamma G) M Omega = I, as the audit forms it
+    omega = diag_part(shift.YQ)
+    mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt, omega)
+    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(*mats))
+    Phi, Gamma, M, Mt, Nt, Om = (mat.eval_many(pts) for mat in mats)
+    S = np.eye(n) - Phi + Gamma @ np.linalg.solve(Mt, Nt)
+    assert np.max(np.abs(S @ M @ Om - np.eye(n))) <= 1e-12
+    assert all(sys.order <= plant.order for sys in pair.row_systems)
+    assert all(row.order <= plant.order for row in dimpl.realize_rows(pair))
+
+
+def test_row_systems_match_the_pair(grid5_pair):
+    # each kept row system is its row of [Phi Gamma], Phi_ii exactly zero
+    pts = probe_points(DISC, 7)
+    want = grid5_pair.Phi.hstack(grid5_pair.Gamma).eval_many(pts)
+    for i, sys in enumerate(grid5_pair.row_systems):
+        assert sys.D[0, i] == 0.0 and not np.any(sys.B[:, i])
+        assert np.max(np.abs(sys.eval_many(pts)[:, 0, :] - want[:, i, :])) <= 1e-12
 
 
 def test_nrf_reproduces_controller(grid5_pair, grid5_shift):
@@ -171,6 +197,15 @@ def test_mr3_finds_every_platoon_integrator(platoon, n):
     poles = mr3_certificate(dcf, shift).unstable_poles_found
     assert len(poles) == n
     assert all(abs(p - 1.0) <= 1e-6 for p in poles)
+
+
+@pytest.mark.parametrize("mode", ["mr2", "mr3"])
+def test_certificate_omega_is_the_product_diagonal(grid5_dcf, grid5_shift, mode):
+    if mode == "mr2":
+        cert, product = mr2_certificate(grid5_dcf, grid5_shift), grid5_dcf.M @ grid5_shift.YQ
+    else:
+        cert, product = mr3_certificate(grid5_dcf, grid5_shift), grid5_shift.YtQ @ grid5_dcf.Mt
+    assert ratmat_to_obj(cert.Omega) == ratmat_to_obj(diag_part(product))
 
 
 def test_mr3_empty_for_stable_plant():

@@ -242,6 +242,21 @@ def test_beta_iteration_diverges_while_output_matches(grid5_plant, grid5_dcf, gr
     assert np.max(np.abs(t_beta.y - t_nrf.y)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_settled_platoon_is_not_diverged(platoon, n):
+    """A stable platoon loop whose input channels settle to noise: with
+    closed-loop poles near 0.96 a quarter of 50 steps holds few independent
+    noise samples, so on this seed the late noise level more than doubles
+    the second quarter's.  It stays far below the early transient."""
+    plant, dcf, shift = platoon(n)
+    ctrl = dimpl.assemble(dimpl.realize_rows(nrfsyn.nrf_from_dcf(dcf, shift)))
+    assert dimpl.closed_loop_state_matrix(plant, ctrl).is_stable
+    sc = Scenario(200, [SignalSpec.step(1.0, at=10)] * n, [SignalSpec.uniform(0.02)] * n,
+                  [SignalSpec.uniform(0.01)] * n, quiet(n), 3, plant, ctrl)
+    t = simkit.simulate(sc)
+    assert not simkit.trace_metrics(t, settle_from=100).diverged
+
+
 def test_scenario_json_roundtrip(tmp_path, grid5_plant, grid5_ctrl):
     sc = simkit.grid5_scenario(grid5_plant, grid5_ctrl, seed=9, horizon=30)
     path = tmp_path / "scenario.json"

@@ -15,6 +15,7 @@ from nrfctl.sstate import (
     is_detectable,
     is_stabilizable,
     is_stable_matrix,
+    left_quotient,
     load_ss,
     match_multisets,
     _faddeev_tf,
@@ -128,6 +129,24 @@ def test_ss_to_tf_row_staircase_is_exact_on_random_mimo():
     got = ss_to_tf(sys)
     assert _coeffs(got) == _entrywise_tf(sys)
     assert got.entry(1, 0).den.degree == 1
+
+
+def test_left_quotient_divides_by_its_columns():
+    rng = np.random.default_rng(5)
+    sys = StateSpace(0.3 * rng.normal(size=(6, 6)), rng.normal(size=(6, 5)),
+                     rng.normal(size=(2, 6)), rng.normal(size=(2, 5)), DISC)
+    cols = [3, 1]
+    q = left_quotient(sys, cols)
+    assert q.order == sys.order
+    # the divisor's own columns come out as the identity
+    assert np.max(np.abs(q.B[:, cols])) <= 1e-14
+    assert np.max(np.abs(q.D[:, cols] - np.eye(2))) <= 1e-14
+    for z in (2.0 + 0.3j, -1.5 + 1.1j, 0.2 - 2.4j):
+        full = sys.eval(z)
+        assert np.allclose(q.eval(z), np.linalg.solve(full[:, cols], full), atol=1e-11)
+    # dividing one output row by one column leaves that column exactly at e_1
+    row = left_quotient(StateSpace(sys.A, sys.B, sys.C[[0]], sys.D[[0]], DISC), [2])
+    assert not np.any(row.B[:, 2]) and row.D[0, 2] == 1.0
 
 
 def test_tf_to_ss_obsv_shares_repeated_pole():
