@@ -254,10 +254,9 @@ class ClosedLoopRealization:
 
     def map(self, outputs, inputs) -> StateSpace:
         """Realization from the named injections to the named loop signals."""
-        rows = _signal_index(LOOP_OUTPUTS, outputs, self.partition)
-        cols = _signal_index(LOOP_INPUTS, inputs, self.partition)
-        return StateSpace(
-            self.A_CL, self.B[:, cols], self.C[rows, :], self.D[np.ix_(rows, cols)], self.domain
+        return StateSpace(self.A_CL, self.B, self.C, self.D, self.domain).select(
+            _signal_index(LOOP_OUTPUTS, outputs, self.partition),
+            _signal_index(LOOP_INPUTS, inputs, self.partition),
         )
 
     def __repr__(self) -> str:
@@ -422,8 +421,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
         for j in range(H.n_inputs):
             bad = ()
             if modes:
-                entry = StateSpace(H.A, H.B[:, [j]], H.C[[i]], H.D[i : i + 1, j : j + 1], H.domain)
-                bad = sstate.unstable_map_poles(entry, modes)
+                bad = sstate.unstable_map_poles(H.select([i], [j]), modes)
             row_flags.append(not bad)
             poles.extend(bad)
         entry_stable.append(tuple(row_flags))

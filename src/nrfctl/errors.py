@@ -17,10 +17,6 @@ class NotSquare(NrfError):
     pass
 
 
-class SingularMatrix(NrfError):
-    pass
-
-
 class DivisionByZeroFunction(NrfError):
     pass
 
@@ -54,10 +50,6 @@ class PlacementFailed(NrfError):
 
 
 class UnstableParameter(NrfError):
-    pass
-
-
-class SingularDenominator(NrfError):
     pass
 
 

@@ -6,9 +6,14 @@ the standard observer/state-feedback formulas, already normalized so that M,
 M̃, Y and Ỹ all have identity gain at infinity.  Identities between factors
 are checked by residuals at deterministic probe points rather than
 symbolically; at the degrees involved, evaluation bounds are decisive and
-coefficient-level comparison is brittle.  The closed-loop table of the Youla
-formulas is a state-space series connection of realized factors, not a
-symbolic product.
+coefficient-level comparison is brittle.
+
+The factors also come as two realizations of the Bézout matrices,
+[Y X; -Nt Mt] = (A + LC, [-B L], [F; C], I) and
+[M -Xt; N Yt] = (A + BF, [B -L], [F; C], I) (Zhou, Doyle and Glover, 1996),
+each of the plant order.  The Youla shift is two series connections of these
+with Q, and the closed-loop table and every later stage read the shifted
+realizations; no factor is multiplied symbolically.
 """
 
 from __future__ import annotations
@@ -27,16 +32,12 @@ from .errors import (
     NotStabilizable,
     NotStrictlyProper,
     PlacementFailed,
-    SingularDenominator,
-    SingularMatrix,
     UnstableMap,
     UnstableParameter,
 )
 from .ratmat import (
     RationalMatrix,
     StabilityDomain,
-    diag_part,
-    invert,
     probe_points,
     ratmat_from_obj,
     ratmat_to_obj,
@@ -46,10 +47,12 @@ from .sstate import (
     _invertibility,
     _is_unstable,
     ctrb_staircase,
+    diagonal,
     is_detectable,
     is_stabilizable,
     left_quotient,
     match_multisets,
+    parallel,
     series,
     ss_to_tf,
     tfm_to_ss,
@@ -79,16 +82,6 @@ def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
     return tuple(r for rs in _den_roots(*mats).values() for r in rs)
 
 
-def _has_unstable_entry(mat: RationalMatrix, roots: dict) -> bool:
-    """True when the denominator of some entry has an unstable root in ``roots``."""
-    return any(
-        _is_unstable(r, mat.domain)
-        for row in mat.entries
-        for e in row
-        for r in roots[e.den.coeffs]
-    )
-
-
 def _first_failure(errs: np.ndarray, tol: float) -> int | None:
     """Index of the first probe point whose error reaches tol, or None."""
     bad = np.flatnonzero(errs >= tol)
@@ -112,14 +105,17 @@ class DoublyCoprime:
     """Eight stable TFMs tied by the Bézout identity.
 
     Mt, Nt, Xt, Yt hold the left-factor family (the tilde quantities); G is
-    recovered as Mt^-1 Nt = N M^-1.
+    recovered as Mt^-1 Nt = N M^-1.  ``left`` and ``right`` realize the
+    Bézout matrices [Y X; -Nt Mt] and [M -Xt; N Yt]; factors given only as
+    rational matrices realize them with ``tfm_to_ss`` on first use.
     """
 
-    __slots__ = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
+    __slots__ = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt", "_left", "_right")
 
-    def __init__(self, M, N, Mt, Nt, X, Y, Xt, Yt):
+    def __init__(self, M, N, Mt, Nt, X, Y, Xt, Yt, left=None, right=None):
         self.M, self.N, self.Mt, self.Nt = M, N, Mt, Nt
         self.X, self.Y, self.Xt, self.Yt = X, Y, Xt, Yt
+        self._left, self._right = left, right
         p, m = self.shape
         checks = {
             "M": (M, m, m), "N": (N, p, m), "Mt": (Mt, p, p), "Nt": (Nt, p, m),
@@ -160,11 +156,24 @@ class DoublyCoprime:
         pts = probe_points(self.domain, count, avoid=avoid)
         return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
 
+    @property
+    def left(self) -> StateSpace:
+        if self._left is None:
+            self._left = tfm_to_ss(self.Y.hstack(self.X).vstack((-self.Nt).hstack(self.Mt)))
+        return self._left
+
+    @property
+    def right(self) -> StateSpace:
+        if self._right is None:
+            self._right = tfm_to_ss(self.M.hstack(-self.Xt).vstack(self.N.hstack(self.Yt)))
+        return self._right
+
     def plant(self) -> StateSpace:
-        """G = Mt^-1 Nt: the Nt columns of Mt^-1 [Mt Nt], on one realization."""
-        p = self.Mt.rows
-        q = left_quotient(tfm_to_ss(self.Mt.hstack(self.Nt)), list(range(p)))
-        return StateSpace(q.A, q.B[:, p:], q.C, q.D[:, p:], self.domain)
+        """G = Mt^-1 Nt: minus the Nt columns of Mt^-1 [-Nt Mt], the lower rows
+        of ``left``, on its realization."""
+        p, m = self.shape
+        lower = range(m, m + p)
+        return -left_quotient(self.left.select(lower, range(m + p)), lower).select(range(p), range(m))
 
     def validate(self, count: int = 20):
         """Check every structural invariant; raise with the violated one named.
@@ -179,7 +188,8 @@ class DoublyCoprime:
         for name, mat in factors.items():
             if not mat.is_proper:
                 raise InvariantViolation("factor-proper", f"{name} has an improper entry")
-            if _has_unstable_entry(mat, roots):
+            if any(_is_unstable(r, mat.domain) for row in mat.entries for e in row
+                   for r in roots[e.den.coeffs]):
                 raise InvariantViolation("factor-stable", f"{name} has unstable poles")
         avoid = [r for rs in roots.values() for r in rs]
         res = self.bezout_residual(count, avoid)
@@ -245,6 +255,7 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     Zp = np.zeros((m, p))
     dom = plant.domain
     tf = ss_to_tf
+    FC = np.vstack([F, C])
     dcf = DoublyCoprime(
         M=tf(StateSpace(AF, B, F, Im, dom)),
         N=tf(StateSpace(AF, B, C, np.zeros((p, m)), dom)),
@@ -254,6 +265,8 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
         Y=tf(StateSpace(AL, -B, F, Im, dom)),
         Xt=tf(StateSpace(AF, L, F, Zp, dom)),
         Yt=tf(StateSpace(AF, L, -C, Ip, dom)),
+        left=StateSpace(AL, np.hstack([-B, L]), FC, np.eye(m + p), dom),
+        right=StateSpace(AF, np.hstack([B, -L]), FC, np.eye(m + p), dom),
     )
     dcf.validate()
     return dcf
@@ -428,20 +441,32 @@ def default_targets(n: int, domain: StabilityDomain) -> list[complex]:
 
 
 class YoulaShift:
-    """Q together with the four shifted Bézout factors."""
+    """Q with the shifted Bézout matrices on one realization each:
+    ``left`` = [Y_Q X_Q; -Nt Mt] and ``right`` = [M -Xt_Q; N Yt_Q], of order
+    n + n_Q.  The four shifted factors are slices of them."""
 
-    __slots__ = ("Q", "XQ", "XtQ", "YQ", "YtQ")
+    __slots__ = ("Q", "left", "right", "YQ", "XQ", "XtQ", "YtQ")
 
-    def __init__(self, Q, XQ, XtQ, YQ, YtQ):
-        self.Q, self.XQ, self.XtQ, self.YQ, self.YtQ = Q, XQ, XtQ, YQ, YtQ
+    def __init__(self, Q, left: StateSpace, right: StateSpace):
+        self.Q, self.left, self.right = Q, left, right
+        top, bottom = range(Q.rows), range(Q.rows, Q.rows + Q.cols)
+        self.YQ, self.XQ = left.select(top, top), left.select(top, bottom)
+        self.XtQ, self.YtQ = -right.select(top, bottom), right.select(bottom, bottom)
 
-    @property
-    def domain(self) -> StabilityDomain:
-        return self.Q.domain
+
+def _shear(q: StateSpace, sign: float) -> StateSpace:
+    """[I sign*Q; 0 I] on the state of Q's realization."""
+    m, p = q.D.shape
+    zeros = np.zeros((q.order, m))
+    C = np.vstack([q.C, np.zeros((p, q.order))])
+    D = np.block([[np.eye(m), sign * q.D], [np.zeros((p, m)), np.eye(p)]])
+    return StateSpace(q.A, np.hstack([zeros, sign * q.B]), C, D, q.domain)
 
 
 def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
-    """Shift the Bézout factors by a stable proper parameter Q."""
+    """Shift the Bézout factors by a stable proper parameter Q:
+    [I Q; 0 I] [Y X; -Nt Mt] and [M -Xt; N Yt] [I -Q; 0 I], as series
+    connections on the realizations of Q and of the two Bézout matrices."""
     p, m = dcf.shape
     if (Q.rows, Q.cols) != (m, p):
         raise DimensionMismatch(f"Q must be {m}x{p}, got {Q.rows}x{Q.cols}")
@@ -449,41 +474,22 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
         raise DomainMismatch("Q disagrees with the factorization domain")
     if not Q.is_proper:
         raise UnstableParameter("Q must be proper")
-    if _has_unstable_entry(Q, _den_roots(Q)):
+    q = tfm_to_ss(Q)  # minimal, so its eigenvalues are the poles of Q
+    if not unstable_eigs(q.A, Q.domain).empty:
         raise UnstableParameter("Q has poles outside the stability region")
-    shift = YoulaShift(
-        Q=Q,
-        XQ=dcf.X + Q @ dcf.Mt,
-        XtQ=dcf.Xt + dcf.M @ Q,
-        YQ=dcf.Y - Q @ dcf.Nt,
-        YtQ=dcf.Yt - dcf.N @ Q,
-    )
+    shift = YoulaShift(Q, series(_shear(q, 1.0), dcf.left), series(dcf.right, _shear(q, -1.0)))
     _check_shift_bezout(dcf, shift)
     return shift
 
 
 def _check_shift_bezout(dcf: DoublyCoprime, shift: YoulaShift, count: int = 20):
-    mats = (shift.YQ, shift.XQ, dcf.Nt, dcf.Mt, dcf.M, shift.XtQ, dcf.N, shift.YtQ)
-    pts = probe_points(dcf.domain, count, avoid=_pole_cloud(*mats))
-    errs = _bezout_errors(*(mat.eval_many(pts) for mat in mats))
+    # both shifted matrices are stable, so the probes clear all their poles
+    pts = probe_points(dcf.domain, count)
+    prod = shift.left.eval_many(pts) @ shift.right.eval_many(pts)
+    errs = _max_abs(prod - np.eye(prod.shape[1]))
     k = _first_failure(errs, PROBE_TOL)
     if k is not None:
         raise InvariantViolation("shifted-bezout-identity", f"residual {errs[k]:.3e}")
-
-
-def controller_tfm(shift: YoulaShift) -> RationalMatrix:
-    """K_Q = YQ^-1 XQ, cross-checked against the right quotient XtQ YtQ^-1."""
-    try:
-        K = invert(shift.YQ) @ shift.XQ
-        K_right = shift.XtQ @ invert(shift.YtQ)
-    except SingularMatrix as exc:
-        raise SingularDenominator(str(exc)) from exc
-    diff = K - K_right
-    errs = _max_abs(diff.eval_many(probe_points(shift.domain, 20, avoid=_pole_cloud(diff))))
-    k = _first_failure(errs, PROBE_TOL)
-    if k is not None:
-        raise InvariantViolation("controller-quotients-agree", f"deviation {errs[k]:.3e}")
-    return K
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +503,22 @@ def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> StateSpace:
     W = [X_Q, Y_Q, -X_Q, -(Y_Q - diag Y_Q)] (du enters through the hollow
     part of Y_Q, as it does in the NRF loop).  So the table is S R W + D0,
     with S = [I 0; 0 I; -I 0; 0 I] and the constant D0 holding the identity
-    terms of y <- nu, u <- w, z <- r and z <- nu.  R and W are realized
-    separately and joined in series, so the table's modes are theirs.
+    terms of y <- nu, u <- w, z <- r and z <- nu.  R is a slice of the right
+    Bézout realization; W is four column blocks of the shifted left one plus
+    diag Y_Q on the du columns, joined in series with R.
     Signals are ordered as dimpl's TABLE_INPUTS and LOOP_OUTPUTS.
     """
     p, m = dcf.shape
     dom = dcf.domain
-    R = tfm_to_ss(dcf.N.vstack(dcf.M))
-    W = tfm_to_ss(
-        shift.XQ.hstack(shift.YQ).hstack(-shift.XQ).hstack(diag_part(shift.YQ) - shift.YQ)
+    R = dcf.right.select([*range(m, m + p), *range(m)], range(m))
+    X, Y = [*range(m, m + p)], [*range(m)]
+    W = shift.left.select(range(m), X + Y + X + Y)
+    sign = np.repeat([1.0, 1.0, -1.0, -1.0], [p, m, p, m])
+    Om = diagonal([shift.YQ.select([i], [i]) for i in range(m)])
+    pad = lambda M: np.hstack([np.zeros((M.shape[0], 2 * p + m)), M])
+    W = parallel(
+        StateSpace(W.A, W.B * sign, W.C, W.D * sign, dom),
+        StateSpace(Om.A, pad(Om.B), Om.C, pad(Om.D), dom),
     )
     RW = series(R, W)
     Ip, Im = np.eye(p), np.eye(m)
@@ -536,7 +549,8 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpac
     p, m = dcf.shape
     pts = probe_points(dcf.domain, count)  # the table is stable: no pole lies near them
     got = table.eval_many(pts)
-    Mt, Nt, YQ, XQ = (mat.eval_many(pts) for mat in (dcf.Mt, dcf.Nt, shift.YQ, shift.XQ))
+    L = shift.left.eval_many(pts)
+    YQ, XQ, Nt, Mt = L[:, :m, :m], L[:, :m, m:], -L[:, m:, :m], L[:, m:, m:]
     E_r, E_w, E_nu, _ = np.split(np.eye(2 * (p + m)), np.cumsum([p, m, p]))
     for k, pt in enumerate(pts):
         hollow = YQ[k] - np.diag(np.diag(YQ[k]))

@@ -5,9 +5,11 @@ An NRF pair (Phi, Gamma) implements u = Phi u + Gamma z with a hollow Phi.
 The diagonal of Phi is zero *structurally* (entries are literal zero
 functions), never merely small: self-loops are a causality violation, not a
 numerical artifact.  Each row of [Phi Gamma] is formed, and kept for its
-realization, as a state-space quotient of one row of a left factorization by
-its diagonal entry; the rational Phi and Gamma are read off those rows for
-JSON, sparsity correspondence and the audits.
+realization, as a state-space quotient of one row of a realized left
+factorization by its diagonal entry; the rational Phi and Gamma are read off
+those rows for JSON, sparsity correspondence and the audits.  The left
+factorization [Y_Q X_Q], the certificates' witnesses and the beta-iteration
+form are all slices and series connections of the realized Bézout matrices.
 """
 
 from __future__ import annotations
@@ -30,21 +32,19 @@ from .ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
-    diag_part,
-    invert,
     probe_points,
     ratmat_from_obj,
     ratmat_to_obj,
 )
 from .sstate import (
     StateSpace,
+    diagonal,
     left_quotient,
     minimal,
     parallel,
     series,
     ss_to_tf,
     tf_to_ss_obsv,
-    tfm_to_ss,
     unstable_eigs,
     unstable_map_poles,
 )
@@ -93,70 +93,64 @@ class NrfPair:
             self._row_systems = tuple(tf_to_ss_obsv(rows.row(i)) for i in range(rows.rows))
         return self._row_systems
 
-    def controller(self) -> RationalMatrix:
-        """K = (I - Phi)^-1 Gamma."""
-        eye = RationalMatrix.identity(self.Phi.rows, self.domain)
-        return invert(eye - self.Phi) @ self.Gamma
 
-    def reproduces(self, K: RationalMatrix, count: int = 20, tol: float = ROUND_TRIP_TOL) -> bool:
-        """Probe-point agreement between (I-Phi)^-1 Gamma and a given controller."""
-        diff = self.controller() - K
-        errs = _max_abs(diff.eval_many(probe_points(self.domain, count, avoid=_pole_cloud(diff))))
-        return _first_failure(errs, tol) is None
-
-
-def _require_nonzero_diagonal(Omega: RationalMatrix, context: str):
-    for i in range(Omega.rows):
-        if Omega.entry(i, i).is_zero:
-            raise SingularDiagonal(f"{context}: diagonal entry {i} is identically zero")
-
-
-def nrf_from_left_factorization(R: RationalMatrix, P: RationalMatrix) -> NrfPair:
-    """NRF pair from a left factorization R u = P z.
+def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
+    """NRF pair from a realization of a left factorization [R P], R u = P z.
 
     Phi_i = e_i - omega_i^-1 R_i and Gamma_i = omega_i^-1 P_i with omega_i =
-    R_ii, which keeps the patterns of R (off-diagonal) and P.  On one
-    realization of [R P], row i is its ``left_quotient`` by column i, whose B
-    column is exactly zero and D entry exactly one, so Phi_ii = 0 by
-    construction.  The rational Phi and Gamma are read off the row systems.
+    R_ii, which keeps the patterns of R (off-diagonal) and P.  Row i is the
+    ``left_quotient`` of row i of ``sys`` by column i, whose B column is
+    exactly zero and D entry exactly one, so Phi_ii = 0 by construction; a
+    diagonal entry that vanishes at infinity (D_ii = 0) has no such quotient.
+    The rational Phi and Gamma are read off the row systems.
     """
-    if R.rows != R.cols:
+    m, width = sys.D.shape
+    if width < m:
         raise NotSquare("R must be square")
-    _require_nonzero_diagonal(R, "left factorization")
-    m = R.rows
-    sys = tfm_to_ss(R.hstack(P))  # hstack rejects a P of another height or domain
-    sign = np.concatenate([-np.ones(m), np.ones(P.cols)])  # [Phi_i Gamma_i] = e_i + q sign
+    sign = np.concatenate([-np.ones(m), np.ones(width - m)])  # [Phi_i Gamma_i] = e_i + q sign
     row_systems = []
     for i in range(m):
         if sys.D[i, i] == 0.0:
             raise SingularDiagonal(f"left factorization: diagonal entry {i} is strictly proper")
-        q = left_quotient(StateSpace(sys.A, sys.B, sys.C[[i]], sys.D[[i]], sys.domain), [i])
-        unit = np.eye(1, m + P.cols, i)
+        q = left_quotient(sys.select([i], range(width)), [i])
+        unit = np.eye(1, width, i)
         row_systems.append(minimal(StateSpace(q.A, q.B * sign, q.C, unit + q.D * sign, q.domain)))
     rows = [ss_to_tf(s).entries[0] for s in row_systems]
     return NrfPair(
-        RationalMatrix([r[:m] for r in rows], R.domain),
-        RationalMatrix([r[m:] for r in rows], R.domain),
+        RationalMatrix([r[:m] for r in rows], sys.domain),
+        RationalMatrix([r[m:] for r in rows], sys.domain),
         tuple(row_systems),
+    )
+
+
+def _realized_factors(dcf: DoublyCoprime) -> tuple[StateSpace, StateSpace, StateSpace]:
+    """M, N and Mt as slices of the Bézout realizations."""
+    p, m = dcf.shape
+    return (
+        dcf.right.select(range(m), range(m)),
+        dcf.right.select(range(m, m + p), range(m)),
+        dcf.left.select(range(m, m + p), range(m, m + p)),
     )
 
 
 def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
     """Stabilizing NRF pair from a Q-shifted factorization.
 
-    Left-multiplies YQ u = XQ z by (YQ^diag)^-1.  Before returning, the loop
-    sensitivity identity (I - Phi + Gamma G) M Omega = I is audited at probe
-    points; together with factor and parameter stability (enforced upstream)
-    it certifies the pair as a stabilizing implementation rather than just an
+    Left-multiplies YQ u = XQ z by (YQ^diag)^-1, on the rows [Y_Q X_Q] of the
+    shifted left Bézout realization.  Before returning, the loop sensitivity
+    identity (I - Phi + Gamma G) M Omega = I is audited at probe points;
+    together with factor and parameter stability (enforced upstream) it
+    certifies the pair as a stabilizing implementation rather than just an
     algebraic rewrite.
     """
-    pair = nrf_from_left_factorization(shift.YQ, shift.XQ)
-    omega = diag_part(shift.YQ)
-    mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt, omega)
-    pts = probe_points(dcf.domain, 20, avoid=_pole_cloud(*mats))
-    Phi, Gamma, M, Mt, Nt, Om = (mat.eval_many(pts) for mat in mats)
-    eye = np.eye(pair.shape[0])
-    S = eye - Phi + Gamma @ np.linalg.solve(Mt, Nt)
+    p, m = dcf.shape
+    pair = nrf_from_left_factorization(shift.left.select(range(m), range(m + p)))
+    pts = probe_points(dcf.domain, 20, avoid=_pole_cloud(pair.Phi, pair.Gamma))
+    Phi, Gamma = pair.Phi.eval_many(pts), pair.Gamma.eval_many(pts)
+    L, M = shift.left.eval_many(pts), _realized_factors(dcf)[0].eval_many(pts)
+    eye = np.eye(m)
+    Om = L[:, :m, :m] * eye
+    S = eye - Phi + Gamma @ np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
     errs = _max_abs(S @ M @ Om - eye)
     k = _first_failure(errs, ROUND_TRIP_TOL)
     if k is not None:
@@ -197,10 +191,13 @@ def sparsity_correspondence(
     """Phi in Y and Gamma in X, cross-checked against YQ in Y+ and XQ in X.
 
     The two sides are equivalent in exact arithmetic; a disagreement means a
-    numerical cancellation produced a spurious (or lost) entry.
+    numerical cancellation produced a spurious (or lost) entry.  The support
+    of [Y_Q X_Q] is read off its realization by ``ss_to_tf``.
     """
+    m, p = pair.shape
     nrf_side = pair.Phi.conforms(triple.Y) and pair.Gamma.conforms(triple.X)
-    shift_side = shift.YQ.conforms(triple.Yplus) and shift.XQ.conforms(triple.X)
+    YX = ss_to_tf(shift.left.select(range(m), range(m + p)))
+    shift_side = YX.conforms(SparsityPattern(np.hstack([triple.Yplus.mask, triple.X.mask])))
     if nrf_side != shift_side:
         raise CorrespondenceViolation(
             f"NRF side says {nrf_side} but shifted factors say {shift_side}"
@@ -218,8 +215,8 @@ class CertificateMode(enum.Enum):
 
 
 class InstabilityCertificate:
-    """Witness map (a StateSpace) for an alternative representation, with its
-    unstable poles.
+    """Witness map for an alternative representation, with its unstable poles;
+    both it and the diagonal scaling Omega are StateSpace.
 
     An empty pole multiset means the representation's obstruction vanishes for
     this plant and shift; a nonempty one names the poles that no stable Q can
@@ -245,18 +242,21 @@ class InstabilityCertificate:
         )
 
 
-def _negated(sys: StateSpace) -> StateSpace:
-    return StateSpace(sys.A, sys.B, -sys.C, -sys.D, sys.domain)
+def _omega(left: StateSpace, right: StateSpace, context: str) -> StateSpace:
+    """(left right)^diag, each entry row i of left in series with column i of
+    right; an entry that is identically zero raises SingularDiagonal."""
+    Omega = diagonal([
+        series(left.select([i], range(left.n_inputs)), right.select(range(right.n_outputs), [i]))
+        for i in range(left.n_outputs)
+    ])
+    for i in range(Omega.n_outputs):
+        # a minimal entry of positive order has a nonzero B column
+        if Omega.D[i, i] == 0.0 and not Omega.B[:, i].any():
+            raise SingularDiagonal(f"{context}: diagonal entry {i} is identically zero")
+    return Omega
 
 
-def _product_diagonal(left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-    """diag_part(left @ right), each entry row i @ column i, summed as ``@`` sums."""
-    cols = [RationalMatrix([[e] for e in col], right.domain) for col in zip(*right.entries)]
-    diag = [(left.row(i) @ cols[i]).entry(0, 0) for i in range(left.rows)]
-    return RationalMatrix.diag(diag, left.domain)
-
-
-def _certificate(mode: CertificateMode, Omega: RationalMatrix, witness: StateSpace):
+def _certificate(mode: CertificateMode, Omega: StateSpace, witness: StateSpace):
     """Unstable poles of a witness realization, filtered as the loop maps are."""
     modes = unstable_eigs(witness.A, witness.domain).values
     poles = unstable_map_poles(witness, modes) if modes else ()
@@ -271,12 +271,9 @@ def mr2_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     every stable Q.  The witness is realized by series and parallel
     connections of the realized factors.
     """
-    Omega = _product_diagonal(dcf.M, shift.YQ)
-    _require_nonzero_diagonal(Omega, "mr2 certificate")
-    witness = parallel(
-        series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)),
-        _negated(series(dcf.plant(), tfm_to_ss(Omega))),
-    )
+    M, N, _ = _realized_factors(dcf)
+    Omega = _omega(M, shift.YQ, "mr2 certificate")
+    witness = parallel(series(N, shift.YQ), -series(dcf.plant(), Omega))
     return _certificate(CertificateMode.MR2, Omega, witness)
 
 
@@ -286,11 +283,9 @@ def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     The w-to-beta map is G - N YQ, so the iteration inherits every unstable
     pole of the plant itself.
     """
-    Omega = _product_diagonal(shift.YtQ, dcf.Mt)
-    _require_nonzero_diagonal(Omega, "mr3 certificate")
-    witness = parallel(
-        dcf.plant(), _negated(series(tfm_to_ss(dcf.N), tfm_to_ss(shift.YQ)))
-    )
+    _, N, Mt = _realized_factors(dcf)
+    Omega = _omega(shift.YtQ, Mt, "mr3 certificate")
+    witness = parallel(dcf.plant(), -series(N, shift.YQ))
     return _certificate(CertificateMode.MR3, Omega, witness)
 
 
@@ -302,13 +297,16 @@ def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):
         beta = beta_phi (beta + delta_beta) + beta_gamma z,   u = u_beta beta + u_z z.
 
     (beta_phi, beta_gamma) is the NRF pair of the left factorization
-    T beta = (T - I) z with T = YtQ Mt.  Eliminating beta recovers
-    K_Q = XtQ YtQ^-1.
+    T beta = (T - I) z with T = YtQ Mt, realized in series.  Eliminating beta
+    recovers K_Q = XtQ YtQ^-1.
     """
-    T = shift.YtQ @ dcf.Mt
-    beta = nrf_from_left_factorization(T, T - RationalMatrix.identity(T.rows, T.domain))
-    XtM = shift.XtQ @ dcf.Mt
-    return beta.Phi, beta.Gamma, -XtM, XtM
+    Mt = _realized_factors(dcf)[2]
+    T = series(shift.YtQ, Mt)
+    TT = StateSpace(T.A, np.hstack([T.B, T.B]), T.C, np.hstack([T.D, T.D - np.eye(T.n_outputs)]),
+                    T.domain)
+    beta = nrf_from_left_factorization(TT)
+    XtM = series(shift.XtQ, Mt)
+    return beta.Phi, beta.Gamma, ss_to_tf(-XtM), ss_to_tf(XtM)
 
 
 # ---------------------------------------------------------------------------

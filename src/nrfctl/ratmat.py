@@ -25,7 +25,6 @@ from .errors import (
     DomainMismatch,
     EvaluationAtPole,
     NotSquare,
-    SingularMatrix,
 )
 from .tolerances import CANCEL_TOL, COEFF_ZERO_REL
 
@@ -313,11 +312,6 @@ class RationalFunction:
         b_num, a_den = _greedy_cancel(other.num, self.den)
         return RationalFunction(a_num * b_num, a_den * b_den)
 
-    def reciprocal(self) -> "RationalFunction":
-        if self.is_zero:
-            raise DivisionByZeroFunction("reciprocal of the zero function")
-        return RationalFunction(self.den, self.num)
-
     def __repr__(self) -> str:
         return f"RationalFunction({self.num.coeffs}, {self.den.coeffs})"
 
@@ -565,62 +559,6 @@ class RationalMatrix:
         return SparsityPattern(
             [[not e.is_zero for e in row] for row in self.entries]
         )
-
-
-def _pivot_cost(f: RationalFunction) -> tuple[float, float]:
-    # prefer low-degree pivots (limits degree growth), then large magnitude
-    deg = max(f.num.degree, 0.0) + max(f.den.degree, 0.0)
-    try:
-        mag = abs(f(1.7 + 0.31j))
-    except EvaluationAtPole:
-        mag = math.inf
-    return (deg, -mag if math.isfinite(mag) else -1e30)
-
-
-def invert(a: RationalMatrix) -> RationalMatrix:
-    """Inverse over the rational-function field by Gauss-Jordan elimination.
-
-    Entries are re-reduced after every elimination step, which keeps degrees
-    from exploding for the moderate sizes handled here.  Raises SingularMatrix
-    when some column admits no pivot that is a nonzero rational function.
-    """
-    if a.rows != a.cols:
-        raise NotSquare("only square matrices can be inverted")
-    n = a.rows
-    one = RationalFunction.const(1.0)
-    zero = RationalFunction.const(0.0)
-    work = [list(a.entries[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        candidates = [r for r in range(col, n) if not work[r][col].is_zero]
-        if not candidates:
-            raise SingularMatrix(f"no pivot available in column {col}: determinant is identically zero")
-        pivot_row = min(candidates, key=lambda r: _pivot_cost(work[r][col]))
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv_piv = work[col][col].reciprocal()
-        work[col] = [inv_piv * e if not e.is_zero else e for e in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero:
-                continue
-            factor = work[r][col]
-            work[r] = [
-                work[r][j] - factor * work[col][j] if not work[col][j].is_zero else work[r][j]
-                for j in range(2 * n)
-            ]
-    return RationalMatrix([row[n:] for row in work], a.domain)
-
-
-def diag_part(a: RationalMatrix) -> RationalMatrix:
-    """Diagonal entries of a square matrix, off-diagonal entries zeroed."""
-    if a.rows != a.cols:
-        raise NotSquare("diag extraction needs a square matrix")
-    z = RationalFunction.const(0.0)
-    return RationalMatrix(
-        [
-            [a.entries[i][j] if i == j else z for j in range(a.cols)]
-            for i in range(a.rows)
-        ],
-        a.domain,
-    )
 
 
 def probe_points(domain: StabilityDomain, count: int = 20, avoid=()) -> list[complex]:

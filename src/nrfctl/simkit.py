@@ -34,7 +34,6 @@ from .ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
-    invert,
 )
 from . import dimpl
 from . import sstate
@@ -283,18 +282,25 @@ def build_grid5_plant() -> StateSpace:
     return build_network_plant(grid5_incidence())
 
 
-def grid5_tfm() -> RationalMatrix:
-    """The demo network's transfer matrix (z-1)^-1 U^-1 with U = I - Phi_G B."""
+def _grid5_coupling() -> tuple[RationalMatrix, RationalMatrix]:
+    """U = I - C and U^-1 = I + C + C^2, C the lag 0.2/(z-0.8) on every edge.
+
+    The network has no cycle and its longest path has two edges, so C^3 = 0
+    and the series for U^-1 stops there.
+    """
     D = StabilityDomain.DISCRETE
     phi_g = RationalFunction(Polynomial([0.2]), Polynomial([-0.8, 1.0]))
-    gam_g = RationalFunction(Polynomial([1.0]), Polynomial([-1.0, 1.0]))
     zero = RationalFunction.const(0.0)
     inc = grid5_incidence()
-    coupling = RationalMatrix(
-        [[phi_g if inc[i, j] else zero for j in range(5)] for i in range(5)], D
-    )
-    U = RationalMatrix.identity(5, D) - coupling
-    return RationalMatrix.scalar(gam_g, 5, D) @ invert(U)
+    C = RationalMatrix([[phi_g if inc[i, j] else zero for j in range(5)] for i in range(5)], D)
+    eye = RationalMatrix.identity(5, D)
+    return eye - C, eye + C + C @ C
+
+
+def grid5_tfm() -> RationalMatrix:
+    """The demo network's transfer matrix (z-1)^-1 U^-1 with U = I - Phi_G B."""
+    gam_g = RationalFunction(Polynomial([1.0]), Polynomial([-1.0, 1.0]))
+    return RationalMatrix.scalar(gam_g, 5, StabilityDomain.DISCRETE) @ _grid5_coupling()[1]
 
 
 def grid5_dcf():
@@ -307,14 +313,7 @@ def grid5_dcf():
 
     D = StabilityDomain.DISCRETE
     rf = lambda n, d: RationalFunction(Polynomial(n), Polynomial(d))
-    phi_g = rf([0.2], [-0.8, 1.0])
-    zero = RationalFunction.const(0.0)
-    inc = grid5_incidence()
-    coupling = RationalMatrix(
-        [[phi_g if inc[i, j] else zero for j in range(5)] for i in range(5)], D
-    )
-    U = RationalMatrix.identity(5, D) - coupling
-    Uinv = invert(U)
+    U, Uinv = _grid5_coupling()
     sc = lambda r: RationalMatrix.scalar(r, 5, D)
     zm1 = rf([-1.0, 1.0], [-0.5, 1.0])  # (z-1)/(z-0.5)
     quarter = rf([0.25], [-0.5, 1.0])

@@ -99,6 +99,17 @@ class StateSpace:
         """Continuous-time response at s = infinity: the feedthrough D."""
         return self.D
 
+    def select(self, rows, cols) -> "StateSpace":
+        """The map from the inputs ``cols`` to the outputs ``rows`` (index
+        sequences, repeats allowed), on the same state."""
+        rows, cols = list(rows), list(cols)
+        return StateSpace(
+            self.A, self.B[:, cols], self.C[rows], self.D[np.ix_(rows, cols)], self.domain
+        )
+
+    def __neg__(self) -> "StateSpace":
+        return StateSpace(self.A, self.B, -self.C, -self.D, self.domain)
+
     def transformed(self, T: np.ndarray) -> "StateSpace":
         """Similarity transform by an orthogonal T (x = T xi)."""
         return StateSpace(T.T @ self.A @ T, T.T @ self.B, self.C @ T, self.D, self.domain)
@@ -229,6 +240,14 @@ def parallel(left: StateSpace, right: StateSpace) -> StateSpace:
         _block_diag([left.A, right.A]), np.vstack([left.B, right.B]),
         np.hstack([left.C, right.C]), left.D + right.D, left.domain,
     )
+
+
+def diagonal(entries) -> StateSpace:
+    """diag(e_1, ..., e_k) of single-input single-output systems, each entry on
+    the state of its own ``minimal`` realization."""
+    entries = [minimal(e) for e in entries]
+    blocks = lambda name: _block_diag([getattr(e, name) for e in entries])
+    return StateSpace(blocks("A"), blocks("B"), blocks("C"), blocks("D"), entries[0].domain)
 
 
 def left_quotient(sys: StateSpace, cols) -> StateSpace:
@@ -479,9 +498,7 @@ def ss_to_tf(sys: StateSpace) -> RationalMatrix:
     """
     rows = []
     for i in range(sys.n_outputs):
-        staired, k_obs, T = obsv_staircase(
-            StateSpace(sys.A, sys.B, sys.C[[i], :], sys.D[[i], :], sys.domain)
-        )
+        staired, k_obs, T = obsv_staircase(sys.select([i], range(sys.n_inputs)))
         row = []
         for j in range(sys.n_inputs):
             # one column at a time, as minimal forms it: a product with all

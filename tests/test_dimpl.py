@@ -4,11 +4,14 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfctl import dimpl, factor, nrfsyn, simkit, sstate
 from nrfctl.errors import (
     InconsistentDimensions,
     InvariantViolation,
+    NrfError,
     SingularCoupling,
 )
 from nrfctl.nrfsyn import NrfPair
@@ -142,6 +145,30 @@ def test_numerically_factored_grid5_realizes(grid5_plant, grid5_q):
     pair = nrfsyn.nrf_from_dcf(dcf, factor.youla_shift(dcf, grid5_q))
     ctrl = dimpl.assemble(dimpl.realize_rows(pair))
     assert dimpl.closed_loop_state_matrix(grid5_plant, ctrl).is_stable
+
+
+def _incidences(nodes):
+    """Receiver-by-sender adjacency without self-loops on the given node count."""
+    return st.lists(st.booleans(), min_size=nodes * nodes, max_size=nodes * nodes).map(
+        lambda bits: np.array(bits).reshape(nodes, nodes) & ~np.eye(nodes, dtype=bool)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(_incidences))
+def test_random_topologies_pass_or_raise_named_errors(incidence):
+    """Synthesis on a random network either passes every audit or stops at a
+    named NrfError (anything else, such as a bare LinAlgError, escapes and
+    fails the test), and the verdict of verify is the stability of A_CL."""
+    plant = simkit.build_network_plant(incidence)
+    n = incidence.shape[0]
+    try:
+        dcf = factor.dcf_from_ss(plant, *factor.place_gains(plant, factor.default_targets(plant.order, DISC)))
+        shift = factor.youla_shift(dcf, RationalMatrix.zeros(n, n, DISC))
+        report = dimpl.verify_internal_stability(nrfsyn.nrf_from_dcf(dcf, shift), plant)
+    except NrfError:
+        return
+    assert report.stable == report.loop.is_stable
 
 
 def test_internal_stability_flags_unstable_sensing():

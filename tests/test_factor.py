@@ -19,7 +19,6 @@ from nrfctl.errors import (
 )
 from nrfctl.factor import (
     closed_loop_maps,
-    controller_tfm,
     dcf_from_obj,
     dcf_from_ss,
     dcf_to_obj,
@@ -163,6 +162,60 @@ def test_plant_quotient_realization_matches_plant():
         assert np.max(np.abs(dcf.plant().eval(pt) - G.eval(pt))) < 1e-6
 
 
+def _bezout_blocks(dcf, pts):
+    """[Y X; -Nt Mt] and [M -Xt; N Yt] formed from the rational factors."""
+    f = {name: mat.eval_many(pts) for name, mat in dcf.factors().items()}
+    return (np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]]),
+            np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]]))
+
+
+def _numerically_factored_grid5(plant):
+    # README's `nrfctl dcf` targets
+    return dcf_from_ss(plant, *place_gains(plant, [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]))
+
+
+def _bezout_realization_case(name, platoon, grid5_plant, grid5_dcf):
+    """(plant, dcf) of a platoon size or of one of the two grid5 factorizations."""
+    if name == "grid5-closed-form":
+        return grid5_plant, grid5_dcf
+    if name == "grid5-numeric":
+        return grid5_plant, _numerically_factored_grid5(grid5_plant)
+    plant, dcf, _ = platoon(int(name))
+    return plant, dcf
+
+
+BEZOUT_CASES = [str(n) for n in range(2, 9)] + ["grid5-closed-form", "grid5-numeric"]
+
+
+@pytest.mark.parametrize("case", BEZOUT_CASES)
+def test_bezout_realizations_are_inverse(platoon, grid5_plant, grid5_dcf, case):
+    # left right = I on the realizations; from dcf_from_ss both have the
+    # plant order and the plant quotient read off left is the plant
+    plant, dcf = _bezout_realization_case(case, platoon, grid5_plant, grid5_dcf)
+    pts = probe_points(DISC, 20)
+    prod = dcf.left.eval_many(pts) @ dcf.right.eval_many(pts)
+    assert np.max(np.abs(prod - np.eye(prod.shape[1]))) <= 1e-12
+    assert np.max(np.abs(dcf.plant().eval_many(pts) - plant.eval_many(pts))) <= 1e-10
+    if case != "grid5-closed-form":
+        assert dcf.left.order == dcf.right.order == plant.order
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(c, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ss_to_tf's Leverrier-Faddeev recursion on the degree-14 entries of the "
+        "n = 8 Yt leaves the rational factor 5.1e-10 away from its exact realization",
+    )) if c == "8" else c
+    for c in BEZOUT_CASES
+])
+def test_bezout_realizations_match_rational_factors(platoon, grid5_plant, grid5_dcf, case):
+    _, dcf = _bezout_realization_case(case, platoon, grid5_plant, grid5_dcf)
+    pts = probe_points(DISC, 20)
+    left, right = _bezout_blocks(dcf, pts)
+    assert np.max(np.abs(dcf.left.eval_many(pts) - left)) <= 1e-10
+    assert np.max(np.abs(dcf.right.eval_many(pts) - right)) <= 1e-10
+
+
 def test_dcf_grid5_invariants(grid5_dcf):
     assert grid5_dcf.bezout_residual() < 1e-8
     for name in ("Y", "Yt", "M", "Mt"):
@@ -230,9 +283,16 @@ def test_youla_shift_dimension_guard(grid5_dcf):
         youla_shift(grid5_dcf, RationalMatrix.zeros(2, 2, DISC))
 
 
-def test_controller_quotients_agree(grid5_dcf, grid5_shift, grid5_pair):
-    K = controller_tfm(grid5_shift)
-    assert grid5_pair.reproduces(K)
+def test_controller_quotients_agree(grid5_shift, grid5_pair):
+    # K_Q = YQ^-1 XQ = XtQ YtQ^-1 pointwise, and the pair implements it
+    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(grid5_pair.Phi, grid5_pair.Gamma))
+    YQ, XQ, XtQ, YtQ = (f.eval_many(pts) for f in (
+        grid5_shift.YQ, grid5_shift.XQ, grid5_shift.XtQ, grid5_shift.YtQ))
+    K = np.linalg.solve(YQ, XQ)
+    K_right = np.swapaxes(np.linalg.solve(np.swapaxes(YtQ, 1, 2), np.swapaxes(XtQ, 1, 2)), 1, 2)
+    assert np.max(np.abs(K - K_right)) < 1e-8
+    Phi, Gamma = grid5_pair.Phi.eval_many(pts), grid5_pair.Gamma.eval_many(pts)
+    assert np.max(np.abs(np.linalg.solve(np.eye(5) - Phi, Gamma) - K)) < 1e-8
 
 
 def test_zero_q_reduces_to_central_controller(grid5_dcf):

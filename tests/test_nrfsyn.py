@@ -25,11 +25,9 @@ from nrfctl.ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
-    diag_part,
     probe_points,
-    ratmat_to_obj,
 )
-from nrfctl.sstate import StateSpace, match_multisets
+from nrfctl.sstate import StateSpace, match_multisets, tfm_to_ss
 from nrfctl import simkit
 
 DISC = StabilityDomain.DISCRETE
@@ -88,10 +86,10 @@ def test_nrf_from_dcf_on_platoon(platoon, n):
     plant, dcf, shift = platoon(n)
     pair = nrf_from_dcf(dcf, shift)
     # loop sensitivity (I - Phi + Gamma G) M Omega = I, as the audit forms it
-    omega = diag_part(shift.YQ)
-    mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt, omega)
+    mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt)
     pts = probe_points(DISC, 20, avoid=factor._pole_cloud(*mats))
-    Phi, Gamma, M, Mt, Nt, Om = (mat.eval_many(pts) for mat in mats)
+    Phi, Gamma, M, Mt, Nt = (mat.eval_many(pts) for mat in mats)
+    Om = shift.YQ.eval_many(pts) * np.eye(n)
     S = np.eye(n) - Phi + Gamma @ np.linalg.solve(Mt, Nt)
     assert np.max(np.abs(S @ M @ Om - np.eye(n))) <= 1e-12
     assert all(sys.order <= plant.order for sys in pair.row_systems)
@@ -107,9 +105,16 @@ def test_row_systems_match_the_pair(grid5_pair):
         assert np.max(np.abs(sys.eval_many(pts)[:, 0, :] - want[:, i, :])) <= 1e-12
 
 
+def _controller(shift, pts):
+    """K_Q = YQ^-1 XQ at each point."""
+    return np.linalg.solve(shift.YQ.eval_many(pts), shift.XQ.eval_many(pts))
+
+
 def test_nrf_reproduces_controller(grid5_pair, grid5_shift):
-    K = factor.controller_tfm(grid5_shift)
-    assert grid5_pair.reproduces(K)
+    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(grid5_pair.Phi, grid5_pair.Gamma))
+    Phi, Gamma = grid5_pair.Phi.eval_many(pts), grid5_pair.Gamma.eval_many(pts)
+    K = np.linalg.solve(np.eye(5) - Phi, Gamma)
+    assert np.max(np.abs(K - _controller(grid5_shift, pts))) < 1e-8
 
 
 def test_left_factorization_scaling():
@@ -118,7 +123,7 @@ def test_left_factorization_scaling():
     g = RationalFunction(Polynomial([0.5]), Polynomial([-0.3, 1.0]))
     R = RationalMatrix([[f, g], [g, f]], DISC)
     P = RationalMatrix.identity(2, DISC)
-    pair = nrf_from_left_factorization(R, P)
+    pair = nrf_from_left_factorization(tfm_to_ss(R.hstack(P)))
     z = 1.7 + 0.4j
     assert abs(pair.Phi.entry(0, 1)(z) + g(z) / f(z)) < 1e-10
     assert abs(pair.Gamma.entry(0, 0)(z) - 1.0 / f(z)) < 1e-10
@@ -129,7 +134,7 @@ def test_left_factorization_rejects_strictly_proper_diagonal():
     g = RationalFunction(Polynomial([0.5]), Polynomial([-0.3, 1.0]))
     R = RationalMatrix([[g]], DISC)
     with pytest.raises(SingularDiagonal):
-        nrf_from_left_factorization(R, RationalMatrix.identity(1, DISC))
+        nrf_from_left_factorization(tfm_to_ss(R.hstack(RationalMatrix.identity(1, DISC))))
 
 
 def test_sparsity_correspondence_grid5(grid5_pair, grid5_shift):
@@ -193,19 +198,35 @@ def test_mr3_flags_grid5_integrators(grid5_dcf, grid5_shift):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mr3_finds_every_platoon_integrator(platoon, n):
-    _, dcf, shift = platoon(n)
-    poles = mr3_certificate(dcf, shift).unstable_poles_found
+    plant, dcf, shift = platoon(n)
+    cert = mr3_certificate(dcf, shift)
+    poles = cert.unstable_poles_found
     assert len(poles) == n
     assert all(abs(p - 1.0) <= 1e-6 for p in poles)
+    # G, N and Y_Q each on a realization of the plant order (Q = 0)
+    assert cert.witness_map.order <= 3 * plant.order
 
 
 @pytest.mark.parametrize("mode", ["mr2", "mr3"])
-def test_certificate_omega_is_the_product_diagonal(grid5_dcf, grid5_shift, mode):
+def test_certificate_omega_is_the_product_diagonal(grid5_dcf, grid5_q, grid5_shift, mode):
+    # against the rational factors, shifted and multiplied pointwise
+    pts = probe_points(DISC, 7)
+    Y, Nt, Mt, M, N, Yt = (getattr(grid5_dcf, name).eval_many(pts)
+                           for name in ("Y", "Nt", "Mt", "M", "N", "Yt"))
+    Q = grid5_q.eval_many(pts)
     if mode == "mr2":
-        cert, product = mr2_certificate(grid5_dcf, grid5_shift), grid5_dcf.M @ grid5_shift.YQ
+        cert, product = mr2_certificate(grid5_dcf, grid5_shift), M @ (Y - Q @ Nt)
     else:
-        cert, product = mr3_certificate(grid5_dcf, grid5_shift), grid5_shift.YtQ @ grid5_dcf.Mt
-    assert ratmat_to_obj(cert.Omega) == ratmat_to_obj(diag_part(product))
+        cert, product = mr3_certificate(grid5_dcf, grid5_shift), (Yt - N @ Q) @ Mt
+    assert np.max(np.abs(cert.Omega.eval_many(pts) - product * np.eye(5))) <= 1e-12
+
+
+def test_identically_zero_omega_entry_is_singular():
+    lag = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
+    zero = StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.0]], DISC)
+    assert nrfsyn._omega(lag, lag, "lag").order == 2
+    with pytest.raises(SingularDiagonal):
+        nrfsyn._omega(zero, lag, "zero")
 
 
 def test_mr3_empty_for_stable_plant():
@@ -221,13 +242,11 @@ def test_mr3_empty_for_stable_plant():
 
 def test_sls_like_rep_eliminates_to_controller(grid5_dcf, grid5_shift):
     beta_phi, beta_gamma, u_beta, u_z = sls_like_rep(grid5_dcf, grid5_shift)
-    K = factor.controller_tfm(grid5_shift)
-    from nrfctl.ratmat import invert
-
-    eye = RationalMatrix.identity(5, DISC)
-    recov = u_beta @ invert(eye - beta_phi) @ beta_gamma + u_z
-    for pt in probe_points(DISC, 6):
-        assert np.max(np.abs(recov.eval(pt) - K.eval(pt))) < 1e-8
+    mats = (beta_phi, beta_gamma, u_beta, u_z)
+    pts = probe_points(DISC, 6, avoid=factor._pole_cloud(*mats))
+    b_phi, b_gamma, u_b, u_zz = (mat.eval_many(pts) for mat in mats)
+    recov = u_b @ np.linalg.solve(np.eye(5) - b_phi, b_gamma) + u_zz
+    assert np.max(np.abs(recov - _controller(grid5_shift, pts))) < 1e-8
 
 
 def test_nrf_json_roundtrip(tmp_path, grid5_pair):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from nrfctl.errors import (
     DivisionByZeroFunction,
     EvaluationAtPole,
-    NotSquare,
-    SingularMatrix,
 )
 from nrfctl.ratmat import (
     Polynomial,
@@ -17,7 +15,6 @@ from nrfctl.ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
-    invert,
     load_ratmat,
     probe_points,
     ratmat_from_obj,
@@ -92,10 +89,11 @@ def _entrywise(mat, points):
     ).reshape(len(points), mat.rows, mat.cols)
 
 
-def test_eval_many_matches_entrywise_on_grid5_table(grid5_dcf, grid5_shift):
+def test_eval_many_matches_entrywise_on_grid5_table(grid5_dcf, grid5_q):
     # the (y, u, z, v) x (r, w, nu) Youla table, formed symbolically
     eye = RationalMatrix.identity(5, DISC)
-    N, M, XQ, YQ = grid5_dcf.N, grid5_dcf.M, grid5_shift.XQ, grid5_shift.YQ
+    N, M = grid5_dcf.N, grid5_dcf.M
+    XQ, YQ = grid5_dcf.X + grid5_q @ grid5_dcf.Mt, grid5_dcf.Y - grid5_q @ grid5_dcf.Nt
     NX, NY, MX, MY = N @ XQ, N @ YQ, M @ XQ, M @ YQ
     blocks = [[NX, NY, eye - NX], [MX, MY - eye, -MX], [eye - NX, -NY, NX - eye], [MX, MY, -MX]]
     rows = [r.hstack(w).hstack(nu) for r, w, nu in blocks]
@@ -156,7 +154,7 @@ def test_eval_many_names_first_pole_in_point_order():
 def test_reciprocal_and_properness():
     f = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([3.0, 1.0]))
     assert f.is_proper and not f.is_strictly_proper
-    g = f.reciprocal()
+    g = RationalFunction(f.den, f.num)
     assert abs(f(2.0) * g(2.0) - 1.0) < 1e-12
     assert lag(1.0, 0.5).is_strictly_proper
 
@@ -190,23 +188,6 @@ def test_matmul_matches_eval():
     P = A @ B
     z = 2.0 + 1.0j
     assert np.allclose(P.eval(z), A.eval(z) @ B.eval(z))
-
-
-def test_invert_identity_roundtrip():
-    A = RationalMatrix(
-        [[RationalFunction.const(1.0), lag(0.5, 0.3)], [lag(-0.2, 0.7), RationalFunction.const(1.0)]],
-        DISC,
-    )
-    Ainv = invert(A)
-    z = 1.5 - 0.8j
-    assert np.allclose(Ainv.eval(z) @ A.eval(z), np.eye(2), atol=1e-9)
-
-
-def test_invert_rejects_singular_and_nonsquare():
-    with pytest.raises(NotSquare):
-        invert(RationalMatrix.zeros(1, 2, DISC))
-    with pytest.raises(SingularMatrix):
-        invert(RationalMatrix.zeros(2, 2, DISC))
 
 
 def test_unstable_poles_by_domain():
