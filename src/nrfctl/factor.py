@@ -52,6 +52,7 @@ from .sstate import (
     is_stabilizable,
     left_quotient,
     match_multisets,
+    minimal,
     parallel,
     series,
     ss_to_tf,
@@ -107,7 +108,8 @@ class DoublyCoprime:
     Mt, Nt, Xt, Yt hold the left-factor family (the tilde quantities); G is
     recovered as Mt^-1 Nt = N M^-1.  ``left`` and ``right`` realize the
     Bézout matrices [Y X; -Nt Mt] and [M -Xt; N Yt]; factors given only as
-    rational matrices realize them with ``tfm_to_ss`` on first use.
+    rational matrices realize the left one with ``tfm_to_ss`` on first use
+    and the right one as its inverse.
     """
 
     __slots__ = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt", "_left", "_right")
@@ -164,8 +166,12 @@ class DoublyCoprime:
 
     @property
     def right(self) -> StateSpace:
+        """[M -Xt; N Yt] = left^-1 on left's state, (A - B D^-1 C, B D^-1,
+        -D^-1 C, D^-1); ``validate`` ties the rational right factors to it."""
         if self._right is None:
-            self._right = tfm_to_ss(self.M.hstack(-self.Xt).vstack(self.N.hstack(self.Yt)))
+            L = self.left
+            Di = np.linalg.inv(L.D)
+            self._right = minimal(StateSpace(L.A - L.B @ Di @ L.C, L.B @ Di, -Di @ L.C, Di, L.domain))
         return self._right
 
     def plant(self) -> StateSpace:
@@ -179,8 +185,9 @@ class DoublyCoprime:
         """Check every structural invariant; raise with the violated one named.
 
         A factor is stable exactly when every entry is, so stability is read
-        off the roots of each distinct entry denominator (entries come reduced
-        from their constructors); no realization of the factor is needed.
+        off the roots of each distinct entry denominator (``ss_to_tf`` writes
+        reduced entries; a common factor in a JSON entry counts as a pole);
+        no realization of the factor is needed.
         The same roots are the pole cloud both probe sets keep clear of.
         """
         factors = self.factors()

@@ -2,9 +2,10 @@
 
 Polynomials are stored with ascending real coefficients, so ``(c0, c1, c2)``
 means ``c0 + c1*x + c2*x**2``.  Rational functions keep a monic denominator
-and cancel shared numerator/denominator roots (companion-matrix roots, greedy
-nearest matching within an absolute tolerance).  Matrices carry a stability
-domain tag so that discrete and continuous objects never mix silently.
+and never cancel: a common factor stays until a realization removes it
+(``sstate.tfm_to_ss``, ``minimal`` and ``ss_to_tf`` decide it by staircase
+rank).  Matrices carry a stability domain tag so that discrete and continuous
+objects never mix silently.
 
 Pole computations for whole matrices live in the state-space layer
 (``sstate.tfm_unstable_poles``), which is the only reliable way to get
@@ -26,7 +27,7 @@ from .errors import (
     EvaluationAtPole,
     NotSquare,
 )
-from .tolerances import CANCEL_TOL, COEFF_ZERO_REL
+from .tolerances import COEFF_ZERO_REL
 
 
 class StabilityDomain(enum.Enum):
@@ -129,113 +130,12 @@ class Polynomial:
         return f"Polynomial({self.coeffs})"
 
 
-# A computed root of multiplicity m carries an error of roughly eps**(1/m), so
-# repeated roots blur far past CANCEL_TOL.  Pairs inside this looser radius are
-# re-examined through a state-space minimal realization, which decides true
-# cancellation by subspace rank instead of eigenvalue proximity.
-LOOSE_CANCEL_TOL = 5e-3
-
-_in_minreal = False
-
-
-def _minreal_reduce(num: Polynomial, den: Polynomial):
-    """Reduce num/den through an SVD-staircase minimal realization.
-
-    Returns ``(num, den)`` with true common factors removed, or ``None`` when
-    re-entered from inside its own machinery.
-    """
-    global _in_minreal
-    if _in_minreal:
-        return None
-    _in_minreal = True
-    try:
-        from . import sstate
-
-        # split off the polynomial part so the companion form applies
-        quot = np.zeros(1)
-        rem = np.asarray(num.coeffs[::-1], dtype=float)
-        dend = np.asarray(den.coeffs[::-1], dtype=float)
-        if num.degree > den.degree:
-            quot, rem = np.polydiv(rem, dend)
-        strict = Polynomial(rem[::-1])
-        dmon = den.scaled(1.0 / den.lead)
-        n = int(dmon.degree)
-        gain = 0.0
-        if strict.degree == n:
-            gain = strict.lead / dmon.lead
-            strict = strict - dmon.scaled(gain)
-        A = np.zeros((n, n))
-        for i in range(1, n):
-            A[i, i - 1] = 1.0
-        A[:, n - 1] = -np.asarray(dmon.coeffs[:-1], dtype=float)
-        B = np.zeros((n, 1))
-        sc = strict.coeffs
-        B[: len(sc), 0] = sc
-        C = np.zeros((1, n))
-        C[0, n - 1] = 1.0
-        sys = sstate.minimal(
-            sstate.StateSpace(A, B, C, [[gain]], StabilityDomain.DISCRETE)
-        )
-        if sys.order == n:
-            # nothing cancelled; keep the exact coefficients rather than
-            # paying the reconstruction roundoff for nothing
-            return num, den
-        red = sstate._faddeev_tf(sys.A, sys.B[:, 0], sys.C[0, :], float(sys.D[0, 0]))
-        # the companion form realized rem/dmon = den.lead * rem/den, undo that
-        new_num = red.num.scaled(1.0 / den.lead)
-        new_den = red.den
-        if quot.size > 1 or quot[0] != 0.0:
-            new_num = new_num + new_den * Polynomial(quot[::-1])
-        return new_num, new_den
-    finally:
-        _in_minreal = False
-
-
-def _greedy_cancel(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Cancel shared numerator/denominator roots.
-
-    Exact matches (within CANCEL_TOL) cancel by greedy nearest pairing.  If
-    looser near-pairs remain, a repeated root has probably blurred, and the
-    pair is handed to the minimal-realization reducer.
-    """
-    rn = num.roots()
-    rd = den.roots()
-    if rn.size == 0 or rd.size == 0:
-        return num, den
-    dist = np.abs(rn[:, None] - rd[None, :])
-    if dist.min() > LOOSE_CANCEL_TOL:
-        return num, den
-    fuzzy = (dist > CANCEL_TOL) & (dist <= LOOSE_CANCEL_TOL)
-    if fuzzy.any():
-        out = _minreal_reduce(num, den)
-        if out is not None:
-            return out
-    # crisp pairs only: greedy disjoint nearest matching
-    pairs = sorted(
-        (dist[i, j], i, j)
-        for i in range(rn.size)
-        for j in range(rd.size)
-        if dist[i, j] <= CANCEL_TOL
-    )
-    if not pairs:
-        return num, den
-    used_n: set[int] = set()
-    used_d: set[int] = set()
-    for _, i, j in pairs:
-        if i in used_n or j in used_d:
-            continue
-        used_n.add(i)
-        used_d.add(j)
-    keep_n = [r for i, r in enumerate(rn) if i not in used_n]
-    keep_d = [s for j, s in enumerate(rd) if j not in used_d]
-    return (
-        Polynomial.from_roots(keep_n, num.lead),
-        Polynomial.from_roots(keep_d, den.lead),
-    )
-
-
 class RationalFunction:
-    """Quotient of two real polynomials, kept reduced with a monic denominator."""
+    """Quotient of two real polynomials with a monic denominator.
+
+    Sums and products keep every factor of their operands; nothing is
+    cancelled here.
+    """
 
     __slots__ = ("num", "den")
 
@@ -248,7 +148,6 @@ class RationalFunction:
             self.num = Polynomial.zero()
             self.den = Polynomial.one()
             return
-        n, d = _greedy_cancel(n, d)
         lead = d.lead
         self.num = n.scaled(1.0 / lead)
         self.den = d.scaled(1.0 / lead)
@@ -307,10 +206,7 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if self.is_zero or other.is_zero:
             return RationalFunction.const(0.0)
-        # cross-cancel first so the product root problems stay small
-        a_num, b_den = _greedy_cancel(self.num, other.den)
-        b_num, a_den = _greedy_cancel(other.num, self.den)
-        return RationalFunction(a_num * b_num, a_den * b_den)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num.coeffs}, {self.den.coeffs})"

@@ -283,10 +283,12 @@ def build_grid5_plant() -> StateSpace:
 
 
 def _grid5_coupling() -> tuple[RationalMatrix, RationalMatrix]:
-    """U = I - C and U^-1 = I + C + C^2, C the lag 0.2/(z-0.8) on every edge.
+    """U = I - C and U^-1 = I + C + C^2, C the lag phi = 0.2/(z-0.8) on every edge.
 
     The network has no cycle and its longest path has two edges, so C^3 = 0
-    and the series for U^-1 stops there.
+    and the series for U^-1 stops there.  The one two-edge path, 1 -> 2 -> 3,
+    joins nodes that an edge joins too, so C^2 adds to a single entry:
+    U^-1(3,1) = phi + phi^2, written reduced as 0.2 (z - 0.6)/(z - 0.8)^2.
     """
     D = StabilityDomain.DISCRETE
     phi_g = RationalFunction(Polynomial([0.2]), Polynomial([-0.8, 1.0]))
@@ -294,7 +296,9 @@ def _grid5_coupling() -> tuple[RationalMatrix, RationalMatrix]:
     inc = grid5_incidence()
     C = RationalMatrix([[phi_g if inc[i, j] else zero for j in range(5)] for i in range(5)], D)
     eye = RationalMatrix.identity(5, D)
-    return eye - C, eye + C + C @ C
+    inv = [list(row) for row in (eye + C).entries]
+    inv[2][0] = RationalFunction(Polynomial([-0.12, 0.2]), phi_g.den * phi_g.den)
+    return eye - C, RationalMatrix(inv, D)
 
 
 def grid5_tfm() -> RationalMatrix:

@@ -175,11 +175,15 @@ def _numerically_factored_grid5(plant):
 
 
 def _bezout_realization_case(name, platoon, grid5_plant, grid5_dcf):
-    """(plant, dcf) of a platoon size or of one of the two grid5 factorizations."""
+    """(plant, dcf) of a platoon size, of its JSON round trip ("json-n"), or
+    of one of the two grid5 factorizations."""
     if name == "grid5-closed-form":
         return grid5_plant, grid5_dcf
     if name == "grid5-numeric":
         return grid5_plant, _numerically_factored_grid5(grid5_plant)
+    if name.startswith("json-"):
+        plant, dcf, _ = platoon(int(name[5:]))
+        return plant, dcf_from_obj(dcf_to_obj(dcf))
     plant, dcf, _ = platoon(int(name))
     return plant, dcf
 
@@ -187,10 +191,12 @@ def _bezout_realization_case(name, platoon, grid5_plant, grid5_dcf):
 BEZOUT_CASES = [str(n) for n in range(2, 9)] + ["grid5-closed-form", "grid5-numeric"]
 
 
-@pytest.mark.parametrize("case", BEZOUT_CASES)
+@pytest.mark.parametrize("case", BEZOUT_CASES + [f"json-{n}" for n in range(2, 9)])
 def test_bezout_realizations_are_inverse(platoon, grid5_plant, grid5_dcf, case):
-    # left right = I on the realizations; from dcf_from_ss both have the
-    # plant order and the plant quotient read off left is the plant
+    # left right = I on the realizations; from dcf_from_ss, and from its JSON
+    # round trip (left realized from the rational factors, right as its
+    # inverse), both have the plant order and the plant quotient read off
+    # left is the plant
     plant, dcf = _bezout_realization_case(case, platoon, grid5_plant, grid5_dcf)
     pts = probe_points(DISC, 20)
     prod = dcf.left.eval_many(pts) @ dcf.right.eval_many(pts)

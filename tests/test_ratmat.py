@@ -15,13 +15,14 @@ from nrfctl.ratmat import (
     RationalMatrix,
     SparsityPattern,
     StabilityDomain,
+    _point_blocks,
     load_ratmat,
     probe_points,
     ratmat_from_obj,
     ratmat_to_obj,
     save_ratmat,
 )
-from nrfctl.sstate import tfm_unstable_poles
+from nrfctl.sstate import tfm_to_ss, tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -62,12 +63,15 @@ def test_from_roots_conjugation_guard():
 
 
 def test_reduction_cancels_common_root():
-    # (z-1)(z-2) / (z-1)(z-3) -> (z-2)/(z-3)
+    # (z-1)(z-2) / (z-1)(z-3): the constructor keeps the common root, and
+    # realization is where it leaves, as (z-2)/(z-3)
     num = Polynomial.from_roots([1.0, 2.0])
     den = Polynomial.from_roots([1.0, 3.0])
     f = RationalFunction(num, den)
-    assert f.den.degree == 1
-    assert abs(f(5.0) - 3.0 / 2.0) < 1e-12
+    assert f.den.degree == 2
+    sys = tfm_to_ss(RationalMatrix([[f]], DISC))
+    assert sys.order == 1
+    assert abs(sys.eval(5.0)[0, 0] - 3.0 / 2.0) < 1e-12
 
 
 def test_zero_denominator_rejected():
@@ -89,21 +93,6 @@ def _entrywise(mat, points):
     ).reshape(len(points), mat.rows, mat.cols)
 
 
-def test_eval_many_matches_entrywise_on_grid5_table(grid5_dcf, grid5_q):
-    # the (y, u, z, v) x (r, w, nu) Youla table, formed symbolically
-    eye = RationalMatrix.identity(5, DISC)
-    N, M = grid5_dcf.N, grid5_dcf.M
-    XQ, YQ = grid5_dcf.X + grid5_q @ grid5_dcf.Mt, grid5_dcf.Y - grid5_q @ grid5_dcf.Nt
-    NX, NY, MX, MY = N @ XQ, N @ YQ, M @ XQ, M @ YQ
-    blocks = [[NX, NY, eye - NX], [MX, MY - eye, -MX], [eye - NX, -NY, NX - eye], [MX, MY, -MX]]
-    rows = [r.hstack(w).hstack(nu) for r, w, nu in blocks]
-    table = rows[0].vstack(rows[1]).vstack(rows[2]).vstack(rows[3])
-    points = np.exp(1j * np.pi * np.arange(257) / 256)
-    got = table.eval_many(points)
-    assert got.shape == (257, 20, 15)
-    np.testing.assert_allclose(got, _entrywise(table, points), rtol=1e-13, atol=0.0)
-
-
 def test_eval_many_matches_entrywise_on_mixed_entries():
     rng = np.random.default_rng(5)
 
@@ -123,7 +112,8 @@ def test_eval_many_matches_entrywise_on_mixed_entries():
          lag(0.3, -0.4), RationalFunction(Polynomial(rng.normal(size=2)), stable_den(2))],
     ]
     mat = RationalMatrix(entries, DISC)
-    points = probe_points(DISC, 20) + list(np.exp(1j * rng.uniform(0, 2 * np.pi, 13)))
+    points = probe_points(DISC, 20) + list(np.exp(1j * rng.uniform(0, 2 * np.pi, 1980)))
+    assert len(_point_blocks(len(points), mat.rows * mat.cols)) > 1
     got = mat.eval_many(points)
     np.testing.assert_allclose(got, _entrywise(mat, points), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(mat.eval(points[3]), got[3], rtol=1e-15, atol=0.0)

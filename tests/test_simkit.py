@@ -71,6 +71,19 @@ def test_grid5_incidence_edges():
     assert got == want
 
 
+def test_grid5_closed_forms_are_reduced(grid5_tfm, grid5_dcf):
+    # every entry is written over its least denominator, so realizing it
+    # removes nothing; the closed forms need no cancellation code
+    for mat in (grid5_tfm, *grid5_dcf.factors().values()):
+        for row in mat.entries:
+            for e in row:
+                assert e.den.degree == tfm_to_ss(RationalMatrix([[e]], DISC)).order
+    # Nt(3,1) = (phi + phi^2)/(z - 0.5) = 0.2 (z - 0.6)/((z - 0.8)^2 (z - 0.5))
+    e = grid5_dcf.Nt.entry(2, 0)
+    assert e.num.coeffs == (-0.12, 0.2)
+    np.testing.assert_allclose(e.den.coeffs, [-0.32, 1.44, -2.1, 1.0], rtol=1e-15, atol=0.0)
+
+
 # --- simulation ---
 
 

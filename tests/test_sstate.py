@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nrfctl import simkit
 from nrfctl.errors import NotProper
 from nrfctl.factor import place_gains
+from nrfctl.nrfsyn import nrf_from_dcf
 from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
 from nrfctl.sstate import (
     StateSpace,
@@ -129,6 +130,23 @@ def test_ss_to_tf_row_staircase_is_exact_on_random_mimo():
     got = ss_to_tf(sys)
     assert _coeffs(got) == _entrywise_tf(sys)
     assert got.entry(1, 0).den.degree == 1
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ss_to_tf_degrees_are_staircase_orders_on_platoon(platoon, n):
+    # the staircase is the one place common factors leave: every nonzero
+    # entry read off the Bézout realizations and the NRF rows has the
+    # degree of its own minimal realization (a zero entry is exempt: its
+    # numerator can fall under COEFF_ZERO_REL while the staircase keeps states)
+    _, dcf, shift = platoon(n)
+    systems = [dcf.left, dcf.right, *nrf_from_dcf(dcf, shift).row_systems]
+    for sys in systems:
+        tf = ss_to_tf(sys)
+        for i in range(tf.rows):
+            for j in range(tf.cols):
+                e = tf.entry(i, j)
+                if not e.is_zero:
+                    assert e.den.degree == minimal(sys.select([i], [j])).order, (i, j)
 
 
 def test_left_quotient_divides_by_its_columns():
