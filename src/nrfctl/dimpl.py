@@ -3,11 +3,11 @@
 The controller u = Phi u + Gamma z is realized one row (or block of rows) at a
 time: each block is a minimal realization of the row systems the pair carries
 (the state-space quotients ``nrfsyn`` formed them as, or each row's own entry
-by entry realization for a pair read from JSON), so node i only ever stores
-the dynamics its own control law needs.  Assembly stacks the rows into a
-block-diagonal state matrix, and the loop with the plant closes through a
-static coupling matrix whose invertibility is certified by a Schur complement
-before the closed-loop realization is formed.
+by entry realization for a pair read from JSON), checked against those row
+systems, so node i only ever stores the dynamics its own control law needs.
+Assembly stacks the rows into a block-diagonal state matrix, and the loop
+with the plant closes through a static coupling matrix whose invertibility is
+certified by a Schur complement before the closed-loop realization is formed.
 
 That realization is the one place a loop is closed: every stability verdict
 reads it, and simulation steps it.  It maps every injection (reference,
@@ -33,7 +33,7 @@ from .errors import (
     InvariantViolation,
     SingularCoupling,
 )
-from .factor import _max_abs, _pole_cloud
+from .factor import _max_abs
 from .nrfsyn import NrfPair
 from .ratmat import RationalMatrix, StabilityDomain, probe_points
 from . import sstate
@@ -78,14 +78,23 @@ def _as_group(index) -> tuple[int, ...]:
     return tuple(int(i) for i in index)
 
 
+def _probe_match(got: np.ndarray, want: np.ndarray, rows):
+    worst = float(np.max(np.abs(got - want)))
+    if worst > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
+        raise InvariantViolation(
+            "row-probe-match", f"rows {rows}: realization disagrees with the row by {worst:.3e}"
+        )
+
+
 def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     """Per-row realizations of [Phi Gamma].
 
     The default grouping is one row per realization.  A grouping is a list of
     disjoint blocks of 1-based row numbers covering 1..m; each block is the
     minimal realization of its stacked row systems, which can share dynamics
-    between rows with common denominators.  Each block must match its rows of
-    [Phi Gamma] at probe points and pass the PBH audits.
+    between rows with common denominators.  Each block must match the row
+    systems it reduces at probe points and pass the PBH audits; the row
+    systems of a pair given as rational matrices must first match its rows.
     """
     m, p = pair.shape
     if grouping is None:
@@ -96,18 +105,14 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
         raise InconsistentDimensions(
             f"grouping {groups} is not a partition of rows 1..{m}"
         )
-    target = pair.Phi.hstack(pair.Gamma)
-    pts = probe_points(pair.domain, count=7, avoid=_pole_cloud(target))
-    values = target.eval_many(pts)
+    pts, values = pair.probe_rows(7)
+    if pair.given:
+        _probe_match(values, pair.Phi.hstack(pair.Gamma).eval_many(pts), tuple(range(1, m + 1)))
     out = []
     for g in groups:
-        sys = sstate.minimal(sstate.stack_outputs([pair.row_systems[i - 1] for i in g]))
-        want = values[:, [i - 1 for i in g], :]
-        worst = float(np.max(np.abs(sys.eval_many(pts) - want)))
-        if worst > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
-            raise InvariantViolation(
-                "row-probe-match", f"rows {g}: realization disagrees with the row by {worst:.3e}"
-            )
+        idx = [i - 1 for i in g]
+        sys = sstate.minimal(sstate.stack_outputs([pair.row_systems[i] for i in idx]))
+        _probe_match(sys.eval_many(pts), values[:, idx, :], g)
         if not sstate.is_stabilizable(sys):
             raise InvariantViolation("row-stabilizable", f"rows {g}")
         if not sstate.is_detectable(sys):

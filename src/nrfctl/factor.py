@@ -1,19 +1,18 @@
 """Doubly coprime factorizations and the Youla parameterization.
 
 Construction goes through a stabilizing state feedback F and observer gain L:
-with A_F = A + BF and A_L = A + LC both stable, the eight factors come out of
-the standard observer/state-feedback formulas, already normalized so that M,
-M̃, Y and Ỹ all have identity gain at infinity.  Identities between factors
-are checked by residuals at deterministic probe points rather than
-symbolically; at the degrees involved, evaluation bounds are decisive and
-coefficient-level comparison is brittle.
-
-The factors also come as two realizations of the Bézout matrices,
+with A_F = A + BF and A_L = A + LC both stable, the factorization is two
+realizations of the Bézout matrices,
 [Y X; -Nt Mt] = (A + LC, [-B L], [F; C], I) and
 [M -Xt; N Yt] = (A + BF, [B -L], [F; C], I) (Zhou, Doyle and Glover, 1996),
-each of the plant order.  The Youla shift is two series connections of these
-with Q, and the closed-loop table and every later stage read the shifted
-realizations; no factor is multiplied symbolically.
+each of the plant order and already normalized so that M, M̃, Y and Ỹ have
+identity gain at infinity.  Every check reads these realizations: stability
+from their eigenvalues, gains from their feedthrough, identities from their
+values at deterministic probe points.  The eight rational factors are views
+for JSON and printing, converted on first read.  The Youla shift is two
+series connections of the realizations with Q, and the closed-loop table and
+every later stage read the shifted realizations; no factor is multiplied
+symbolically.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from .ratmat import (
 )
 from .sstate import (
     StateSpace,
-    _invertibility,
-    _is_unstable,
     ctrb_staircase,
     diagonal,
     is_detectable,
@@ -62,25 +59,7 @@ from .sstate import (
 from .tolerances import POLE_MATCH_TOL, PROBE_TOL
 
 CROSS_CHECK_TOL = 1e-6
-
-
-def _den_roots(*mats: RationalMatrix) -> dict[tuple[float, ...], list[complex]]:
-    """Roots of every distinct entry denominator, keyed by its coefficients.
-
-    Entries share denominators, so each one is rooted once.
-    """
-    roots: dict[tuple[float, ...], list[complex]] = {}
-    for mat in mats:
-        for row in mat.entries:
-            for e in row:
-                if e.den.coeffs not in roots:
-                    roots[e.den.coeffs] = [complex(r) for r in e.den.roots()]
-    return roots
-
-
-def _pole_cloud(*mats: RationalMatrix) -> tuple[complex, ...]:
-    """Approximate pole locations of every entry, for probe-point avoidance."""
-    return tuple(r for rs in _den_roots(*mats).values() for r in rs)
+_FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
 def _first_failure(errs: np.ndarray, tol: float) -> int | None:
@@ -94,85 +73,86 @@ def _max_abs(vals: np.ndarray) -> np.ndarray:
     return np.max(np.abs(vals), axis=(1, 2))
 
 
-def _bezout_errors(Y, X, Nt, Mt, M, Xt, N, Yt) -> np.ndarray:
-    """Per-point deviation of [Y X; -Nt Mt] [M -Xt; N Yt] from identity,
-    each factor given as its (K, rows, cols) evaluation."""
-    left = np.block([[Y, X], [-Nt, Mt]])
-    right = np.block([[M, -Xt], [N, Yt]])
-    return _max_abs(left @ right - np.eye(left.shape[1]))
+def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, count: int = 20):
+    """Raise ``invariant`` unless left right = I at probe points; both maps are
+    stable, so the probes clear all their poles."""
+    pts = probe_points(left.domain, count)
+    errs = _max_abs(left.eval_many(pts) @ right.eval_many(pts) - np.eye(left.n_outputs))
+    k = _first_failure(errs, PROBE_TOL)
+    if k is not None:
+        raise InvariantViolation(invariant, f"residual {errs[k]:.3e}")
+
+
+def _view(name: str) -> property:
+    def read(self) -> RationalMatrix:
+        mat = self._factors[name]
+        if isinstance(mat, StateSpace):
+            mat = self._factors[name] = ss_to_tf(mat)
+        return mat
+
+    return property(read, doc=f"{name} as a rational matrix, converted on first read")
 
 
 class DoublyCoprime:
-    """Eight stable TFMs tied by the Bézout identity.
+    """Eight stable TFMs tied by the Bézout identity, stored as two realizations.
 
-    Mt, Nt, Xt, Yt hold the left-factor family (the tilde quantities); G is
-    recovered as Mt^-1 Nt = N M^-1.  ``left`` and ``right`` realize the
-    Bézout matrices [Y X; -Nt Mt] and [M -Xt; N Yt]; factors given only as
-    rational matrices realize the left one with ``tfm_to_ss`` on first use
-    and the right one as its inverse.
+    ``left`` and ``right`` realize the Bézout matrices [Y X; -Nt Mt] and
+    [M -Xt; N Yt]; every stage and every audit reads them.  Mt, Nt, Xt, Yt
+    hold the left-factor family (the tilde quantities); G is recovered as
+    Mt^-1 Nt = N M^-1.  The eight factors are rational views for JSON and
+    printing: a factor given as a rational matrix is kept verbatim, one given
+    as a realization goes through ``ss_to_tf`` on first read.  Given rational
+    factors are realized when the factorization is built, the left Bézout
+    matrix by ``tfm_to_ss`` and the right one as its inverse.
     """
 
-    __slots__ = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt", "_left", "_right")
+    __slots__ = ("left", "right", "shape", "_factors", "_given")
+
+    M, N, Mt, Nt, X, Y, Xt, Yt = (_view(name) for name in _FIELDS)
 
     def __init__(self, M, N, Mt, Nt, X, Y, Xt, Yt, left=None, right=None):
-        self.M, self.N, self.Mt, self.Nt = M, N, Mt, Nt
-        self.X, self.Y, self.Xt, self.Yt = X, Y, Xt, Yt
-        self._left, self._right = left, right
-        p, m = self.shape
-        checks = {
-            "M": (M, m, m), "N": (N, p, m), "Mt": (Mt, p, p), "Nt": (Nt, p, m),
-            "X": (X, m, p), "Y": (Y, m, m), "Xt": (Xt, m, p), "Yt": (Yt, p, p),
-        }
-        for name, (mat, r, c) in checks.items():
-            if (mat.rows, mat.cols) != (r, c):
-                raise DimensionMismatch(f"{name} must be {r}x{c}, got {mat.rows}x{mat.cols}")
-            if mat.domain is not self.domain:
-                raise DomainMismatch(f"{name} disagrees on the stability domain")
+        self._factors = dict(zip(_FIELDS, (M, N, Mt, Nt, X, Y, Xt, Yt)))
+        self._given = left is None
+        if left is None:
+            self.shape = p, m = N.rows, N.cols
+            dims = {"M": (m, m), "N": (p, m), "Mt": (p, p), "Nt": (p, m),
+                    "X": (m, p), "Y": (m, m), "Xt": (m, p), "Yt": (p, p)}
+            for name, (r, c) in dims.items():
+                mat = self._factors[name]
+                if (mat.rows, mat.cols) != (r, c):
+                    raise DimensionMismatch(f"{name} must be {r}x{c}, got {mat.rows}x{mat.cols}")
+                if mat.domain is not M.domain:
+                    raise DomainMismatch(f"{name} disagrees on the stability domain")
+                if not mat.is_proper:
+                    raise InvariantViolation("factor-proper", f"{name} has an improper entry")
+            left = tfm_to_ss(Y.hstack(X).vstack((-Nt).hstack(Mt)))
+            # left^-1 on left's state, (A - B D^-1 C, B D^-1, -D^-1 C, D^-1)
+            Di = np.linalg.inv(left.D)
+            right = minimal(StateSpace(left.A - left.B @ Di @ left.C, left.B @ Di, -Di @ left.C,
+                                       Di, left.domain))
+        else:
+            self.shape = N.D.shape
+        self.left, self.right = left, right
 
     @property
     def domain(self) -> StabilityDomain:
-        return self.M.domain
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(p, m) of the underlying plant."""
-        return self.N.rows, self.N.cols
+        return self.left.domain
 
     def factors(self) -> dict:
-        return {
-            "M": self.M, "N": self.N, "Mt": self.Mt, "Nt": self.Nt,
-            "X": self.X, "Y": self.Y, "Xt": self.Xt, "Yt": self.Yt,
-        }
+        return {name: getattr(self, name) for name in _FIELDS}
 
-    def bezout_residual(self, count: int = 20, avoid=None) -> float:
-        """Max deviation of the Bézout product from identity over probe points.
+    def bezout_residual(self, count: int = 20) -> float:
+        """Max deviation of the Bézout product of the eight rational factors
+        from identity over probe points.
 
         The factors are evaluated over all probe points and multiplied
-        numerically point by point; a symbolic product would square every
-        denominator degree for nothing.  ``avoid`` is the factors' pole
-        cloud when the caller has it already.
+        numerically point by point.  Stable factors need no probe avoidance.
         """
-        mats = (self.Y, self.X, self.Nt, self.Mt, self.M, self.Xt, self.N, self.Yt)
-        if avoid is None:
-            avoid = _pole_cloud(*mats)
-        pts = probe_points(self.domain, count, avoid=avoid)
-        return float(np.max(_bezout_errors(*(mat.eval_many(pts) for mat in mats)), initial=0.0))
-
-    @property
-    def left(self) -> StateSpace:
-        if self._left is None:
-            self._left = tfm_to_ss(self.Y.hstack(self.X).vstack((-self.Nt).hstack(self.Mt)))
-        return self._left
-
-    @property
-    def right(self) -> StateSpace:
-        """[M -Xt; N Yt] = left^-1 on left's state, (A - B D^-1 C, B D^-1,
-        -D^-1 C, D^-1); ``validate`` ties the rational right factors to it."""
-        if self._right is None:
-            L = self.left
-            Di = np.linalg.inv(L.D)
-            self._right = minimal(StateSpace(L.A - L.B @ Di @ L.C, L.B @ Di, -Di @ L.C, Di, L.domain))
-        return self._right
+        pts = probe_points(self.domain, count)
+        f = {name: mat.eval_many(pts) for name, mat in self.factors().items()}
+        left = np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]])
+        right = np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]])
+        return float(np.max(_max_abs(left @ right - np.eye(left.shape[1])), initial=0.0))
 
     def plant(self) -> StateSpace:
         """G = Mt^-1 Nt: minus the Nt columns of Mt^-1 [-Nt Mt], the lower rows
@@ -184,43 +164,44 @@ class DoublyCoprime:
     def validate(self, count: int = 20):
         """Check every structural invariant; raise with the violated one named.
 
-        A factor is stable exactly when every entry is, so stability is read
-        off the roots of each distinct entry denominator (``ss_to_tf`` writes
-        reduced entries; a common factor in a JSON entry counts as a pole);
-        no realization of the factor is needed.
-        The same roots are the pole cloud both probe sets keep clear of.
+        Every check reads the realizations.  Stability is read off their
+        eigenvalues (a given left factor is realized minimally, so a common
+        factor in a JSON entry cancels), the gains at infinity off the
+        diagonal blocks of their D, and the Bézout identity and the two plant
+        quotients off their values at probe points.  Given rational factors
+        also pass ``bezout_residual``, which ties the right ones to
+        ``right`` = ``left``^-1.
         """
-        factors = self.factors()
-        roots = _den_roots(*factors.values())
-        for name, mat in factors.items():
-            if not mat.is_proper:
-                raise InvariantViolation("factor-proper", f"{name} has an improper entry")
-            if any(_is_unstable(r, mat.domain) for row in mat.entries for e in row
-                   for r in roots[e.den.coeffs]):
-                raise InvariantViolation("factor-stable", f"{name} has unstable poles")
-        avoid = [r for rs in roots.values() for r in rs]
-        res = self.bezout_residual(count, avoid)
-        if res >= PROBE_TOL:
-            raise InvariantViolation("bezout-identity", f"residual {res:.3e}")
-        for name in ("Y", "Yt", "M", "Mt"):
-            gain = getattr(self, name).gain_at_infinity()
+        p, m = self.shape
+        for name, sys in (("left", self.left), ("right", self.right)):
+            bad = unstable_eigs(sys.A, self.domain).values
+            if bad:
+                raise InvariantViolation(
+                    "factor-stable", f"the {name} Bézout matrix has unstable poles {list(bad)}"
+                )
+        top, bottom = slice(0, m), slice(m, m + p)
+        blocks = (("Y", self.left, top), ("Yt", self.right, bottom),
+                  ("M", self.right, top), ("Mt", self.left, bottom))
+        for name, sys, blk in blocks:
+            gain = sys.D[blk, blk]
             err = float(np.max(np.abs(gain - np.eye(gain.shape[0]))))
             if err >= PROBE_TOL:
                 raise InvariantViolation(
                     "gain-at-infinity", f"{name}(inf) deviates from identity by {err:.3e}"
                 )
-        # the two quotients must describe one plant; compare pointwise since
-        # symbolic inversion inflates degrees on higher-order factors
-        pts = probe_points(self.domain, count, avoid=avoid)
-        Mt, M, Nt, N = (mat.eval_many(pts) for mat in (self.Mt, self.M, self.Nt, self.N))
-        for k in range(len(pts)):
-            if not (_invertibility(Mt[k])[0] and _invertibility(M[k])[0]):
-                continue
-            G_left = np.linalg.solve(Mt[k], Nt[k])
-            G_right = N[k] @ np.linalg.inv(M[k])
-            err = float(np.max(np.abs(G_left - G_right)))
-            if err >= PROBE_TOL:
-                raise InvariantViolation("plant-quotients-agree", f"deviation {err:.3e}")
+        _check_inverse(self.left, self.right, "bezout-identity", count)
+        if self._given:
+            res = self.bezout_residual(count)
+            if res >= PROBE_TOL:
+                raise InvariantViolation("bezout-identity", f"residual {res:.3e}")
+        # G = Mt^-1 Nt on the realization of left against N M^-1 off right
+        G = self.plant()
+        pts = probe_points(self.domain, count, avoid=np.linalg.eigvals(G.A))
+        R = self.right.eval_many(pts)
+        errs = _max_abs(G.eval_many(pts) - R[:, m:, :m] @ np.linalg.inv(R[:, :m, :m]))
+        k = _first_failure(errs, PROBE_TOL)
+        if k is not None:
+            raise InvariantViolation("plant-quotients-agree", f"deviation {errs[k]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +242,16 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     Ip = np.eye(p)
     Zp = np.zeros((m, p))
     dom = plant.domain
-    tf = ss_to_tf
     FC = np.vstack([F, C])
     dcf = DoublyCoprime(
-        M=tf(StateSpace(AF, B, F, Im, dom)),
-        N=tf(StateSpace(AF, B, C, np.zeros((p, m)), dom)),
-        Mt=tf(StateSpace(AL, L, C, Ip, dom)),
-        Nt=tf(StateSpace(AL, B, C, np.zeros((p, m)), dom)),
-        X=tf(StateSpace(AL, L, F, Zp, dom)),
-        Y=tf(StateSpace(AL, -B, F, Im, dom)),
-        Xt=tf(StateSpace(AF, L, F, Zp, dom)),
-        Yt=tf(StateSpace(AF, L, -C, Ip, dom)),
+        M=StateSpace(AF, B, F, Im, dom),
+        N=StateSpace(AF, B, C, np.zeros((p, m)), dom),
+        Mt=StateSpace(AL, L, C, Ip, dom),
+        Nt=StateSpace(AL, B, C, np.zeros((p, m)), dom),
+        X=StateSpace(AL, L, F, Zp, dom),
+        Y=StateSpace(AL, -B, F, Im, dom),
+        Xt=StateSpace(AF, L, F, Zp, dom),
+        Yt=StateSpace(AF, L, -C, Ip, dom),
         left=StateSpace(AL, np.hstack([-B, L]), FC, np.eye(m + p), dom),
         right=StateSpace(AF, np.hstack([B, -L]), FC, np.eye(m + p), dom),
     )
@@ -394,7 +374,11 @@ def _placement_ok(A: np.ndarray, targets: list[complex]) -> bool:
         return True
     # repeated targets make the eigenproblem defective and the computed
     # eigenvalues blur as eps**(1/mult); the characteristic polynomial
-    # coefficients stay well conditioned, so compare those instead
+    # coefficients stay well conditioned, so compare those instead.  Distinct
+    # targets have no such excuse: each must be hit on its own.
+    t = np.asarray(targets, dtype=complex)
+    if not np.any(np.abs(np.subtract.outer(t, t))[np.triu_indices(t.size, 1)] <= POLE_MATCH_TOL):
+        return False
     want_poly = np.real(np.poly(np.asarray(targets, dtype=complex)))
     got_poly = np.real(np.poly(got))
     scale = float(np.max(np.abs(want_poly)))
@@ -485,18 +469,8 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
     if not unstable_eigs(q.A, Q.domain).empty:
         raise UnstableParameter("Q has poles outside the stability region")
     shift = YoulaShift(Q, series(_shear(q, 1.0), dcf.left), series(dcf.right, _shear(q, -1.0)))
-    _check_shift_bezout(dcf, shift)
+    _check_inverse(shift.left, shift.right, "shifted-bezout-identity")
     return shift
-
-
-def _check_shift_bezout(dcf: DoublyCoprime, shift: YoulaShift, count: int = 20):
-    # both shifted matrices are stable, so the probes clear all their poles
-    pts = probe_points(dcf.domain, count)
-    prod = shift.left.eval_many(pts) @ shift.right.eval_many(pts)
-    errs = _max_abs(prod - np.eye(prod.shape[1]))
-    k = _first_failure(errs, PROBE_TOL)
-    if k is not None:
-        raise InvariantViolation("shifted-bezout-identity", f"residual {errs[k]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +571,6 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-_FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
 def dcf_to_obj(dcf: DoublyCoprime) -> dict:

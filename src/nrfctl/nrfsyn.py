@@ -4,12 +4,13 @@ instability certificates for the alternative controller representations.
 An NRF pair (Phi, Gamma) implements u = Phi u + Gamma z with a hollow Phi.
 The diagonal of Phi is zero *structurally* (entries are literal zero
 functions), never merely small: self-loops are a causality violation, not a
-numerical artifact.  Each row of [Phi Gamma] is formed, and kept for its
-realization, as a state-space quotient of one row of a realized left
-factorization by its diagonal entry; the rational Phi and Gamma are read off
-those rows for JSON, sparsity correspondence and the audits.  The left
-factorization [Y_Q X_Q], the certificates' witnesses and the beta-iteration
-form are all slices and series connections of the realized Bézout matrices.
+numerical artifact.  Each row of [Phi Gamma] is formed, and kept as the
+pair's stored form, as a state-space quotient of one row of a realized left
+factorization by its diagonal entry; the loop-sensitivity audit evaluates
+those rows, and the rational Phi and Gamma are views read off them for JSON,
+sparsity correspondence and printing.  The left factorization [Y_Q X_Q], the
+certificates' witnesses and the beta-iteration form are all slices and
+series connections of the realized Bézout matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     NotSquare,
     SingularDiagonal,
 )
-from .factor import DoublyCoprime, YoulaShift, _first_failure, _max_abs, _pole_cloud
+from .factor import DoublyCoprime, YoulaShift, _first_failure, _max_abs
 from .ratmat import (
     RationalMatrix,
     SparsityPattern,
@@ -55,43 +56,61 @@ ROUND_TRIP_TOL = 1e-8
 class NrfPair:
     """Hollow Phi (m x m) and Gamma (m x p) describing u = Phi u + Gamma z.
 
-    ``row_systems`` realizes each row of [Phi Gamma]; a pair built from
-    rational matrices realizes them entry by entry on first use.
+    ``row_systems`` realizes each row of [Phi Gamma] and is the stored form;
+    Phi and Gamma are rational views of it, read off by ``ss_to_tf`` on first
+    use.  A pair built from rational matrices (one read from JSON) keeps them
+    verbatim, ``given`` is set, and its rows are realized entry by entry.
     """
 
-    __slots__ = ("Phi", "Gamma", "_row_systems")
+    __slots__ = ("row_systems", "given", "_Phi", "_Gamma")
 
-    def __init__(self, Phi: RationalMatrix, Gamma: RationalMatrix, row_systems=None):
-        if Phi.rows != Phi.cols:
-            raise NotSquare("Phi must be square")
-        if Gamma.rows != Phi.rows:
-            raise DimensionMismatch("Gamma must have one row per control input")
-        if Gamma.domain is not Phi.domain:
-            raise DomainMismatch("Phi and Gamma disagree on the stability domain")
-        for i in range(Phi.rows):
-            if not Phi.entry(i, i).is_zero:
+    def __init__(self, Phi=None, Gamma=None, row_systems=None):
+        self._Phi, self._Gamma = Phi, Gamma
+        self.given = row_systems is None
+        if self.given:
+            if Phi.rows != Phi.cols:
+                raise NotSquare("Phi must be square")
+            if Gamma.rows != Phi.rows:
+                raise DimensionMismatch("Gamma must have one row per control input")
+            if Gamma.domain is not Phi.domain:
+                raise DomainMismatch("Phi and Gamma disagree on the stability domain")
+            rows = Phi.hstack(Gamma)
+            row_systems = [tf_to_ss_obsv(rows.row(i)) for i in range(rows.rows)]
+        self.row_systems = tuple(row_systems)
+        for i, sys in enumerate(self.row_systems):
+            # a zero entry, realized, has no feedthrough and no input column
+            if sys.D[0, i] != 0.0 or sys.B[:, i].any():
                 raise InvariantViolation(
                     "phi-zero-diagonal", f"Phi[{i},{i}] is not the zero function"
                 )
-        self.Phi = Phi
-        self.Gamma = Gamma
-        self._row_systems = row_systems
 
     @property
     def domain(self) -> StabilityDomain:
-        return self.Phi.domain
+        return self.row_systems[0].domain
 
     @property
     def shape(self) -> tuple[int, int]:
         """(m, p): control inputs by regulated measurements."""
-        return self.Gamma.rows, self.Gamma.cols
+        m = len(self.row_systems)
+        return m, self.row_systems[0].n_inputs - m
 
-    @property
-    def row_systems(self) -> tuple[StateSpace, ...]:
-        if self._row_systems is None:
-            rows = self.Phi.hstack(self.Gamma)
-            self._row_systems = tuple(tf_to_ss_obsv(rows.row(i)) for i in range(rows.rows))
-        return self._row_systems
+    def _views(self) -> tuple[RationalMatrix, RationalMatrix]:
+        if self._Phi is None:
+            m = len(self.row_systems)
+            rows = [ss_to_tf(s).entries[0] for s in self.row_systems]
+            self._Phi = RationalMatrix([r[:m] for r in rows], self.domain)
+            self._Gamma = RationalMatrix([r[m:] for r in rows], self.domain)
+        return self._Phi, self._Gamma
+
+    Phi = property(lambda self: self._views()[0], doc="Phi as a rational matrix")
+    Gamma = property(lambda self: self._views()[1], doc="Gamma as a rational matrix")
+
+    def probe_rows(self, count: int) -> tuple[list[complex], np.ndarray]:
+        """Probe points clear of every row system's eigenvalues, and [Phi Gamma]
+        evaluated there off the row systems, shape (count, m, m + p)."""
+        pts = probe_points(self.domain, count,
+                           avoid=np.concatenate([np.linalg.eigvals(s.A) for s in self.row_systems]))
+        return pts, np.concatenate([s.eval_many(pts) for s in self.row_systems], axis=1)
 
 
 def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
@@ -102,7 +121,6 @@ def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
     ``left_quotient`` of row i of ``sys`` by column i, whose B column is
     exactly zero and D entry exactly one, so Phi_ii = 0 by construction; a
     diagonal entry that vanishes at infinity (D_ii = 0) has no such quotient.
-    The rational Phi and Gamma are read off the row systems.
     """
     m, width = sys.D.shape
     if width < m:
@@ -115,12 +133,7 @@ def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
         q = left_quotient(sys.select([i], range(width)), [i])
         unit = np.eye(1, width, i)
         row_systems.append(minimal(StateSpace(q.A, q.B * sign, q.C, unit + q.D * sign, q.domain)))
-    rows = [ss_to_tf(s).entries[0] for s in row_systems]
-    return NrfPair(
-        RationalMatrix([r[:m] for r in rows], sys.domain),
-        RationalMatrix([r[m:] for r in rows], sys.domain),
-        tuple(row_systems),
-    )
+    return NrfPair(row_systems=row_systems)
 
 
 def _realized_factors(dcf: DoublyCoprime) -> tuple[StateSpace, StateSpace, StateSpace]:
@@ -138,19 +151,19 @@ def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
 
     Left-multiplies YQ u = XQ z by (YQ^diag)^-1, on the rows [Y_Q X_Q] of the
     shifted left Bézout realization.  Before returning, the loop sensitivity
-    identity (I - Phi + Gamma G) M Omega = I is audited at probe points;
+    identity (I - Phi + Gamma G) M Omega = I is audited at probe points, with
+    [Phi Gamma] evaluated off the row systems;
     together with factor and parameter stability (enforced upstream) it
     certifies the pair as a stabilizing implementation rather than just an
     algebraic rewrite.
     """
     p, m = dcf.shape
     pair = nrf_from_left_factorization(shift.left.select(range(m), range(m + p)))
-    pts = probe_points(dcf.domain, 20, avoid=_pole_cloud(pair.Phi, pair.Gamma))
-    Phi, Gamma = pair.Phi.eval_many(pts), pair.Gamma.eval_many(pts)
+    pts, rows = pair.probe_rows(20)
     L, M = shift.left.eval_many(pts), _realized_factors(dcf)[0].eval_many(pts)
     eye = np.eye(m)
     Om = L[:, :m, :m] * eye
-    S = eye - Phi + Gamma @ np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
+    S = eye - rows[:, :, :m] + rows[:, :, m:] @ np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
     errs = _max_abs(S @ M @ Om - eye)
     k = _first_failure(errs, ROUND_TRIP_TOL)
     if k is not None:

@@ -75,7 +75,7 @@ def test_ac2_bezout_identities():
     res = dcf.bezout_residual()
     assert res < 1e-8
     shift = youla_shift(dcf, simkit.grid5_q())  # re-validates the shifted identity
-    factor._check_shift_bezout(dcf, shift)
+    factor._check_inverse(shift.left, shift.right, "shifted-bezout-identity")
     print(f"AC-2 PASS: factorization residual {res:.2e}, shifted identity holds")
 
 

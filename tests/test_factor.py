@@ -91,6 +91,25 @@ def test_place_keeps_uncontrollable_stable_modes(grid5_plant):
     assert np.max(np.abs(np.real(np.poly(got_L)) - np.poly([0.5] * 9))) < 1e-6
 
 
+def _platoon_targets(order, base):
+    """The benchmark's platoon targets base + s k, s = min(0.03, 0.36 / (order - 1))."""
+    return [base + min(0.03, 0.36 / (order - 1)) * k for k in range(order)]
+
+
+def test_place_refuses_missed_distinct_targets(grid5_plant):
+    # at nine vehicles the state-feedback eigenvalues miss their distinct
+    # targets by 1.6e-5; the characteristic-polynomial fallback is only for
+    # repeated targets, so the miss is reported
+    plant = simkit.build_network_plant(np.eye(9, k=-1, dtype=bool))
+    with pytest.raises(PlacementFailed):
+        place_gains(plant, _platoon_targets(plant.order, 0.6))
+    # README's `nrfctl dcf` targets still place, eigenvalue by eigenvalue
+    targets = [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7]
+    F, _ = place_gains(grid5_plant, targets)
+    got = np.linalg.eigvals(grid5_plant.A + grid5_plant.B @ F)
+    assert match_multisets(got, targets[:7] + [0.8, 0.8], 1e-6)
+
+
 def test_place_input_validation():
     plant = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
     with pytest.raises(DimensionMismatch):
@@ -248,18 +267,26 @@ def _continuous_dcf():
 @pytest.mark.parametrize("domain, pole", [("discrete", 1.5), ("continuous", 0.5)])
 def test_validate_rejects_one_unstable_entry(tmp_path, grid5_dcf, domain, pole):
     # every other entry of every factor is stable; one off-diagonal entry of
-    # X gets a single unstable pole
-    obj = dcf_to_obj(grid5_dcf if domain == "discrete" else _continuous_dcf())
-    obj["X"]["entries"][0][1] = {"num": [1.0], "den": [-pole, 1.0]}
-    bad = factor.DoublyCoprime(**{name: ratmat_from_obj(obj[name]) for name in obj})
-    with pytest.raises(InvariantViolation) as exc:
-        bad.validate()
-    assert exc.value.invariant == "factor-stable"
-    path = tmp_path / "dcf.json"
-    path.write_text(json.dumps(obj))
-    with pytest.raises(InvariantViolation) as exc:
-        load_dcf(str(path))
-    assert exc.value.invariant == "factor-stable"
+    # X, then of M, gets a single unstable pole.  An unstable left factor
+    # shows in the eigenvalues of the left realization; the right realization
+    # is the left one's inverse, so an unstable right factor shows as a
+    # Bézout residual of the given factors instead.  An improper entry is
+    # refused before anything is realized.
+    unstable = {"num": [1.0], "den": [-pole, 1.0]}
+    improper = {"num": [0.0, 0.0, 1.0], "den": [-0.5, 1.0]}
+    cases = [("X", unstable, "factor-stable"), ("M", unstable, "bezout-identity"),
+             ("X", improper, "factor-proper")]
+    for k, (name, entry, invariant) in enumerate(cases):
+        obj = dcf_to_obj(grid5_dcf if domain == "discrete" else _continuous_dcf())
+        obj[name]["entries"][0][1] = entry
+        with pytest.raises(InvariantViolation) as exc:
+            factor.DoublyCoprime(**{key: ratmat_from_obj(obj[key]) for key in obj}).validate()
+        assert exc.value.invariant == invariant
+        path = tmp_path / f"dcf-{k}.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvariantViolation) as exc:
+            load_dcf(str(path))
+        assert exc.value.invariant == invariant
 
 
 # --- Youla shifts ---
@@ -290,8 +317,9 @@ def test_youla_shift_dimension_guard(grid5_dcf):
 
 
 def test_controller_quotients_agree(grid5_shift, grid5_pair):
-    # K_Q = YQ^-1 XQ = XtQ YtQ^-1 pointwise, and the pair implements it
-    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(grid5_pair.Phi, grid5_pair.Gamma))
+    # K_Q = YQ^-1 XQ = XtQ YtQ^-1 pointwise, and the pair implements it; the
+    # probes clear the eigenvalues of the pair's row systems
+    pts, _ = grid5_pair.probe_rows(20)
     YQ, XQ, XtQ, YtQ = (f.eval_many(pts) for f in (
         grid5_shift.YQ, grid5_shift.XQ, grid5_shift.XtQ, grid5_shift.YtQ))
     K = np.linalg.solve(YQ, XQ)
@@ -387,3 +415,23 @@ def test_closed_loop_maps_on_long_platoons(platoon, n):
     _, dcf, shift = platoon(n)
     table = factor.closed_loop_maps(dcf, shift)
     assert table.n_outputs == table.n_inputs == 4 * n
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_realized_chain_on_long_platoons(n):
+    # the benchmark's targets, placed by the one-sided staircase without
+    # place_gains' refusal of the missed ones: every stage audits the
+    # realizations, so the chain passes where rational copies of the factors
+    # failed their Bézout check at n = 10
+    plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
+    F, _ = factor._place_onesided(plant.A, plant.B, _platoon_targets(plant.order, 0.6))
+    Lt, _ = factor._place_onesided(plant.A.T, plant.C.T, _platoon_targets(plant.order, 0.45))
+    L = Lt.T
+    dcf = dcf_from_ss(plant, F, L)
+    shift = youla_shift(dcf, RationalMatrix.zeros(n, n, DISC))
+    rows = dimpl.realize_rows(nrfsyn.nrf_from_dcf(dcf, shift))
+    assert [r.order for r in rows] == [2 * n - 1] + [2 * k + 1 for k in range(1, n)]
+    loop = dimpl.closed_loop_state_matrix(plant, dimpl.assemble(rows))
+    placed = np.concatenate([np.linalg.eigvals(plant.A + plant.B @ F),
+                             np.linalg.eigvals(plant.A + L @ plant.C)])
+    assert abs(np.max(np.abs(loop.eigenvalues())) - np.max(np.abs(placed))) <= 1e-12

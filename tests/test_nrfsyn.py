@@ -85,9 +85,10 @@ def test_grid5_nrf_closed_form(grid5_pair):
 def test_nrf_from_dcf_on_platoon(platoon, n):
     plant, dcf, shift = platoon(n)
     pair = nrf_from_dcf(dcf, shift)
-    # loop sensitivity (I - Phi + Gamma G) M Omega = I, as the audit forms it
+    # loop sensitivity (I - Phi + Gamma G) M Omega = I, as the audit forms it,
+    # on the rational views at probes clear of the row systems' eigenvalues
+    pts, _ = pair.probe_rows(20)
     mats = (pair.Phi, pair.Gamma, dcf.M, dcf.Mt, dcf.Nt)
-    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(*mats))
     Phi, Gamma, M, Mt, Nt = (mat.eval_many(pts) for mat in mats)
     Om = shift.YQ.eval_many(pts) * np.eye(n)
     S = np.eye(n) - Phi + Gamma @ np.linalg.solve(Mt, Nt)
@@ -111,7 +112,7 @@ def _controller(shift, pts):
 
 
 def test_nrf_reproduces_controller(grid5_pair, grid5_shift):
-    pts = probe_points(DISC, 20, avoid=factor._pole_cloud(grid5_pair.Phi, grid5_pair.Gamma))
+    pts, _ = grid5_pair.probe_rows(20)
     Phi, Gamma = grid5_pair.Phi.eval_many(pts), grid5_pair.Gamma.eval_many(pts)
     K = np.linalg.solve(np.eye(5) - Phi, Gamma)
     assert np.max(np.abs(K - _controller(grid5_shift, pts))) < 1e-8
@@ -243,7 +244,7 @@ def test_mr3_empty_for_stable_plant():
 def test_sls_like_rep_eliminates_to_controller(grid5_dcf, grid5_shift):
     beta_phi, beta_gamma, u_beta, u_z = sls_like_rep(grid5_dcf, grid5_shift)
     mats = (beta_phi, beta_gamma, u_beta, u_z)
-    pts = probe_points(DISC, 6, avoid=factor._pole_cloud(*mats))
+    pts = probe_points(DISC, 6)
     b_phi, b_gamma, u_b, u_zz = (mat.eval_many(pts) for mat in mats)
     recov = u_b @ np.linalg.solve(np.eye(5) - b_phi, b_gamma) + u_zz
     assert np.max(np.abs(recov - _controller(grid5_shift, pts))) < 1e-8
