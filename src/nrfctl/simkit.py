@@ -10,8 +10,9 @@ no one-step delay is inserted anywhere.  Any other loop, such as the
 beta-iteration form of a controller, runs by being written as an NRF pair on
 a wider command vector.
 
-Noise is generated by SplitMix64 so that a scenario (seed included) pins the
-trace down to the last bit, on any platform.
+Noise is SplitMix64, one substream per channel drawn in one vectorized pass
+bit-identical to the scalar definition the tests keep, so that a scenario
+(seed included) pins the trace down to the last bit, on any platform.
 """
 
 from __future__ import annotations
@@ -47,36 +48,28 @@ GOLDEN = 0x9E3779B97F4A7C15
 # noise
 
 
-def _mix(x: int) -> int:
-    """SplitMix64 output function."""
-    x &= MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & MASK64
-    x ^= x >> 31
-    return x
-
-
-def noise_stream(seed: int, channel: int, bound: float):
-    """Infinite uniform stream on [-bound, bound], one substream per channel.
-
-    The substream state starts from mixing seed + GOLDEN * (channel + 1), so
-    channels are decorrelated but jointly reproducible from one seed.
-    """
-    if bound < 0:
+def _check_bound(bound: float) -> None:
+    if not (0.0 <= bound < np.inf):  # NaN fails every comparison
         raise InvariantViolation("noise-bound-nonnegative", f"bound {bound}")
-    state = (int(seed) + GOLDEN * (int(channel) + 1)) & MASK64
-    while True:
-        state = (state + GOLDEN) & MASK64
-        u = _mix(state)
-        x = (u >> 11) * 2.0**-53  # 53-bit mantissa in [0, 1)
-        yield bound * (2.0 * x - 1.0)
 
 
 def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray:
-    gen = noise_stream(seed, channel, bound)
-    return np.array([next(gen) for _ in range(count)])
+    """The first ``count`` uniform draws on [-bound, bound] of one channel's
+    SplitMix64 substream, whose state starts at seed + GOLDEN * (channel + 1)
+    and advances by GOLDEN per draw.  One vectorized uint64 pass does, per
+    draw, the integer and IEEE operations of the scalar definition the tests
+    keep, so every draw has the same bits."""
+    _check_bound(bound)
+    start = np.uint64((int(seed) + GOLDEN * (int(channel) + 1)) & MASK64)
+    # uint64 operands throughout: the products and the sum wrap modulo 2**64
+    x = start + np.uint64(GOLDEN) * np.arange(1, count + 1, dtype=np.uint64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    # 53-bit mantissa in [0, 1), mapped onto [-bound, bound]
+    return bound * (2.0 * ((x >> np.uint64(11)).astype(float) * 2.0**-53) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +84,10 @@ class SignalSpec:
     def __init__(self, kind: str, at: int = 0, level: float = 0.0, bound: float = 0.0):
         if kind not in ("step", "zero", "uniform"):
             raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
-        if kind == "uniform" and bound < 0:
-            raise InvariantViolation("noise-bound-nonnegative", f"bound {bound}")
+        if int(at) < 0:
+            raise InvariantViolation("signal-step-at-nonnegative", f"at {at}")
+        if kind == "uniform":
+            _check_bound(bound)
         self.kind = kind
         self.at = int(at)
         self.level = float(level)
@@ -183,6 +178,8 @@ class Scenario:
                 f"plant is {plant.n_outputs}x{plant.n_inputs}, controller expects {p}x{m}"
             )
         self.horizon = int(horizon)
+        if self.horizon < 0:
+            raise InconsistentDimensions(f"horizon {horizon} is negative")
         self.reference = _spec_list(reference, p, "reference")
         self.input_disturbance = _spec_list(input_disturbance, m, "input disturbance")
         self.measurement_noise = _spec_list(measurement_noise, p, "measurement noise")
@@ -392,8 +389,9 @@ def simulate(sc: Scenario) -> SimTrace:
     # row n + 1 first holds B e[n], then gains A x[n]; the loop starts at rest
     x = np.zeros((sc.horizon, loop.order))
     np.matmul(e[:-1], loop.B.T, out=x[1:])
-    for n in range(1, sc.horizon):
-        x[n] += loop.A @ x[n - 1]
+    rows = list(x)
+    for prev, cur in zip(rows, rows[1:]):
+        cur += loop.A @ prev
     yu = x @ loop.C.T + e @ loop.D.T
     y, u = yu[:, :p], yu[:, p:]
     return SimTrace(r, w, nu, du, r - y, u, u + w, y, x[:, : plant.order], x[:, plant.order :])

@@ -322,6 +322,18 @@ def test_simulate_idempotent_and_seed_override(demo_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_negative_horizon_is_named_error(demo_dir, tmp_path, capsys):
+    obj = json.loads((demo_dir / "scenario.json").read_text())
+    obj["horizon"] = -1
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "t.csv")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "InconsistentDimensions: horizon -1 is negative" in out
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_report_numbers_use_twelve_significant_digits(demo_dir, capsys):
     code = cli.main(
         ["check", "--nrf", str(demo_dir / "nrf.json"), "--plant", str(demo_dir / "plant.json"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nrfctl import dimpl, nrfsyn, simkit
-from nrfctl.errors import InvariantViolation, NonDiscrete
+from nrfctl.errors import InconsistentDimensions, InvariantViolation, NonDiscrete
 from nrfctl.nrfsyn import NrfPair
 from nrfctl.ratmat import RationalMatrix, StabilityDomain, probe_points
 from nrfctl.simkit import Scenario, SignalSpec
@@ -26,6 +26,45 @@ def steps(n, level=1.0):
 # --- noise streams ---
 
 
+def _mix(x: int) -> int:
+    """Reference SplitMix64 output function, on Python integers."""
+    x &= simkit.MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & simkit.MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & simkit.MASK64
+    x ^= x >> 31
+    return x
+
+
+def _noise_stream(seed: int, channel: int, bound: float):
+    """Reference scalar substream: the definition ``noise_block`` vectorizes."""
+    state = (int(seed) + simkit.GOLDEN * (int(channel) + 1)) & simkit.MASK64
+    while True:
+        state = (state + simkit.GOLDEN) & simkit.MASK64
+        x = (_mix(state) >> 11) * 2.0**-53  # 53-bit mantissa in [0, 1)
+        yield bound * (2.0 * x - 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_noise_block_matches_scalar_reference(seed):
+    for channel in (0, 3, 40):
+        for bound in (0.0, 0.05, 1.0):
+            for count in (0, 1, 1000):
+                got = simkit.noise_block(seed, channel, bound, count)
+                gen = _noise_stream(seed, channel, bound)
+                want = np.array([next(gen) for _ in range(count)], dtype=float)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def test_noise_block_first_draws_pinned():
+    # integer and elementwise IEEE operations only: the same bits everywhere
+    got = simkit.noise_block(42, 0, 1.0, 3)
+    want = ["-0x1.5c40733136644p-1", "-0x1.c56cc54767834p-2", "-0x1.3f18f0078da90p-2"]
+    assert [float(v).hex() for v in got] == want
+
+
 def test_noise_stream_deterministic():
     a = simkit.noise_block(seed=7, channel=3, bound=0.2, count=50)
     b = simkit.noise_block(seed=7, channel=3, bound=0.2, count=50)
@@ -39,8 +78,16 @@ def test_noise_stream_bound_and_mean():
     assert np.max(np.abs(x)) <= 0.05
     assert abs(float(np.mean(x))) < 1e-3
     assert np.array_equal(simkit.noise_block(seed=1, channel=0, bound=0.0, count=10), np.zeros(10))
-    with pytest.raises(InvariantViolation):
-        simkit.noise_block(seed=1, channel=0, bound=-0.1, count=10)
+
+
+@pytest.mark.parametrize("bound", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_bad_noise_bound_is_named(bound):
+    with pytest.raises(InvariantViolation) as exc:
+        simkit.noise_block(seed=1, channel=0, bound=bound, count=10)
+    assert exc.value.invariant == "noise-bound-nonnegative"
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.uniform(bound)
+    assert exc.value.invariant == "noise-bound-nonnegative"
 
 
 def test_signal_spec_materialize():
@@ -51,6 +98,21 @@ def test_signal_spec_materialize():
     assert np.max(np.abs(u)) <= 0.1
     obj = SignalSpec.uniform(0.1).to_obj()
     assert SignalSpec.from_obj(obj).to_obj() == obj
+
+
+def test_negative_step_time_is_named():
+    # numpy would read at = -3 as three samples before the end of the run
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.step(1.0, at=-3)
+    assert exc.value.invariant == "signal-step-at-nonnegative"
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.from_obj({"kind": "step", "level": 1.0, "at": -3})
+    assert exc.value.invariant == "signal-step-at-nonnegative"
+
+
+def test_negative_horizon_fails_at_construction(grid5_plant, grid5_ctrl):
+    with pytest.raises(InconsistentDimensions):
+        Scenario(-1, quiet(5), quiet(5), quiet(5), quiet(5), 0, grid5_plant, grid5_ctrl)
 
 
 # --- the grid plant ---
@@ -111,6 +173,24 @@ def test_simulate_loop_identities(grid5_plant, grid5_ctrl):
     assert not met.diverged
     assert np.max(met.max_abs_y) <= 3.0
     assert np.max(met.tracking_error) <= 0.15
+
+
+def test_simulate_matches_per_step_recursion(grid5_plant, grid5_ctrl):
+    """The state path is x[n] = A x[n-1] + B e[n-1], stepped by index.
+
+    The input term is one matrix product over the run, as in ``simulate``:
+    BLAS may round a per-row B e[n-1] differently (by an ulp on this loop).
+    """
+    sc = simkit.grid5_scenario(grid5_plant, grid5_ctrl, seed=42, horizon=200)
+    t = simkit.simulate(sc)
+    loop = dimpl.closed_loop_state_matrix(grid5_plant, grid5_ctrl).map(
+        ("y", "u"), dimpl.TABLE_INPUTS
+    )
+    drive = np.hstack(sc.signals())[:-1] @ loop.B.T
+    x = np.zeros((sc.horizon, loop.order))
+    for n in range(1, sc.horizon):
+        x[n] = loop.A @ x[n - 1] + drive[n - 1]
+    assert np.hstack([t.x_plant, t.x_ctrl]).tobytes() == x.tobytes()
 
 
 def test_simulate_deterministic_and_csv_roundtrip(tmp_path, grid5_plant, grid5_ctrl):
