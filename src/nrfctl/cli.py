@@ -164,7 +164,7 @@ def cmd_realize(args) -> CommandResult:
     rows = dimpl.realize_rows(pair, grouping)
     ctrl = dimpl.assemble(rows)
     dimpl.save_bundle(args.out, rows)
-    unstable = ctrl.unstable_modes().values
+    unstable = ctrl.unstable_modes()
     report = [
         f"row orders: {ctrl.row_orders} (total {ctrl.order})",
         f"controller unstable modes: [{', '.join(_fmt_complex(v) for v in unstable)}]",

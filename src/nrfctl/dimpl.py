@@ -32,10 +32,10 @@ from .errors import (
     InconsistentDimensions,
     InvariantViolation,
     SingularCoupling,
+    audit,
 )
-from .factor import _max_abs
 from .nrfsyn import NrfPair
-from .ratmat import RationalMatrix, StabilityDomain, probe_points
+from .ratmat import RationalMatrix, probe_points
 from . import sstate
 from .sstate import StateSpace
 from .tolerances import PROBE_TOL
@@ -78,14 +78,6 @@ def _as_group(index) -> tuple[int, ...]:
     return tuple(int(i) for i in index)
 
 
-def _probe_match(got: np.ndarray, want: np.ndarray, rows):
-    worst = float(np.max(np.abs(got - want)))
-    if worst > PROBE_TOL * max(1.0, float(np.max(np.abs(want)))):
-        raise InvariantViolation(
-            "row-probe-match", f"rows {rows}: realization disagrees with the row by {worst:.3e}"
-        )
-
-
 def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     """Per-row realizations of [Phi Gamma].
 
@@ -106,13 +98,16 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
             f"grouping {groups} is not a partition of rows 1..{m}"
         )
     pts, values = pair.probe_rows(7)
+    # relative to the largest entry of the rows being matched, over all points
+    rel = lambda got, want: (got - want) / max(1.0, np.max(np.abs(want)))
     if pair.given:
-        _probe_match(values, pair.Phi.hstack(pair.Gamma).eval_many(pts), tuple(range(1, m + 1)))
+        want = pair.Phi.hstack(pair.Gamma).eval_many(pts)
+        audit("row-probe-match", rel(values, want), PROBE_TOL, f"rows {tuple(range(1, m + 1))}")
     out = []
     for g in groups:
         idx = [i - 1 for i in g]
         sys = sstate.minimal(sstate.stack_outputs([pair.row_systems[i] for i in idx]))
-        _probe_match(sys.eval_many(pts), values[:, idx, :], g)
+        audit("row-probe-match", rel(sys.eval_many(pts), values[:, idx, :]), PROBE_TOL, f"rows {g}")
         if not sstate.is_stabilizable(sys):
             raise InvariantViolation("row-stabilizable", f"rows {g}")
         if not sstate.is_detectable(sys):
@@ -126,7 +121,9 @@ class AssembledController:
 
     ``partition`` is (m, p): the first m inputs receive the fed-back commands
     u + delta_u, the trailing p inputs receive the regulated measurement z.
-    Output i is control command i regardless of the grouping order.
+    Output i is control command i regardless of the grouping order.  The
+    realization must agree with the partition, the row orders and the
+    grouping, which a scenario file carries beside it.
     """
 
     __slots__ = ("sys", "row_orders", "partition", "grouping")
@@ -134,8 +131,16 @@ class AssembledController:
     def __init__(self, sys, row_orders, partition, grouping):
         self.sys = sys
         self.row_orders = list(row_orders)
-        self.partition = tuple(partition)
+        self.partition = m, p = tuple(partition)
         self.grouping = tuple(tuple(g) for g in grouping)
+        if p < 0 or sys.D.shape != (m, m + p):
+            raise InconsistentDimensions(f"partition {m, p} does not fit D of shape {sys.D.shape}")
+        if sorted(i for g in self.grouping for i in g) != list(range(1, m + 1)):
+            raise InconsistentDimensions(f"grouping {self.grouping} does not partition 1..{m}")
+        if len(self.row_orders) != len(self.grouping) or sum(self.row_orders) != sys.order:
+            raise InconsistentDimensions(
+                f"row orders {self.row_orders} do not split order {sys.order} over the grouping"
+            )
 
     @property
     def order(self) -> int:
@@ -162,8 +167,6 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
         raise InconsistentDimensions("no rows to assemble")
     flat = [i for r in rows for i in r.rows]
     m = len(flat)
-    if sorted(flat) != list(range(1, m + 1)):
-        raise InconsistentDimensions(f"row indices {flat} do not partition 1..{m}")
     width = rows[0].sys.n_inputs
     domain = rows[0].sys.domain
     for r in rows:
@@ -171,31 +174,22 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
             raise InconsistentDimensions("rows disagree on the input dimension")
         if r.sys.domain is not domain:
             raise DomainMismatch("rows disagree on the stability domain")
-    p = width - m
-    if p < 0:
-        raise InconsistentDimensions(
-            f"{m} rows cannot share an input vector of width {width}"
-        )
 
     stacked = sstate.stack_outputs([r.sys for r in rows])
     # stacked output k is controller output flat[k]; undo the grouping order
     perm = np.argsort(np.asarray(flat))
     sys = StateSpace(stacked.A, stacked.B, stacked.C[perm, :], stacked.D[perm, :], domain)
+    ctrl = AssembledController(sys, [r.order for r in rows], (m, width - m), [r.rows for r in rows])
 
     pts = probe_points(domain, count=5)
     want = np.concatenate([r.sys.eval_many(pts) for r in rows], axis=1)[:, perm, :]
-    errs = _max_abs(sys.eval_many(pts) - want)
-    bad = np.flatnonzero(errs > PROBE_TOL * np.maximum(1.0, _max_abs(want)))
-    if bad.size:
-        raise InvariantViolation("assembly-linearity", f"disagreement {errs[bad[0]]:.3e}")
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2), keepdims=True))  # per point
+    audit("assembly-linearity", (sys.eval_many(pts) - want) / scale, PROBE_TOL)
     if not sstate.is_stabilizable(sys):
         raise InvariantViolation("assembled-stabilizable", "PBH audit failed")
     if not sstate.is_detectable(sys):
         raise InvariantViolation("assembled-detectable", "PBH audit failed")
-
-    return AssembledController(
-        sys, [r.order for r in rows], (m, p), [r.rows for r in rows]
-    )
+    return ctrl
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +240,6 @@ class ClosedLoopRealization:
         return self.A_CL.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        if self.order == 0:
-            return np.zeros(0, dtype=complex)
         return np.linalg.eigvals(self.A_CL)
 
     def unstable_modes(self):
@@ -255,7 +247,7 @@ class ClosedLoopRealization:
 
     @property
     def is_stable(self) -> bool:
-        return len(self.unstable_modes().values) == 0
+        return not self.unstable_modes()
 
     def map(self, outputs, inputs) -> StateSpace:
         """Realization from the named injections to the named loop signals."""
@@ -413,23 +405,17 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     sign = np.concatenate([np.ones(m), -np.ones(m), np.ones(p)])[:, None]
     H = StateSpace(H.A, H.B, sign * H.C, sign * H.D, H.domain)
 
-    modes = loop.unstable_modes().values
+    # a stable A_CL settles every map: none is cut out or reduced
+    modes = loop.unstable_modes()
     block_poles = {
         (out, inp): sstate.unstable_map_poles(loop.map((out,), (inp,)), modes) if modes else ()
         for out in LOOP_OUTPUTS
         for inp in TABLE_INPUTS
     }
-    entry_stable = []
-    poles: list[complex] = []
-    for i in range(H.n_outputs):
-        row_flags = []
-        for j in range(H.n_inputs):
-            bad = ()
-            if modes:
-                bad = sstate.unstable_map_poles(H.select([i], [j]), modes)
-            row_flags.append(not bad)
-            poles.extend(bad)
-        entry_stable.append(tuple(row_flags))
+    entry_poles = [[sstate.unstable_map_poles(H.select([i], [j]), modes) if modes else ()
+                    for j in range(H.n_inputs)] for i in range(H.n_outputs)]
+    entry_stable = tuple(tuple(not bad for bad in row) for row in entry_poles)
+    poles = [lam for row in entry_poles for bad in row for lam in bad]
 
     avoid = np.concatenate(
         [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
@@ -442,7 +428,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     right_e = np.concatenate([eye, Phi_e, Gamma_e], axis=2)
     H_e = left_e @ np.linalg.solve(S_e, right_e)
     worst = float(np.max(np.abs(H.eval_many(pts) - H_e), initial=0.0))
-    return InternalStabilityReport(block_poles, tuple(entry_stable), poles, worst, loop)
+    return InternalStabilityReport(block_poles, entry_stable, poles, worst, loop)
 
 
 def verify_internal_stability_tfm(
@@ -495,10 +481,7 @@ def load_bundle(path: str) -> list[RowRealization]:
 def eigenvalue_rows(cl: ClosedLoopRealization) -> list[tuple[float, float, float, int]]:
     rows = []
     for lam in cl.eigenvalues():
-        if cl.domain is StabilityDomain.DISCRETE:
-            ok = abs(lam) < 1.0
-        else:
-            ok = lam.real < 0.0
+        ok = not sstate.is_unstable(lam, cl.domain)
         rows.append((float(lam.real), float(lam.imag), float(abs(lam)), int(ok)))
     rows.sort(key=lambda r: -r[2])
     return rows

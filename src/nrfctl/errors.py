@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one rule by which an
+audit turns a residual into a verdict."""
+
+import numpy as np
 
 
 class NrfError(Exception):
@@ -89,3 +92,23 @@ class InvariantViolation(NrfError):
         self.detail = detail
         msg = invariant if not detail else f"{invariant}: {detail}"
         super().__init__(msg)
+
+
+def audit(invariant: str, deviation, tol: float, where: str = "") -> None:
+    """Raise ``InvariantViolation(invariant)`` at the first probe point whose
+    residual reaches ``tol``.
+
+    ``deviation`` is a (K, rows, cols) stack with one point per probe, or one
+    matrix or scalar for a single point; the residual at a point is its
+    largest entry magnitude.  A point with a NaN entry has no residual and is
+    skipped.  A relative audit passes its deviation already scaled.
+    """
+    dev = np.abs(np.asarray(deviation))
+    stack = dev.ndim == 3
+    res = np.max(dev if stack else dev.reshape(1, 1, -1), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(res >= tol)
+    if bad.size:
+        k = int(bad[0])
+        detail = f"residual {res[k]:.3e} >= tolerance {tol:g}"
+        detail += f" at probe point {k}" if stack else ""
+        raise InvariantViolation(invariant, f"{where}: {detail}" if where else detail)

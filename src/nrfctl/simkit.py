@@ -53,6 +53,13 @@ def _check_bound(bound: float) -> None:
         raise InvariantViolation("noise-bound-nonnegative", f"bound {bound}")
 
 
+def _whole(value, invariant: str) -> int:
+    """int(value), refusing a fractional, NaN or infinite float instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvariantViolation(invariant, f"{value!r} is not a whole number")
+    return int(value)
+
+
 def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray:
     """The first ``count`` uniform draws on [-bound, bound] of one channel's
     SplitMix64 substream, whose state starts at seed + GOLDEN * (channel + 1)
@@ -84,14 +91,16 @@ class SignalSpec:
     def __init__(self, kind: str, at: int = 0, level: float = 0.0, bound: float = 0.0):
         if kind not in ("step", "zero", "uniform"):
             raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
-        if int(at) < 0:
-            raise InvariantViolation("signal-step-at-nonnegative", f"at {at}")
-        if kind == "uniform":
-            _check_bound(bound)
         self.kind = kind
-        self.at = int(at)
+        self.at = _whole(at, "signal-step-at-integral")
         self.level = float(level)
         self.bound = float(bound)
+        if self.at < 0:
+            raise InvariantViolation("signal-step-at-nonnegative", f"at {at}")
+        if not np.isfinite(self.level):
+            raise InvariantViolation("signal-level-finite", f"level {level}")
+        if kind == "uniform":
+            _check_bound(bound)
 
     @staticmethod
     def step(level: float, at: int = 0) -> "SignalSpec":
@@ -125,7 +134,7 @@ class SignalSpec:
     def from_obj(obj: dict) -> "SignalSpec":
         kind = obj.get("kind")
         if kind == "step":
-            return SignalSpec.step(float(obj["level"]), int(obj.get("at", 0)))
+            return SignalSpec.step(float(obj["level"]), obj.get("at", 0))
         if kind == "uniform":
             return SignalSpec.uniform(float(obj["bound"]))
         if kind == "zero":
@@ -177,14 +186,14 @@ class Scenario:
             raise DimensionMismatch(
                 f"plant is {plant.n_outputs}x{plant.n_inputs}, controller expects {p}x{m}"
             )
-        self.horizon = int(horizon)
+        self.horizon = _whole(horizon, "scenario-horizon-integral")
         if self.horizon < 0:
             raise InconsistentDimensions(f"horizon {horizon} is negative")
         self.reference = _spec_list(reference, p, "reference")
         self.input_disturbance = _spec_list(input_disturbance, m, "input disturbance")
         self.measurement_noise = _spec_list(measurement_noise, p, "measurement noise")
         self.command_disturbance = _spec_list(command_disturbance, m, "command disturbance")
-        self.seed = int(seed) & MASK64
+        self.seed = _whole(seed, "scenario-seed-integral") & MASK64
         self.plant = plant
         self.controller = controller
 
@@ -539,12 +548,12 @@ def scenario_from_obj(obj: dict) -> Scenario:
         [tuple(int(i) for i in g) for g in ctl["grouping"]],
     )
     return Scenario(
-        horizon=int(obj["horizon"]),
+        horizon=obj["horizon"],
         reference=[SignalSpec.from_obj(s) for s in obj["reference"]],
         input_disturbance=[SignalSpec.from_obj(s) for s in obj["input_disturbance"]],
         measurement_noise=[SignalSpec.from_obj(s) for s in obj["measurement_noise"]],
         command_disturbance=[SignalSpec.from_obj(s) for s in obj["command_disturbance"]],
-        seed=int(obj["seed"]),
+        seed=obj["seed"],
         plant=sstate.ss_from_obj(obj["plant"]),
         controller=controller,
     )

@@ -346,44 +346,21 @@ def minimal(sys: StateSpace) -> StateSpace:
 # stability and PBH audits
 
 
-class UnstableEigSet:
-    """Multiset of eigenvalues outside the stability region."""
-
-    __slots__ = ("values", "domain")
-
-    def __init__(self, values, domain: StabilityDomain):
-        vals = sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
-        self.values = tuple(vals)
-        self.domain = domain
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def empty(self) -> bool:
-        return not self.values
-
-    def __repr__(self) -> str:
-        return f"UnstableEigSet({list(self.values)})"
-
-
-def _is_unstable(lam: complex, domain: StabilityDomain) -> bool:
+def is_unstable(lam, domain: StabilityDomain):
+    """Whether lam lies outside the stability region shrunk by STABILITY_MARGIN:
+    |lam| >= 1 - margin (discrete) or Re lam >= -margin (continuous).  The one
+    stability rule of the package; it applies elementwise to an array."""
     if domain is StabilityDomain.DISCRETE:
-        return abs(lam) >= 1.0 - STABILITY_MARGIN
-    return lam.real >= -STABILITY_MARGIN
+        return np.abs(lam) >= 1.0 - STABILITY_MARGIN
+    return np.real(lam) >= -STABILITY_MARGIN
 
 
-def unstable_eigs(A: np.ndarray, domain: StabilityDomain) -> UnstableEigSet:
-    """Eigenvalues of A outside the stability region, multiplicities kept."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        return UnstableEigSet((), domain)
-    lams = np.linalg.eigvals(A)
-    return UnstableEigSet([l for l in lams if _is_unstable(l, domain)], domain)
-
-
-def is_stable_matrix(A: np.ndarray, domain: StabilityDomain) -> bool:
-    return unstable_eigs(A, domain).empty
+def unstable_eigs(A: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
+    """Eigenvalues of A that ``is_unstable`` flags, multiplicities kept, sorted
+    by real then imaginary part."""
+    lams = np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=float)))
+    bad = map(complex, lams[is_unstable(lams, domain)])
+    return tuple(sorted(bad, key=lambda z: (z.real, z.imag)))
 
 
 def _pbh_rank_ok(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
@@ -418,7 +395,7 @@ def unstable_map_poles(sys: StateSpace, modes) -> tuple[complex, ...]:
     passes when the map reaches and sees it in some direction.
     """
     kept = []
-    for lam in unstable_eigs(minimal(sys).A, sys.domain).values:
+    for lam in unstable_eigs(minimal(sys).A, sys.domain):
         mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
         if _pbh_reaches(sys.A, sys.B, mu) and _pbh_reaches(sys.A.T, sys.C.T, mu):
             kept.append(lam)
@@ -438,17 +415,11 @@ def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
 
 def is_stabilizable(sys: StateSpace) -> bool:
     """PBH test at every unstable eigenvalue of A."""
-    for lam in unstable_eigs(sys.A, sys.domain).values:
-        if not _pbh_rank_ok(sys.A, sys.B, lam):
-            return False
-    return True
+    return all(_pbh_rank_ok(sys.A, sys.B, lam) for lam in unstable_eigs(sys.A, sys.domain))
 
 
 def is_detectable(sys: StateSpace) -> bool:
-    for lam in unstable_eigs(sys.A, sys.domain).values:
-        if not _pbh_rank_ok(sys.A.T, sys.C.T, lam):
-            return False
-    return True
+    return all(_pbh_rank_ok(sys.A.T, sys.C.T, lam) for lam in unstable_eigs(sys.A, sys.domain))
 
 
 def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:
@@ -520,7 +491,7 @@ def tfm_unstable_poles(mat: RationalMatrix) -> tuple[complex, ...]:
     """
     if not mat.is_proper:
         raise NotProper("pole extraction needs a proper matrix")
-    return unstable_eigs(tfm_to_ss(mat).A, mat.domain).values
+    return unstable_eigs(tfm_to_ss(mat).A, mat.domain)
 
 
 def match_multisets(a, b, tol: float) -> bool:

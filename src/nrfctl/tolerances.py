@@ -4,15 +4,29 @@ COEFF_ZERO_REL belongs to the polynomial arithmetic of ``ratmat`` alone.
 Every state-space decision, including which poles the entries of a rational
 matrix share when it is realized and which common factors leave an entry, is
 a singular-value rank decision at RANK_REL_TOL; nothing compares computed
-roots to cancel them.  All comparisons against these constants are documented
-at the point of use.
+roots to cancel them.  Every stability verdict is ``sstate.is_unstable``.
+
+Every residual audit goes through ``errors.audit``: the residual at a probe
+point is the largest entry magnitude of the deviation there, and the audit
+fails at the first point where it reaches the tolerance.  Two deviations are
+scaled by max(1, largest entry magnitude of the rows matched):
+
+    invariant                    tolerance        deviation
+    bezout-identity              PROBE_TOL        left right - I; given factors: their product - I
+    shifted-bezout-identity      PROBE_TOL        the same on the Q-shifted realizations
+    gain-at-infinity             PROBE_TOL        M, Mt, Y or Yt at infinity - I
+    plant-quotients-agree        PROBE_TOL        Mt^-1 Nt - N M^-1
+    closed-loop-table-vs-direct  CROSS_CHECK_TOL  table - loop solved pointwise
+    loop-sensitivity-inverse     ROUND_TRIP_TOL   (I - Phi + Gamma G) M Omega - I
+    row-probe-match              PROBE_TOL        realization - rows, scaled over all points
+    assembly-linearity           PROBE_TOL        assembly - stacked rows, scaled at each point
 """
 
 # A polynomial coefficient c is treated as zero when |c| <= COEFF_ZERO_REL * (1 + max |coeff|).
 COEFF_ZERO_REL = 1e-10
 
-# Stability margin: discrete eigenvalues with |z| >= 1 - STABILITY_MARGIN and
-# continuous ones with Re >= -STABILITY_MARGIN count as unstable.
+# Discrete eigenvalues with |z| >= 1 - STABILITY_MARGIN and continuous ones
+# with Re >= -STABILITY_MARGIN count as unstable.
 STABILITY_MARGIN = 1e-9
 
 # Relative singular-value threshold for every rank decision.
@@ -21,6 +35,7 @@ RANK_REL_TOL = 1e-8
 # Greedy multiset matching tolerance for eigenvalue / pole comparisons.
 POLE_MATCH_TOL = 1e-6
 
-# Residual tolerance for probe-point identity checks (algebraic identities
-# evaluated at sample frequency points).
+# Residual tolerances of the audits above.
 PROBE_TOL = 1e-8
+CROSS_CHECK_TOL = 1e-6
+ROUND_TRIP_TOL = 1e-8

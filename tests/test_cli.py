@@ -334,6 +334,34 @@ def test_simulate_negative_horizon_is_named_error(demo_dir, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def _drop_first_controller_input(obj):
+    ss = obj["controller"]["ss"]
+    ss["B"], ss["D"] = ([row[1:] for row in ss[k]] for k in "BD")
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (lambda o: o["reference"][0].update(level=float("nan")), "InvariantViolation: signal-level"),
+        (lambda o: o.update(horizon=10.7), "InvariantViolation: scenario-horizon-integral"),
+        (lambda o: o["controller"].update(row_orders=[99]), "InconsistentDimensions: row orders"),
+        (lambda o: o["controller"].update(grouping=[[7]]), "InconsistentDimensions: grouping"),
+        (_drop_first_controller_input, "InconsistentDimensions: partition"),
+    ],
+    ids=["nan-level", "fractional-horizon", "row-orders", "grouping", "dropped-input"],
+)
+def test_simulate_refuses_inconsistent_scenario(change, named, demo_dir, tmp_path, capsys):
+    obj = json.loads((demo_dir / "scenario.json").read_text())
+    change(obj)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "t.csv")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert named in out
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_report_numbers_use_twelve_significant_digits(demo_dir, capsys):
     code = cli.main(
         ["check", "--nrf", str(demo_dir / "nrf.json"), "--plant", str(demo_dir / "plant.json"),

@@ -21,7 +21,7 @@ from nrfctl.ratmat import (
     StabilityDomain,
     probe_points,
 )
-from nrfctl.sstate import match_multisets, tfm_unstable_poles
+from nrfctl.sstate import StateSpace, match_multisets, tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 
@@ -67,7 +67,7 @@ def test_controller_unstable_modes_equal_tfm_poles(grid5_pair, grid5_ctrl):
     of [Phi Gamma], no more and no less."""
     table = grid5_pair.Phi.hstack(grid5_pair.Gamma)
     want = tfm_unstable_poles(table)
-    got = grid5_ctrl.unstable_modes().values
+    got = grid5_ctrl.unstable_modes()
     assert match_multisets(got, want, 1e-6)
     assert match_multisets(got, [1.0] * 5, 1e-6)
 
@@ -212,3 +212,14 @@ def test_eigenvalue_report(tmp_path, grid5_plant, grid5_ctrl):
     moduli = [float(r[2]) for r in rows]
     assert moduli == sorted(moduli, reverse=True)
     assert all(r[3] == "1" for r in rows)
+
+
+def test_eigenvalue_flags_follow_the_stability_margin():
+    # 1 - 5e-10 lies inside the unit disc but within the margin: the report
+    # flags it unstable, as the loop's verdict does
+    plant = StateSpace(np.diag([0.5, 1.0 - 5e-10]), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]], DISC)
+    zero = RationalMatrix.zeros(1, 1, DISC)
+    ctrl = dimpl.assemble(dimpl.realize_rows(NrfPair(zero, zero)))
+    cl = dimpl.closed_loop_state_matrix(plant, ctrl)
+    assert not cl.is_stable
+    assert [r[3] for r in dimpl.eigenvalue_rows(cl)] == [0, 1]

@@ -37,7 +37,7 @@ from nrfctl.ratmat import (
     probe_points,
     ratmat_from_obj,
 )
-from nrfctl.sstate import StateSpace, is_stable_matrix, match_multisets, ss_to_tf
+from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 
@@ -118,6 +118,17 @@ def test_place_input_validation():
         place_gains(plant, [1.5])  # outside the unit disc
     with pytest.raises(NotStabilizable):
         place_gains(StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC), [0.5])
+
+
+def test_place_refuses_target_within_the_stability_margin(grid5_plant):
+    # the same margin as every later stability verdict: dcf_from_ss would
+    # refuse gains placed there with GainsNotStabilizing
+    targets = [0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 1.0 - 5e-10]
+    with pytest.raises(PlacementFailed):
+        place_gains(grid5_plant, targets)
+    cont = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]], StabilityDomain.CONTINUOUS)
+    with pytest.raises(PlacementFailed):
+        place_gains(cont, [-5e-10])
 
 
 def test_default_targets():
@@ -282,6 +293,8 @@ def test_validate_rejects_one_unstable_entry(tmp_path, grid5_dcf, domain, pole):
         with pytest.raises(InvariantViolation) as exc:
             factor.DoublyCoprime(**{key: ratmat_from_obj(obj[key]) for key in obj}).validate()
         assert exc.value.invariant == invariant
+        if invariant == "bezout-identity":
+            assert "tolerance 1e-08" in str(exc.value)
         path = tmp_path / f"dcf-{k}.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(InvariantViolation) as exc:
@@ -342,7 +355,7 @@ def test_zero_q_reduces_to_central_controller(grid5_dcf):
 
 def test_closed_loop_maps_stable_and_consistent(grid5_dcf, grid5_shift):
     table = closed_loop_maps(grid5_dcf, grid5_shift)
-    assert is_stable_matrix(table.A, DISC)
+    assert not unstable_eigs(table.A, DISC)
     # rows are (y, u, z, v) and columns (r, w, nu, du), five channels each;
     # z = r - y and v = u + w hold for every injection
     T = table.eval_many(probe_points(DISC, 5))

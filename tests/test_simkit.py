@@ -115,6 +115,40 @@ def test_negative_horizon_fails_at_construction(grid5_plant, grid5_ctrl):
         Scenario(-1, quiet(5), quiet(5), quiet(5), quiet(5), 0, grid5_plant, grid5_ctrl)
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_step_level_is_named(level):
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.step(level)
+    assert exc.value.invariant == "signal-level-finite"
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.from_obj({"kind": "step", "level": level})
+    assert exc.value.invariant == "signal-level-finite"
+
+
+def test_fractional_integers_are_refused_not_truncated(grid5_plant, grid5_ctrl):
+    with pytest.raises(InvariantViolation) as exc:
+        SignalSpec.from_obj({"kind": "step", "level": 1.0, "at": 2.5})
+    assert exc.value.invariant == "signal-step-at-integral"
+    assert SignalSpec.from_obj({"kind": "step", "level": 1.0, "at": 2.0}).at == 2
+    obj = simkit.scenario_to_obj(simkit.grid5_scenario(grid5_plant, grid5_ctrl, horizon=10))
+    for field, bad in (("horizon", 10.7), ("seed", 42.5), ("seed", float("nan"))):
+        with pytest.raises(InvariantViolation) as exc:
+            simkit.scenario_from_obj({**obj, field: bad})
+        assert exc.value.invariant == f"scenario-{field}-integral"
+    assert simkit.scenario_from_obj({**obj, "horizon": 10.0}).horizon == 10
+
+
+def test_controller_must_agree_with_its_metadata(grid5_ctrl):
+    sys, m = grid5_ctrl.sys, 5
+    narrow = StateSpace(sys.A, sys.B[:, 1:], sys.C, sys.D[:, 1:], DISC)
+    cases = [(narrow, grid5_ctrl.row_orders, grid5_ctrl.grouping),
+             (sys, [99], grid5_ctrl.grouping),
+             (sys, grid5_ctrl.row_orders, [[1], [2], [3], [4], [7]])]
+    for ss, orders, grouping in cases:
+        with pytest.raises(InconsistentDimensions):
+            dimpl.AssembledController(ss, orders, (m, 5), grouping)
+
+
 # --- the grid plant ---
 
 
