@@ -29,7 +29,6 @@ def main() -> int:
           f"(5 integrators + 4 coupling lags)")
 
     dcf = simkit.grid5_dcf()
-    dcf.validate()
     res = dcf.bezout_residual()
     print(f"coprime factors: closed form, identity residual {res:.3e}")
 

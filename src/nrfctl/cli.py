@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import dimpl, factor, nrfsyn, simkit, sstate
-from .errors import NrfError
+from .errors import NrfError, audit
 from .ratmat import (
     Polynomial,
     RationalFunction,
@@ -25,6 +25,7 @@ from .ratmat import (
     save_ratmat,
 )
 from .sstate import StateSpace
+from .tolerances import PROBE_TOL
 
 
 def _fmt(x) -> str:
@@ -117,6 +118,8 @@ def cmd_dcf(args) -> CommandResult:
     F, L = factor.place_gains(plant, targets)
     dcf = factor.dcf_from_ss(plant, F, L)
     res = dcf.bezout_residual()
+    # the residual load_dcf audits: a file it would refuse is not written
+    audit("bezout-identity", res, PROBE_TOL, "rational factors")
     factor.save_dcf(dcf, args.out)
     report = [
         f"plant: order {plant.order}, {plant.n_outputs} outputs, {plant.n_inputs} inputs",
@@ -259,7 +262,6 @@ def cmd_demo(args) -> CommandResult:
     report.append(f"plant: order {plant.order} (demo network, five nodes)")
 
     dcf = simkit.grid5_dcf()
-    dcf.validate()
     factor.save_dcf(dcf, path("dcf.json"))
     artifacts.append(path("dcf.json"))
     report.append(f"bezout residual: {_fmt(dcf.bezout_residual())}")

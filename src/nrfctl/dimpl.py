@@ -85,8 +85,7 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     disjoint blocks of 1-based row numbers covering 1..m; each block is the
     minimal realization of its stacked row systems, which can share dynamics
     between rows with common denominators.  Each block must match the row
-    systems it reduces at probe points and pass the PBH audits; the row
-    systems of a pair given as rational matrices must first match its rows.
+    systems it reduces at probe points and pass the PBH audits.
     """
     m, p = pair.shape
     if grouping is None:
@@ -98,16 +97,13 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
             f"grouping {groups} is not a partition of rows 1..{m}"
         )
     pts, values = pair.probe_rows(7)
-    # relative to the largest entry of the rows being matched, over all points
-    rel = lambda got, want: (got - want) / max(1.0, np.max(np.abs(want)))
-    if pair.given:
-        want = pair.Phi.hstack(pair.Gamma).eval_many(pts)
-        audit("row-probe-match", rel(values, want), PROBE_TOL, f"rows {tuple(range(1, m + 1))}")
     out = []
     for g in groups:
         idx = [i - 1 for i in g]
         sys = sstate.minimal(sstate.stack_outputs([pair.row_systems[i] for i in idx]))
-        audit("row-probe-match", rel(sys.eval_many(pts), values[:, idx, :]), PROBE_TOL, f"rows {g}")
+        want = values[:, idx, :]  # relative to its largest entry, over all points
+        audit("row-probe-match", (sys.eval_many(pts) - want) / max(1.0, np.max(np.abs(want))),
+              PROBE_TOL, f"rows {g}")
         if not sstate.is_stabilizable(sys):
             raise InvariantViolation("row-stabilizable", f"rows {g}")
         if not sstate.is_detectable(sys):
@@ -160,28 +156,22 @@ class AssembledController:
 def assemble(rows: list[RowRealization]) -> AssembledController:
     """Block-diagonal assembly of row realizations into one controller.
 
-    Row indices must partition 1..m.  Outputs are permuted back into row
+    Row indices must partition 1..m, and ``stack_outputs`` refuses rows of
+    unequal input width or domain.  Outputs are permuted back into row
     order, so a grouping like [[2, 3], [1]] still yields output 1 on top.
     """
     if not rows:
         raise InconsistentDimensions("no rows to assemble")
     flat = [i for r in rows for i in r.rows]
     m = len(flat)
-    width = rows[0].sys.n_inputs
-    domain = rows[0].sys.domain
-    for r in rows:
-        if r.sys.n_inputs != width:
-            raise InconsistentDimensions("rows disagree on the input dimension")
-        if r.sys.domain is not domain:
-            raise DomainMismatch("rows disagree on the stability domain")
-
     stacked = sstate.stack_outputs([r.sys for r in rows])
     # stacked output k is controller output flat[k]; undo the grouping order
     perm = np.argsort(np.asarray(flat))
-    sys = StateSpace(stacked.A, stacked.B, stacked.C[perm, :], stacked.D[perm, :], domain)
-    ctrl = AssembledController(sys, [r.order for r in rows], (m, width - m), [r.rows for r in rows])
+    sys = StateSpace(stacked.A, stacked.B, stacked.C[perm, :], stacked.D[perm, :], stacked.domain)
+    ctrl = AssembledController(sys, [r.order for r in rows], (m, sys.n_inputs - m),
+                               [r.rows for r in rows])
 
-    pts = probe_points(domain, count=5)
+    pts = probe_points(sys.domain, count=5)
     want = np.concatenate([r.sys.eval_many(pts) for r in rows], axis=1)[:, perm, :]
     scale = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2), keepdims=True))  # per point
     audit("assembly-linearity", (sys.eval_many(pts) - want) / scale, PROBE_TOL)

@@ -63,19 +63,32 @@ from .tolerances import CROSS_CHECK_TOL, POLE_MATCH_TOL, PROBE_TOL
 _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
-def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, count: int = 20):
+def _check_inverse(left: StateSpace, right: StateSpace, invariant: str):
     """Audit left right = I at probe points; both maps are stable, so the
     probes clear all their poles."""
-    pts = probe_points(left.domain, count)
+    pts = probe_points(left.domain, 20)
     audit(invariant, left.eval_many(pts) @ right.eval_many(pts) - np.eye(left.n_outputs), PROBE_TOL)
 
 
+# each factor's block of a Bézout realization, (realization, row block, column
+# block, sign of B, sign of C), D scaled by both signs: Nt and Xt enter the
+# Bézout matrices negated, and the Yt block is Yt on the negated state
+_BLOCKS = {"M": ("right", 0, 0, 1, 1), "N": ("right", 1, 0, 1, 1), "Mt": ("left", 1, 1, 1, 1),
+           "Nt": ("left", 1, 0, -1, 1), "X": ("left", 0, 1, 1, 1), "Y": ("left", 0, 0, 1, 1),
+           "Xt": ("right", 0, 1, -1, 1), "Yt": ("right", 1, 1, -1, -1)}
+
+
 def _view(name: str) -> property:
+    side, row, col, sb, sc = _BLOCKS[name]
+
     def read(self) -> RationalMatrix:
-        mat = self._factors[name]
-        if isinstance(mat, StateSpace):
-            mat = self._factors[name] = ss_to_tf(mat)
-        return mat
+        if name not in self._views:
+            p, m = self.shape
+            blocks = (range(m), range(m, m + p))
+            s = getattr(self, side).select(blocks[row], blocks[col])
+            s = StateSpace(s.A, sb * s.B, sc * s.C, sb * sc * s.D, s.domain)
+            self._views[name] = ss_to_tf(s)
+        return self._views[name]
 
     return property(read, doc=f"{name} as a rational matrix, converted on first read")
 
@@ -84,42 +97,48 @@ class DoublyCoprime:
     """Eight stable TFMs tied by the Bézout identity, stored as two realizations.
 
     ``left`` and ``right`` realize the Bézout matrices [Y X; -Nt Mt] and
-    [M -Xt; N Yt]; every stage and every audit reads them.  Mt, Nt, Xt, Yt
-    hold the left-factor family (the tilde quantities); G is recovered as
-    Mt^-1 Nt = N M^-1.  The eight factors are rational views for JSON and
-    printing: a factor given as a rational matrix is kept verbatim, one given
-    as a realization goes through ``ss_to_tf`` on first read.  Given rational
-    factors are realized when the factorization is built, the left Bézout
-    matrix by ``tfm_to_ss`` and the right one as its inverse.
+    [M -Xt; N Yt] of a plant with ``shape`` (p, m); every stage and every
+    audit reads them.  Mt, Nt, Xt, Yt hold the left-factor family (the tilde
+    quantities); G is recovered as Mt^-1 Nt = N M^-1.  The eight factors are
+    rational views for JSON and printing, each ``ss_to_tf`` of its block on
+    first read; ``from_factors`` keeps the rational factors it is given.
     """
 
-    __slots__ = ("left", "right", "shape", "_factors", "_given")
+    __slots__ = ("left", "right", "shape", "_views")
 
     M, N, Mt, Nt, X, Y, Xt, Yt = (_view(name) for name in _FIELDS)
 
-    def __init__(self, M, N, Mt, Nt, X, Y, Xt, Yt, left=None, right=None):
-        self._factors = dict(zip(_FIELDS, (M, N, Mt, Nt, X, Y, Xt, Yt)))
-        self._given = left is None
-        if left is None:
-            self.shape = p, m = N.rows, N.cols
-            dims = {"M": (m, m), "N": (p, m), "Mt": (p, p), "Nt": (p, m),
-                    "X": (m, p), "Y": (m, m), "Xt": (m, p), "Yt": (p, p)}
-            for name, (r, c) in dims.items():
-                mat = self._factors[name]
-                if (mat.rows, mat.cols) != (r, c):
-                    raise DimensionMismatch(f"{name} must be {r}x{c}, got {mat.rows}x{mat.cols}")
-                if mat.domain is not M.domain:
-                    raise DomainMismatch(f"{name} disagrees on the stability domain")
-                if not mat.is_proper:
-                    raise InvariantViolation("factor-proper", f"{name} has an improper entry")
-            left = tfm_to_ss(Y.hstack(X).vstack((-Nt).hstack(Mt)))
-            # left^-1 on left's state, (A - B D^-1 C, B D^-1, -D^-1 C, D^-1)
-            Di = np.linalg.inv(left.D)
-            right = minimal(StateSpace(left.A - left.B @ Di @ left.C, left.B @ Di, -Di @ left.C,
-                                       Di, left.domain))
-        else:
-            self.shape = N.D.shape
-        self.left, self.right = left, right
+    def __init__(self, left: StateSpace, right: StateSpace, shape: tuple[int, int]):
+        self.left, self.right, self.shape = left, right, shape
+        self._views = {}
+
+    @classmethod
+    def from_factors(cls, M, N, Mt, Nt, X, Y, Xt, Yt) -> "DoublyCoprime":
+        """Realize rational factors, the left Bézout matrix by ``tfm_to_ss``
+        and the right one as its inverse; then ``validate``, and audit
+        ``bezout_residual``, which ties the given right factors to it."""
+        factors = dict(zip(_FIELDS, (M, N, Mt, Nt, X, Y, Xt, Yt)))
+        p, m = N.rows, N.cols
+        dims = {"M": (m, m), "N": (p, m), "Mt": (p, p), "Nt": (p, m),
+                "X": (m, p), "Y": (m, m), "Xt": (m, p), "Yt": (p, p)}
+        for name, (r, c) in dims.items():
+            mat = factors[name]
+            if (mat.rows, mat.cols) != (r, c):
+                raise DimensionMismatch(f"{name} must be {r}x{c}, got {mat.rows}x{mat.cols}")
+            if mat.domain is not M.domain:
+                raise DomainMismatch(f"{name} disagrees on the stability domain")
+            if not mat.is_proper:
+                raise InvariantViolation("factor-proper", f"{name} has an improper entry")
+        left = tfm_to_ss(Y.hstack(X).vstack((-Nt).hstack(Mt)))
+        # left^-1 on left's state, (A - B D^-1 C, B D^-1, -D^-1 C, D^-1)
+        Di = np.linalg.inv(left.D)
+        right = minimal(StateSpace(left.A - left.B @ Di @ left.C, left.B @ Di, -Di @ left.C,
+                                   Di, left.domain))
+        dcf = cls(left, right, (p, m))
+        dcf._views.update(factors)
+        dcf.validate()
+        audit("bezout-identity", dcf.bezout_residual(), PROBE_TOL, "given factors")
+        return dcf
 
     @property
     def domain(self) -> StabilityDomain:
@@ -128,14 +147,14 @@ class DoublyCoprime:
     def factors(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
 
-    def bezout_residual(self, count: int = 20) -> float:
+    def bezout_residual(self) -> float:
         """Max deviation of the Bézout product of the eight rational factors
         from identity over probe points.
 
         The factors are evaluated over all probe points and multiplied
         numerically point by point.  Stable factors need no probe avoidance.
         """
-        pts = probe_points(self.domain, count)
+        pts = probe_points(self.domain, 20)
         f = {name: mat.eval_many(pts) for name, mat in self.factors().items()}
         left = np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]])
         right = np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]])
@@ -148,16 +167,14 @@ class DoublyCoprime:
         lower = range(m, m + p)
         return -left_quotient(self.left.select(lower, range(m + p)), lower).select(range(p), range(m))
 
-    def validate(self, count: int = 20):
+    def validate(self):
         """Check every structural invariant; raise with the violated one named.
 
         Every check reads the realizations.  Stability is read off their
-        eigenvalues (a given left factor is realized minimally, so a common
-        factor in a JSON entry cancels), the gains at infinity off the
-        diagonal blocks of their D, and the Bézout identity and the two plant
-        quotients off their values at probe points.  Given rational factors
-        also pass ``bezout_residual``, which ties the right ones to
-        ``right`` = ``left``^-1.
+        eigenvalues (a left Bézout matrix realized from rational factors is
+        minimal, so a common factor in a JSON entry cancels), the gains at
+        infinity off the diagonal blocks of their D, and the Bézout identity
+        and the two plant quotients off their values at probe points.
         """
         p, m = self.shape
         for name, sys in (("left", self.left), ("right", self.right)):
@@ -172,12 +189,10 @@ class DoublyCoprime:
         for name, sys, blk in blocks:
             gain = sys.D[blk, blk]
             audit("gain-at-infinity", gain - np.eye(gain.shape[0]), PROBE_TOL, f"{name}(inf)")
-        _check_inverse(self.left, self.right, "bezout-identity", count)
-        if self._given:
-            audit("bezout-identity", self.bezout_residual(count), PROBE_TOL, "given factors")
+        _check_inverse(self.left, self.right, "bezout-identity")
         # G = Mt^-1 Nt on the realization of left against N M^-1 off right
         G = self.plant()
-        pts = probe_points(self.domain, count, avoid=np.linalg.eigvals(G.A))
+        pts = probe_points(self.domain, 20, avoid=np.linalg.eigvals(G.A))
         R = self.right.eval_many(pts)
         audit("plant-quotients-agree",
               G.eval_many(pts) - R[:, m:, :m] @ np.linalg.inv(R[:, :m, :m]), PROBE_TOL)
@@ -199,8 +214,8 @@ def _require_plant_ok(plant: StateSpace):
 def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprime:
     """Doubly coprime factorization from stabilizing gains F and L.
 
-    F must make A + BF stable and L must make A + LC stable; the eight
-    factors then read off the observer/state-feedback parameterization.
+    F must make A + BF stable and L must make A + LC stable; the two Bézout
+    realizations then read off the observer/state-feedback parameterization.
     """
     _require_plant_ok(plant)
     A, B, C = plant.A, plant.B, plant.C
@@ -217,23 +232,9 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
         raise GainsNotStabilizing("A + BF has eigenvalues outside the stability region")
     if unstable_eigs(AL, plant.domain):
         raise GainsNotStabilizing("A + LC has eigenvalues outside the stability region")
-    Im = np.eye(m)
-    Ip = np.eye(p)
-    Zp = np.zeros((m, p))
-    dom = plant.domain
-    FC = np.vstack([F, C])
-    dcf = DoublyCoprime(
-        M=StateSpace(AF, B, F, Im, dom),
-        N=StateSpace(AF, B, C, np.zeros((p, m)), dom),
-        Mt=StateSpace(AL, L, C, Ip, dom),
-        Nt=StateSpace(AL, B, C, np.zeros((p, m)), dom),
-        X=StateSpace(AL, L, F, Zp, dom),
-        Y=StateSpace(AL, -B, F, Im, dom),
-        Xt=StateSpace(AF, L, F, Zp, dom),
-        Yt=StateSpace(AF, L, -C, Ip, dom),
-        left=StateSpace(AL, np.hstack([-B, L]), FC, np.eye(m + p), dom),
-        right=StateSpace(AF, np.hstack([B, -L]), FC, np.eye(m + p), dom),
-    )
+    FC, I = np.vstack([F, C]), np.eye(m + p)
+    dcf = DoublyCoprime(StateSpace(AL, np.hstack([-B, L]), FC, I, plant.domain),
+                        StateSpace(AF, np.hstack([B, -L]), FC, I, plant.domain), (p, m))
     dcf.validate()
     return dcf
 
@@ -492,7 +493,7 @@ def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> StateSpace:
     return table
 
 
-def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpace, count: int = 20):
+def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpace):
     """Compare the table with the loop solved directly at probe points.
 
     With G = Mt^-1 Nt, K = YQ^-1 XQ and du entering the command as
@@ -501,7 +502,7 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpac
     and v = u + w.
     """
     p, m = dcf.shape
-    pts = probe_points(dcf.domain, count)  # the table is stable: no pole lies near them
+    pts = probe_points(dcf.domain, 20)  # the table is stable: no pole lies near them
     got = table.eval_many(pts)
     L = shift.left.eval_many(pts)
     YQ, XQ, Nt, Mt = L[:, :m, :m], L[:, :m, m:], -L[:, m:, :m], L[:, m:, m:]
@@ -552,9 +553,7 @@ def dcf_from_obj(obj: dict) -> DoublyCoprime:
     missing = [name for name in _FIELDS if name not in obj]
     if missing:
         raise InvariantViolation("dcf-fields-present", f"missing factors: {missing}")
-    dcf = DoublyCoprime(**{name: ratmat_from_obj(obj[name]) for name in _FIELDS})
-    dcf.validate()
-    return dcf
+    return DoublyCoprime.from_factors(**{name: ratmat_from_obj(obj[name]) for name in _FIELDS})
 
 
 def save_dcf(dcf: DoublyCoprime, path: str):

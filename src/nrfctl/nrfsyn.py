@@ -50,7 +50,7 @@ from .sstate import (
     unstable_eigs,
     unstable_map_poles,
 )
-from .tolerances import ROUND_TRIP_TOL
+from .tolerances import PROBE_TOL, ROUND_TRIP_TOL
 
 
 class NrfPair:
@@ -58,16 +58,17 @@ class NrfPair:
 
     ``row_systems`` realizes each row of [Phi Gamma] and is the stored form;
     Phi and Gamma are rational views of it, read off by ``ss_to_tf`` on first
-    use.  A pair built from rational matrices (one read from JSON) keeps them
-    verbatim, ``given`` is set, and its rows are realized entry by entry.
+    use.  A pair built from rational matrices (one read from JSON) realizes
+    its rows entry by entry, audits them against the matrices at probe points
+    and keeps the matrices as the views.
     """
 
-    __slots__ = ("row_systems", "given", "_Phi", "_Gamma")
+    __slots__ = ("row_systems", "_Phi", "_Gamma")
 
     def __init__(self, Phi=None, Gamma=None, row_systems=None):
         self._Phi, self._Gamma = Phi, Gamma
-        self.given = row_systems is None
-        if self.given:
+        rational = row_systems is None
+        if rational:
             if Phi.rows != Phi.cols:
                 raise NotSquare("Phi must be square")
             if Gamma.rows != Phi.rows:
@@ -83,6 +84,11 @@ class NrfPair:
                 raise InvariantViolation(
                     "phi-zero-diagonal", f"Phi[{i},{i}] is not the zero function"
                 )
+        if rational:  # relative to the largest entry of the rows, over all points
+            pts, values = self.probe_rows(7)
+            want = rows.eval_many(pts)
+            audit("row-probe-match", (values - want) / max(1.0, np.max(np.abs(want))), PROBE_TOL,
+                  f"rows {tuple(range(1, rows.rows + 1))}")
 
     @property
     def domain(self) -> StabilityDomain:

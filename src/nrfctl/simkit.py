@@ -318,6 +318,7 @@ def grid5_dcf():
 
     All eight factors are diagonal rescalings of U or U^-1 by first-order
     functions; deadbeat-flavored observer and state-feedback poles at 0.5.
+    Realized and validated on construction.
     """
     from .factor import DoublyCoprime
 
@@ -329,7 +330,7 @@ def grid5_dcf():
     quarter = rf([0.25], [-0.5, 1.0])
     zz = rf([0.0, 1.0], [-0.5, 1.0])  # z/(z-0.5)
     unit = rf([1.0], [-0.5, 1.0])
-    return DoublyCoprime(
+    return DoublyCoprime.from_factors(
         M=sc(zm1) @ U,
         N=sc(unit),
         Mt=sc(zm1),
@@ -541,11 +542,12 @@ def scenario_from_obj(obj: dict) -> Scenario:
         if key not in obj:
             raise InvariantViolation("scenario-fields-present", f"missing {key!r}")
     ctl = obj["controller"]
+    whole = lambda values, field: [_whole(v, f"scenario-{field}-integral") for v in values]
     controller = AssembledController(
         sstate.ss_from_obj(ctl["ss"]),
-        [int(x) for x in ctl["row_orders"]],
-        tuple(int(x) for x in ctl["partition"]),
-        [tuple(int(i) for i in g) for g in ctl["grouping"]],
+        whole(ctl["row_orders"], "row-orders"),
+        tuple(whole(ctl["partition"], "partition")),
+        [tuple(whole(g, "grouping")) for g in ctl["grouping"]],
     )
     return Scenario(
         horizon=obj["horizon"],

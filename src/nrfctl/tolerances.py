@@ -12,7 +12,7 @@ fails at the first point where it reaches the tolerance.  Two deviations are
 scaled by max(1, largest entry magnitude of the rows matched):
 
     invariant                    tolerance        deviation
-    bezout-identity              PROBE_TOL        left right - I; given factors: their product - I
+    bezout-identity              PROBE_TOL        left right - I; rational factors: their product - I
     shifted-bezout-identity      PROBE_TOL        the same on the Q-shifted realizations
     gain-at-infinity             PROBE_TOL        M, Mt, Y or Yt at infinity - I
     plant-quotients-agree        PROBE_TOL        Mt^-1 Nt - N M^-1

@@ -58,8 +58,8 @@ def _platoon_spread(order: int) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _platoon(n: int):
-    """Chain of n vehicles, its factorization and the Q = 0 shift.
+def _platoon_gains(n: int):
+    """Chain of n vehicles and its gains (F, L).
 
     Targets 0.6 + s k (feedback) and 0.45 + s k (observer) with
     s = min(0.03, 0.36 / (order - 1)), as the benchmark's platoon sweep
@@ -70,6 +70,13 @@ def _platoon(n: int):
     step = _platoon_spread(order)
     F, _ = factor.place_gains(plant, [0.6 + step * k for k in range(order)])
     _, L = factor.place_gains(plant, [0.45 + step * k for k in range(order)])
+    return plant, F, L
+
+
+@functools.lru_cache(maxsize=None)
+def _platoon(n: int):
+    """Chain of n vehicles, its factorization and the Q = 0 shift."""
+    plant, F, L = _platoon_gains(n)
     dcf = factor.dcf_from_ss(plant, F, L)
     shift = factor.youla_shift(dcf, RationalMatrix.zeros(n, n, StabilityDomain.DISCRETE))
     return plant, dcf, shift
@@ -79,6 +86,12 @@ def _platoon(n: int):
 def platoon():
     """platoon(n) -> (plant, dcf, Q = 0 shift), each size built once."""
     return _platoon
+
+
+@pytest.fixture(scope="session")
+def platoon_gains():
+    """platoon_gains(n) -> (plant, F, L) of the platoon fixture."""
+    return _platoon_gains
 
 
 @pytest.fixture(scope="session")

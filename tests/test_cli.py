@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from nrfctl import cli, nrfsyn, simkit, sstate
+from nrfctl import cli, factor, nrfsyn, simkit, sstate
 from nrfctl.ratmat import (
     Polynomial,
     RationalFunction,
@@ -69,6 +69,18 @@ def test_dcf_command_on_demo_plant(demo_dir, tmp_path, capsys):
     residual = float(report.split("bezout residual:")[1].split()[0])
     assert residual < 1e-8
     assert out.exists()
+
+
+def test_dcf_refuses_to_write_what_nrf_would_refuse(demo_dir, tmp_path, capsys, monkeypatch):
+    # a residual at the tolerance load_dcf audits exits 1 and writes nothing
+    monkeypatch.setattr(factor.DoublyCoprime, "bezout_residual", lambda self: 2e-8)
+    out = tmp_path / "dcf-bad.json"
+    code = cli.main(["dcf", "--plant", str(demo_dir / "plant.json"), "--out", str(out)])
+    report = capsys.readouterr().out
+    assert code == 1
+    assert "InvariantViolation: bezout-identity" in report
+    assert "tolerance 1e-08" in report
+    assert not out.exists()
 
 
 def test_dcf_rejects_unstabilizable(tmp_path, capsys):

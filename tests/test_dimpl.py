@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nrfctl import dimpl, factor, nrfsyn, simkit, sstate
 from nrfctl.errors import (
+    DimensionMismatch,
     InconsistentDimensions,
     InvariantViolation,
     NrfError,
@@ -52,6 +53,13 @@ def test_grouping_must_partition(grid5_pair):
         dimpl.realize_rows(grid5_pair, [[1, 2], [2, 3], [4], [5]])
     with pytest.raises(InconsistentDimensions):
         dimpl.realize_rows(grid5_pair, [[1], [2]])
+
+
+def test_assemble_refuses_rows_of_unequal_input_width(grid5_rows):
+    # one row reads nine of the ten inputs: stack_outputs names the mismatch
+    narrow = dimpl.RowRealization(2, grid5_rows[1].sys.select([0], range(9)))
+    with pytest.raises(DimensionMismatch):
+        dimpl.assemble([grid5_rows[0], narrow, *grid5_rows[2:]])
 
 
 def test_assembled_controller_grid5(grid5_pair, grid5_ctrl):

@@ -36,6 +36,7 @@ from nrfctl.ratmat import (
     StabilityDomain,
     probe_points,
     ratmat_from_obj,
+    ratmat_to_obj,
 )
 from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, unstable_eigs
 
@@ -252,6 +253,37 @@ def test_bezout_realizations_match_rational_factors(platoon, grid5_plant, grid5_
     assert np.max(np.abs(dcf.right.eval_many(pts) - right)) <= 1e-10
 
 
+def _textbook_factors(plant, F, L) -> dict:
+    """The eight factors, each on its own realization from (A, B, C, F, L)."""
+    A, B, C, dom = plant.A, plant.B, plant.C, plant.domain
+    AF, AL = A + B @ F, A + L @ C
+    Im, Ip = np.eye(B.shape[1]), np.eye(C.shape[0])
+    Zpm, Zmp = np.zeros((C.shape[0], B.shape[1])), np.zeros((B.shape[1], C.shape[0]))
+    return {
+        "M": StateSpace(AF, B, F, Im, dom), "N": StateSpace(AF, B, C, Zpm, dom),
+        "Mt": StateSpace(AL, L, C, Ip, dom), "Nt": StateSpace(AL, B, C, Zpm, dom),
+        "X": StateSpace(AL, L, F, Zmp, dom), "Y": StateSpace(AL, -B, F, Im, dom),
+        "Xt": StateSpace(AF, L, F, Zmp, dom), "Yt": StateSpace(AF, L, -C, Ip, dom),
+    }
+
+
+@pytest.mark.parametrize("case", [str(n) for n in range(2, 9)] + ["grid5-readme", "grid5-default"])
+def test_views_of_a_synthesized_dcf_match_their_own_realizations(platoon_gains, grid5_plant, case):
+    # each rational view of a dcf_from_ss factorization, as JSON, is ss_to_tf
+    # of that factor's own realization: the views are exact signed slices
+    if case.startswith("grid5"):
+        plant = grid5_plant
+        targets = ([0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7] if case == "grid5-readme"
+                   else default_targets(plant.order, plant.domain))
+        F, L = place_gains(plant, targets)
+    else:
+        plant, F, L = platoon_gains(int(case))
+    dcf = dcf_from_ss(plant, F, L)
+    for name, sys in _textbook_factors(plant, F, L).items():
+        got, want = ratmat_to_obj(getattr(dcf, name)), ratmat_to_obj(ss_to_tf(sys))
+        assert json.dumps(got) == json.dumps(want), name
+
+
 def test_dcf_grid5_invariants(grid5_dcf):
     assert grid5_dcf.bezout_residual() < 1e-8
     for name in ("Y", "Yt", "M", "Mt"):
@@ -291,7 +323,7 @@ def test_validate_rejects_one_unstable_entry(tmp_path, grid5_dcf, domain, pole):
         obj = dcf_to_obj(grid5_dcf if domain == "discrete" else _continuous_dcf())
         obj[name]["entries"][0][1] = entry
         with pytest.raises(InvariantViolation) as exc:
-            factor.DoublyCoprime(**{key: ratmat_from_obj(obj[key]) for key in obj}).validate()
+            factor.DoublyCoprime.from_factors(**{key: ratmat_from_obj(obj[key]) for key in obj})
         assert exc.value.invariant == invariant
         if invariant == "bezout-identity":
             assert "tolerance 1e-08" in str(exc.value)

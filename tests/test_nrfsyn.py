@@ -56,6 +56,23 @@ def test_hollow_diagonal_enforced():
         NrfPair(Phi, RationalMatrix([[one]], DISC))
 
 
+def test_rational_pair_audits_its_rows_when_built(monkeypatch):
+    # a row realization that misses its rational row by 1e-6 in the Gamma
+    # feedthrough is refused where the pair is built, before any realize_rows
+    realize = nrfsyn.tf_to_ss_obsv
+
+    def off(row):
+        s = realize(row)
+        return StateSpace(s.A, s.B, s.C, s.D + np.array([[0.0, 1e-6]]), s.domain)
+
+    monkeypatch.setattr(nrfsyn, "tf_to_ss_obsv", off)
+    gamma = RationalFunction(Polynomial([1.0]), Polynomial([-0.5, 1.0]))
+    with pytest.raises(InvariantViolation) as exc:
+        NrfPair(RationalMatrix.zeros(1, 1, DISC), RationalMatrix([[gamma]], DISC))
+    assert exc.value.invariant == "row-probe-match"
+    assert "rows (1,)" in str(exc.value)
+
+
 def test_grid5_nrf_closed_form(grid5_pair):
     """The synthesized pair has the known grid closed form.
 

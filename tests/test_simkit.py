@@ -136,6 +136,14 @@ def test_fractional_integers_are_refused_not_truncated(grid5_plant, grid5_ctrl):
             simkit.scenario_from_obj({**obj, field: bad})
         assert exc.value.invariant == f"scenario-{field}-integral"
     assert simkit.scenario_from_obj({**obj, "horizon": 10.0}).horizon == 10
+    ctl = obj["controller"]
+    for field, bad in (("row_orders", [ctl["row_orders"][0] + 0.5] + ctl["row_orders"][1:]),
+                       ("partition", [5.5, 5]), ("grouping", [[1.5]] + ctl["grouping"][1:])):
+        with pytest.raises(InvariantViolation) as exc:
+            simkit.scenario_from_obj({**obj, "controller": {**ctl, field: bad}})
+        assert exc.value.invariant == f"scenario-{field.replace('_', '-')}-integral"
+    whole = simkit.scenario_from_obj({**obj, "controller": {**ctl, "partition": [5.0, 5.0]}})
+    assert whole.controller.partition == (5, 5)
 
 
 def test_controller_must_agree_with_its_metadata(grid5_ctrl):
