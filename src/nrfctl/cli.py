@@ -10,6 +10,7 @@ numbers print with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -118,7 +119,8 @@ def cmd_dcf(args) -> CommandResult:
     F, L = factor.place_gains(plant, targets)
     dcf = factor.dcf_from_ss(plant, F, L)
     res = dcf.bezout_residual()
-    # the residual load_dcf audits: a file it would refuse is not written
+    # the residual load_dcf audits on the rational factors alone: a file whose
+    # factors it would refuse, once the realization keys are deleted, is not written
     audit("bezout-identity", res, PROBE_TOL, "rational factors")
     factor.save_dcf(dcf, args.out)
     report = [
@@ -346,7 +348,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = _Parser(
         prog="nrfctl",
         description="Distributed-controller toolkit: factorizations, NRF synthesis, "
@@ -358,38 +362,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plant", required=True, help="plant JSON (state-space or rational matrix)")
     p.add_argument("--targets", help="comma-separated closed-loop pole targets")
     p.add_argument("--out", required=True, help="output DCF JSON")
-    p.set_defaults(handler=cmd_dcf)
 
     p = sub.add_parser("nrf", help="shift by a Youla parameter and extract the NRF pair")
     p.add_argument("--dcf", required=True)
     p.add_argument("--q", required=True, help="Youla parameter JSON (rational matrix)")
     p.add_argument("--patterns", help="sparsity pattern JSON with masks X and Y")
     p.add_argument("--out", required=True, help="output NRF JSON")
-    p.set_defaults(handler=cmd_nrf)
 
     p = sub.add_parser("check", help="closed-loop stability table for an NRF around a plant")
     p.add_argument("--nrf", required=True)
     p.add_argument("--plant", required=True)
     p.add_argument("--grid", type=int, default=0, help="boundary grid size for the norm line")
-    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("realize", help="row-by-row state-space realization of an NRF pair")
     p.add_argument("--nrf", required=True)
     p.add_argument("--grouping", help="row blocks, e.g. '1;2,3;4;5'")
     p.add_argument("--out", required=True, help="output realization bundle JSON")
-    p.set_defaults(handler=cmd_realize)
 
     p = sub.add_parser("cert", help="diagonal-structure instability certificates")
     p.add_argument("--dcf", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--mode", choices=("mr2", "mr3"), required=True)
-    p.set_defaults(handler=cmd_cert)
 
     p = sub.add_parser("simulate", help="run a scenario file and write the trace CSV")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True, help="output trace CSV")
     p.add_argument("--seed", type=int, help="override the scenario's seed")
-    p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("demo", help="run the built-in end-to-end example")
     p.add_argument("name", help="demo name (grid5)")
@@ -397,18 +395,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--grid", type=int, default=0, help="boundary grid size for the norm line")
     p.add_argument("--no-sim", action="store_true", help="stop after the eigenvalue check")
-    p.set_defaults(handler=cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "grid", 0) < 0:
         parser.error("argument --grid: must be >= 0 (0 skips the norm line)")
     try:
-        result = args.handler(args)
+        # looked up on each call, so a rebound cmd_* (a tracer, a test) is the one run
+        result = globals()[f"cmd_{args.command}"](args)
     except NrfError as exc:
         result = CommandResult("error", [f"{type(exc).__name__}: {exc}"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

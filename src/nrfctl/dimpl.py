@@ -2,9 +2,10 @@
 
 The controller u = Phi u + Gamma z is realized one row (or block of rows) at a
 time: each block is a minimal realization of the row systems the pair carries
-(the state-space quotients ``nrfsyn`` formed them as, or each row's own entry
-by entry realization for a pair read from JSON), checked against those row
-systems, so node i only ever stores the dynamics its own control law needs.
+(the state-space quotients ``nrfsyn`` formed them as, stored as such in
+nrf.json, or each row's entry by entry realization for a file with the
+rational matrices alone), checked against those row systems, so node i only
+ever stores the dynamics its own control law needs.
 Assembly stacks the rows into a block-diagonal state matrix, and the loop
 with the plant closes through a static coupling matrix whose invertibility is
 certified by a Schur complement before the closed-loop realization is formed.
@@ -16,7 +17,8 @@ the state matrix A_CL: when A_CL is stable the loop is internally stable, and
 otherwise each map's unstable poles are the unstable eigenvalues of its
 minimal realization whose A_CL mode passes the PBH tests against the map's
 own B and C.  The realized H-tilde map is cross-checked against
-(I - Phi + Gamma G)^-1 evaluated pointwise.
+(I - Phi + Gamma G)^-1 evaluated pointwise, with [Phi Gamma] evaluated off
+the row systems.
 """
 
 from __future__ import annotations
@@ -386,7 +388,8 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     those of its minimal realization that pass the PBH tests of
     ``sstate.unstable_map_poles``.  H-tilde is the map from the command, du and r
     injections to (u, -u, y).  Its realization is cross-checked against
-    (I - Phi + Gamma G)^-1 formed pointwise from Phi, Gamma and G.
+    (I - Phi + Gamma G)^-1 formed pointwise from G and the row systems'
+    values of [Phi Gamma]; the rational views are not read.
     """
     m, p = pair.shape
     ctrl = assemble(realize_rows(pair))
@@ -410,8 +413,8 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     avoid = np.concatenate(
         [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
     )
-    pts = probe_points(pair.domain, count=11, avoid=avoid)
-    Phi_e, Gamma_e, G_e = pair.Phi.eval_many(pts), pair.Gamma.eval_many(pts), plant.eval_many(pts)
+    pts, rows_e = pair.probe_rows(11, avoid)
+    Phi_e, Gamma_e, G_e = rows_e[:, :, :m], rows_e[:, :, m:], plant.eval_many(pts)
     eye = np.broadcast_to(np.eye(m), Phi_e.shape)
     S_e = eye - Phi_e + Gamma_e @ G_e
     left_e = np.concatenate([eye, -eye, G_e], axis=1)

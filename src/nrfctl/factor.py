@@ -9,7 +9,11 @@ each of the plant order and already normalized so that M, M̃, Y and Ỹ have
 identity gain at infinity.  Every check reads these realizations: stability
 from their eigenvalues, gains from their feedthrough, identities from their
 values at deterministic probe points.  The eight rational factors are views
-for JSON and printing, converted on first read.  The Youla shift is two
+for JSON and printing, converted on first read.  dcf.json holds the factors
+and, beside them, ``left``, ``right`` and ``shape``: a reader takes the
+realizations as they are and validates them, and keeps the factors as
+unparsed views; a file with the factors alone is realized by
+``DoublyCoprime.from_factors`` and audited there.  The Youla shift is two
 series connections of the realizations with Q, and the closed-loop table and
 every later stage read the shifted realizations; no factor is multiplied
 symbolically.
@@ -54,6 +58,8 @@ from .sstate import (
     minimal,
     parallel,
     series,
+    ss_from_obj,
+    ss_to_obj,
     ss_to_tf,
     tfm_to_ss,
     unstable_eigs,
@@ -83,11 +89,14 @@ def _view(name: str) -> property:
 
     def read(self) -> RationalMatrix:
         if name not in self._views:
-            p, m = self.shape
-            blocks = (range(m), range(m, m + p))
-            s = getattr(self, side).select(blocks[row], blocks[col])
-            s = StateSpace(s.A, sb * s.B, sc * s.C, sb * sc * s.D, s.domain)
-            self._views[name] = ss_to_tf(s)
+            if name in self._json:
+                self._views[name] = ratmat_from_obj(self._json[name])
+            else:
+                p, m = self.shape
+                blocks = (range(m), range(m, m + p))
+                s = getattr(self, side).select(blocks[row], blocks[col])
+                s = StateSpace(s.A, sb * s.B, sc * s.C, sb * sc * s.D, s.domain)
+                self._views[name] = ss_to_tf(s)
         return self._views[name]
 
     return property(read, doc=f"{name} as a rational matrix, converted on first read")
@@ -101,16 +110,19 @@ class DoublyCoprime:
     audit reads them.  Mt, Nt, Xt, Yt hold the left-factor family (the tilde
     quantities); G is recovered as Mt^-1 Nt = N M^-1.  The eight factors are
     rational views for JSON and printing, each ``ss_to_tf`` of its block on
-    first read; ``from_factors`` keeps the rational factors it is given.
+    first read; ``from_factors`` keeps the rational factors it is given, and
+    a factorization read from JSON keeps the file's rational entries (in
+    ``_json``, unparsed until first read and written back as they were).
     """
 
-    __slots__ = ("left", "right", "shape", "_views")
+    __slots__ = ("left", "right", "shape", "_views", "_json")
 
     M, N, Mt, Nt, X, Y, Xt, Yt = (_view(name) for name in _FIELDS)
 
     def __init__(self, left: StateSpace, right: StateSpace, shape: tuple[int, int]):
         self.left, self.right, self.shape = left, right, shape
         self._views = {}
+        self._json = {}
 
     @classmethod
     def from_factors(cls, M, N, Mt, Nt, X, Y, Xt, Yt) -> "DoublyCoprime":
@@ -546,14 +558,45 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
 
 
 def dcf_to_obj(dcf: DoublyCoprime) -> dict:
-    return {name: ratmat_to_obj(getattr(dcf, name)) for name in _FIELDS}
+    """The eight rational factors, then the realizations ``left``, ``right``
+    and ``shape`` [p, m] that a reader takes as authoritative."""
+    obj = {name: dcf._json.get(name) or ratmat_to_obj(getattr(dcf, name)) for name in _FIELDS}
+    obj.update(left=ss_to_obj(dcf.left), right=ss_to_obj(dcf.right), shape=list(dcf.shape))
+    return obj
+
+
+_REALIZATION = ("left", "right", "shape")
 
 
 def dcf_from_obj(obj: dict) -> DoublyCoprime:
-    missing = [name for name in _FIELDS if name not in obj]
+    """Read a factorization.  With ``left``, ``right`` and ``shape`` present,
+    the realizations are taken as they are and ``validate``d; the rational
+    factors become its views unread.  A file with the rational factors alone
+    goes through ``DoublyCoprime.from_factors``."""
+    if not any(key in obj for key in _REALIZATION):
+        missing = [name for name in _FIELDS if name not in obj]
+        if missing:
+            raise InvariantViolation("dcf-fields-present", f"missing factors: {missing}")
+        return DoublyCoprime.from_factors(**{name: ratmat_from_obj(obj[name]) for name in _FIELDS})
+    missing = [key for key in _REALIZATION if key not in obj]
     if missing:
-        raise InvariantViolation("dcf-fields-present", f"missing factors: {missing}")
-    return DoublyCoprime.from_factors(**{name: ratmat_from_obj(obj[name]) for name in _FIELDS})
+        raise InvariantViolation("dcf-fields-present", f"missing realization keys: {missing}")
+    shape = obj["shape"]
+    if (not isinstance(shape, list) or len(shape) != 2
+            or not all(type(k) is int and k >= 1 for k in shape)):
+        raise DimensionMismatch(f"shape must be [p, m] with positive integers, got {shape!r}")
+    p, m = shape
+    left, right = ss_from_obj(obj["left"]), ss_from_obj(obj["right"])
+    for name, sys in (("left", left), ("right", right)):
+        if sys.D.shape != (m + p, m + p):
+            raise DimensionMismatch(f"{name} must map {m + p} inputs to {m + p} outputs, "
+                                    f"got {sys.n_inputs} to {sys.n_outputs}")
+    if right.domain is not left.domain:
+        raise DomainMismatch("left and right disagree on the stability domain")
+    dcf = DoublyCoprime(left, right, (p, m))
+    dcf.validate()
+    dcf._json = {name: obj[name] for name in _FIELDS if name in obj}
+    return dcf
 
 
 def save_dcf(dcf: DoublyCoprime, path: str):

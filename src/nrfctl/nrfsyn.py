@@ -6,11 +6,14 @@ The diagonal of Phi is zero *structurally* (entries are literal zero
 functions), never merely small: self-loops are a causality violation, not a
 numerical artifact.  Each row of [Phi Gamma] is formed, and kept as the
 pair's stored form, as a state-space quotient of one row of a realized left
-factorization by its diagonal entry; the loop-sensitivity audit evaluates
-those rows, and the rational Phi and Gamma are views read off them for JSON,
-sparsity correspondence and printing.  The left factorization [Y_Q X_Q], the
-certificates' witnesses and the beta-iteration form are all slices and
-series connections of the realized Bézout matrices.
+factorization by its diagonal entry.  The loop-sensitivity audit and the
+sparsity correspondence read those rows, nrf.json stores them as
+``row_systems`` beside the rational ``phi`` and ``gamma``, and a reader takes
+them as they are.  The rational Phi and Gamma are views read off the rows for
+JSON and printing; a file with ``phi`` and ``gamma`` alone is realized and
+audited once, in ``NrfPair(Phi, Gamma)``.  The left factorization
+[Y_Q X_Q], the certificates' witnesses and the beta-iteration form are all
+slices and series connections of the realized Bézout matrices.
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ from .sstate import (
     minimal,
     parallel,
     series,
+    ss_from_obj,
+    ss_to_obj,
     ss_to_tf,
     tf_to_ss_obsv,
     unstable_eigs,
     unstable_map_poles,
 )
-from .tolerances import PROBE_TOL, ROUND_TRIP_TOL
+from .tolerances import PROBE_TOL, RANK_REL_TOL, ROUND_TRIP_TOL
 
 
 class NrfPair:
@@ -58,15 +63,18 @@ class NrfPair:
 
     ``row_systems`` realizes each row of [Phi Gamma] and is the stored form;
     Phi and Gamma are rational views of it, read off by ``ss_to_tf`` on first
-    use.  A pair built from rational matrices (one read from JSON) realizes
-    its rows entry by entry, audits them against the matrices at probe points
-    and keeps the matrices as the views.
+    use.  A pair built from rational matrices (a file with ``phi`` and
+    ``gamma`` alone) realizes its rows entry by entry, audits them against
+    the matrices at probe points and keeps the matrices as the views.  A pair
+    read with its ``row_systems`` keeps the file's ``phi`` and ``gamma`` (in
+    ``_json``, unparsed until first read and written back as they were).
     """
 
-    __slots__ = ("row_systems", "_Phi", "_Gamma")
+    __slots__ = ("row_systems", "_Phi", "_Gamma", "_json")
 
     def __init__(self, Phi=None, Gamma=None, row_systems=None):
         self._Phi, self._Gamma = Phi, Gamma
+        self._json = {}
         rational = row_systems is None
         if rational:
             if Phi.rows != Phi.cols:
@@ -101,7 +109,9 @@ class NrfPair:
         return m, self.row_systems[0].n_inputs - m
 
     def _views(self) -> tuple[RationalMatrix, RationalMatrix]:
-        if self._Phi is None:
+        if self._Phi is None and self._json:
+            self._Phi, self._Gamma = (ratmat_from_obj(self._json[k]) for k in ("phi", "gamma"))
+        elif self._Phi is None:
             m = len(self.row_systems)
             rows = [ss_to_tf(s).entries[0] for s in self.row_systems]
             self._Phi = RationalMatrix([r[:m] for r in rows], self.domain)
@@ -111,12 +121,25 @@ class NrfPair:
     Phi = property(lambda self: self._views()[0], doc="Phi as a rational matrix")
     Gamma = property(lambda self: self._views()[1], doc="Gamma as a rational matrix")
 
-    def probe_rows(self, count: int) -> tuple[list[complex], np.ndarray]:
-        """Probe points clear of every row system's eigenvalues, and [Phi Gamma]
-        evaluated there off the row systems, shape (count, m, m + p)."""
-        pts = probe_points(self.domain, count,
-                           avoid=np.concatenate([np.linalg.eigvals(s.A) for s in self.row_systems]))
+    def probe_rows(self, count: int, avoid=()) -> tuple[list[complex], np.ndarray]:
+        """Probe points clear of every row system's eigenvalues and of ``avoid``,
+        and [Phi Gamma] evaluated there off the row systems, shape
+        (count, m, m + p)."""
+        eigs = [np.linalg.eigvals(s.A) for s in self.row_systems]
+        pts = probe_points(self.domain, count, avoid=np.concatenate([*eigs, np.ravel(avoid)]))
         return pts, np.concatenate([s.eval_many(pts) for s in self.row_systems], axis=1)
+
+    def support(self) -> SparsityPattern:
+        """The nonzero entries of [Phi Gamma], read off the row systems: entry
+        j of a row is zero when column j of its [B; D] is, by norm, at most
+        RANK_REL_TOL times max(1, the largest such column norm of the row).
+        In a minimal single-output row the entry is zero exactly when that
+        column is."""
+        mask = []
+        for s in self.row_systems:
+            norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
+            mask.append(norms > RANK_REL_TOL * max(1.0, float(norms.max())))
+        return SparsityPattern(mask)
 
 
 def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
@@ -208,10 +231,16 @@ def sparsity_correspondence(
 
     The two sides are equivalent in exact arithmetic; a disagreement means a
     numerical cancellation produced a spurious (or lost) entry.  The support
-    of [Y_Q X_Q] is read off its realization by ``ss_to_tf``.
+    of [Phi Gamma] is ``NrfPair.support``, read off the row systems; the
+    support of [Y_Q X_Q] is read off its realization by ``ss_to_tf``.
     """
     m, p = pair.shape
-    nrf_side = pair.Phi.conforms(triple.Y) and pair.Gamma.conforms(triple.X)
+    allowed = np.hstack([triple.Y.mask, triple.X.mask])
+    support = np.asarray(pair.support().mask)
+    if allowed.shape != support.shape:
+        raise DimensionMismatch(f"patterns of shape {allowed.shape} for [Phi Gamma] of "
+                                f"shape {support.shape}")
+    nrf_side = not np.any(support & ~allowed)
     YX = ss_to_tf(shift.left.select(range(m), range(m + p)))
     shift_side = YX.conforms(SparsityPattern(np.hstack([triple.Yplus.mask, triple.X.mask])))
     if nrf_side != shift_side:
@@ -330,13 +359,39 @@ def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):
 
 
 def nrf_to_obj(pair: NrfPair) -> dict:
-    return {"phi": ratmat_to_obj(pair.Phi), "gamma": ratmat_to_obj(pair.Gamma)}
+    """``phi`` and ``gamma`` as rational matrices, then ``row_systems``, one
+    state-space object per row of [Phi Gamma], which a reader takes as
+    authoritative."""
+    obj = dict(pair._json) or {"phi": ratmat_to_obj(pair.Phi), "gamma": ratmat_to_obj(pair.Gamma)}
+    obj["row_systems"] = [ss_to_obj(s) for s in pair.row_systems]
+    return obj
 
 
 def nrf_from_obj(obj: dict) -> NrfPair:
-    if "phi" not in obj or "gamma" not in obj:
-        raise InvariantViolation("nrf-fields-present", "need both 'phi' and 'gamma'")
-    return NrfPair(ratmat_from_obj(obj["phi"]), ratmat_from_obj(obj["gamma"]))
+    """Read a pair.  With ``row_systems`` present, the rows are taken as they
+    are; ``phi`` and ``gamma`` become its views unread.  A file with ``phi``
+    and ``gamma`` alone realizes them in ``NrfPair(Phi, Gamma)``."""
+    if "row_systems" not in obj:
+        if "phi" not in obj or "gamma" not in obj:
+            raise InvariantViolation("nrf-fields-present", "need both 'phi' and 'gamma'")
+        return NrfPair(ratmat_from_obj(obj["phi"]), ratmat_from_obj(obj["gamma"]))
+    rows = obj["row_systems"]
+    if not isinstance(rows, list) or not rows:
+        raise InvariantViolation("nrf-fields-present", "'row_systems' must be a nonempty list")
+    rows = [ss_from_obj(row) for row in rows]
+    m = len(rows)
+    width, domain = rows[0].n_inputs, rows[0].domain
+    for i, sys in enumerate(rows):
+        if sys.n_outputs != 1 or sys.n_inputs != width or width < m:
+            raise DimensionMismatch(f"row system {i} maps {sys.n_inputs} inputs to "
+                                    f"{sys.n_outputs} outputs; each of the {m} rows needs "
+                                    f"one output and the same m + p >= {m} inputs")
+        if sys.domain is not domain:
+            raise DomainMismatch(f"row system {i} disagrees on the stability domain")
+    pair = NrfPair(row_systems=rows)
+    if "phi" in obj and "gamma" in obj:
+        pair._json = {"phi": obj["phi"], "gamma": obj["gamma"]}
+    return pair
 
 
 def save_nrf(pair: NrfPair, path: str):

@@ -38,16 +38,26 @@ class StabilityDomain(enum.Enum):
 
 
 def _strip(coeffs) -> tuple[float, ...]:
-    """Canonicalise a coefficient sequence: zap tiny entries, drop high-order zeros."""
-    arr = np.asarray(coeffs, dtype=float).ravel()
-    if arr.size == 0:
+    """Canonicalise a coefficient sequence: zap tiny entries, drop high-order zeros.
+
+    Plain float arithmetic on a list, the same IEEE operations as the array
+    form ``np.where(|c| <= tol, 0, c)`` with tol = COEFF_ZERO_REL (1 + max |c|):
+    a NaN makes tol NaN and zaps nothing, as numpy's max propagates it.
+    """
+    if isinstance(coeffs, (list, tuple)):
+        cs = [float(c) for c in coeffs]
+    else:
+        cs = np.asarray(coeffs, dtype=float).ravel().tolist()
+    if not cs:
         return (0.0,)
-    tol = COEFF_ZERO_REL * (1.0 + np.abs(arr).max())
-    arr = np.where(np.abs(arr) <= tol, 0.0, arr)
-    last = arr.size - 1
-    while last > 0 and arr[last] == 0.0:
+    mags = [abs(c) for c in cs]
+    total = sum(mags)  # NaN exactly when some magnitude is NaN; Python's max skips those
+    tol = COEFF_ZERO_REL * (1.0 + (max(mags) if total == total else total))
+    cs = [0.0 if m <= tol else c for c, m in zip(cs, mags)]
+    last = len(cs) - 1
+    while last > 0 and cs[last] == 0.0:
         last -= 1
-    return tuple(float(c) for c in arr[: last + 1])
+    return tuple(cs[: last + 1])
 
 
 class Polynomial:

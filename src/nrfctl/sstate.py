@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainMismatch,
+    InvariantViolation,
     NotProper,
     NotSquare,
 )
@@ -525,7 +526,13 @@ def ss_to_obj(sys: StateSpace) -> dict:
     }
 
 
+_SS_KEYS = ("domain", "A", "B", "C", "D")
+
+
 def ss_from_obj(obj: dict) -> StateSpace:
+    missing = [key for key in _SS_KEYS if key not in obj] if isinstance(obj, dict) else _SS_KEYS
+    if missing:
+        raise InvariantViolation("ss-fields-present", f"missing {list(missing)}")
     domain = StabilityDomain(obj["domain"])
     D = np.atleast_2d(np.asarray(obj["D"], dtype=float))
     A = np.asarray(obj["A"], dtype=float)

@@ -4,7 +4,10 @@ COEFF_ZERO_REL belongs to the polynomial arithmetic of ``ratmat`` alone.
 Every state-space decision, including which poles the entries of a rational
 matrix share when it is realized and which common factors leave an entry, is
 a singular-value rank decision at RANK_REL_TOL; nothing compares computed
-roots to cancel them.  Every stability verdict is ``sstate.is_unstable``.
+roots to cancel them.  So is the support of an NRF pair (``NrfPair.support``):
+entry j of a row is zero when column j of the row system's [B; D] has norm at
+most RANK_REL_TOL * max(1, largest column norm of that row).  Every stability
+verdict is ``sstate.is_unstable``.
 
 Every residual audit goes through ``errors.audit``: the residual at a probe
 point is the largest entry magnitude of the deviation there, and the audit

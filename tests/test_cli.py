@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,32 +220,66 @@ def test_check_zero_plant_ok(tmp_path, capsys):
     assert code == 0
 
 
-def test_check_scaled_coupling_not_misflagged(demo_dir, tmp_path, capsys):
-    # scaling an off-diagonal coupling leaves this triangular loop's poles
-    # alone; the verdict must come from entry poles, not a joint companion
-    # form that scatters eigenvalues at these degrees
+def _check_edited_nrf(demo_dir, tmp_path, capsys, edit):
+    """`check` on the demo's nrf.json after ``edit(obj)``."""
     obj = json.loads((demo_dir / "nrf.json").read_text())
-    entry = obj["phi"]["entries"][1][0]
-    entry["num"] = [40.0 * c for c in entry["num"]]
-    path = tmp_path / "nrf_scaled.json"
+    edit(obj)
+    path = tmp_path / "nrf_edited.json"
     path.write_text(json.dumps(obj))
     code = cli.main(["check", "--nrf", str(path), "--plant", str(demo_dir / "plant.json")])
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out
+
+
+def _scale_entry(obj, key, i, j, factor):
+    """Scale entry (i, j) of the rational matrix obj[key], and drop the row
+    systems so the file is read through its rational keys."""
+    entry = obj[key]["entries"][i][j]
+    entry["num"] = [factor * c for c in entry["num"]]
+    del obj["row_systems"]
+
+
+def _scale_row_column(obj, i, j, factor):
+    """Scale column j of row system i's B and D: entry j of row i of
+    [Phi Gamma], edited on the realization the reader takes."""
+    row = obj["row_systems"][i]
+    for line in row["B"]:
+        line[j] *= factor
+    row["D"][0][j] *= factor
+
+
+def _assert_scaled_coupling_not_misflagged(code, out):
     assert code == 0
     assert "UNSTABLE" not in out
     assert "H-tilde entries: all stable" in out
 
 
+def test_check_scaled_coupling_not_misflagged(demo_dir, tmp_path, capsys):
+    # scaling an off-diagonal coupling leaves this triangular loop's poles
+    # alone; the verdict must come from entry poles, not a joint companion
+    # form that scatters eigenvalues at these degrees
+    edit = lambda obj: _scale_entry(obj, "phi", 1, 0, 40.0)
+    _assert_scaled_coupling_not_misflagged(*_check_edited_nrf(demo_dir, tmp_path, capsys, edit))
+
+
+def test_check_scaled_coupling_on_the_row_systems_not_misflagged(demo_dir, tmp_path, capsys):
+    edit = lambda obj: _scale_row_column(obj, 1, 0, 40.0)
+    _assert_scaled_coupling_not_misflagged(*_check_edited_nrf(demo_dir, tmp_path, capsys, edit))
+
+
 def test_check_sign_flip_flags_both_routes(demo_dir, tmp_path, capsys):
     # a sign flip on a diagonal Gamma entry turns the node-1 loop into
     # positive feedback; the table and the H-tilde report must agree
-    obj = json.loads((demo_dir / "nrf.json").read_text())
-    entry = obj["gamma"]["entries"][0][0]
-    entry["num"] = [-c for c in entry["num"]]
-    path = tmp_path / "nrf_flip.json"
-    path.write_text(json.dumps(obj))
-    code = cli.main(["check", "--nrf", str(path), "--plant", str(demo_dir / "plant.json")])
-    out = capsys.readouterr().out
+    edit = lambda obj: _scale_entry(obj, "gamma", 0, 0, -1.0)
+    _assert_sign_flip_flagged(*_check_edited_nrf(demo_dir, tmp_path, capsys, edit))
+
+
+def test_check_sign_flip_on_the_row_systems_flags_both_routes(demo_dir, tmp_path, capsys):
+    # Gamma[0, 0] is column m = 5 of row 0
+    edit = lambda obj: _scale_row_column(obj, 0, 5, -1.0)
+    _assert_sign_flip_flagged(*_check_edited_nrf(demo_dir, tmp_path, capsys, edit))
+
+
+def _assert_sign_flip_flagged(code, out):
     assert code == 2
     assert "UNSTABLE" in out
     assert "H-tilde entries: unstable at" in out
@@ -262,6 +299,45 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["check", "--nrf", "x.json"])
     assert info.value.code == 1
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _main_in_own_process(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "nrfctl.cli", *argv], capture_output=True,
+                         text=True, env=env, check=False)
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_repeated_main_calls_print_what_separate_processes_print(demo_dir, capsys):
+    # the parser is built once per process; reusing it changes no output
+    calls = [
+        ["check", "--nrf", "x.json"],  # usage error: exit 1, usage on stderr
+        ["cert", "--dcf", str(demo_dir / "dcf.json"), "--q", str(demo_dir / "q.json"),
+         "--mode", "mr3"],
+        ["demo", "nosuch", "--grid", "-1"],
+    ]
+    want = [_main_in_own_process(argv) for argv in calls]
+    assert [w[0] for w in want] == [1, 2, 1]
+    for _ in range(2):
+        assert [_main_in_process(argv, capsys) for argv in calls] == want
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    # a rebound cmd_* (as the benchmark's tracer binds them) is the one run
+    assert cli.main(["demo", "nosuch"]) == 1
+    monkeypatch.setattr(cli, "cmd_demo", lambda args: cli.CommandResult("ok", [args.name]))
+    assert cli.main(["demo", "nosuch"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["nosuch", "status: ok"]
 
 
 def test_realize_reports_orders_and_grouping(demo_dir, tmp_path, capsys):

@@ -135,9 +135,14 @@ def test_platoon_transfer_verdict_matches_eigenvalues(platoon, platoon_spread, n
     assert abs(radius - (0.6 + platoon_spread(plant.order) * (plant.order - 1))) <= 1e-6
 
 
-def test_json_pair_realizes_at_the_synthesized_orders(grid5_pair):
-    # a pair read back from JSON realizes its rows from the rational entries
-    back = nrfsyn.nrf_from_obj(nrfsyn.nrf_to_obj(grid5_pair))
+@pytest.mark.parametrize("form", ["realization", "rational"])
+def test_json_pair_realizes_at_the_synthesized_orders(grid5_pair, form):
+    # a pair read back from JSON takes its stored row systems, or, from a
+    # file with phi and gamma alone, realizes its rows from the rational entries
+    obj = nrfsyn.nrf_to_obj(grid5_pair)
+    if form == "rational":
+        del obj["row_systems"]
+    back = nrfsyn.nrf_from_obj(obj)
     want = [r.order for r in dimpl.realize_rows(grid5_pair)]
     assert [r.order for r in dimpl.realize_rows(back)] == want == [2, 3, 4, 3, 3]
     grouping = [[1], [2, 3], [4], [5]]

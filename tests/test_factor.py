@@ -319,16 +319,18 @@ def test_validate_rejects_one_unstable_entry(tmp_path, grid5_dcf, domain, pole):
     improper = {"num": [0.0, 0.0, 1.0], "den": [-0.5, 1.0]}
     cases = [("X", unstable, "factor-stable"), ("M", unstable, "bezout-identity"),
              ("X", improper, "factor-proper")]
+    names = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
     for k, (name, entry, invariant) in enumerate(cases):
         obj = dcf_to_obj(grid5_dcf if domain == "discrete" else _continuous_dcf())
         obj[name]["entries"][0][1] = entry
         with pytest.raises(InvariantViolation) as exc:
-            factor.DoublyCoprime.from_factors(**{key: ratmat_from_obj(obj[key]) for key in obj})
+            factor.DoublyCoprime.from_factors(**{key: ratmat_from_obj(obj[key]) for key in names})
         assert exc.value.invariant == invariant
         if invariant == "bezout-identity":
             assert "tolerance 1e-08" in str(exc.value)
+        # a file with the rational factors alone is read through them
         path = tmp_path / f"dcf-{k}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps({key: obj[key] for key in names}))
         with pytest.raises(InvariantViolation) as exc:
             load_dcf(str(path))
         assert exc.value.invariant == invariant

@@ -160,6 +160,18 @@ def test_sparsity_correspondence_grid5(grid5_pair, grid5_shift):
     assert sparsity_correspondence(grid5_pair, grid5_shift, triple) is True
 
 
+@pytest.mark.parametrize("n", [None, *range(2, 9)])
+def test_support_off_the_rows_matches_the_views(n, grid5_pair, platoon):
+    # the row read (a [B; D] column at RANK_REL_TOL) against the ss_to_tf views,
+    # on grid5 and on the platoon chains with the benchmark's targets
+    pair = grid5_pair if n is None else nrf_from_dcf(*platoon(n)[1:])
+    assert pair.support() == pair.Phi.hstack(pair.Gamma).support()
+    # and the decision is not marginal: zero columns sit at rounding level
+    for s, row in zip(pair.row_systems, pair.support().mask):
+        norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
+        assert np.all(norms[np.logical_not(row)] <= 1e-12) and np.all(norms[list(row)] >= 1e-3)
+
+
 def test_sparsity_correspondence_rejecting_pattern(grid5_pair, grid5_shift):
     # dropping the long two-hop edge makes both characterizations say no
     mask = [[False] * 5 for _ in range(5)]

@@ -1,5 +1,7 @@
 """Rational function and matrix arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from nrfctl.ratmat import (
     SparsityPattern,
     StabilityDomain,
     _point_blocks,
+    _strip,
     load_ratmat,
     probe_points,
     ratmat_from_obj,
@@ -23,6 +26,7 @@ from nrfctl.ratmat import (
     save_ratmat,
 )
 from nrfctl.sstate import tfm_to_ss, tfm_unstable_poles
+from nrfctl.tolerances import COEFF_ZERO_REL
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -40,6 +44,47 @@ def test_polynomial_strip_and_degree():
     assert p.coeffs == (1.0, 2.0)
     assert p.degree == 1
     assert Polynomial.zero().degree == -np.inf
+
+
+def _strip_reference(coeffs):
+    """The array form of ``_strip``."""
+    arr = np.asarray(coeffs, dtype=float).ravel()
+    if arr.size == 0:
+        return (0.0,)
+    tol = COEFF_ZERO_REL * (1.0 + np.abs(arr).max())
+    arr = np.where(np.abs(arr) <= tol, 0.0, arr)
+    last = arr.size - 1
+    while last > 0 and arr[last] == 0.0:
+        last -= 1
+    return tuple(float(c) for c in arr[: last + 1])
+
+
+def _same_floats(a, b):
+    """Equal tuples of Python floats, NaN matching NaN and the signs of zeros compared."""
+    return type(a) is tuple and len(a) == len(b) and all(
+        type(x) is float and (x != x and y != y or x == y and math.copysign(1, x) == math.copysign(1, y))
+        for x, y in zip(a, b))
+
+
+def test_strip_matches_the_array_form():
+    rng = np.random.default_rng(0)
+    tol = COEFF_ZERO_REL * (1.0 + 1.0)
+    cases = [[], (), np.zeros(0), [-0.0], [0.0, -0.0], [1.0, -0.0, 0.0], [-0.0, 2.0],
+             [1.0, tol, -tol], [1.0, np.nextafter(tol, 1.0), -tol], [tol, 1.0],
+             [np.nan], [1.0, np.nan, 0.0], [np.nan, 1e-12, 0.0], [1e-12, np.nan], [1e-12, 0.0, np.nan],
+             [np.inf, 1.0], [1.0, -np.inf, 0.0], [np.nan, np.inf, 1.0], [np.inf, np.nan, 0.0],
+             [3, 0, 0], np.array([[1.0, 1e-11], [0.0, 0.0]]), 2.5]
+    for _ in range(3000):
+        n = int(rng.integers(1, 17))
+        c = rng.standard_normal(n) * 10.0 ** rng.integers(-14, 4, n)
+        c[rng.random(n) < 0.25] = 0.0
+        c[rng.random(n) < 0.1] = -0.0
+        c[rng.random(n) < 0.1] *= 1e-10
+        if rng.random() < 0.1:
+            c[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        cases += [c, tuple(c), list(c), c.tolist()]
+    for c in cases:
+        assert _same_floats(_strip(c), _strip_reference(c)), c
 
 
 def test_polynomial_arithmetic_matches_numpy():
