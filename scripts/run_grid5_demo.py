@@ -9,8 +9,6 @@ available as `nrfctl demo grid5`, this script just narrates more.
 import argparse
 import os
 
-import numpy as np
-
 from nrfctl import dimpl, nrfsyn, simkit, sstate
 from nrfctl.factor import hinf_grid_norm, youla_shift
 
@@ -36,8 +34,8 @@ def main() -> int:
     shift = youla_shift(dcf, Q)
     pair = nrfsyn.nrf_from_dcf(dcf, shift)
     print("nrf: Phi couples only along the network edges, Gamma is diagonal")
-    for i in range(5):
-        row = [f"{'x' if not pair.Phi.entry(i, j).is_zero else '.'}" for j in range(5)]
+    for i, support in enumerate(pair.support().mask):
+        row = ["x" if nonzero else "." for nonzero in support[:5]]
         print(f"     Phi row {i + 1}: {' '.join(row)}")
 
     patterns = simkit.grid5_patterns()

@@ -463,7 +463,7 @@ def bundle_from_obj(obj: dict) -> list[RowRealization]:
 
 def save_bundle(path: str, rows: list[RowRealization]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle_to_obj(rows), fh, indent=2)
+        fh.write(json.dumps(bundle_to_obj(rows), indent=2))
 
 
 def load_bundle(path: str) -> list[RowRealization]:

@@ -601,7 +601,7 @@ def dcf_from_obj(obj: dict) -> DoublyCoprime:
 
 def save_dcf(dcf: DoublyCoprime, path: str):
     with open(path, "w") as fh:
-        json.dump(dcf_to_obj(dcf), fh, indent=1)
+        fh.write(json.dumps(dcf_to_obj(dcf), indent=1))
 
 
 def load_dcf(path: str) -> DoublyCoprime:

@@ -92,11 +92,8 @@ class NrfPair:
                 raise InvariantViolation(
                     "phi-zero-diagonal", f"Phi[{i},{i}] is not the zero function"
                 )
-        if rational:  # relative to the largest entry of the rows, over all points
-            pts, values = self.probe_rows(7)
-            want = rows.eval_many(pts)
-            audit("row-probe-match", (values - want) / max(1.0, np.max(np.abs(want))), PROBE_TOL,
-                  f"rows {tuple(range(1, rows.rows + 1))}")
+        if rational:
+            self.audit_rows(rows, "row-probe-match", f"rows {tuple(range(1, rows.rows + 1))}")
 
     @property
     def domain(self) -> StabilityDomain:
@@ -129,17 +126,28 @@ class NrfPair:
         pts = probe_points(self.domain, count, avoid=np.concatenate([*eigs, np.ravel(avoid)]))
         return pts, np.concatenate([s.eval_many(pts) for s in self.row_systems], axis=1)
 
+    def audit_rows(self, rows: RationalMatrix, invariant: str, where: str = "") -> None:
+        """Audit [Phi Gamma] against the rational ``rows`` at seven probe
+        points, relative to the largest entry of ``rows`` over all points."""
+        pts, values = self.probe_rows(7)
+        want = rows.eval_many(pts)
+        audit(invariant, (values - want) / max(1.0, np.max(np.abs(want))), PROBE_TOL, where)
+
     def support(self) -> SparsityPattern:
-        """The nonzero entries of [Phi Gamma], read off the row systems: entry
-        j of a row is zero when column j of its [B; D] is, by norm, at most
-        RANK_REL_TOL times max(1, the largest such column norm of the row).
-        In a minimal single-output row the entry is zero exactly when that
-        column is."""
-        mask = []
-        for s in self.row_systems:
-            norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
-            mask.append(norms > RANK_REL_TOL * max(1.0, float(norms.max())))
-        return SparsityPattern(mask)
+        """The nonzero entries of [Phi Gamma], read off the row systems."""
+        return SparsityPattern(row_support(self.row_systems))
+
+
+def row_support(systems) -> np.ndarray:
+    """Boolean support of the single-output systems stacked as rows: entry j of
+    a row is zero when column j of its [B; D] is, by norm, at most
+    RANK_REL_TOL times max(1, the largest such column norm of the row).  In a
+    minimal single-output system the entry is zero exactly when that column is."""
+    mask = []
+    for s in systems:
+        norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
+        mask.append(norms > RANK_REL_TOL * max(1.0, float(norms.max())))
+    return np.array(mask)
 
 
 def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
@@ -201,14 +209,6 @@ def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
 # sparsity correspondence
 
 
-def _mask_without_diagonal(pattern: SparsityPattern) -> SparsityPattern:
-    mask = [
-        [bool(pattern.mask[i][j]) and i != j for j in range(pattern.cols)]
-        for i in range(pattern.rows)
-    ]
-    return SparsityPattern(mask)
-
-
 class SparsityTriple:
     """Sensing pattern X, hollow communication pattern Y, and Y with diagonal."""
 
@@ -219,9 +219,10 @@ class SparsityTriple:
             raise NotSquare("communication pattern must be square")
         if X.rows != Y.rows:
             raise DimensionMismatch("sensing pattern must have one row per input")
+        eye = np.eye(Y.rows, dtype=bool)
         self.X = X
-        self.Y = _mask_without_diagonal(Y)
-        self.Yplus = self.Y.with_diagonal()
+        self.Y = SparsityPattern(np.asarray(Y.mask) & ~eye)
+        self.Yplus = SparsityPattern(np.asarray(Y.mask) | eye)
 
 
 def sparsity_correspondence(
@@ -230,19 +231,19 @@ def sparsity_correspondence(
     """Phi in Y and Gamma in X, cross-checked against YQ in Y+ and XQ in X.
 
     The two sides are equivalent in exact arithmetic; a disagreement means a
-    numerical cancellation produced a spurious (or lost) entry.  The support
-    of [Phi Gamma] is ``NrfPair.support``, read off the row systems; the
-    support of [Y_Q X_Q] is read off its realization by ``ss_to_tf``.
+    numerical cancellation produced a spurious (or lost) entry.  Both supports
+    are read by ``row_support``: that of [Phi Gamma] off the pair's row
+    systems, that of [Y_Q X_Q] off a minimal realization of each of its rows.
     """
     m, p = pair.shape
     allowed = np.hstack([triple.Y.mask, triple.X.mask])
-    support = np.asarray(pair.support().mask)
+    support = row_support(pair.row_systems)
     if allowed.shape != support.shape:
         raise DimensionMismatch(f"patterns of shape {allowed.shape} for [Phi Gamma] of "
                                 f"shape {support.shape}")
     nrf_side = not np.any(support & ~allowed)
-    YX = ss_to_tf(shift.left.select(range(m), range(m + p)))
-    shift_side = YX.conforms(SparsityPattern(np.hstack([triple.Yplus.mask, triple.X.mask])))
+    shifted = row_support(minimal(shift.left.select([i], range(m + p))) for i in range(m))
+    shift_side = not np.any(shifted & ~np.hstack([triple.Yplus.mask, triple.X.mask]))
     if nrf_side != shift_side:
         raise CorrespondenceViolation(
             f"NRF side says {nrf_side} but shifted factors say {shift_side}"
@@ -396,7 +397,7 @@ def nrf_from_obj(obj: dict) -> NrfPair:
 
 def save_nrf(pair: NrfPair, path: str):
     with open(path, "w") as fh:
-        json.dump(nrf_to_obj(pair), fh, indent=1)
+        fh.write(json.dumps(nrf_to_obj(pair), indent=1))
 
 
 def load_nrf(path: str) -> NrfPair:

@@ -25,7 +25,7 @@ from .errors import (
     DivisionByZeroFunction,
     DomainMismatch,
     EvaluationAtPole,
-    NotSquare,
+    InvariantViolation,
 )
 from .tolerances import COEFF_ZERO_REL
 
@@ -250,12 +250,6 @@ class SparsityPattern:
     def diagonal(n: int) -> "SparsityPattern":
         return SparsityPattern(np.eye(n, dtype=bool))
 
-    def with_diagonal(self) -> "SparsityPattern":
-        m = np.asarray(self.mask, dtype=bool)
-        if self.rows != self.cols:
-            raise NotSquare("diagonal completion needs a square pattern")
-        return SparsityPattern(m | np.eye(self.rows, dtype=bool))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsityPattern) and self.mask == other.mask
 
@@ -451,16 +445,6 @@ class RationalMatrix:
             np.divide(horner(num, xb), dv, out=out[blk])
         return out
 
-    def conforms(self, pattern: SparsityPattern) -> bool:
-        """True when every entry outside the pattern support is the zero function."""
-        if (self.rows, self.cols) != (pattern.rows, pattern.cols):
-            raise DimensionMismatch("pattern shape mismatch")
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if not pattern.mask[i][j] and not self.entries[i][j].is_zero:
-                    return False
-        return True
-
     def support(self) -> SparsityPattern:
         return SparsityPattern(
             [[not e.is_zero for e in row] for row in self.entries]
@@ -505,6 +489,9 @@ def ratmat_to_obj(a: RationalMatrix) -> dict:
 
 def ratmat_from_obj(obj: dict) -> RationalMatrix:
     domain = StabilityDomain(obj["domain"])
+    coeffs = [cell[k] for row in obj["entries"] for cell in row for k in ("num", "den")]
+    if not all(np.isfinite(np.asarray(c, dtype=float)).all() for c in coeffs):
+        raise InvariantViolation("ratmat-finite", "a coefficient is NaN or infinite")
     entries = [
         [RationalFunction(cell["num"], cell["den"]) for cell in row]
         for row in obj["entries"]
@@ -517,7 +504,7 @@ def ratmat_from_obj(obj: dict) -> RationalMatrix:
 
 def save_ratmat(a: RationalMatrix, path: str):
     with open(path, "w") as fh:
-        json.dump(ratmat_to_obj(a), fh, indent=1)
+        fh.write(json.dumps(ratmat_to_obj(a), indent=1))
 
 
 def load_ratmat(path: str) -> RationalMatrix:

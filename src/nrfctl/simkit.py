@@ -348,6 +348,24 @@ def grid5_q() -> RationalMatrix:
     return RationalMatrix.scalar(q, 5, StabilityDomain.DISCRETE)
 
 
+def grid5_nrf() -> RationalMatrix:
+    """The NRF pair [Phi Gamma] of ``grid5_dcf`` shifted by ``grid5_q``, in
+    closed form (5 x 10).
+
+    Phi is -0.2/(z - 0.8) on every edge but 1 -> 3, which the two-edge path
+    1 -> 2 -> 3 joins too: there it is (0.12 - 0.2 z)/(z - 0.8)^2.  Gamma is
+    (1.05 z - 0.85)/(z^2 - 0.2 z - 0.8) I.
+    """
+    D = StabilityDomain.DISCRETE
+    rf = lambda n, d: RationalFunction(Polynomial(n), Polynomial(d))
+    edge, zero = rf([-0.2], [-0.8, 1.0]), RationalFunction.const(0.0)
+    inc = grid5_incidence()
+    phi = [[edge if inc[i, j] else zero for j in range(5)] for i in range(5)]
+    phi[2][0] = rf([0.12, -0.2], [0.64, -1.6, 1.0])
+    gamma = RationalMatrix.scalar(rf([-0.85, 1.05], [-0.8, -0.2, 1.0]), 5, D)
+    return RationalMatrix(phi, D).hstack(gamma)
+
+
 def grid5_patterns():
     """(X, Y) sparsity targets: diagonal Gamma, Phi on the network edges."""
     from .nrfsyn import SparsityTriple
@@ -563,7 +581,7 @@ def scenario_from_obj(obj: dict) -> Scenario:
 
 def save_scenario(path: str, sc: Scenario) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_obj(sc), fh, indent=2)
+        fh.write(json.dumps(scenario_to_obj(sc), indent=2))
 
 
 def load_scenario(path: str) -> Scenario:

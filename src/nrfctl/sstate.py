@@ -545,12 +545,14 @@ def ss_from_obj(obj: dict) -> StateSpace:
         A = np.atleast_2d(A)
         B = np.atleast_2d(np.asarray(obj["B"], dtype=float)).reshape(n, -1)
         C = np.atleast_2d(np.asarray(obj["C"], dtype=float)).reshape(-1, n)
+    if not all(np.isfinite(M).all() for M in (A, B, C, D)):
+        raise InvariantViolation("ss-finite", "an entry of A, B, C or D is NaN or infinite")
     return StateSpace(A, B, C, D, domain)
 
 
 def save_ss(sys: StateSpace, path: str):
     with open(path, "w") as fh:
-        json.dump(ss_to_obj(sys), fh, indent=1)
+        fh.write(json.dumps(ss_to_obj(sys), indent=1))
 
 
 def load_ss(path: str) -> StateSpace:

@@ -4,14 +4,15 @@ COEFF_ZERO_REL belongs to the polynomial arithmetic of ``ratmat`` alone.
 Every state-space decision, including which poles the entries of a rational
 matrix share when it is realized and which common factors leave an entry, is
 a singular-value rank decision at RANK_REL_TOL; nothing compares computed
-roots to cancel them.  So is the support of an NRF pair (``NrfPair.support``):
-entry j of a row is zero when column j of the row system's [B; D] has norm at
-most RANK_REL_TOL * max(1, largest column norm of that row).  Every stability
-verdict is ``sstate.is_unstable``.
+roots to cancel them.  So is every support (``nrfsyn.row_support``), on both
+sides of the sparsity correspondence: entry j of a single-output row, the NRF
+pair's or a minimal one of [Y_Q X_Q], is zero when column j of its [B; D] has
+norm at most RANK_REL_TOL * max(1, largest column norm of that row).  Every
+stability verdict is ``sstate.is_unstable``.
 
 Every residual audit goes through ``errors.audit``: the residual at a probe
 point is the largest entry magnitude of the deviation there, and the audit
-fails at the first point where it reaches the tolerance.  Two deviations are
+fails at the first point where it reaches the tolerance.  Three deviations are
 scaled by max(1, largest entry magnitude of the rows matched):
 
     invariant                    tolerance        deviation
@@ -22,6 +23,7 @@ scaled by max(1, largest entry magnitude of the rows matched):
     closed-loop-table-vs-direct  CROSS_CHECK_TOL  table - loop solved pointwise
     loop-sensitivity-inverse     ROUND_TRIP_TOL   (I - Phi + Gamma G) M Omega - I
     row-probe-match              PROBE_TOL        realization - rows, scaled over all points
+    grid5-closed-form            PROBE_TOL        grid5 rows - closed form, scaled over all points
     assembly-linearity           PROBE_TOL        assembly - stacked rows, scaled at each point
 """
 

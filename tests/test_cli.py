@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from nrfctl import cli, factor, nrfsyn, simkit, sstate
@@ -74,16 +73,79 @@ def test_dcf_command_on_demo_plant(demo_dir, tmp_path, capsys):
     assert out.exists()
 
 
-def test_dcf_refuses_to_write_what_nrf_would_refuse(demo_dir, tmp_path, capsys, monkeypatch):
-    # a residual at the tolerance load_dcf audits exits 1 and writes nothing
-    monkeypatch.setattr(factor.DoublyCoprime, "bezout_residual", lambda self: 2e-8)
-    out = tmp_path / "dcf-bad.json"
-    code = cli.main(["dcf", "--plant", str(demo_dir / "plant.json"), "--out", str(out)])
-    report = capsys.readouterr().out
+# a four-node network with cycles whose rational factors, at the default
+# all-0.5 targets, miss the Bézout identity by 2.4e-8, above PROBE_TOL
+CYCLIC_NETWORK = [[0, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0]]
+
+
+def test_dcf_writes_what_the_commands_read(tmp_path, capsys):
+    plant, q = tmp_path / "plant.json", tmp_path / "q.json"
+    sstate.save_ss(simkit.build_network_plant(CYCLIC_NETWORK), str(plant))
+    save_ratmat(RationalMatrix.zeros(4, 4, DISC), str(q))
+    dcf, nrf = tmp_path / "dcf.json", tmp_path / "nrf.json"
+    codes = [cli.main([str(a) for a in argv]) for argv in (
+        ["dcf", "--plant", plant, "--out", dcf],
+        ["nrf", "--dcf", dcf, "--q", q, "--out", nrf],
+        ["check", "--nrf", nrf, "--plant", plant],
+        ["realize", "--nrf", nrf, "--out", tmp_path / "rows.json"],
+        ["cert", "--dcf", dcf, "--q", q, "--mode", "mr3"],
+    )]
+    out = capsys.readouterr().out
+    assert codes == [0, 0, 0, 0, 2]
+    assert float(out.split("bezout residual:")[1].split()[0]) > 1e-8
+    # the rational factors alone are refused where a file gives nothing else
+    obj = json.loads(dcf.read_text())
+    rational = tmp_path / "dcf-rational.json"
+    rational.write_text(json.dumps({k: v for k, v in obj.items() if k not in ("left", "right", "shape")}))
+    code = cli.main(["nrf", "--dcf", str(rational), "--q", str(q), "--out", str(tmp_path / "x.json")])
     assert code == 1
-    assert "InvariantViolation: bezout-identity" in report
-    assert "tolerance 1e-08" in report
-    assert not out.exists()
+    assert "InvariantViolation: bezout-identity: given factors" in capsys.readouterr().out
+
+
+def test_demo_refuses_a_closed_form_mismatch(tmp_path, capsys, monkeypatch):
+    entries = [list(row) for row in simkit.grid5_nrf().entries]
+    entries[0][5] = RationalFunction(Polynomial([-0.85, 1.05 + 1e-6]), entries[0][5].den)
+    monkeypatch.setattr(simkit, "grid5_nrf", lambda: RationalMatrix(entries, DISC))
+    code = cli.main(["demo", "grid5", "--out", str(tmp_path / "d"), "--no-sim"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "InvariantViolation: grid5-closed-form" in out
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, rational, path, invariant", [
+    ("dcf.json", False, ("left", "A", 0, 0), "ss-finite"),
+    ("dcf.json", True, ("M", "entries", 0, 0, "num", 0), "ratmat-finite"),
+    ("nrf.json", False, ("row_systems", 0, "A", 0, 0), "ss-finite"),
+    ("nrf.json", True, ("phi", "entries", 1, 0, "num", 0), "ratmat-finite"),
+    ("plant.json", False, ("A", 0, 0), "ss-finite"),
+    ("scenario.json", False, ("plant", "A", 0, 0), "ss-finite"),
+], ids=["dcf", "dcf-rational", "nrf", "nrf-rational", "plant", "scenario"])
+def test_nonfinite_numbers_are_named_at_the_reader(name, rational, path, invariant, value,
+                                                   demo_dir, tmp_path, capsys):
+    obj = json.loads((demo_dir / name).read_text())
+    if rational:
+        obj = {k: v for k, v in obj.items() if k not in ("left", "right", "shape", "row_systems")}
+    _set(obj, path, value)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "dcf.json": ["cert", "--dcf", bad, "--q", demo_dir / "q.json", "--mode", "mr3"],
+        "nrf.json": ["check", "--nrf", bad, "--plant", demo_dir / "plant.json"],
+        "plant.json": ["dcf", "--plant", bad, "--out", tmp_path / "x.json"],
+        "scenario.json": ["simulate", "--scenario", bad, "--out", tmp_path / "t.csv"],
+    }[name]
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"InvariantViolation: {invariant}" in out
 
 
 def test_dcf_rejects_unstabilizable(tmp_path, capsys):

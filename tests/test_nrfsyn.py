@@ -1,10 +1,12 @@
 """NRF extraction, sparsity correspondence, and instability certificates."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nrfctl import dimpl, factor, nrfsyn
-from nrfctl.errors import InvariantViolation, SingularDiagonal
+from nrfctl.errors import CorrespondenceViolation, InvariantViolation, SingularDiagonal
 from nrfctl.nrfsyn import (
     NrfPair,
     SparsityTriple,
@@ -15,6 +17,7 @@ from nrfctl.nrfsyn import (
     nrf_from_left_factorization,
     nrf_from_obj,
     nrf_to_obj,
+    row_support,
     save_nrf,
     sls_like_rep,
     sparsity_correspondence,
@@ -27,7 +30,7 @@ from nrfctl.ratmat import (
     StabilityDomain,
     probe_points,
 )
-from nrfctl.sstate import StateSpace, match_multisets, tfm_to_ss
+from nrfctl.sstate import StateSpace, match_multisets, minimal, ss_to_tf, tfm_to_ss
 from nrfctl import simkit
 
 DISC = StabilityDomain.DISCRETE
@@ -155,24 +158,80 @@ def test_left_factorization_rejects_strictly_proper_diagonal():
         nrf_from_left_factorization(tfm_to_ss(R.hstack(RationalMatrix.identity(1, DISC))))
 
 
-def test_sparsity_correspondence_grid5(grid5_pair, grid5_shift):
+@pytest.fixture
+def no_rational_views(monkeypatch):
+    """ss_to_tf and the pair's rational views raise: what runs under it reads
+    realizations alone."""
+    def refuse(*_):
+        raise AssertionError("a rational view was read")
+
+    monkeypatch.setattr(nrfsyn, "ss_to_tf", refuse)
+    monkeypatch.setattr(NrfPair, "_views", refuse)
+
+
+def test_sparsity_correspondence_grid5(grid5_pair, grid5_shift, no_rational_views):
     triple = simkit.grid5_patterns()
     assert sparsity_correspondence(grid5_pair, grid5_shift, triple) is True
 
 
-@pytest.mark.parametrize("n", [None, *range(2, 9)])
-def test_support_off_the_rows_matches_the_views(n, grid5_pair, platoon):
+# fixed stable c_i/(z - a_i) added to the diagonal of the demo's Q
+GRID5_EXTRA_Q = {
+    "grid5-q1": ((0.3, -0.2, 0.5, 0.1, -0.4), (0.1, -0.3, 0.5, 0.2, -0.6)),
+    "grid5-q2": ((0.5, 0.5, 0.5, 0.5, 0.5), (0.3, 0.3, 0.3, 0.3, 0.3)),
+    "grid5-q3": ((-0.25, 0.4, 0.15, -0.35, 0.2), (0.7, -0.5, 0.0, 0.4, -0.2)),
+}
+
+
+def _support_case(case, grid5_dcf, grid5_shift, platoon):
+    if case is None:
+        return grid5_dcf, grid5_shift
+    if isinstance(case, int):
+        return platoon(case)[1:]
+    zero = RationalFunction.const(0.0)
+    extra = RationalMatrix([
+        [RationalFunction(Polynomial([c]), Polynomial([-a, 1.0])) if i == j else zero
+         for j in range(5)]
+        for i, (c, a) in enumerate(zip(*GRID5_EXTRA_Q[case]))
+    ], DISC)
+    return grid5_dcf, factor.youla_shift(grid5_dcf, simkit.grid5_q() + extra)
+
+
+@pytest.mark.parametrize("case", [None, *range(2, 9), *GRID5_EXTRA_Q])
+def test_support_off_the_rows_matches_the_views(case, grid5_dcf, grid5_shift, platoon):
     # the row read (a [B; D] column at RANK_REL_TOL) against the ss_to_tf views,
-    # on grid5 and on the platoon chains with the benchmark's targets
-    pair = grid5_pair if n is None else nrf_from_dcf(*platoon(n)[1:])
-    assert pair.support() == pair.Phi.hstack(pair.Gamma).support()
-    # and the decision is not marginal: zero columns sit at rounding level
-    for s, row in zip(pair.row_systems, pair.support().mask):
-        norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
-        assert np.all(norms[np.logical_not(row)] <= 1e-12) and np.all(norms[list(row)] >= 1e-3)
+    # on both sides of the correspondence: the NRF rows and minimal rows of
+    # [Y_Q X_Q], on grid5 (the demo Q and three more) and on the platoon
+    # chains with the benchmark's targets
+    dcf, shift = _support_case(case, grid5_dcf, grid5_shift, platoon)
+    pair = nrf_from_dcf(dcf, shift)
+    m, p = pair.shape
+    YX = shift.left.select(range(m), range(m + p))
+    sides = [
+        (pair.row_systems, pair.Phi.hstack(pair.Gamma)),
+        ([minimal(YX.select([i], range(m + p))) for i in range(m)], ss_to_tf(YX)),
+    ]
+    for systems, view in sides:
+        mask = row_support(systems)
+        assert SparsityPattern(mask) == view.support()
+        # and the decision is not marginal: zero columns sit at rounding level
+        for s, row in zip(systems, mask):
+            norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
+            assert np.all(norms[~row] <= 1e-12) and np.all(norms[row] >= 1e-3)
+    assert pair.support() == SparsityPattern(row_support(pair.row_systems))
 
 
-def test_sparsity_correspondence_rejecting_pattern(grid5_pair, grid5_shift):
+def test_sparsity_correspondence_names_a_disagreement(grid5_pair, grid5_shift,
+                                                       no_rational_views):
+    # [Y_Q X_Q] given an entry outside X that the pair does not have
+    left = grid5_shift.left
+    D = left.D.copy()
+    D[0, 6] = 0.1
+    shift = SimpleNamespace(left=StateSpace(left.A, left.B, left.C, D, left.domain))
+    with pytest.raises(CorrespondenceViolation, match="NRF side says True"):
+        sparsity_correspondence(grid5_pair, shift, simkit.grid5_patterns())
+
+
+def test_sparsity_correspondence_rejecting_pattern(grid5_pair, grid5_shift, no_rational_views):
     # dropping the long two-hop edge makes both characterizations say no
     mask = [[False] * 5 for _ in range(5)]
     for i, j in ((2, 1), (4, 1), (5, 1), (3, 2)):

@@ -240,12 +240,9 @@ def test_probe_points_avoid_listed_poles():
     assert min(abs(p - avoid[0]) for p in pts) > 1e-3
 
 
-def test_support_and_conforms():
+def test_support():
     A = RationalMatrix([[lag(1.0, 0.2), RationalFunction.const(0.0)]], DISC)
-    pat = A.support()
-    assert pat.mask == ((True, False),)
-    assert A.conforms(SparsityPattern([[True, True]]))
-    assert not A.conforms(SparsityPattern([[False, True]]))
+    assert A.support() == SparsityPattern([[True, False]])
 
 
 def test_json_roundtrip(tmp_path):
