@@ -64,7 +64,7 @@ def main() -> int:
 
     cl = dimpl.closed_loop_state_matrix(plant, ctrl)
     radius = max(abs(v) for v in cl.eigenvalues())
-    print(f"closed loop: {cl.A_CL.shape[0]} states, spectral radius {radius:.6f}")
+    print(f"closed loop: {cl.order} states, spectral radius {radius:.6f}")
 
     sc = simkit.Scenario(
         horizon=args.horizon,

@@ -55,7 +55,7 @@ def main() -> int:
     cl = dimpl.closed_loop_state_matrix(plant, ctrl)
     eigs = cl.eigenvalues()
     radius = max(abs(v) for v in eigs)
-    print(f"closed loop: A_CL is {cl.A_CL.shape[0]}x{cl.A_CL.shape[1]}, "
+    print(f"closed loop: A_CL is {cl.order}x{cl.order}, "
           f"spectral radius {radius:.9f}")
     if cl.is_stable:
         norm = hinf_grid_norm(cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu")), grid=args.grid)

@@ -205,37 +205,33 @@ def _signal_index(names, chosen, partition) -> np.ndarray:
 
 
 class ClosedLoopRealization:
-    """State-space realization of the interconnection plus its static coupling data.
+    """The interconnection as one ``StateSpace`` plus its static coupling data.
 
-    (A_CL, B, C, D) maps the injections LOOP_INPUTS to the loop signals
-    LOOP_OUTPUTS; ``map`` cuts out any sub-map of it.
+    ``sys`` maps the injections LOOP_INPUTS to the loop signals LOOP_OUTPUTS,
+    its state the plant's coordinates over the controller's, and ``map`` cuts
+    out any sub-map of it.  ``Dtilde`` and ``schur`` are the coupling matrix
+    and its Schur complement, ``partition`` the controller's (m, p).
     """
 
-    __slots__ = (
-        "A_CL", "B", "C", "D", "Dtilde", "schur", "plant_order", "controller_order",
-        "partition", "domain",
-    )
+    __slots__ = ("sys", "Dtilde", "schur", "partition")
 
-    def __init__(self, A_CL, B, C, D, Dtilde, schur, plant_order, controller_order,
-                 partition, domain):
-        self.A_CL = A_CL
-        self.B, self.C, self.D = B, C, D
-        self.Dtilde = Dtilde
-        self.schur = schur
-        self.plant_order = plant_order
-        self.controller_order = controller_order
+    def __init__(self, sys: StateSpace, Dtilde, schur, partition):
+        self.sys, self.Dtilde, self.schur = sys, Dtilde, schur
         self.partition = tuple(partition)
-        self.domain = domain
 
     @property
     def order(self) -> int:
-        return self.A_CL.shape[0]
+        return self.sys.order
+
+    @property
+    def domain(self):
+        return self.sys.domain
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.A_CL)
+        return np.linalg.eigvals(self.sys.A)
 
     def unstable_modes(self):
-        return sstate.unstable_eigs(self.A_CL, self.domain)
+        return sstate.unstable_eigs(self.sys.A, self.sys.domain)
 
     @property
     def is_stable(self) -> bool:
@@ -243,15 +239,9 @@ class ClosedLoopRealization:
 
     def map(self, outputs, inputs) -> StateSpace:
         """Realization from the named injections to the named loop signals."""
-        return StateSpace(self.A_CL, self.B, self.C, self.D, self.domain).select(
+        return self.sys.select(
             _signal_index(LOOP_OUTPUTS, outputs, self.partition),
             _signal_index(LOOP_INPUTS, inputs, self.partition),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ClosedLoopRealization(order={self.order}, "
-            f"plant={self.plant_order}, controller={self.controller_order})"
         )
 
 
@@ -329,9 +319,8 @@ def closed_loop_state_matrix(
     D_CL = np.vstack(
         [from_inputs[y], from_inputs[u], E_r - from_inputs[y], from_inputs[u] + E_w]
     )
-    return ClosedLoopRealization(
-        A_CL, B_CL, C_CL, D_CL, Dtilde, schur, n_g, n_k, (m, p), plant.domain
-    )
+    sys = StateSpace(A_CL, B_CL, C_CL, D_CL, plant.domain)
+    return ClosedLoopRealization(sys, Dtilde, schur, (m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -342,34 +331,24 @@ class InternalStabilityReport:
     """Stability of every loop map, read off one closed-loop realization.
 
     ``block_poles`` maps each (output, injection) pair of the sixteen-block
-    table to its unstable poles.  ``entry_stable`` flags each entry of
-    H-tilde = [I; -I; G] (I - Phi + Gamma G)^-1 [I, Phi, Gamma], and
-    ``unstable_poles`` collects the entries' unstable poles.
-    ``max_disagreement`` is the largest probe-point difference between the
-    realization of H-tilde and the formula evaluated pointwise.
+    table to its unstable poles.  ``unstable_entries`` lists the (i, j)
+    entries of H-tilde = [I; -I; G] (I - Phi + Gamma G)^-1 [I, Phi, Gamma]
+    that have an unstable pole.  ``max_disagreement`` is the largest
+    probe-point difference between the realization of H-tilde and the
+    formula evaluated pointwise, and ``loop`` is the realization itself.
     """
 
-    __slots__ = ("block_poles", "entry_stable", "unstable_poles", "max_disagreement", "loop")
+    __slots__ = ("block_poles", "unstable_entries", "max_disagreement", "loop")
 
-    def __init__(self, block_poles, entry_stable, unstable_poles, max_disagreement, loop):
+    def __init__(self, block_poles, unstable_entries, max_disagreement, loop):
         self.block_poles = dict(block_poles)
-        self.entry_stable = entry_stable
-        self.unstable_poles = tuple(unstable_poles)
+        self.unstable_entries = tuple(unstable_entries)
         self.max_disagreement = float(max_disagreement)
         self.loop = loop
 
     @property
     def stable(self) -> bool:
         return not self.unstable_entries and not any(self.block_poles.values())
-
-    @property
-    def unstable_entries(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.entry_stable)
-            for j, ok in enumerate(row)
-            if not ok
-        )
 
     def __repr__(self) -> str:
         verdict = "stable" if self.stable else f"unstable at {self.unstable_entries}"
@@ -405,10 +384,8 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
         for out in LOOP_OUTPUTS
         for inp in TABLE_INPUTS
     }
-    entry_poles = [[sstate.unstable_map_poles(H.select([i], [j]), modes) if modes else ()
-                    for j in range(H.n_inputs)] for i in range(H.n_outputs)]
-    entry_stable = tuple(tuple(not bad for bad in row) for row in entry_poles)
-    poles = [lam for row in entry_poles for bad in row for lam in bad]
+    unstable_entries = [(i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
+                        if modes and sstate.unstable_map_poles(H.select([i], [j]), modes)]
 
     avoid = np.concatenate(
         [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
@@ -421,7 +398,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     right_e = np.concatenate([eye, Phi_e, Gamma_e], axis=2)
     H_e = left_e @ np.linalg.solve(S_e, right_e)
     worst = float(np.max(np.abs(H.eval_many(pts) - H_e), initial=0.0))
-    return InternalStabilityReport(block_poles, entry_stable, poles, worst, loop)
+    return InternalStabilityReport(block_poles, unstable_entries, worst, loop)
 
 
 def verify_internal_stability_tfm(
@@ -472,12 +449,9 @@ def load_bundle(path: str) -> list[RowRealization]:
 
 
 def eigenvalue_rows(cl: ClosedLoopRealization) -> list[tuple[float, float, float, int]]:
-    rows = []
-    for lam in cl.eigenvalues():
-        ok = not sstate.is_unstable(lam, cl.domain)
-        rows.append((float(lam.real), float(lam.imag), float(abs(lam)), int(ok)))
-    rows.sort(key=lambda r: -r[2])
-    return rows
+    rows = [(float(lam.real), float(lam.imag), float(abs(lam)),
+             int(not sstate.is_unstable(lam, cl.domain))) for lam in cl.eigenvalues()]
+    return sorted(rows, key=lambda r: -r[2])
 
 
 def save_eigenvalue_report(path: str, cl: ClosedLoopRealization) -> None:

@@ -256,21 +256,22 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
 
 
 def _ackermann(A: np.ndarray, b: np.ndarray, targets: list[complex]) -> np.ndarray:
-    """Single-input gain f with eig(A + b f) = targets (A assumed controllable from b)."""
+    """Single-input gain f with eig(A + b f) = targets (A assumed controllable from b).
+
+    Ackermann's f = -e_n' Cm^-1 phi(A) with the target polynomial phi kept
+    factored: w = e_n' Cm^-1, then w <- w (A - t I) per target in complex
+    arithmetic (monomial coefficients lose clustered targets; conjugate pairs,
+    kept together by ``_select_targets``, leave w real up to rounding).
+    """
     n = A.shape[0]
     Cm = np.zeros((n, n))
-    v = b.copy()
-    for k in range(n):
-        Cm[:, k] = v
-        v = A @ v
-    phi = np.real(np.poly(np.asarray(targets, dtype=complex)))
-    PA = np.zeros_like(A)
-    for c in phi:
-        PA = PA @ A + c * np.eye(n)
-    en = np.zeros(n)
-    en[n - 1] = 1.0
-    k_row = en @ np.linalg.solve(Cm, PA)
-    return -k_row
+    Cm[:, 0] = b
+    for k in range(1, n):
+        Cm[:, k] = A @ Cm[:, k - 1]
+    w = np.linalg.solve(Cm.T, np.eye(n)[n - 1]).astype(complex)
+    for t in targets:
+        w = w @ A - t * w
+    return -w.real
 
 
 def _select_targets(remaining: list[complex], k: int) -> list[complex]:

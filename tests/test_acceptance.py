@@ -105,7 +105,7 @@ def test_ac4_distributed_realization(grid5_plant, grid5_rows, grid5_ctrl):
     assert grid5_ctrl.order == 15
     assert grid5_plant.order == 9
     cl = dimpl.closed_loop_state_matrix(grid5_plant, grid5_ctrl)
-    assert cl.A_CL.shape == (24, 24)
+    assert cl.sys.A.shape == (24, 24)
     radius = max(abs(v) for v in cl.eigenvalues())
     assert radius < 1.0 - 1e-6
     ok_schur, m_schur = sstate._invertibility(cl.schur)

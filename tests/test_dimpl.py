@@ -83,7 +83,7 @@ def test_controller_unstable_modes_equal_tfm_poles(grid5_pair, grid5_ctrl):
 def test_closed_loop_state_matrix_grid5(grid5_plant, grid5_ctrl):
     cl = dimpl.closed_loop_state_matrix(grid5_plant, grid5_ctrl)
     assert cl.order == 24
-    assert cl.A_CL.shape == (24, 24)
+    assert cl.sys.A.shape == (24, 24)
     radius = max(abs(v) for v in cl.eigenvalues())
     assert radius < 1.0 - 1e-6
     assert cl.is_stable
@@ -122,7 +122,20 @@ def test_internal_stability_two_routes_agree(grid5_pair, grid5_tfm):
     assert probe_only.max_disagreement < 1e-6
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+def test_stable_loop_reduces_no_map(grid5_pair, grid5_plant, monkeypatch):
+    """A stable A_CL settles every loop map: no map is cut out and reduced."""
+    def refuse(*args):
+        raise AssertionError("unstable_map_poles called on a stable loop")
+
+    monkeypatch.setattr(sstate, "unstable_map_poles", refuse)
+    report = dimpl.verify_internal_stability(grid5_pair, grid5_plant)
+    assert report.stable
+    assert len(report.block_poles) == 16
+    assert not any(report.block_poles.values())
+    assert report.unstable_entries == ()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
 def test_platoon_transfer_verdict_matches_eigenvalues(platoon, platoon_spread, n):
     # chain of n vehicles with the benchmark's gains and Q = 0
     plant, dcf, shift = platoon(n)

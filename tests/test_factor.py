@@ -98,10 +98,10 @@ def _platoon_targets(order, base):
 
 
 def test_place_refuses_missed_distinct_targets(grid5_plant):
-    # at nine vehicles the state-feedback eigenvalues miss their distinct
-    # targets by 1.6e-5; the characteristic-polynomial fallback is only for
+    # at fourteen vehicles the state-feedback eigenvalues miss their distinct
+    # targets by 1.0e-5; the characteristic-polynomial fallback is only for
     # repeated targets, so the miss is reported
-    plant = simkit.build_network_plant(np.eye(9, k=-1, dtype=bool))
+    plant = simkit.build_network_plant(np.eye(14, k=-1, dtype=bool))
     with pytest.raises(PlacementFailed):
         place_gains(plant, _platoon_targets(plant.order, 0.6))
     # README's `nrfctl dcf` targets still place, eigenvalue by eigenvalue
