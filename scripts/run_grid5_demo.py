@@ -34,7 +34,7 @@ def main() -> int:
     shift = youla_shift(dcf, Q)
     pair = nrfsyn.nrf_from_dcf(dcf, shift)
     print("nrf: Phi couples only along the network edges, Gamma is diagonal")
-    for i, support in enumerate(pair.support().mask):
+    for i, support in enumerate(nrfsyn.row_support(pair.row_systems)):
         row = ["x" if nonzero else "." for nonzero in support[:5]]
         print(f"     Phi row {i + 1}: {' '.join(row)}")
 

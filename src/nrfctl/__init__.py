@@ -8,12 +8,11 @@ simkit (scenario simulation), cli (file-based command frontend).
 """
 
 from .factor import DoublyCoprime, YoulaShift, dcf_from_ss, place_gains, youla_shift
-from .nrfsyn import NrfPair, SparsityTriple, nrf_from_dcf, sparsity_correspondence
+from .nrfsyn import NrfPair, nrf_from_dcf, sparsity_correspondence
 from .ratmat import (
     Polynomial,
     RationalFunction,
     RationalMatrix,
-    SparsityPattern,
     StabilityDomain,
 )
 from .sstate import StateSpace
@@ -26,8 +25,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "RationalMatrix",
-    "SparsityPattern",
-    "SparsityTriple",
     "StabilityDomain",
     "StateSpace",
     "YoulaShift",

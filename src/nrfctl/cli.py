@@ -19,7 +19,7 @@ import sys
 
 from . import dimpl, factor, nrfsyn, simkit, sstate
 from .errors import NrfError
-from .ratmat import SparsityPattern, load_ratmat, ratmat_from_obj, save_ratmat
+from .ratmat import load_ratmat, ratmat_from_obj, save_ratmat
 from .sstate import StateSpace
 
 
@@ -66,20 +66,19 @@ def _load_plant(path: str) -> StateSpace:
 
 
 def _load_patterns(path: str):
+    """(X, Y) as the file holds them; ``nrfsyn.sparsity_correspondence`` reads
+    them as boolean masks and checks their shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if "X" not in obj or "Y" not in obj:
         raise NrfError(f"{path}: pattern file needs boolean masks 'X' and 'Y'")
-    return nrfsyn.SparsityTriple(SparsityPattern(obj["X"]), SparsityPattern(obj["Y"]))
+    return obj["X"], obj["Y"]
 
 
-def _save_patterns(path: str, triple) -> None:
-    obj = {
-        "X": [[bool(v) for v in row] for row in triple.X.mask],
-        "Y": [[bool(v) for v in row] for row in triple.Y.mask],
-    }
+def _save_patterns(path: str, patterns) -> None:
+    X, Y = patterns
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=1))
+        fh.write(json.dumps({"X": X.tolist(), "Y": Y.tolist()}, indent=1))
 
 
 def _parse_targets(text: str, count: int) -> list[complex]:
@@ -129,8 +128,7 @@ def cmd_nrf(args) -> CommandResult:
     nrfsyn.save_nrf(pair, args.out)
     report = [f"nrf: m={pair.shape[0]}, p={pair.shape[1]}"]
     if args.patterns:
-        triple = _load_patterns(args.patterns)
-        conforming = nrfsyn.sparsity_correspondence(pair, shift, triple)
+        conforming = nrfsyn.sparsity_correspondence(pair, shift, _load_patterns(args.patterns))
         report.append(f"pattern correspondence (both characterizations): {conforming}")
     return CommandResult("ok", report, [args.out])
 
@@ -244,11 +242,11 @@ def cmd_demo(args) -> CommandResult:
     artifacts.append(path("nrf.json"))
     pair.audit_rows(simkit.grid5_nrf(), "grid5-closed-form")
     report.append("nrf matches the grid5 closed form coefficient-wise: True")
-    triple = simkit.grid5_patterns()
-    _save_patterns(path("patterns.json"), triple)
+    patterns = simkit.grid5_patterns()
+    _save_patterns(path("patterns.json"), patterns)
     artifacts.append(path("patterns.json"))
     report.append(
-        f"pattern correspondence: {nrfsyn.sparsity_correspondence(pair, shift, triple)}"
+        f"pattern correspondence: {nrfsyn.sparsity_correspondence(pair, shift, patterns)}"
     )
 
     rows = dimpl.realize_rows(pair)

@@ -214,9 +214,8 @@ class DoublyCoprime:
 # construction from state space
 
 
-def _require_plant_ok(plant: StateSpace):
-    if float(np.max(np.abs(plant.D), initial=0.0)) != 0.0:
-        raise NotStrictlyProper("plant must be strictly proper (D = 0)")
+def _require_pbh(plant: StateSpace):
+    """(A, B) stabilizable, then (A, C) detectable, by the PBH tests."""
     if not is_stabilizable(plant):
         raise NotStabilizable("the pair (A, B) fails the PBH stabilizability test")
     if not is_detectable(plant):
@@ -229,7 +228,9 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     F must make A + BF stable and L must make A + LC stable; the two Bézout
     realizations then read off the observer/state-feedback parameterization.
     """
-    _require_plant_ok(plant)
+    if float(np.max(np.abs(plant.D), initial=0.0)) != 0.0:
+        raise NotStrictlyProper("plant must be strictly proper (D = 0)")
+    _require_pbh(plant)
     A, B, C = plant.A, plant.B, plant.C
     n, m, p = plant.order, plant.n_inputs, plant.n_outputs
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -308,7 +309,7 @@ def _place_onesided(A: np.ndarray, B: np.ndarray, targets: list[complex]):
     states, which keeps the accumulated closed loop block triangular and the
     already placed eigenvalues untouched.  States no input reaches keep
     their open-loop eigenvalues and the surplus targets are dropped.
-    Returns (F, expected eigenvalue list).
+    Returns (F, (placed targets, untouched open-loop eigenvalues)).
     """
     n = A.shape[0]
     m = B.shape[1]
@@ -350,29 +351,29 @@ def _place_onesided(A: np.ndarray, B: np.ndarray, targets: list[complex]):
         Acur = Acur + np.outer(Bcur[:, j], Frow)
         offset += k
     dropped = list(remaining)
-    expected = []
+    placed = []
     for t in targets:
         if t in dropped:
             dropped.remove(t)
         else:
-            expected.append(t)
-    if offset < n:
-        expected.extend(np.linalg.eigvals(Acur[offset:, offset:]))
-    return F @ Z.T, expected
+            placed.append(t)
+    return F @ Z.T, (placed, list(np.linalg.eigvals(Acur[offset:, offset:])))
 
 
-def _placement_ok(A: np.ndarray, targets: list[complex]) -> bool:
+def _placement_ok(A: np.ndarray, placed: list[complex], untouched: list[complex]) -> bool:
+    expected = [*placed, *untouched]
     got = np.linalg.eigvals(A)
-    if match_multisets(got, targets, POLE_MATCH_TOL):
+    if match_multisets(got, expected, POLE_MATCH_TOL):
         return True
     # repeated targets make the eigenproblem defective and the computed
     # eigenvalues blur as eps**(1/mult); the characteristic polynomial
     # coefficients stay well conditioned, so compare those instead.  Distinct
-    # targets have no such excuse: each must be hit on its own.
-    t = np.asarray(targets, dtype=complex)
+    # targets have no such excuse, and neither have modes that no input moves,
+    # even when two of them coincide: each must be hit on its own.
+    t = np.asarray(placed, dtype=complex)
     if not np.any(np.abs(np.subtract.outer(t, t))[np.triu_indices(t.size, 1)] <= POLE_MATCH_TOL):
         return False
-    want_poly = np.real(np.poly(np.asarray(targets, dtype=complex)))
+    want_poly = np.real(np.poly(np.asarray(expected, dtype=complex)))
     got_poly = np.real(np.poly(got))
     scale = float(np.max(np.abs(want_poly)))
     return bool(np.max(np.abs(want_poly - got_poly)) <= 1e-6 * scale)
@@ -394,16 +395,13 @@ def place_gains(plant: StateSpace, targets) -> tuple[np.ndarray, np.ndarray]:
     for t in targets:
         if is_unstable(t, plant.domain):
             raise PlacementFailed(f"target {t} lies outside the stability region")
-    if not is_stabilizable(plant):
-        raise NotStabilizable("the pair (A, B) fails the PBH stabilizability test")
-    if not is_detectable(plant):
-        raise NotDetectable("the pair (A, C) fails the PBH detectability test")
+    _require_pbh(plant)
     F, expected_F = _place_onesided(plant.A, plant.B, targets)
     Lt, expected_L = _place_onesided(plant.A.T, plant.C.T, targets)
     L = Lt.T
-    if not _placement_ok(plant.A + plant.B @ F, expected_F):
+    if not _placement_ok(plant.A + plant.B @ F, *expected_F):
         raise PlacementFailed("state-feedback eigenvalues missed the targets")
-    if not _placement_ok(plant.A + L @ plant.C, expected_L):
+    if not _placement_ok(plant.A + L @ plant.C, *expected_L):
         raise PlacementFailed("observer eigenvalues missed the targets")
     return F, L
 

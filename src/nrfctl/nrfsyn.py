@@ -11,7 +11,9 @@ sparsity correspondence read those rows, nrf.json stores them as
 ``row_systems`` beside the rational ``phi`` and ``gamma``, and a reader takes
 them as they are.  The rational Phi and Gamma are views read off the rows for
 JSON and printing; a file with ``phi`` and ``gamma`` alone is realized and
-audited once, in ``NrfPair(Phi, Gamma)``.  The left factorization
+audited once, in ``NrfPair(Phi, Gamma)``.  A sparsity pattern is a 2-D
+boolean array, the pattern pair is the tuple (X, Y), and every support is
+read off a realization by ``row_support``.  The left factorization
 [Y_Q X_Q], the certificates' witnesses and the beta-iteration form are all
 slices and series connections of the realized Bézout matrices.
 """
@@ -35,7 +37,6 @@ from .errors import (
 from .factor import DoublyCoprime, YoulaShift
 from .ratmat import (
     RationalMatrix,
-    SparsityPattern,
     StabilityDomain,
     probe_points,
     ratmat_from_obj,
@@ -133,10 +134,6 @@ class NrfPair:
         want = rows.eval_many(pts)
         audit(invariant, (values - want) / max(1.0, np.max(np.abs(want))), PROBE_TOL, where)
 
-    def support(self) -> SparsityPattern:
-        """The nonzero entries of [Phi Gamma], read off the row systems."""
-        return SparsityPattern(row_support(self.row_systems))
-
 
 def row_support(systems) -> np.ndarray:
     """Boolean support of the single-output systems stacked as rows: entry j of
@@ -209,41 +206,34 @@ def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
 # sparsity correspondence
 
 
-class SparsityTriple:
-    """Sensing pattern X, hollow communication pattern Y, and Y with diagonal."""
-
-    __slots__ = ("X", "Y", "Yplus")
-
-    def __init__(self, X: SparsityPattern, Y: SparsityPattern):
-        if Y.rows != Y.cols:
-            raise NotSquare("communication pattern must be square")
-        if X.rows != Y.rows:
-            raise DimensionMismatch("sensing pattern must have one row per input")
-        eye = np.eye(Y.rows, dtype=bool)
-        self.X = X
-        self.Y = SparsityPattern(np.asarray(Y.mask) & ~eye)
-        self.Yplus = SparsityPattern(np.asarray(Y.mask) | eye)
-
-
-def sparsity_correspondence(
-    pair: NrfPair, shift: YoulaShift, triple: SparsityTriple
-) -> bool:
+def sparsity_correspondence(pair: NrfPair, shift: YoulaShift, patterns) -> bool:
     """Phi in Y and Gamma in X, cross-checked against YQ in Y+ and XQ in X.
 
-    The two sides are equivalent in exact arithmetic; a disagreement means a
+    ``patterns`` is (X, Y): boolean masks of the sensing pattern (m x p) and
+    the communication pattern (m x m), whose diagonal is ignored: Phi is
+    checked against Y without it and YQ against Y+ = Y with it.  The two
+    sides are equivalent in exact arithmetic; a disagreement means a
     numerical cancellation produced a spurious (or lost) entry.  Both supports
     are read by ``row_support``: that of [Phi Gamma] off the pair's row
     systems, that of [Y_Q X_Q] off a minimal realization of each of its rows.
     """
+    X, Y = (np.asarray(mask, dtype=bool) for mask in patterns)
+    if X.ndim != 2 or Y.ndim != 2:
+        raise DimensionMismatch("mask must be two-dimensional")
+    if Y.shape[0] != Y.shape[1]:
+        raise NotSquare("communication pattern must be square")
+    if X.shape[0] != Y.shape[0]:
+        raise DimensionMismatch("sensing pattern must have one row per input")
     m, p = pair.shape
-    allowed = np.hstack([triple.Y.mask, triple.X.mask])
+    eye = np.eye(Y.shape[0], dtype=bool)
+    allowed = np.hstack([Y & ~eye, X])
     support = row_support(pair.row_systems)
     if allowed.shape != support.shape:
         raise DimensionMismatch(f"patterns of shape {allowed.shape} for [Phi Gamma] of "
                                 f"shape {support.shape}")
     nrf_side = not np.any(support & ~allowed)
     shifted = row_support(minimal(shift.left.select([i], range(m + p))) for i in range(m))
-    shift_side = not np.any(shifted & ~np.hstack([triple.Yplus.mask, triple.X.mask]))
+    shift_side = not np.any(shifted & ~np.hstack([Y | eye, X]))
     if nrf_side != shift_side:
         raise CorrespondenceViolation(
             f"NRF side says {nrf_side} but shifted factors say {shift_side}"

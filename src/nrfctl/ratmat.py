@@ -5,7 +5,8 @@ means ``c0 + c1*x + c2*x**2``.  Rational functions keep a monic denominator
 and never cancel: a common factor stays until a realization removes it
 (``sstate.tfm_to_ss``, ``minimal`` and ``ss_to_tf`` decide it by staircase
 rank).  Matrices carry a stability domain tag so that discrete and continuous
-objects never mix silently.
+objects never mix silently.  ``RationalMatrix.support`` gives the boolean
+mask of nonzero entries, the oracle for the realizations' supports.
 
 Pole computations for whole matrices live in the state-space layer
 (``sstate.tfm_unstable_poles``), which is the only reliable way to get
@@ -234,29 +235,6 @@ def _point_blocks(count: int, entries_per_point: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-class SparsityPattern:
-    """Boolean support mask for a rational matrix."""
-
-    __slots__ = ("rows", "cols", "mask")
-
-    def __init__(self, mask):
-        m = np.asarray(mask, dtype=bool)
-        if m.ndim != 2:
-            raise DimensionMismatch("mask must be two-dimensional")
-        self.rows, self.cols = int(m.shape[0]), int(m.shape[1])
-        self.mask = tuple(tuple(bool(v) for v in row) for row in m)
-
-    @staticmethod
-    def diagonal(n: int) -> "SparsityPattern":
-        return SparsityPattern(np.eye(n, dtype=bool))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparsityPattern) and self.mask == other.mask
-
-    def __repr__(self) -> str:
-        return f"SparsityPattern({np.asarray(self.mask, dtype=int).tolist()})"
-
-
 class RationalMatrix:
     """Dense matrix of rational functions plus a stability-domain tag."""
 
@@ -445,10 +423,9 @@ class RationalMatrix:
             np.divide(horner(num, xb), dv, out=out[blk])
         return out
 
-    def support(self) -> SparsityPattern:
-        return SparsityPattern(
-            [[not e.is_zero for e in row] for row in self.entries]
-        )
+    def support(self) -> np.ndarray:
+        """Boolean mask of the entries that are not the zero function."""
+        return np.array([[not e.is_zero for e in row] for row in self.entries], dtype=bool)
 
 
 def probe_points(domain: StabilityDomain, count: int = 20, avoid=()) -> list[complex]:

@@ -33,7 +33,6 @@ from .ratmat import (
     Polynomial,
     RationalFunction,
     RationalMatrix,
-    SparsityPattern,
     StabilityDomain,
 )
 from . import dimpl
@@ -366,11 +365,9 @@ def grid5_nrf() -> RationalMatrix:
     return RationalMatrix(phi, D).hstack(gamma)
 
 
-def grid5_patterns():
+def grid5_patterns() -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) sparsity targets: diagonal Gamma, Phi on the network edges."""
-    from .nrfsyn import SparsityTriple
-
-    return SparsityTriple(SparsityPattern.diagonal(5), SparsityPattern(grid5_incidence()))
+    return np.eye(5, dtype=bool), grid5_incidence()
 
 
 def grid5_scenario(plant: StateSpace, controller: AssembledController, seed: int = 42,

@@ -186,6 +186,31 @@ def test_nrf_command_with_patterns(demo_dir, tmp_path, capsys):
     )
 
 
+_EYE5 = [[i == j for j in range(5)] for i in range(5)]
+
+
+@pytest.mark.parametrize("masks, line", [
+    (lambda X, Y: ([True] * 5, Y), "DimensionMismatch: mask must be two-dimensional"),
+    (lambda X, Y: (X, [r[:4] for r in Y]), "NotSquare: communication pattern must be square"),
+    (lambda X, Y: (X[:4], Y),
+     "DimensionMismatch: sensing pattern must have one row per input"),
+    (lambda X, Y: ([r + [False] for r in X], Y),
+     "DimensionMismatch: patterns of shape (5, 11) for [Phi Gamma] of shape (5, 10)"),
+    (lambda X, Y: ([X[0][:3]] + X[1:], Y),
+     "ValueError: setting an array element with a sequence."),
+], ids=["1d-X", "nonsquare-Y", "X-rows", "X-width", "ragged-X"])
+def test_nrf_refuses_malformed_patterns(masks, line, demo_dir, tmp_path, capsys):
+    Y = json.loads((demo_dir / "patterns.json").read_text())["Y"]
+    X, Y = masks(_EYE5, Y)
+    bad = tmp_path / "patterns.json"
+    bad.write_text(json.dumps({"X": X, "Y": Y}))
+    code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(demo_dir / "q.json"),
+                     "--patterns", str(bad), "--out", str(tmp_path / "x.json")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0].startswith(line) and out[1:] == ["status: error"]
+
+
 def test_nrf_rejects_unstable_q(demo_dir, tmp_path, capsys):
     qbad = tmp_path / "q_bad.json"
     save_ratmat(

@@ -116,6 +116,20 @@ def test_singular_coupling_detected():
         simkit.simulate(simkit.Scenario(5, quiet, quiet, quiet, quiet, 0, plant, ctrl))
 
 
+def test_assembly_refuses_a_mode_no_input_stabilizes():
+    # two rows 1/(z - 1) on one measurement: each row's integrator is
+    # stabilizable on its own, but stacked they share one input column, so the
+    # double mode at z = 1 fails the assembled PBH test
+    integrator = RationalFunction((1.0,), (-1.0, 1.0))
+    pair = NrfPair(RationalMatrix.zeros(2, 2, DISC),
+                   RationalMatrix([[integrator], [integrator]], DISC))
+    rows = dimpl.realize_rows(pair)
+    assert [r.order for r in rows] == [1, 1]
+    assert all(sstate.is_stabilizable(r.sys) for r in rows)
+    with pytest.raises(InvariantViolation, match="assembled-stabilizable"):
+        dimpl.assemble(rows)
+
+
 def test_internal_stability_two_routes_agree(grid5_pair, grid5_tfm):
     probe_only = dimpl.verify_internal_stability_tfm(grid5_pair, grid5_tfm)
     assert probe_only.stable

@@ -111,6 +111,31 @@ def test_place_refuses_missed_distinct_targets(grid5_plant):
     assert match_multisets(got, targets[:7] + [0.8, 0.8], 1e-6)
 
 
+def _mesh_incidence(k):
+    """Bidirectional k x k mesh: each node hears its row and column neighbours."""
+    inc = np.zeros((k * k, k * k), dtype=bool)
+    for i in range(k * k):
+        r, c = divmod(i, k)
+        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= rr < k and 0 <= cc < k:
+                inc[i, rr * k + cc] = True
+    return inc
+
+
+def test_place_refuses_missed_targets_beside_coincident_untouched_modes():
+    # on the 4 x 4 mesh four lag modes at 0.8 stay untouched, two of them
+    # 1e-16 apart; that coincidence is no excuse for the distinct targets the
+    # state feedback misses, so the characteristic-polynomial fallback is shut
+    plant = simkit.build_network_plant(_mesh_incidence(4))
+    targets = [0.6 + 0.3 * k / 32 for k in range(plant.order)]
+    with pytest.raises(PlacementFailed, match="state-feedback"):
+        place_gains(plant, targets)
+    F, (placed, untouched) = factor._place_onesided(plant.A, plant.B, targets)
+    assert len(untouched) == 4 and np.allclose(untouched, 0.8)
+    got = np.linalg.eigvals(plant.A + plant.B @ F)
+    assert not match_multisets(got, placed + untouched, 1e-6)
+
+
 def test_place_input_validation():
     plant = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
     with pytest.raises(DimensionMismatch):
