@@ -125,11 +125,11 @@ def cmd_nrf(args) -> CommandResult:
     Q = load_ratmat(args.q)
     shift = factor.youla_shift(dcf, Q)
     pair = nrfsyn.nrf_from_dcf(dcf, shift)
-    nrfsyn.save_nrf(pair, args.out)
     report = [f"nrf: m={pair.shape[0]}, p={pair.shape[1]}"]
-    if args.patterns:
+    if args.patterns:  # before the write: a malformed pattern file leaves no nrf.json
         conforming = nrfsyn.sparsity_correspondence(pair, shift, _load_patterns(args.patterns))
         report.append(f"pattern correspondence (both characterizations): {conforming}")
+    nrfsyn.save_nrf(pair, args.out)
     return CommandResult("ok", report, [args.out])
 
 

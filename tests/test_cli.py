@@ -209,6 +209,23 @@ def test_nrf_refuses_malformed_patterns(masks, line, demo_dir, tmp_path, capsys)
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert out[0].startswith(line) and out[1:] == ["status: error"]
+    assert not (tmp_path / "x.json").exists()  # the patterns are read before the write
+
+
+@pytest.mark.parametrize("text", [
+    None,  # no pattern file at all
+    "{not json",
+    '{"X": [[true]]}',  # no Y
+    '{"X": [[true]], "Y": [[false, true], [true]]}',  # ragged Y
+], ids=["missing", "not-json", "no-Y", "ragged-Y"])
+def test_nrf_writes_nothing_for_a_bad_pattern_file(text, demo_dir, tmp_path, capsys):
+    bad = tmp_path / "patterns.json"
+    if text is not None:
+        bad.write_text(text)
+    code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(demo_dir / "q.json"),
+                     "--patterns", str(bad), "--out", str(tmp_path / "x.json")])
+    assert code == 1 and capsys.readouterr().out.endswith("status: error\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_nrf_rejects_unstable_q(demo_dir, tmp_path, capsys):

@@ -18,6 +18,7 @@ from nrfctl.errors import (
     UnstableParameter,
 )
 from nrfctl.factor import (
+    _peak_singular_value,
     closed_loop_maps,
     dcf_from_obj,
     dcf_from_ss,
@@ -471,6 +472,87 @@ def test_hinf_grid_norm_bounds_samples(grid5_dcf, grid5_shift):
     table = closed_loop_maps(grid5_dcf, grid5_shift)
     norm = hinf_grid_norm(table, grid=64)
     assert np.isfinite(norm) and norm >= 1.0  # the table contains identity blocks
+
+
+def _full_stack_peak(vals):
+    """The grid norm's reduction as one batched SVD of every point."""
+    return float(np.max(np.linalg.svd(vals, compute_uv=False)[:, 0], initial=0.0))
+
+
+def _stable_map(seed, n, outputs, inputs, domain):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    if n and domain is DISC:
+        A *= rng.uniform(0.1, 0.95) / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-3)
+    elif n:
+        A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.05, 2.0)) * np.eye(n)
+    return StateSpace(A, rng.standard_normal((n, inputs)), rng.standard_normal((outputs, n)),
+                      rng.standard_normal((outputs, inputs)), domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 4),
+    outputs=st.integers(1, 5),
+    inputs=st.integers(1, 5),
+    grid=st.integers(1, 64),
+    continuous=st.booleans(),
+)
+@example(seed=3, n=0, outputs=2, inputs=4, grid=16, continuous=False)  # D only, wide
+@example(seed=4, n=3, outputs=5, inputs=2, grid=64, continuous=True)  # tall
+@example(seed=5, n=4, outputs=3, inputs=3, grid=64, continuous=False)  # square
+def test_hinf_grid_norm_equals_the_full_stack_svd(seed, n, outputs, inputs, grid, continuous):
+    domain = StabilityDomain.CONTINUOUS if continuous else DISC
+    H = _stable_map(seed, n, outputs, inputs, domain)
+    theta = np.pi * np.arange(grid + 1) / grid
+    if continuous:
+        vals = np.concatenate([H.eval_many(1j * np.tan(theta[:-1] / 2.0)), H.D[None] + 0j])
+    else:
+        vals = H.eval_many(np.exp(1j * theta))
+    assert hinf_grid_norm(H, grid) == _full_stack_peak(vals)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 4)], ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("scale", [1e-200, 1e200, None], ids=["1e-200", "1e200", "mixed"])
+def test_peak_singular_value_keeps_extreme_scales(shape, scale):
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((65, *shape)) + 1j * rng.standard_normal((65, *shape))
+    # None: points up to 1e400 apart in one stack
+    vals *= scale or 10.0 ** rng.uniform(-200.0, 200.0, size=(65, 1, 1))
+    assert _peak_singular_value(vals) == _full_stack_peak(vals)
+
+
+def test_peak_singular_value_of_zero_and_equal_stacks():
+    assert _peak_singular_value(np.zeros((9, 3, 2), dtype=complex)) == 0.0
+    point = np.random.default_rng(12).standard_normal((4, 5)) + 0j
+    vals = np.repeat(point[None], 33, axis=0)
+    assert _peak_singular_value(vals) == _full_stack_peak(vals)
+
+
+def test_peak_singular_value_raises_on_nan_like_the_full_svd():
+    vals = np.random.default_rng(13).standard_normal((17, 3, 3)) + 0j
+    vals[5, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _full_stack_peak(vals)
+    with pytest.raises(np.linalg.LinAlgError):
+        _peak_singular_value(vals)
+
+
+def test_grid_norm_of_the_check_table_runs_few_svds(grid5_pair, grid5_plant, monkeypatch):
+    report = dimpl.verify_internal_stability(grid5_pair, grid5_plant)
+    table = report.loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(1 if a.ndim == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    norm = hinf_grid_norm(table, 256)
+    monkeypatch.undo()
+    assert sum(seen) <= 8  # of 257 points
+    assert norm == _full_stack_peak(table.eval_many(np.exp(1j * np.pi * np.arange(257) / 256)))
 
 
 @pytest.mark.parametrize("grid", [0, -3])

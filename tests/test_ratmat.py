@@ -239,6 +239,43 @@ def test_probe_points_avoid_listed_poles():
     assert min(abs(p - avoid[0]) for p in pts) > 1e-3
 
 
+def _probe_points_per_point(domain, count, avoid):
+    """probe_points as a loop over the points: the oracle of its array form."""
+    avoid = np.asarray(avoid, dtype=complex).ravel()
+    pts = []
+    for k in range(count):
+        if domain is StabilityDomain.DISCRETE:
+            theta = 2.0 * math.pi * (k + 0.37) / count
+            z = 2.0 * complex(math.cos(theta), math.sin(theta))
+        else:
+            z = complex(1.0, -4.75 + 0.5 * k)
+        shift = 0
+        while np.any(np.abs(z - avoid) < 1e-6) and shift < 50:
+            z += complex(0.0137, 0.0071)
+            shift += 1
+        pts.append(z)
+    return pts
+
+
+@pytest.mark.parametrize("domain", [DISC, CONT])
+@pytest.mark.parametrize("nudges", [0, 1, 4, 49, 50, 70])
+def test_probe_points_match_the_per_point_loop(domain, nudges):
+    base = _probe_points_per_point(domain, 12, ())
+    avoid = [base[5] + 1e-7]  # one nudge for point 5
+    for k, count in ((0, nudges), (3, 2), (7, max(nudges - 1, 0))):
+        z = base[k]  # avoid the whole path of `count` nudges
+        for _ in range(count):
+            avoid.append(z)
+            z += complex(0.0137, 0.0071)
+    pts = probe_points(domain, 12, avoid=avoid)
+    assert pts == _probe_points_per_point(domain, 12, avoid)
+    assert all(type(z) is complex for z in pts)
+    z = base[0]
+    for _ in range(min(nudges, 50)):  # at most 50 nudges, even when still near
+        z += complex(0.0137, 0.0071)
+    assert pts[0] == z and pts[5] != base[5] and pts[1] == base[1]
+
+
 def test_support():
     A = RationalMatrix([[lag(1.0, 0.2), RationalFunction.const(0.0)]], DISC)
     mask = A.support()
