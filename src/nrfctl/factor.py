@@ -65,7 +65,7 @@ from .sstate import (
     tfm_to_ss,
     unstable_eigs,
 )
-from .tolerances import CROSS_CHECK_TOL, GRID_PRUNE_SLACK, POLE_MATCH_TOL, PROBE_TOL
+from .tolerances import CROSS_CHECK_TOL, GRID_PRUNE_SLACK, GRID_SCREEN_TOL, POLE_MATCH_TOL, PROBE_TOL
 
 _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
@@ -539,17 +539,36 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
     H is any map with ``eval_many``, ``gain_at_infinity`` and ``domain``: a
     RationalMatrix or a StateSpace such as the closed-loop table.  Grids nest
     under doubling (theta = pi*k/grid), so the value is monotone nondecreasing
-    in the grid count; it is a lower bound on the true norm.
+    in the grid count; it is a lower bound on the true norm.  A map with no
+    outputs or no inputs has norm 0.
 
-    The grid is evaluated in one ``eval_many`` call, and the SVD runs only at
-    the points whose upper bound can reach the peak (``_peak_singular_value``);
-    the value is the largest singular value over every point, to the bit.
+    A discrete StateSpace is screened at every point by one real FFT
+    (``_grid_screen``): the bounds of ``_peak_singular_value`` run on the
+    screen, and ``eval_many`` only where the peak can be.  Where an exact value
+    misses the screen by more than its allowance, or the screen is refused,
+    every point is evaluated.  The value is the largest singular value of
+    ``eval_many`` over every point, to the bit.
     """
     if grid < 1:
         raise InvalidGrid(f"a frequency grid needs at least one interval, got {grid}")
     theta = np.pi * np.arange(grid + 1) / grid
     if H.domain is StabilityDomain.DISCRETE:
-        vals = H.eval_many(np.exp(1j * theta))
+        points = np.exp(1j * theta)
+        screened = _grid_screen(H, points) if isinstance(H, StateSpace) else None
+        if screened is not None:
+            screen, allowance = screened
+
+            def exact(idx):
+                got = H.eval_many(points[idx])
+                if np.sqrt(np.max(_frobenius_squared(got - screen[idx]), initial=0.0)) > allowance:
+                    raise _ScreenMiss
+                return got
+
+            try:
+                return _peak_singular_value(screen, exact, allowance)
+            except _ScreenMiss:
+                pass
+        vals = H.eval_many(points)
     else:
         # theta = pi is s = infinity
         at_inf = np.asarray(H.gain_at_infinity(), dtype=complex)[None]
@@ -557,28 +576,90 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
     return _peak_singular_value(vals)
 
 
-def _peak_singular_value(vals: np.ndarray) -> float:
+class _ScreenMiss(Exception):
+    """An exact value lies further from the grid screen than its allowance."""
+
+
+def _grid_screen(H: StateSpace, points: np.ndarray):
+    """The discrete map H at the grid points z_k = exp(i pi k / grid) and the
+    screen's allowance, or None where it is refused: order 0, no entries, a
+    singular I - A^N or a non-finite value.
+
+    Every z_k is an N-th root of unity, N = 2 grid, and for z^N = 1,
+    (zI - A)^-1 = sum_{t<N} z^(-t-1) A^t (I - A^N)^-1 exactly.  So
+    H(z_k) = D + z_k^-1 rfft(h)_k with h_t = C A^t (I - A^N)^-1 B real, and
+    h_(a+sb) = (C A^a)(A^(sb) (I - A^N)^-1 B), s about sqrt(N), is one real
+    matmul per block of output rows.  The allowance is
+    GRID_SCREEN_TOL * (||D||_F + sum_t ||h_t||_F), the same at every point.
+    """
+    A, B, D = H.A, H.B, H.D
+    n, (p, m), N = H.order, D.shape, 2 * (len(points) - 1)
+    if n == 0 or D.size == 0:
+        return None
+    s = int(np.ceil(np.sqrt(N)))
+    nb = -(-N // s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        AN = np.linalg.matrix_power(A, N)
+        if not np.isfinite(AN).all():
+            return None
+        left, right = np.empty((p, s, n)), np.empty((n, nb, m))
+        try:
+            right[:, 0] = np.linalg.solve(np.eye(n) - AN, B)
+        except np.linalg.LinAlgError:
+            return None
+        As = np.linalg.matrix_power(A, s)
+        left[:, 0] = H.C
+        for a in range(1, s):
+            left[:, a] = left[:, a - 1] @ A  # rows of C A^a
+        for b in range(1, nb):
+            right[:, b] = As @ right[:, b - 1]  # A^(sb) (I - A^N)^-1 B
+        right = right.reshape(n, nb * m)
+        screen = np.empty((p, m, len(points)), dtype=complex)
+        squares = np.zeros(N)
+        for blk in _point_blocks(p, m * nb * s):
+            h = (left[blk].reshape(-1, n) @ right).reshape(-1, s, nb, m)
+            h = h.transpose(0, 3, 2, 1).reshape(-1, m, nb * s)[..., :N]  # h[i, j, a + s b]
+            squares += np.einsum("ijt,ijt->t", h, h)
+            screen[blk] = np.fft.rfft(h, axis=-1)
+        screen *= points.conj()
+        screen += D[:, :, None]
+        allowance = GRID_SCREEN_TOL * (np.linalg.norm(D) + np.sum(np.sqrt(squares)))
+    return (screen.transpose(2, 0, 1), allowance) if np.isfinite(allowance) else None
+
+
+def _peak_singular_value(vals: np.ndarray, exact=None, allowance: float = 0.0) -> float:
     """``np.max(np.linalg.svd(vals, compute_uv=False)[:, 0], initial=0.0)``,
-    to the bit, with the SVD run only where the maximum can be.
+    to the bit, with the SVD run only where the maximum can be; 0 for empty
+    matrices.
 
     Each round bounds the points left from above (``_log2_sigma_bounds``, two
     then six squarings), takes the exact value at the highest bound as a
-    floor, and drops every point whose bound lies below (1 - GRID_PRUNE_SLACK)
-    times the floor.  The SVD then sees the points left, each the same matrix
-    the full stack gives it.  A NaN or infinite bound is never dropped, so
-    such a point fails or propagates in the SVD as it does in the full stack.
+    floor, and drops every point whose bound plus ``allowance`` lies below
+    (1 - GRID_PRUNE_SLACK) times the floor.  The SVD then sees the points
+    left, each the same matrix the full stack gives it.  A NaN or infinite
+    bound is never dropped, so such a point fails or propagates in the SVD as
+    it does in the full stack.  With ``exact``, ``vals`` is a screen within
+    ``allowance`` (in spectral norm) of the exact values ``exact(idx)``, and
+    the SVD runs on those.
     """
-    live = np.arange(len(vals))
+    if vals.size == 0:
+        return 0.0
+    if exact is None:
+        exact = vals.__getitem__
+    live, tops = np.arange(len(vals)), []
     best = 0.0
     for squarings in (2, 6):
         # blocks of about EVAL_BLOCK_ENTRIES / 2 entries keep the temporaries small
         bounds = np.concatenate([_log2_sigma_bounds(vals[live[blk]], squarings)
                                  for blk in _point_blocks(live.size, 2 * vals[0].size)])
-        top = np.linalg.svd(vals[live[np.argmax(bounds)]], compute_uv=False)[:1]
+        tops.append(live[np.argmax(bounds)])
+        top = np.linalg.svd(exact(tops[-1:]), compute_uv=False)[:, 0]
         best = np.max(top, initial=best)
-        if best > 0:
-            live = live[~(bounds < np.log2(best * (1.0 - GRID_PRUNE_SLACK)))]
-    return float(np.max(np.linalg.svd(vals[live], compute_uv=False)[:, 0], initial=best))
+        floor = best * (1.0 - GRID_PRUNE_SLACK) - allowance
+        if floor > 0:
+            live = live[~(bounds < np.log2(floor))]
+    live = live[~np.isin(live, tops)]  # their values are in best already
+    return float(np.max(np.linalg.svd(exact(live), compute_uv=False)[:, 0], initial=best))
 
 
 def _log2_sigma_bounds(V: np.ndarray, squarings: int) -> np.ndarray:

@@ -414,9 +414,9 @@ def simulate(sc: Scenario) -> SimTrace:
     # row n + 1 first holds B e[n], then gains A x[n]; the loop starts at rest
     x = np.zeros((sc.horizon, loop.order))
     np.matmul(e[:-1], loop.B.T, out=x[1:])
-    rows = list(x)
+    rows, step = list(x), loop.A.dot
     for prev, cur in zip(rows, rows[1:]):
-        cur += loop.A @ prev
+        cur += step(prev)
     yu = x @ loop.C.T + e @ loop.D.T
     y, u = yu[:, :p], yu[:, p:]
     return SimTrace(r, w, nu, du, r - y, u, u + w, y, x[:, : plant.order], x[:, plant.order :])

@@ -34,6 +34,21 @@ singular value each lie within a small multiple of q^1.5 * 2^-53 of their
 exact values, relatively, for q x q Gram matrices, about 1e-14 at q = 20 and
 below 1e-10 up to q = 2000.  So no point whose SVD could reach the maximum is
 dropped, and the norm equals the maximum over every point to the bit.
+
+For a discrete state-space map the bounds run on a screen instead: the map at
+every grid point from one real FFT of h_t = C A^t (I - A^N)^-1 B, N = 2 grid
+(``factor._grid_screen``).  Each bound is widened by the allowance
+GRID_SCREEN_TOL * (||D||_F + sum_t ||h_t||_F).  The screen at every point is D
+plus a unit-modulus combination of the same computed h_t, so one number bounds
+its error at every point: the FFT's rounding, a small multiple of
+log2(N) * 2^-53 of that scale, plus the sum of the errors in the h_t.  Against
+``eval_many`` the gap measures 2.5e-16 to 8.1e-15 of the scale on the grid5
+tables and on chains n = 2..16, five orders of magnitude inside the allowance.
+The errors in the h_t grow with the transient growth of ||A^t||: on the 4 x 4
+mesh loop (order 515, ||A^t|| up to 1.3e5) the gap is 5.5e-4 of the scale.  So
+the SVD sees only ``eval_many`` values, and each is compared with the screen:
+one that misses by more than the allowance, as on that mesh, sends the norm
+back to evaluating every point.
 """
 
 # A polynomial coefficient c is treated as zero when |c| <= COEFF_ZERO_REL * (1 + max |coeff|).
@@ -56,3 +71,6 @@ ROUND_TRIP_TOL = 1e-8
 
 # Relative rounding slack of the grid norm's pruning, described above.
 GRID_PRUNE_SLACK = 1e-9
+
+# Relative allowance of the grid norm's FFT screen, described above.
+GRID_SCREEN_TOL = 1e-9

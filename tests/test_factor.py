@@ -562,6 +562,99 @@ def test_hinf_grid_norm_rejects_empty_grid(grid):
         hinf_grid_norm(lag, grid=grid)
 
 
+@pytest.mark.parametrize("domain", [DISC, StabilityDomain.CONTINUOUS], ids=["disc", "cont"])
+def test_hinf_grid_norm_of_a_map_without_outputs_or_inputs_is_zero(domain):
+    no_outputs = StateSpace([[0.5]], np.ones((1, 2)), np.zeros((0, 1)), np.zeros((0, 2)), domain)
+    no_inputs = StateSpace([[0.5]], np.zeros((1, 0)), np.ones((2, 1)), np.zeros((2, 0)), domain)
+    assert hinf_grid_norm(no_outputs, 16) == hinf_grid_norm(no_inputs, 16) == 0.0
+
+
+def _grid_points(grid):
+    return np.exp(1j * np.pi * np.arange(grid + 1) / grid)
+
+
+SCREENED_LOOPS = ["grid5-check", "grid5-demo"] + [f"chain{n}" for n in range(2, 9)]
+
+
+@pytest.fixture(scope="module")
+def screened_loop(grid5_pair, grid5_plant, grid5_ctrl, platoon):
+    """screened_loop(name) -> a table whose grid norm the CLI or the benchmark
+    prints: grid5's 16-block check table and 12-block demo table, and the
+    chain check tables at n = 2..8 (benchmark targets, Q = 0)."""
+    def build(name):
+        if name == "grid5-check":
+            loop = dimpl.verify_internal_stability(grid5_pair, grid5_plant).loop
+            return loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+        if name == "grid5-demo":
+            loop = dimpl.closed_loop_state_matrix(grid5_plant, grid5_ctrl)
+            return loop.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu"))
+        plant, dcf, shift = platoon(int(name.removeprefix("chain")))
+        ctrl = dimpl.assemble(dimpl.realize_rows(nrfsyn.nrf_from_dcf(dcf, shift)))
+        loop = dimpl.closed_loop_state_matrix(plant, ctrl)
+        return loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+    return build
+
+
+@pytest.mark.parametrize("name", SCREENED_LOOPS)
+def test_screened_grid_norm_equals_the_full_stack_svd(screened_loop, name):
+    table = screened_loop(name)
+    assert hinf_grid_norm(table, 256) == _full_stack_peak(table.eval_many(_grid_points(256)))
+
+
+@pytest.mark.parametrize("name", SCREENED_LOOPS)
+def test_grid_screen_lies_within_its_allowance(screened_loop, name):
+    table = screened_loop(name)
+    screen, allowance = factor._grid_screen(table, _grid_points(256))
+    gap = screen - table.eval_many(_grid_points(256))
+    assert np.sqrt(np.max(np.einsum("kij,kij->k", gap.conj(), gap).real)) <= allowance
+
+
+def _count_eval_points(monkeypatch):
+    evaluate, seen = StateSpace.eval_many, []
+
+    def counting_eval_many(self, points):
+        seen.append(np.size(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(StateSpace, "eval_many", counting_eval_many)
+    return seen
+
+
+def test_grid_norm_of_the_check_table_evaluates_few_points(screened_loop, monkeypatch):
+    table = screened_loop("grid5-check")
+    seen = _count_eval_points(monkeypatch)
+    norm = hinf_grid_norm(table, 256)
+    monkeypatch.undo()
+    assert sum(seen) <= 8  # of 257 points
+    assert norm == _full_stack_peak(table.eval_many(_grid_points(256)))
+
+
+def test_grid_norm_evaluates_every_point_when_the_screen_misses(screened_loop, monkeypatch):
+    table = screened_loop("grid5-check")
+    screen, allowance = factor._grid_screen(table, _grid_points(256))
+    monkeypatch.setattr(factor, "_grid_screen", lambda H, points: (0.5 * screen, allowance))
+    seen = _count_eval_points(monkeypatch)
+    norm = hinf_grid_norm(table, 256)
+    monkeypatch.undo()
+    assert sum(seen) == 1 + 257  # the first top misses: every point is evaluated
+    assert norm == _full_stack_peak(table.eval_many(_grid_points(256)))
+
+
+def test_grid_norm_of_a_pole_on_the_grid_raises_like_the_full_evaluation():
+    integrator = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]], DISC)
+    assert factor._grid_screen(integrator, _grid_points(16)) is None  # I - A^N is singular
+    with pytest.raises(np.linalg.LinAlgError) as full:
+        integrator.eval_many(_grid_points(16))
+    with pytest.raises(np.linalg.LinAlgError, match=str(full.value)):
+        hinf_grid_norm(integrator, 16)
+
+
+def test_screened_grid_norm_of_an_unstable_map_equals_the_full_stack_svd():
+    unstable = StateSpace([[1.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
+    assert factor._grid_screen(unstable, _grid_points(256)) is not None
+    assert hinf_grid_norm(unstable, 256) == _full_stack_peak(unstable.eval_many(_grid_points(256)))
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_closed_loop_maps_on_long_platoons(platoon, n):
     # the table's own audits (stable modes, cross-check against the loop
