@@ -65,7 +65,7 @@ from .sstate import (
     tfm_to_ss,
     unstable_eigs,
 )
-from .tolerances import CROSS_CHECK_TOL, GRID_PRUNE_SLACK, GRID_SCREEN_TOL, POLE_MATCH_TOL, PROBE_TOL
+from .tolerances import CROSS_CHECK_TOL, GRID_NORM_TOL, POLE_MATCH_TOL, PROBE_TOL
 
 _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
@@ -533,28 +533,26 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpac
     audit("closed-loop-table-vs-direct", got - want, CROSS_CHECK_TOL)
 
 
-def hinf_grid_norm(H, grid: int = 256) -> float:
+def hinf_grid_norm(H: StateSpace, grid: int = 256) -> float:
     """Largest singular value of a stable map over a frequency grid.
 
-    H is any map with ``eval_many``, ``gain_at_infinity`` and ``domain``: a
-    RationalMatrix or a StateSpace such as the closed-loop table.  Grids nest
-    under doubling (theta = pi*k/grid), so the value is monotone nondecreasing
-    in the grid count; it is a lower bound on the true norm.  A map with no
-    outputs or no inputs has norm 0.
+    Grids nest under doubling (theta = pi*k/grid), so the value is monotone
+    nondecreasing in the grid count; it is a lower bound on the true norm.  A
+    map with no outputs or no inputs has norm 0.
 
-    A discrete StateSpace is screened at every point by one real FFT
+    A discrete map is screened at every point by one real FFT
     (``_grid_screen``): the bounds of ``_peak_singular_value`` run on the
     screen, and ``eval_many`` only where the peak can be.  Where an exact value
     misses the screen by more than its allowance, or the screen is refused,
-    every point is evaluated.  The value is the largest singular value of
-    ``eval_many`` over every point, to the bit.
+    every point is evaluated, as on the continuous grid.  The value is the
+    largest singular value of ``eval_many`` over every point, to the bit.
     """
     if grid < 1:
         raise InvalidGrid(f"a frequency grid needs at least one interval, got {grid}")
     theta = np.pi * np.arange(grid + 1) / grid
     if H.domain is StabilityDomain.DISCRETE:
         points = np.exp(1j * theta)
-        screened = _grid_screen(H, points) if isinstance(H, StateSpace) else None
+        screened = _grid_screen(H, points)
         if screened is not None:
             screen, allowance = screened
 
@@ -571,8 +569,7 @@ def hinf_grid_norm(H, grid: int = 256) -> float:
         vals = H.eval_many(points)
     else:
         # theta = pi is s = infinity
-        at_inf = np.asarray(H.gain_at_infinity(), dtype=complex)[None]
-        vals = np.concatenate([H.eval_many(1j * np.tan(theta[:-1] / 2.0)), at_inf])
+        vals = np.concatenate([H.eval_many(1j * np.tan(theta[:-1] / 2.0)), H.D[None]])
     return _peak_singular_value(vals)
 
 
@@ -590,7 +587,7 @@ def _grid_screen(H: StateSpace, points: np.ndarray):
     H(z_k) = D + z_k^-1 rfft(h)_k with h_t = C A^t (I - A^N)^-1 B real, and
     h_(a+sb) = (C A^a)(A^(sb) (I - A^N)^-1 B), s about sqrt(N), is one real
     matmul per block of output rows.  The allowance is
-    GRID_SCREEN_TOL * (||D||_F + sum_t ||h_t||_F), the same at every point.
+    GRID_NORM_TOL * (||D||_F + sum_t ||h_t||_F), the same at every point.
     """
     A, B, D = H.A, H.B, H.D
     n, (p, m), N = H.order, D.shape, 2 * (len(points) - 1)
@@ -623,7 +620,7 @@ def _grid_screen(H: StateSpace, points: np.ndarray):
             screen[blk] = np.fft.rfft(h, axis=-1)
         screen *= points.conj()
         screen += D[:, :, None]
-        allowance = GRID_SCREEN_TOL * (np.linalg.norm(D) + np.sum(np.sqrt(squares)))
+        allowance = GRID_NORM_TOL * (np.linalg.norm(D) + np.sum(np.sqrt(squares)))
     return (screen.transpose(2, 0, 1), allowance) if np.isfinite(allowance) else None
 
 
@@ -632,60 +629,48 @@ def _peak_singular_value(vals: np.ndarray, exact=None, allowance: float = 0.0) -
     to the bit, with the SVD run only where the maximum can be; 0 for empty
     matrices.
 
-    Each round bounds the points left from above (``_log2_sigma_bounds``, two
-    then six squarings), takes the exact value at the highest bound as a
-    floor, and drops every point whose bound plus ``allowance`` lies below
-    (1 - GRID_PRUNE_SLACK) times the floor.  The SVD then sees the points
-    left, each the same matrix the full stack gives it.  A NaN or infinite
-    bound is never dropped, so such a point fails or propagates in the SVD as
-    it does in the full stack.  With ``exact``, ``vals`` is a screen within
-    ``allowance`` (in spectral norm) of the exact values ``exact(idx)``, and
-    the SVD runs on those.
+    One round: bound every point (``_log2_sigma_bounds``), take the exact
+    value at the highest bound, and drop every point whose bound plus
+    ``allowance`` lies below (1 - GRID_NORM_TOL) times it.  The SVD sees the
+    rest, each the matrix the full stack gives it.  NaN and infinite bounds
+    are never dropped, so such a point fails or propagates as in the full
+    stack.  With ``exact``, ``vals`` is a screen within ``allowance`` (in
+    spectral norm) of the exact values ``exact(idx)``, and the SVD runs on
+    those.
     """
     if vals.size == 0:
         return 0.0
     if exact is None:
         exact = vals.__getitem__
-    live, tops = np.arange(len(vals)), []
-    best = 0.0
-    for squarings in (2, 6):
-        # blocks of about EVAL_BLOCK_ENTRIES / 2 entries keep the temporaries small
-        bounds = np.concatenate([_log2_sigma_bounds(vals[live[blk]], squarings)
-                                 for blk in _point_blocks(live.size, 2 * vals[0].size)])
-        tops.append(live[np.argmax(bounds)])
-        top = np.linalg.svd(exact(tops[-1:]), compute_uv=False)[:, 0]
-        best = np.max(top, initial=best)
-        floor = best * (1.0 - GRID_PRUNE_SLACK) - allowance
-        if floor > 0:
-            live = live[~(bounds < np.log2(floor))]
-    live = live[~np.isin(live, tops)]  # their values are in best already
+    # blocks of about EVAL_BLOCK_ENTRIES / 2 entries keep the temporaries small
+    bounds = np.concatenate([_log2_sigma_bounds(vals[blk])
+                             for blk in _point_blocks(len(vals), 2 * vals[0].size)])
+    top = np.argmax(bounds)
+    best = float(np.linalg.svd(exact([top]), compute_uv=False)[0, 0])
+    floor = best * (1.0 - GRID_NORM_TOL) - allowance
+    live = np.flatnonzero(~(bounds < np.log2(floor))) if floor > 0 else np.arange(len(vals))
+    live = live[live != top]  # its value is best already
     return float(np.max(np.linalg.svd(exact(live), compute_uv=False)[:, 0], initial=best))
 
 
-def _log2_sigma_bounds(V: np.ndarray, squarings: int) -> np.ndarray:
+def _log2_sigma_bounds(V: np.ndarray) -> np.ndarray:
     """log2 of an upper bound on the largest singular value of each V[k].
 
-    V[k] is first scaled by 2^-e, e the exponent of its largest real or
-    imaginary part, so that no entry of its Gram matrix G (on the narrow side)
-    under- or overflows; then sigma_max^2 <= ||G^(2^j)||_F^(2^-j) for
-    j = ``squarings``, and every second square is scaled by a power of two.
-    Both scalings are exact.  A zero matrix gets -inf, a NaN or infinite one
-    NaN or inf.
+    V[k] is first scaled exactly by 2^-e, e the exponent of its largest real
+    or imaginary part, which puts sigma_max in [1/2, sqrt(2pq)) for a p x q
+    matrix, q its narrow side.  Then sigma_max^2 <= ||G^8||_F^(1/8) for its
+    q x q Gram matrix G, and ||G^8||_F^2 lies in [2^-32, q (2pq)^16): no
+    square under- or overflows for any table numpy can hold, so no rescaling
+    is needed.  A zero matrix gets -inf, a NaN or infinite one NaN or inf.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        parts = V.view(float)
+        parts = np.ascontiguousarray(V).view(float)
         e = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))[1]
         H = np.ldexp(parts, -e[:, None, None]).view(complex)
         H = H.conj().swapaxes(1, 2) @ H if V.shape[1] >= V.shape[2] else H @ H.conj().swapaxes(1, 2)
-        log2_scale = np.zeros(len(V))
-        for i in range(squarings):
-            if i > 0 and i % 2 == 0:
-                f = np.frexp(_frobenius_squared(H))[1] // 2
-                H = np.ldexp(H.view(float), -f[:, None, None]).view(complex)
-                log2_scale += f
+        for _ in range(3):
             H = H @ H
-            log2_scale *= 2.0
-        return e + (0.5 * np.log2(_frobenius_squared(H)) + log2_scale) / 2.0 ** (squarings + 1)
+        return e + np.log2(_frobenius_squared(H)) / 32.0
 
 
 def _frobenius_squared(H: np.ndarray) -> np.ndarray:

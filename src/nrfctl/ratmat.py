@@ -464,16 +464,20 @@ def ratmat_to_obj(a: RationalMatrix) -> dict:
 
 
 def ratmat_from_obj(obj: dict) -> RationalMatrix:
+    rows = obj.get("entries") if isinstance(obj, dict) else None
+    is_cell = lambda c: isinstance(c, dict) and {"num", "den"} <= c.keys()
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(is_cell, row)) for row in rows):
+        raise InvariantViolation("ratmat-fields-present", "entries are not rows of num/den cells")
     domain = StabilityDomain(obj["domain"])
-    coeffs = [cell[k] for row in obj["entries"] for cell in row for k in ("num", "den")]
-    if not all(np.isfinite(np.asarray(c, dtype=float)).all() for c in coeffs):
+    coeffs = [np.asarray(c[k], dtype=float) for row in rows for c in row for k in ("num", "den")]
+    if any(c.ndim > 1 for c in coeffs):
+        raise InvariantViolation("ratmat-fields-present", "a coefficient list is nested")
+    if not all(np.isfinite(c).all() for c in coeffs):
         raise InvariantViolation("ratmat-finite", "a coefficient is NaN or infinite")
-    entries = [
-        [RationalFunction(cell["num"], cell["den"]) for cell in row]
-        for row in obj["entries"]
-    ]
+    entries = [[RationalFunction(cell["num"], cell["den"]) for cell in row] for row in rows]
     mat = RationalMatrix(entries, domain)
-    if mat.rows != int(obj["rows"]) or mat.cols != int(obj["cols"]):
+    if [mat.rows, mat.cols] != [obj["rows"], obj["cols"]]:
         raise DimensionMismatch("declared shape does not match entries")
     return mat
 

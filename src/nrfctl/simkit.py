@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 
 import numpy as np
 
@@ -53,10 +54,18 @@ def _check_bound(bound: float) -> None:
 
 
 def _whole(value, invariant: str) -> int:
-    """int(value), refusing a fractional, NaN or infinite float instead of truncating it."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), refusing a fractional, NaN or infinite float instead of
+    truncating it, and a string or null instead of parsing it."""
+    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
         raise InvariantViolation(invariant, f"{value!r} is not a whole number")
     return int(value)
+
+
+def _real(value, invariant: str) -> float:
+    """float(value), refusing a string, a list or null instead of parsing it."""
+    if not isinstance(value, numbers.Real):
+        raise InvariantViolation(invariant, f"{value!r} is not a number")
+    return float(value)
 
 
 def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray:
@@ -92,8 +101,8 @@ class SignalSpec:
             raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
         self.kind = kind
         self.at = _whole(at, "signal-step-at-integral")
-        self.level = float(level)
-        self.bound = float(bound)
+        self.level = _real(level, "signal-level-finite")
+        self.bound = _real(bound, "noise-bound-nonnegative")
         if self.at < 0:
             raise InvariantViolation("signal-step-at-nonnegative", f"at {at}")
         if not np.isfinite(self.level):
@@ -131,11 +140,13 @@ class SignalSpec:
 
     @staticmethod
     def from_obj(obj: dict) -> "SignalSpec":
+        if not isinstance(obj, dict):
+            raise InvariantViolation("signal-kind", f"a signal spec is an object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "step":
-            return SignalSpec.step(float(obj["level"]), obj.get("at", 0))
+            return SignalSpec.step(obj["level"], obj.get("at", 0))
         if kind == "uniform":
-            return SignalSpec.uniform(float(obj["bound"]))
+            return SignalSpec.uniform(obj["bound"])
         if kind == "zero":
             return SignalSpec.zero()
         raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
@@ -552,24 +563,33 @@ def scenario_to_obj(sc: Scenario) -> dict:
     }
 
 
+def _listed(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise InvariantViolation("scenario-fields-present", f"{what} is not a list: {values!r}")
+    return values
+
+
 def scenario_from_obj(obj: dict) -> Scenario:
     for key in _SCENARIO_KEYS:
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise InvariantViolation("scenario-fields-present", f"missing {key!r}")
     ctl = obj["controller"]
-    whole = lambda values, field: [_whole(v, f"scenario-{field}-integral") for v in values]
+    if not isinstance(ctl, dict) or not {"ss", "row_orders", "partition", "grouping"} <= ctl.keys():
+        raise InvariantViolation("scenario-fields-present", "controller lacks a field")
+    whole = lambda vs, field: [_whole(v, f"scenario-{field}-integral") for v in _listed(vs, field)]
+    specs = lambda key: [SignalSpec.from_obj(s) for s in _listed(obj[key], key)]
     controller = AssembledController(
         sstate.ss_from_obj(ctl["ss"]),
         whole(ctl["row_orders"], "row-orders"),
         tuple(whole(ctl["partition"], "partition")),
-        [tuple(whole(g, "grouping")) for g in ctl["grouping"]],
+        [tuple(whole(g, "grouping")) for g in _listed(ctl["grouping"], "grouping")],
     )
     return Scenario(
         horizon=obj["horizon"],
-        reference=[SignalSpec.from_obj(s) for s in obj["reference"]],
-        input_disturbance=[SignalSpec.from_obj(s) for s in obj["input_disturbance"]],
-        measurement_noise=[SignalSpec.from_obj(s) for s in obj["measurement_noise"]],
-        command_disturbance=[SignalSpec.from_obj(s) for s in obj["command_disturbance"]],
+        reference=specs("reference"),
+        input_disturbance=specs("input_disturbance"),
+        measurement_noise=specs("measurement_noise"),
+        command_disturbance=specs("command_disturbance"),
         seed=obj["seed"],
         plant=sstate.ss_from_obj(obj["plant"]),
         controller=controller,

@@ -96,10 +96,6 @@ class StateSpace:
             out[blk] += self.C @ np.linalg.solve(xb * np.eye(n) - self.A, rhs)
         return out
 
-    def gain_at_infinity(self) -> np.ndarray:
-        """Continuous-time response at s = infinity: the feedthrough D."""
-        return self.D
-
     def select(self, rows, cols) -> "StateSpace":
         """The map from the inputs ``cols`` to the outputs ``rows`` (index
         sequences, repeats allowed), on the same state."""

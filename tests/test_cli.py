@@ -148,6 +148,41 @@ def test_nonfinite_numbers_are_named_at_the_reader(name, rational, path, invaria
     assert f"InvariantViolation: {invariant}" in out
 
 
+@pytest.mark.parametrize("name, path, value, named", [
+    ("scenario.json", ("reference", 0), 1.0, "InvariantViolation: signal-kind"),
+    ("scenario.json", ("reference", 0), [1.0], "InvariantViolation: signal-kind"),
+    ("scenario.json", ("reference",), 0, "InvariantViolation: scenario-fields-present"),
+    ("scenario.json", ("controller",), [], "InvariantViolation: scenario-fields-present"),
+    ("scenario.json", ("controller", "grouping"), 3, "InvariantViolation: scenario-fields-present"),
+    ("scenario.json", ("seed",), None, "InvariantViolation: scenario-seed-integral"),
+    ("scenario.json", ("horizon",), "100", "InvariantViolation: scenario-horizon-integral"),
+    ("scenario.json", ("reference", 0, "level"), None, "InvariantViolation: signal-level-finite"),
+    ("scenario.json", ("measurement_noise", 0, "bound"), "0.05",
+     "InvariantViolation: noise-bound-nonnegative"),
+    ("q.json", ("entries",), 5, "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("entries", 0), [0.0] * 5, "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("entries", 0, 0, "num"), [[0.0]], "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("rows",), "5", "DimensionMismatch: declared shape"),
+], ids=["signal-number", "signal-list", "reference-number", "controller-list", "grouping-int",
+        "seed-null", "horizon-string", "level-null", "bound-string", "entries-int",
+        "row-of-numbers", "nested-num", "rows-string"])
+def test_malformed_files_are_named_at_the_reader(name, path, value, named,
+                                                 demo_dir, tmp_path, capsys):
+    obj = json.loads((demo_dir / name).read_text())
+    _set(obj, path, value)
+    bad, out_file = tmp_path / name, tmp_path / "out"
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "scenario.json": ["simulate", "--scenario", bad, "--out", out_file],
+        "q.json": ["nrf", "--dcf", demo_dir / "dcf.json", "--q", bad, "--out", out_file],
+    }[name]
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(named) and out.endswith("status: error\n")
+    assert not out_file.exists()
+
+
 def test_dcf_rejects_unstabilizable(tmp_path, capsys):
     bad = tmp_path / "bad_plant.json"
     sstate.save_ss(StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC), str(bad))

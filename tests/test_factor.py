@@ -18,6 +18,7 @@ from nrfctl.errors import (
     UnstableParameter,
 )
 from nrfctl.factor import (
+    _log2_sigma_bounds,
     _peak_singular_value,
     closed_loop_maps,
     dcf_from_obj,
@@ -39,7 +40,7 @@ from nrfctl.ratmat import (
     ratmat_from_obj,
     ratmat_to_obj,
 )
-from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, unstable_eigs
+from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, tfm_to_ss, unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 
@@ -460,11 +461,11 @@ def test_affinity_in_q(grid5_dcf):
 
 def test_hinf_grid_norm_continuous_first_order():
     CONT = StabilityDomain.CONTINUOUS
-    lowpass = RationalMatrix([[RationalFunction([1.0], [1.0, 1.0])]], CONT)
+    lowpass = tfm_to_ss(RationalMatrix([[RationalFunction([1.0], [1.0, 1.0])]], CONT))
     assert hinf_grid_norm(lowpass, grid=16) == 1.0  # at s = 0
     assert hinf_grid_norm(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]], CONT), grid=16) == 1.0
     # s/(s+1) reaches 1 only at s = infinity, the grid's last point
-    highpass = RationalMatrix([[RationalFunction([0.0, 1.0], [1.0, 1.0])]], CONT)
+    highpass = tfm_to_ss(RationalMatrix([[RationalFunction([0.0, 1.0], [1.0, 1.0])]], CONT))
     assert hinf_grid_norm(highpass, grid=16) == 1.0
 
 
@@ -539,20 +540,42 @@ def test_peak_singular_value_raises_on_nan_like_the_full_svd():
         _peak_singular_value(vals)
 
 
-def test_grid_norm_of_the_check_table_runs_few_svds(grid5_pair, grid5_plant, monkeypatch):
-    report = dimpl.verify_internal_stability(grid5_pair, grid5_plant)
-    table = report.loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
-    svd, seen = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        seen.append(1 if a.ndim == 2 else len(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    norm = hinf_grid_norm(table, 256)
-    monkeypatch.undo()
-    assert sum(seen) <= 8  # of 257 points
-    assert norm == _full_stack_peak(table.eval_many(np.exp(1j * np.pi * np.arange(257) / 256)))
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    narrow=st.integers(1, 64),
+    extra=st.integers(0, 16),
+    tall=st.booleans(),
+    kind=st.sampled_from(["general", "rank-one", "equal-top", "zero"]),
+    exponents=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4),
+)
+@example(seed=0, narrow=1, extra=0, tall=True, kind="general", exponents=[0])
+@example(seed=1, narrow=64, extra=16, tall=False, kind="rank-one", exponents=[1000, -1000])
+@example(seed=2, narrow=8, extra=0, tall=True, kind="equal-top", exponents=[-1000, 0, 1000])
+@example(seed=3, narrow=5, extra=3, tall=False, kind="zero", exponents=[0])
+def test_log2_sigma_bounds_never_fall_below_the_svd(seed, narrow, extra, tall, kind, exponents):
+    """Three squarings after the exact per-point scaling need no rescaling:
+    at every scale numpy holds, each bound stays above the largest singular
+    value to within the grid norm's rounding tolerance."""
+    rng = np.random.default_rng(seed)
+    shape = (len(exponents), narrow + extra, narrow)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "rank-one":
+        vals = vals[:, :, :1] @ vals[:, :1, :].conj()
+    elif kind == "equal-top":
+        vals = np.linalg.qr(vals)[0]  # orthonormal columns: every singular value is 1
+    elif kind == "zero":
+        vals[:] = 0.0
+    vals = np.ldexp(vals.view(float), np.array(exponents)[:, None, None]).view(complex)
+    if not tall:
+        vals = vals.swapaxes(1, 2)
+    bounds = _log2_sigma_bounds(vals)
+    with np.errstate(divide="ignore"):
+        sigma = np.log2(np.linalg.svd(vals, compute_uv=False)[:, 0])
+    if kind == "zero":
+        assert np.all(bounds == -np.inf)
+    else:
+        assert np.all(bounds >= sigma + np.log2(1.0 - factor.GRID_NORM_TOL))
 
 
 @pytest.mark.parametrize("grid", [0, -3])
@@ -623,6 +646,22 @@ def _count_eval_points(monkeypatch):
 def test_grid_norm_of_the_check_table_evaluates_few_points(screened_loop, monkeypatch):
     table = screened_loop("grid5-check")
     seen = _count_eval_points(monkeypatch)
+    norm = hinf_grid_norm(table, 256)
+    monkeypatch.undo()
+    assert sum(seen) <= 8  # of 257 points
+    assert norm == _full_stack_peak(table.eval_many(_grid_points(256)))
+
+
+@pytest.mark.parametrize("name", ["grid5-check", "grid5-demo"])
+def test_grid_norm_runs_few_svds(screened_loop, name, monkeypatch):
+    table = screened_loop(name)
+    svd, seen = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(1 if a.ndim == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     norm = hinf_grid_norm(table, 256)
     monkeypatch.undo()
     assert sum(seen) <= 8  # of 257 points
