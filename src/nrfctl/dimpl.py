@@ -106,10 +106,9 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
         want = values[:, idx, :]  # relative to its largest entry, over all points
         audit("row-probe-match", (sys.eval_many(pts) - want) / max(1.0, np.max(np.abs(want))),
               PROBE_TOL, f"rows {g}")
-        if not sstate.is_stabilizable(sys):
-            raise InvariantViolation("row-stabilizable", f"rows {g}")
-        if not sstate.is_detectable(sys):
-            raise InvariantViolation("row-detectable", f"rows {g}")
+        failure = sstate.pbh_failure(sys)
+        if failure:
+            raise InvariantViolation(f"row-{failure}", f"rows {g}")
         out.append(RowRealization(g[0] if len(g) == 1 else g, sys))
     return out
 
@@ -129,7 +128,10 @@ class AssembledController:
     def __init__(self, sys, row_orders, partition, grouping):
         self.sys = sys
         self.row_orders = list(row_orders)
-        self.partition = m, p = tuple(partition)
+        self.partition = tuple(partition)
+        if len(self.partition) != 2:
+            raise InconsistentDimensions(f"partition {self.partition} is not (m, p)")
+        m, p = self.partition
         self.grouping = tuple(tuple(g) for g in grouping)
         if p < 0 or sys.D.shape != (m, m + p):
             raise InconsistentDimensions(f"partition {m, p} does not fit D of shape {sys.D.shape}")
@@ -177,10 +179,9 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
     want = np.concatenate([r.sys.eval_many(pts) for r in rows], axis=1)[:, perm, :]
     scale = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2), keepdims=True))  # per point
     audit("assembly-linearity", (sys.eval_many(pts) - want) / scale, PROBE_TOL)
-    if not sstate.is_stabilizable(sys):
-        raise InvariantViolation("assembled-stabilizable", "PBH audit failed")
-    if not sstate.is_detectable(sys):
-        raise InvariantViolation("assembled-detectable", "PBH audit failed")
+    failure = sstate.pbh_failure(sys)
+    if failure:
+        raise InvariantViolation(f"assembled-{failure}", "PBH audit failed")
     return ctrl
 
 

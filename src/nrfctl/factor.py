@@ -51,13 +51,12 @@ from .sstate import (
     StateSpace,
     ctrb_staircase,
     diagonal,
-    is_detectable,
-    is_stabilizable,
     is_unstable,
     left_quotient,
     match_multisets,
     minimal,
     parallel,
+    pbh_failure,
     series,
     ss_from_obj,
     ss_to_obj,
@@ -70,11 +69,14 @@ from .tolerances import CROSS_CHECK_TOL, GRID_NORM_TOL, POLE_MATCH_TOL, PROBE_TO
 _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
-def _check_inverse(left: StateSpace, right: StateSpace, invariant: str):
-    """Audit left right = I at probe points; both maps are stable, so the
-    probes clear all their poles."""
-    pts = probe_points(left.domain, 20)
-    audit(invariant, left.eval_many(pts) @ right.eval_many(pts) - np.eye(left.n_outputs), PROBE_TOL)
+def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, avoid=()):
+    """Audit left right = I at the probe points clear of ``avoid``, and return
+    both maps' values there; both maps are stable, so any such points clear
+    all their poles."""
+    pts = probe_points(left.domain, 20, avoid=avoid)
+    L, R = left.eval_many(pts), right.eval_many(pts)
+    audit(invariant, L @ R - np.eye(left.n_outputs), PROBE_TOL)
+    return L, R
 
 
 # each factor's block of a Bézout realization, (realization, row block, column
@@ -185,30 +187,34 @@ class DoublyCoprime:
 
         Every check reads the realizations.  Stability is read off their
         eigenvalues (a left Bézout matrix realized from rational factors is
-        minimal, so a common factor in a JSON entry cancels), the gains at
-        infinity off the diagonal blocks of their D, and the Bézout identity
-        and the two plant quotients off their values at probe points.
+        minimal, so a common factor in a JSON entry cancels), then
+        ``_audit_gains_and_identities`` runs.
         """
-        p, m = self.shape
         for name, sys in (("left", self.left), ("right", self.right)):
             bad = unstable_eigs(sys.A, self.domain)
             if bad:
                 raise InvariantViolation(
                     "factor-stable", f"the {name} Bézout matrix has unstable poles {list(bad)}"
                 )
+        self._audit_gains_and_identities()
+
+    def _audit_gains_and_identities(self):
+        """The gains at infinity off the diagonal blocks of D, then the Bézout
+        identity and the two plant quotients off one evaluation of each
+        realization, at probe points clear of the poles of G = Mt^-1 Nt."""
+        p, m = self.shape
         top, bottom = slice(0, m), slice(m, m + p)
         blocks = (("Y", self.left, top), ("Yt", self.right, bottom),
                   ("M", self.right, top), ("Mt", self.left, bottom))
         for name, sys, blk in blocks:
             gain = sys.D[blk, blk]
             audit("gain-at-infinity", gain - np.eye(gain.shape[0]), PROBE_TOL, f"{name}(inf)")
-        _check_inverse(self.left, self.right, "bezout-identity")
-        # G = Mt^-1 Nt on the realization of left against N M^-1 off right
-        G = self.plant()
-        pts = probe_points(self.domain, 20, avoid=np.linalg.eigvals(G.A))
-        R = self.right.eval_many(pts)
+        L, R = _check_inverse(self.left, self.right, "bezout-identity",
+                              avoid=np.linalg.eigvals(self.plant().A))
+        # Mt^-1 Nt off the lower rows [-Nt Mt] of left against N M^-1 off right
         audit("plant-quotients-agree",
-              G.eval_many(pts) - R[:, m:, :m] @ np.linalg.inv(R[:, :m, :m]), PROBE_TOL)
+              np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
+              - R[:, m:, :m] @ np.linalg.inv(R[:, :m, :m]), PROBE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +223,10 @@ class DoublyCoprime:
 
 def _require_pbh(plant: StateSpace):
     """(A, B) stabilizable, then (A, C) detectable, by the PBH tests."""
-    if not is_stabilizable(plant):
+    failure = pbh_failure(plant)
+    if failure == "stabilizable":
         raise NotStabilizable("the pair (A, B) fails the PBH stabilizability test")
-    if not is_detectable(plant):
+    if failure == "detectable":
         raise NotDetectable("the pair (A, C) fails the PBH detectability test")
 
 
@@ -228,6 +235,8 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
 
     F must make A + BF stable and L must make A + LC stable; the two Bézout
     realizations then read off the observer/state-feedback parameterization.
+    Their state matrices are A + LC and A + BF, whose stability is decided
+    here, so only the gain and identity audits of ``validate`` run.
     """
     if float(np.max(np.abs(plant.D), initial=0.0)) != 0.0:
         raise NotStrictlyProper("plant must be strictly proper (D = 0)")
@@ -249,7 +258,7 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     FC, I = np.vstack([F, C]), np.eye(m + p)
     dcf = DoublyCoprime(StateSpace(AL, np.hstack([-B, L]), FC, I, plant.domain),
                         StateSpace(AF, np.hstack([B, -L]), FC, I, plant.domain), (p, m))
-    dcf.validate()
+    dcf._audit_gains_and_identities()
     return dcf
 
 

@@ -463,13 +463,24 @@ def ratmat_to_obj(a: RationalMatrix) -> dict:
     }
 
 
+def _domain_from_obj(value, invariant: str) -> StabilityDomain:
+    """The stability domain a file names, or ``invariant`` raised."""
+    try:
+        return StabilityDomain(value)
+    except ValueError:
+        raise InvariantViolation(invariant, f"unknown domain {value!r}") from None
+
+
 def ratmat_from_obj(obj: dict) -> RationalMatrix:
     rows = obj.get("entries") if isinstance(obj, dict) else None
     is_cell = lambda c: isinstance(c, dict) and {"num", "den"} <= c.keys()
     if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(map(is_cell, row)) for row in rows):
         raise InvariantViolation("ratmat-fields-present", "entries are not rows of num/den cells")
-    domain = StabilityDomain(obj["domain"])
+    missing = [key for key in ("domain", "rows", "cols") if key not in obj]
+    if missing:
+        raise InvariantViolation("ratmat-fields-present", f"missing {missing}")
+    domain = _domain_from_obj(obj["domain"], "ratmat-fields-present")
     coeffs = [np.asarray(c[k], dtype=float) for row in rows for c in row for k in ("num", "den")]
     if any(c.ndim > 1 for c in coeffs):
         raise InvariantViolation("ratmat-fields-present", "a coefficient list is nested")

@@ -143,6 +143,9 @@ class SignalSpec:
         if not isinstance(obj, dict):
             raise InvariantViolation("signal-kind", f"a signal spec is an object, got {obj!r}")
         kind = obj.get("kind")
+        field = {"step": "level", "uniform": "bound"}.get(kind)
+        if field and field not in obj:
+            raise InvariantViolation("scenario-fields-present", f"a {kind} spec lacks {field!r}")
         if kind == "step":
             return SignalSpec.step(obj["level"], obj.get("at", 0))
         if kind == "uniform":

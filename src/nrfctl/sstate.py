@@ -24,6 +24,7 @@ from .ratmat import (
     RationalFunction,
     RationalMatrix,
     StabilityDomain,
+    _domain_from_obj,
     _point_blocks,
 )
 from .tolerances import RANK_REL_TOL, STABILITY_MARGIN
@@ -410,13 +411,36 @@ def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
     return ratio > RANK_REL_TOL, ratio
 
 
+def _unstable_modes(sys: StateSpace) -> list[complex]:
+    """The unstable eigenvalues of A, one copy of each bitwise-distinct value:
+    a PBH test at an identical eigenvalue runs the identical SVD."""
+    lams = unstable_eigs(sys.A, sys.domain)
+    return list({(lam.real.hex(), lam.imag.hex()): lam for lam in lams}.values())
+
+
+def _pbh_all(A: np.ndarray, Bc: np.ndarray, modes) -> bool:
+    return all(_pbh_rank_ok(A, Bc, lam) for lam in modes)
+
+
 def is_stabilizable(sys: StateSpace) -> bool:
-    """PBH test at every unstable eigenvalue of A."""
-    return all(_pbh_rank_ok(sys.A, sys.B, lam) for lam in unstable_eigs(sys.A, sys.domain))
+    """PBH test at every distinct unstable eigenvalue of A."""
+    return _pbh_all(sys.A, sys.B, _unstable_modes(sys))
 
 
 def is_detectable(sys: StateSpace) -> bool:
-    return all(_pbh_rank_ok(sys.A.T, sys.C.T, lam) for lam in unstable_eigs(sys.A, sys.domain))
+    """PBH test of (A, C) at every distinct unstable eigenvalue of A."""
+    return _pbh_all(sys.A.T, sys.C.T, _unstable_modes(sys))
+
+
+def pbh_failure(sys: StateSpace) -> str | None:
+    """The first PBH test sys fails, "stabilizable" before "detectable", or
+    None; both tests read one computation of the unstable eigenvalues."""
+    modes = _unstable_modes(sys)
+    if not _pbh_all(sys.A, sys.B, modes):
+        return "stabilizable"
+    if not _pbh_all(sys.A.T, sys.C.T, modes):
+        return "detectable"
+    return None
 
 
 def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:
@@ -529,7 +553,7 @@ def ss_from_obj(obj: dict) -> StateSpace:
     missing = [key for key in _SS_KEYS if key not in obj] if isinstance(obj, dict) else _SS_KEYS
     if missing:
         raise InvariantViolation("ss-fields-present", f"missing {list(missing)}")
-    domain = StabilityDomain(obj["domain"])
+    domain = _domain_from_obj(obj["domain"], "ss-fields-present")
     D = np.atleast_2d(np.asarray(obj["D"], dtype=float))
     A = np.asarray(obj["A"], dtype=float)
     n = A.shape[0] if A.ndim == 2 else (0 if A.size == 0 else 1)

@@ -26,6 +26,12 @@ scaled by max(1, largest entry magnitude of the rows matched):
     grid5-closed-form            PROBE_TOL        grid5 rows - closed form, scaled over all points
     assembly-linearity           PROBE_TOL        assembly - stacked rows, scaled at each point
 
+``DoublyCoprime.validate`` reads the Bézout identity and the plant quotients
+from one evaluation of each Bézout realization, at one set of probe points
+moved clear of the plant's poles (those of Mt^-1 Nt on the left realization):
+left right - I there, and Mt^-1 Nt solved pointwise from the lower rows of
+left against N M^-1 from right.
+
 ``factor.hinf_grid_norm`` bounds the largest singular value at every grid
 point once, from above (the Frobenius norm of a power of the point's Gram
 matrix), and runs the SVD only where the bound plus an allowance reaches

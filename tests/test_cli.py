@@ -112,10 +112,16 @@ def test_demo_refuses_a_closed_form_mismatch(tmp_path, capsys, monkeypatch):
     assert "InvariantViolation: grid5-closed-form" in out
 
 
+_DROP = object()  # the value that deletes the key
+
+
 def _set(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
-    obj[path[-1]] = value
+    if value is _DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
@@ -163,9 +169,22 @@ def test_nonfinite_numbers_are_named_at_the_reader(name, rational, path, invaria
     ("q.json", ("entries", 0), [0.0] * 5, "InvariantViolation: ratmat-fields-present"),
     ("q.json", ("entries", 0, 0, "num"), [[0.0]], "InvariantViolation: ratmat-fields-present"),
     ("q.json", ("rows",), "5", "DimensionMismatch: declared shape"),
+    ("scenario.json", ("controller", "partition"), [5, 5, 5], "InconsistentDimensions: partition"),
+    ("scenario.json", ("controller", "partition"), [5], "InconsistentDimensions: partition"),
+    ("scenario.json", ("reference", 0, "level"), _DROP,
+     "InvariantViolation: scenario-fields-present"),
+    ("scenario.json", ("measurement_noise", 0, "bound"), _DROP,
+     "InvariantViolation: scenario-fields-present"),
+    ("q.json", ("domain",), _DROP, "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("rows",), _DROP, "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("cols",), _DROP, "InvariantViolation: ratmat-fields-present"),
+    ("q.json", ("domain",), "z-plane", "InvariantViolation: ratmat-fields-present"),
+    ("plant.json", ("domain",), "z-plane", "InvariantViolation: ss-fields-present"),
 ], ids=["signal-number", "signal-list", "reference-number", "controller-list", "grouping-int",
         "seed-null", "horizon-string", "level-null", "bound-string", "entries-int",
-        "row-of-numbers", "nested-num", "rows-string"])
+        "row-of-numbers", "nested-num", "rows-string", "partition-3", "partition-1",
+        "step-no-level", "uniform-no-bound", "q-no-domain", "q-no-rows", "q-no-cols",
+        "q-unknown-domain", "plant-unknown-domain"])
 def test_malformed_files_are_named_at_the_reader(name, path, value, named,
                                                  demo_dir, tmp_path, capsys):
     obj = json.loads((demo_dir / name).read_text())
@@ -175,6 +194,7 @@ def test_malformed_files_are_named_at_the_reader(name, path, value, named,
     argv = {
         "scenario.json": ["simulate", "--scenario", bad, "--out", out_file],
         "q.json": ["nrf", "--dcf", demo_dir / "dcf.json", "--q", bad, "--out", out_file],
+        "plant.json": ["dcf", "--plant", bad, "--out", out_file],
     }[name]
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr().out

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrfctl import dimpl, factor, nrfsyn, simkit
+from nrfctl import dimpl, factor, nrfsyn, simkit, sstate
 from nrfctl.errors import (
     DimensionMismatch,
     GainsNotStabilizing,
     InvalidGrid,
     InvariantViolation,
+    NotDetectable,
     NotStabilizable,
     PlacementFailed,
     UnstableParameter,
@@ -182,6 +183,89 @@ def test_dcf_rejects_destabilizing_gains():
     plant = StateSpace([[1.2]], [[1.0]], [[1.0]], [[0.0]], DISC)
     with pytest.raises(GainsNotStabilizing):
         dcf_from_ss(plant, [[0.0]], [[-0.9]])
+    with pytest.raises(GainsNotStabilizing, match=r"A \+ LC"):
+        dcf_from_ss(plant, [[-0.9]], [[0.0]])
+
+
+def test_dcf_checks_its_identities_clear_of_the_plant_poles():
+    # A = 2 R(theta) puts a pole exactly on the first default probe point,
+    # where Mt is singular to rounding (condition 9e15): the identities are
+    # read at the probe points moved clear of the poles of Mt^-1 Nt
+    theta = 2 * np.pi * 0.37 / 20
+    A = 2 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    plant = StateSpace(A, np.eye(2), np.eye(2), np.zeros((2, 2)), DISC)
+    assert np.min(np.abs(np.linalg.eigvals(A) - probe_points(DISC, 20)[0])) < 1e-6
+    dcf = dcf_from_ss(plant, *place_gains(plant, [0.3, 0.4]))
+    pts = probe_points(DISC, 5, avoid=np.linalg.eigvals(A))
+    assert np.max(np.abs(dcf.plant().eval_many(pts) - plant.eval_many(pts))) < 1e-8
+
+
+def _count_calls(monkeypatch, owner, name, seen):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        seen[name] = seen.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
+    # eig(A) for the PBH tests, eig(A + BF), eig(A + LC) and the poles of the
+    # plant quotient; one PBH SVD per test at the n integrators, all at 1;
+    # one evaluation of each Bézout realization
+    plant, F, L = platoon_gains(4)
+    seen = {}
+    for owner, name in ((np.linalg, "eigvals"), (sstate, "_pbh_rank_ok"),
+                        (StateSpace, "eval_many")):
+        _count_calls(monkeypatch, owner, name, seen)
+    dcf_from_ss(plant, F, L)
+    monkeypatch.undo()
+    assert seen == {"eigvals": 4, "_pbh_rank_ok": 2, "eval_many": 2}
+
+
+def _pbh_reference(A, Bc, domain):
+    """The PBH test at every copy of every unstable eigenvalue."""
+    return all(sstate._pbh_rank_ok(A, Bc, lam) for lam in unstable_eigs(A, domain))
+
+
+@pytest.mark.parametrize("name", [*(f"chain-{n}" for n in range(2, 9)), "grid5", "cyclic-4",
+                                  "mesh-3x3"])
+def test_pbh_at_distinct_modes_equals_the_test_at_every_copy(name, grid5_plant):
+    if name == "grid5":
+        plant = grid5_plant
+    elif name == "cyclic-4":
+        plant = simkit.build_network_plant([[0, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 1], [0, 1, 1, 0]])
+    elif name == "mesh-3x3":
+        plant = simkit.build_network_plant(_mesh_incidence(3))
+    else:
+        n = int(name.split("-")[1])
+        plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
+    want = (_pbh_reference(plant.A, plant.B, DISC), _pbh_reference(plant.A.T, plant.C.T, DISC))
+    assert (sstate.is_stabilizable(plant), sstate.is_detectable(plant)) == want == (True, True)
+    assert sstate.pbh_failure(plant) is None
+
+
+def test_pbh_at_a_repeated_mode():
+    # two integrators at exactly 1: one input reaches only one of them
+    e1 = np.array([[1.0], [0.0]])
+    plant = StateSpace(np.eye(2), e1, np.eye(2), np.zeros((2, 1)), DISC)
+    assert not sstate.is_stabilizable(plant)
+    with pytest.raises(NotStabilizable):
+        place_gains(plant, [0.5, 0.5])
+    with pytest.raises(NotStabilizable):
+        dcf_from_ss(plant, np.zeros((1, 2)), np.zeros((2, 2)))
+    dual = StateSpace(np.eye(2), np.eye(2), e1.T, np.zeros((1, 2)), DISC)
+    assert sstate.is_stabilizable(dual) and not sstate.is_detectable(dual)
+    with pytest.raises(NotDetectable):
+        place_gains(dual, [0.5, 0.5])
+    with pytest.raises(NotDetectable):
+        dcf_from_ss(dual, np.zeros((2, 2)), np.zeros((2, 1)))
+    # a 2 x 2 Jordan block at 1 is reached through its last state only
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for b, reached in ((np.array([[0.0], [1.0]]), True), (e1, False)):
+        assert sstate.is_stabilizable(StateSpace(jordan, b, np.eye(2), np.zeros((2, 1)), DISC)) \
+            is reached
 
 
 @settings(max_examples=25, deadline=None)
