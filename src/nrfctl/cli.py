@@ -58,6 +58,7 @@ def _load_plant(path: str) -> StateSpace:
     """Plant file: state-space JSON, or a rational matrix to realize first."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
     if "A" in obj:
         return sstate.ss_from_obj(obj)
     if "entries" in obj:
@@ -70,7 +71,7 @@ def _load_patterns(path: str):
     them as boolean masks and checks their shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "X" not in obj or "Y" not in obj:
+    if not isinstance(obj, dict) or "X" not in obj or "Y" not in obj:
         raise NrfError(f"{path}: pattern file needs boolean masks 'X' and 'Y'")
     return obj["X"], obj["Y"]
 

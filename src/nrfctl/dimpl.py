@@ -379,14 +379,12 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     H = StateSpace(H.A, H.B, sign * H.C, sign * H.D, H.domain)
 
     # a stable A_CL settles every map: none is cut out or reduced
-    modes = loop.unstable_modes()
-    block_poles = {
-        (out, inp): sstate.unstable_map_poles(loop.map((out,), (inp,)), modes) if modes else ()
-        for out in LOOP_OUTPUTS
-        for inp in TABLE_INPUTS
-    }
-    unstable_entries = [(i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
-                        if modes and sstate.unstable_map_poles(H.select([i], [j]), modes)]
+    stable = loop.is_stable
+    block_poles = {(out, inp): () if stable else sstate.unstable_map_poles(loop.map((out,), (inp,)))
+                   for out in LOOP_OUTPUTS for inp in TABLE_INPUTS}
+    unstable_entries = [] if stable else [
+        (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
+        if sstate.unstable_map_poles(H.select([i], [j]))]
 
     avoid = np.concatenate(
         [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
@@ -430,7 +428,7 @@ def bundle_to_obj(rows: list[RowRealization]) -> dict:
 
 def bundle_from_obj(obj: dict) -> list[RowRealization]:
     for key in _BUNDLE_KEYS:
-        if key not in obj:
+        if not isinstance(obj, dict) or key not in obj:
             raise InvariantViolation("bundle-fields-present", f"missing {key!r}")
     out = []
     for rec in obj["rows"]:

@@ -88,18 +88,10 @@ _BLOCKS = {"M": ("right", 0, 0, 1, 1), "N": ("right", 1, 0, 1, 1), "Mt": ("left"
 
 
 def _view(name: str) -> property:
-    side, row, col, sb, sc = _BLOCKS[name]
-
     def read(self) -> RationalMatrix:
         if name not in self._views:
-            if name in self._json:
-                self._views[name] = ratmat_from_obj(self._json[name])
-            else:
-                p, m = self.shape
-                blocks = (range(m), range(m, m + p))
-                s = getattr(self, side).select(blocks[row], blocks[col])
-                s = StateSpace(s.A, sb * s.B, sc * s.C, sb * sc * s.D, s.domain)
-                self._views[name] = ss_to_tf(s)
+            self._views[name] = (ratmat_from_obj(self._json[name]) if name in self._json
+                                 else ss_to_tf(self.realized(name)))
         return self._views[name]
 
     return property(read, doc=f"{name} as a rational matrix, converted on first read")
@@ -111,8 +103,9 @@ class DoublyCoprime:
     ``left`` and ``right`` realize the Bézout matrices [Y X; -Nt Mt] and
     [M -Xt; N Yt] of a plant with ``shape`` (p, m); every stage and every
     audit reads them.  Mt, Nt, Xt, Yt hold the left-factor family (the tilde
-    quantities); G is recovered as Mt^-1 Nt = N M^-1.  The eight factors are
-    rational views for JSON and printing, each ``ss_to_tf`` of its block on
+    quantities); G is recovered as Mt^-1 Nt = N M^-1.  ``realized(name)`` is
+    a factor's signed block of a realization, and the eight factors are
+    rational views for JSON and printing, each ``ss_to_tf`` of that block on
     first read; ``from_factors`` keeps the rational factors it is given, and
     a factorization read from JSON keeps the file's rational entries (in
     ``_json``, unparsed until first read and written back as they were).
@@ -174,6 +167,14 @@ class DoublyCoprime:
         left = np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]])
         right = np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]])
         return float(np.max(np.abs(left @ right - np.eye(left.shape[1])), initial=0.0))
+
+    def realized(self, name: str) -> StateSpace:
+        """Factor ``name`` as its signed block of ``left`` or ``right``."""
+        side, row, col, sb, sc = _BLOCKS[name]
+        p, m = self.shape
+        blocks = (range(m), range(m, m + p))
+        s = getattr(self, side).select(blocks[row], blocks[col])
+        return StateSpace(s.A, sb * s.B, sc * s.C, sb * sc * s.D, s.domain)
 
     def plant(self) -> StateSpace:
         """G = Mt^-1 Nt: minus the Nt columns of Mt^-1 [-Nt Mt], the lower rows
@@ -707,6 +708,7 @@ def dcf_from_obj(obj: dict) -> DoublyCoprime:
     the realizations are taken as they are and ``validate``d; the rational
     factors become its views unread.  A file with the rational factors alone
     goes through ``DoublyCoprime.from_factors``."""
+    obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
     if not any(key in obj for key in _REALIZATION):
         missing = [name for name in _FIELDS if name not in obj]
         if missing:

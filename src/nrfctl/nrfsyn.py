@@ -15,12 +15,13 @@ audited once, in ``NrfPair(Phi, Gamma)``.  A sparsity pattern is a 2-D
 boolean array, the pattern pair is the tuple (X, Y), and every support is
 read off a realization by ``row_support``.  The left factorization
 [Y_Q X_Q], the certificates' witnesses and the beta-iteration form are all
-slices and series connections of the realized Bézout matrices.
+slices and series connections of the realized Bézout matrices, each factor
+a ``DoublyCoprime.realized`` block.  A certificate's mode is the string "mr2"
+or "mr3", and its poles are ``sstate.unstable_map_poles`` of its witness.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 
 import numpy as np
@@ -53,7 +54,6 @@ from .sstate import (
     ss_to_obj,
     ss_to_tf,
     tf_to_ss_obsv,
-    unstable_eigs,
     unstable_map_poles,
 )
 from .tolerances import PROBE_TOL, RANK_REL_TOL, ROUND_TRIP_TOL
@@ -170,16 +170,6 @@ def nrf_from_left_factorization(sys: StateSpace) -> NrfPair:
     return NrfPair(row_systems=row_systems)
 
 
-def _realized_factors(dcf: DoublyCoprime) -> tuple[StateSpace, StateSpace, StateSpace]:
-    """M, N and Mt as slices of the Bézout realizations."""
-    p, m = dcf.shape
-    return (
-        dcf.right.select(range(m), range(m)),
-        dcf.right.select(range(m, m + p), range(m)),
-        dcf.left.select(range(m, m + p), range(m, m + p)),
-    )
-
-
 def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
     """Stabilizing NRF pair from a Q-shifted factorization.
 
@@ -194,7 +184,7 @@ def nrf_from_dcf(dcf: DoublyCoprime, shift: YoulaShift) -> NrfPair:
     p, m = dcf.shape
     pair = nrf_from_left_factorization(shift.left.select(range(m), range(m + p)))
     pts, rows = pair.probe_rows(20)
-    L, M = shift.left.eval_many(pts), _realized_factors(dcf)[0].eval_many(pts)
+    L, M = shift.left.eval_many(pts), dcf.realized("M").eval_many(pts)
     eye = np.eye(m)
     Om = L[:, :m, :m] * eye
     S = eye - rows[:, :, :m] + rows[:, :, m:] @ np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
@@ -245,14 +235,10 @@ def sparsity_correspondence(pair: NrfPair, shift: YoulaShift, patterns) -> bool:
 # instability certificates for the alternative representations
 
 
-class CertificateMode(enum.Enum):
-    MR2 = "mr2"
-    MR3 = "mr3"
-
-
 class InstabilityCertificate:
     """Witness map for an alternative representation, with its unstable poles;
-    both it and the diagonal scaling Omega are StateSpace.
+    both it and the diagonal scaling Omega are StateSpace, and ``mode`` is
+    "mr2" or "mr3".
 
     An empty pole multiset means the representation's obstruction vanishes for
     this plant and shift; a nonempty one names the poles that no stable Q can
@@ -273,7 +259,7 @@ class InstabilityCertificate:
 
     def __repr__(self) -> str:
         return (
-            f"InstabilityCertificate(mode={self.mode.value}, "
+            f"InstabilityCertificate(mode={self.mode}, "
             f"poles={list(self.unstable_poles_found)})"
         )
 
@@ -292,13 +278,6 @@ def _omega(left: StateSpace, right: StateSpace, context: str) -> StateSpace:
     return Omega
 
 
-def _certificate(mode: CertificateMode, Omega: StateSpace, witness: StateSpace):
-    """Unstable poles of a witness realization, filtered as the loop maps are."""
-    modes = unstable_eigs(witness.A, witness.domain)
-    poles = unstable_map_poles(witness, modes) if modes else ()
-    return InstabilityCertificate(mode, Omega, witness, poles)
-
-
 def mr2_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertificate:
     """Obstruction for the representation scaled by (M YQ)^diag.
 
@@ -307,10 +286,9 @@ def mr2_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     every stable Q.  The witness is realized by series and parallel
     connections of the realized factors.
     """
-    M, N, _ = _realized_factors(dcf)
-    Omega = _omega(M, shift.YQ, "mr2 certificate")
-    witness = parallel(series(N, shift.YQ), -series(dcf.plant(), Omega))
-    return _certificate(CertificateMode.MR2, Omega, witness)
+    Omega = _omega(dcf.realized("M"), shift.YQ, "mr2 certificate")
+    witness = parallel(series(dcf.realized("N"), shift.YQ), -series(dcf.plant(), Omega))
+    return InstabilityCertificate("mr2", Omega, witness, unstable_map_poles(witness))
 
 
 def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertificate:
@@ -319,10 +297,9 @@ def mr3_certificate(dcf: DoublyCoprime, shift: YoulaShift) -> InstabilityCertifi
     The w-to-beta map is G - N YQ, so the iteration inherits every unstable
     pole of the plant itself.
     """
-    _, N, Mt = _realized_factors(dcf)
-    Omega = _omega(shift.YtQ, Mt, "mr3 certificate")
-    witness = parallel(dcf.plant(), -series(N, shift.YQ))
-    return _certificate(CertificateMode.MR3, Omega, witness)
+    Omega = _omega(shift.YtQ, dcf.realized("Mt"), "mr3 certificate")
+    witness = parallel(dcf.plant(), -series(dcf.realized("N"), shift.YQ))
+    return InstabilityCertificate("mr3", Omega, witness, unstable_map_poles(witness))
 
 
 def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):
@@ -336,7 +313,7 @@ def sls_like_rep(dcf: DoublyCoprime, shift: YoulaShift):
     T beta = (T - I) z with T = YtQ Mt, realized in series.  Eliminating beta
     recovers K_Q = XtQ YtQ^-1.
     """
-    Mt = _realized_factors(dcf)[2]
+    Mt = dcf.realized("Mt")
     T = series(shift.YtQ, Mt)
     TT = StateSpace(T.A, np.hstack([T.B, T.B]), T.C, np.hstack([T.D, T.D - np.eye(T.n_outputs)]),
                     T.domain)
@@ -362,6 +339,7 @@ def nrf_from_obj(obj: dict) -> NrfPair:
     """Read a pair.  With ``row_systems`` present, the rows are taken as they
     are; ``phi`` and ``gamma`` become its views unread.  A file with ``phi``
     and ``gamma`` alone realizes them in ``NrfPair(Phi, Gamma)``."""
+    obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
     if "row_systems" not in obj:
         if "phi" not in obj or "gamma" not in obj:
             raise InvariantViolation("nrf-fields-present", "need both 'phi' and 'gamma'")

@@ -3,8 +3,10 @@
 A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
 ``tfm_to_ss``): poles shared between entries are merged by rank decisions of
 orthogonal staircases, never by comparing computed roots, and the transfer
-function is preserved up to floating point.  The unstable poles of a map are
-those of its minimal realization that pass PBH tests against its own B and C.
+function is preserved up to floating point.  ``unstable_map_poles`` reads the
+unstable poles of a map off its minimal realization, with one PBH pair against
+its own B and C per distinct unstable mode; ``pbh_failure`` is the one PBH
+verdict on stabilizability and detectability.
 """
 
 from __future__ import annotations
@@ -383,21 +385,25 @@ def _pbh_reaches(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
     return int(np.sum(S > cut)) > int(np.sum(S_A > cut))
 
 
-def unstable_map_poles(sys: StateSpace, modes) -> tuple[complex, ...]:
-    """Unstable poles of a map realized on a state matrix with unstable modes ``modes``.
+def unstable_map_poles(sys: StateSpace) -> tuple[complex, ...]:
+    """Unstable poles of a map; () without a reduction when sys.A has no
+    unstable mode.
 
     The staircase in ``minimal`` can keep a mode that the map reaches or
     sees only to rounding, so a pole of the minimal realization is kept only
     when the nearest unstable mode of sys.A passes both PBH tests against the
-    map's own B (controllability) and C (observability).  A repeated mode
-    passes when the map reaches and sees it in some direction.
+    map's own B (controllability) and C (observability), run once per
+    distinct nearest mode.  A repeated mode passes when the map reaches and
+    sees it in some direction.
     """
-    kept = []
-    for lam in unstable_eigs(minimal(sys).A, sys.domain):
-        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
-        if _pbh_reaches(sys.A, sys.B, mu) and _pbh_reaches(sys.A.T, sys.C.T, mu):
-            kept.append(lam)
-    return tuple(kept)
+    modes = unstable_eigs(sys.A, sys.domain)
+    if not modes:
+        return ()
+    poles = unstable_eigs(minimal(sys).A, sys.domain)
+    nearest = [int(np.argmin(np.abs(np.asarray(modes) - lam))) for lam in poles]
+    passes = {k: _pbh_reaches(sys.A, sys.B, modes[k]) and _pbh_reaches(sys.A.T, sys.C.T, modes[k])
+              for k in dict.fromkeys(nearest)}
+    return tuple(lam for lam, k in zip(poles, nearest) if passes[k])
 
 
 def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
@@ -418,28 +424,14 @@ def _unstable_modes(sys: StateSpace) -> list[complex]:
     return list({(lam.real.hex(), lam.imag.hex()): lam for lam in lams}.values())
 
 
-def _pbh_all(A: np.ndarray, Bc: np.ndarray, modes) -> bool:
-    return all(_pbh_rank_ok(A, Bc, lam) for lam in modes)
-
-
-def is_stabilizable(sys: StateSpace) -> bool:
-    """PBH test at every distinct unstable eigenvalue of A."""
-    return _pbh_all(sys.A, sys.B, _unstable_modes(sys))
-
-
-def is_detectable(sys: StateSpace) -> bool:
-    """PBH test of (A, C) at every distinct unstable eigenvalue of A."""
-    return _pbh_all(sys.A.T, sys.C.T, _unstable_modes(sys))
-
-
 def pbh_failure(sys: StateSpace) -> str | None:
     """The first PBH test sys fails, "stabilizable" before "detectable", or
-    None; both tests read one computation of the unstable eigenvalues."""
+    None: each test runs at every distinct unstable eigenvalue of A, and both
+    read one computation of them."""
     modes = _unstable_modes(sys)
-    if not _pbh_all(sys.A, sys.B, modes):
-        return "stabilizable"
-    if not _pbh_all(sys.A.T, sys.C.T, modes):
-        return "detectable"
+    for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
+        if not all(_pbh_rank_ok(A, Bc, lam) for lam in modes):
+            return name
     return None
 
 

@@ -203,6 +203,33 @@ def test_malformed_files_are_named_at_the_reader(name, path, value, named,
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true", "[1, 2]", '"x"'],
+                         ids=["int", "null", "bool", "list", "string"])
+@pytest.mark.parametrize("command, named", [
+    ("dcf --plant BAD --out OUT", "NrfError: BAD: neither a state-space nor a rational-matrix"),
+    ("nrf --dcf BAD --q q.json --out OUT", "InvariantViolation: dcf-fields-present"),
+    ("nrf --dcf dcf.json --q q.json --patterns BAD --out OUT",
+     "NrfError: BAD: pattern file needs boolean masks"),
+    ("check --nrf BAD --plant plant.json", "InvariantViolation: nrf-fields-present"),
+    ("check --nrf nrf.json --plant BAD", "NrfError: BAD: neither a state-space nor a rational"),
+    ("realize --nrf BAD --out OUT", "InvariantViolation: nrf-fields-present"),
+    ("cert --dcf BAD --q q.json --mode mr3", "InvariantViolation: dcf-fields-present"),
+], ids=["dcf-plant", "nrf-dcf", "nrf-patterns", "check-nrf", "check-plant", "realize-nrf",
+        "cert-dcf"])
+def test_a_file_that_is_not_an_object_is_named_at_the_reader(text, command, named,
+                                                             demo_dir, tmp_path, capsys):
+    bad, out_file = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(text)
+    paths = {"BAD": str(bad), "OUT": str(out_file)}
+    argv = [paths.get(a, str(demo_dir / a) if a.endswith(".json") else a)
+            for a in command.split()]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(named.replace("BAD", str(bad))) and out.endswith("status: error\n")
+    assert not out_file.exists()
+
+
 def test_dcf_rejects_unstabilizable(tmp_path, capsys):
     bad = tmp_path / "bad_plant.json"
     sstate.save_ss(StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC), str(bad))

@@ -125,7 +125,7 @@ def test_assembly_refuses_a_mode_no_input_stabilizes():
                    RationalMatrix([[integrator], [integrator]], DISC))
     rows = dimpl.realize_rows(pair)
     assert [r.order for r in rows] == [1, 1]
-    assert all(sstate.is_stabilizable(r.sys) for r in rows)
+    assert all(sstate.pbh_failure(r.sys) != "stabilizable" for r in rows)
     with pytest.raises(InvariantViolation, match="assembled-stabilizable"):
         dimpl.assemble(rows)
 
@@ -237,6 +237,9 @@ def test_bundle_roundtrip(tmp_path, grid5_rows):
 def test_bundle_rejects_foreign_objects():
     with pytest.raises(InvariantViolation):
         dimpl.bundle_from_obj({"rows": []})
+    for obj in (5, None, True, [1, 2], "x"):  # a file that is not an object
+        with pytest.raises(InvariantViolation, match="bundle-fields-present"):
+            dimpl.bundle_from_obj(obj)
 
 
 def test_eigenvalue_report(tmp_path, grid5_plant, grid5_ctrl):

@@ -242,7 +242,7 @@ def test_pbh_at_distinct_modes_equals_the_test_at_every_copy(name, grid5_plant):
         n = int(name.split("-")[1])
         plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
     want = (_pbh_reference(plant.A, plant.B, DISC), _pbh_reference(plant.A.T, plant.C.T, DISC))
-    assert (sstate.is_stabilizable(plant), sstate.is_detectable(plant)) == want == (True, True)
+    assert want == (True, True)
     assert sstate.pbh_failure(plant) is None
 
 
@@ -250,13 +250,13 @@ def test_pbh_at_a_repeated_mode():
     # two integrators at exactly 1: one input reaches only one of them
     e1 = np.array([[1.0], [0.0]])
     plant = StateSpace(np.eye(2), e1, np.eye(2), np.zeros((2, 1)), DISC)
-    assert not sstate.is_stabilizable(plant)
+    assert sstate.pbh_failure(plant) == "stabilizable"
     with pytest.raises(NotStabilizable):
         place_gains(plant, [0.5, 0.5])
     with pytest.raises(NotStabilizable):
         dcf_from_ss(plant, np.zeros((1, 2)), np.zeros((2, 2)))
     dual = StateSpace(np.eye(2), np.eye(2), e1.T, np.zeros((1, 2)), DISC)
-    assert sstate.is_stabilizable(dual) and not sstate.is_detectable(dual)
+    assert sstate.pbh_failure(dual) == "detectable"
     with pytest.raises(NotDetectable):
         place_gains(dual, [0.5, 0.5])
     with pytest.raises(NotDetectable):
@@ -264,8 +264,8 @@ def test_pbh_at_a_repeated_mode():
     # a 2 x 2 Jordan block at 1 is reached through its last state only
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     for b, reached in ((np.array([[0.0], [1.0]]), True), (e1, False)):
-        assert sstate.is_stabilizable(StateSpace(jordan, b, np.eye(2), np.zeros((2, 1)), DISC)) \
-            is reached
+        jordan_plant = StateSpace(jordan, b, np.eye(2), np.zeros((2, 1)), DISC)
+        assert (sstate.pbh_failure(jordan_plant) != "stabilizable") is reached
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nrfctl import dimpl, factor, nrfsyn
+from nrfctl import dimpl, factor, nrfsyn, sstate
 from nrfctl.errors import CorrespondenceViolation, InvariantViolation, SingularDiagonal
 from nrfctl.nrfsyn import (
     NrfPair,
@@ -318,8 +318,63 @@ def test_mr3_keeps_every_integrator_of_a_cyclic_network():
     cert = mr3_certificate(dcf, shift)
     # the witness G - N Y_Q differs from G by a stable map: same unstable poles
     G = dcf.plant()
-    want = unstable_map_poles(G, unstable_eigs(G.A, G.domain))
+    want = unstable_map_poles(G)
     assert match_multisets(cert.unstable_poles_found, want, POLE_MATCH_TOL)
+
+
+def _poles_tested_at_every_pole(sys):
+    """The per-pole reference: each unstable pole of the minimal realization
+    runs both PBH tests at its nearest unstable mode of sys.A."""
+    modes = unstable_eigs(sys.A, sys.domain)
+    if not modes:
+        return ()
+    kept = []
+    for lam in unstable_eigs(minimal(sys).A, sys.domain):
+        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
+        if sstate._pbh_reaches(sys.A, sys.B, mu) and sstate._pbh_reaches(sys.A.T, sys.C.T, mu):
+            kept.append(lam)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("name", ["grid5-mr2", "grid5-mr3", *(f"chain-{n}" for n in range(2, 9))])
+def test_map_poles_at_distinct_modes_equal_the_per_pole_tests(name, grid5_dcf, grid5_shift,
+                                                              platoon):
+    if name.startswith("grid5"):
+        make = mr2_certificate if name == "grid5-mr2" else mr3_certificate
+        witness = make(grid5_dcf, grid5_shift).witness_map
+    else:
+        witness = mr3_certificate(*platoon(int(name.split("-")[1]))[1:]).witness_map
+    assert unstable_map_poles(witness) == _poles_tested_at_every_pole(witness)
+
+
+@pytest.mark.parametrize("variant", ["B-negated", "A00-2", "B-times-3"])
+def test_loop_map_poles_equal_the_per_pole_tests(variant, grid5_plant, grid5_ctrl):
+    # the grid5 controller around three edits of its plant, each an unstable loop
+    A, B = grid5_plant.A.copy(), grid5_plant.B.copy()
+    if variant == "A00-2":
+        A[0, 0] = 2.0
+    else:
+        B *= -1.0 if variant == "B-negated" else 3.0
+    plant = StateSpace(A, B, grid5_plant.C, grid5_plant.D, DISC)
+    loop = dimpl.closed_loop_state_matrix(plant, grid5_ctrl)
+    assert not loop.is_stable
+    maps = [loop.map((out,), (inp,)) for out in dimpl.LOOP_OUTPUTS for inp in dimpl.TABLE_INPUTS]
+    got = [unstable_map_poles(sys) for sys in maps]
+    assert got == [_poles_tested_at_every_pole(sys) for sys in maps]
+    assert any(got)
+
+
+def test_mr3_runs_one_pbh_pair_per_distinct_mode(platoon, monkeypatch):
+    # the eight poles of the chain n = 8 witness share one nearest mode at 1
+    _, dcf, shift = platoon(8)
+    calls = []
+    reaches = sstate._pbh_reaches
+    monkeypatch.setattr(sstate, "_pbh_reaches", lambda *args: calls.append(1) or reaches(*args))
+    cert = mr3_certificate(dcf, shift)
+    monkeypatch.undo()
+    assert len(cert.unstable_poles_found) == 8 and len(calls) == 2
+    assert cert.mode == "mr3"
+    assert repr(cert) == f"InstabilityCertificate(mode=mr3, poles={list(cert.unstable_poles_found)})"
 
 
 @pytest.mark.parametrize("mode", ["mr2", "mr3"])

@@ -10,7 +10,7 @@ from nrfctl.errors import InconsistentDimensions, InvariantViolation, NonDiscret
 from nrfctl.nrfsyn import NrfPair
 from nrfctl.ratmat import RationalMatrix, StabilityDomain, probe_points
 from nrfctl.simkit import Scenario, SignalSpec
-from nrfctl.sstate import StateSpace, is_detectable, is_stabilizable, tfm_to_ss
+from nrfctl.sstate import StateSpace, pbh_failure, tfm_to_ss
 
 DISC = StabilityDomain.DISCRETE
 
@@ -164,8 +164,7 @@ def test_grid5_plant_matches_rational_model(grid5_plant, grid5_tfm):
     assert grid5_plant.order == 9
     for pt in probe_points(DISC, 8):
         assert np.max(np.abs(grid5_plant.eval(pt) - grid5_tfm.eval(pt))) < 1e-9
-    assert is_stabilizable(grid5_plant)
-    assert is_detectable(grid5_plant)
+    assert pbh_failure(grid5_plant) is None
 
 
 def test_grid5_incidence_edges():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrfctl import simkit
+from nrfctl import simkit, sstate
 from nrfctl.errors import NotProper
 from nrfctl.factor import place_gains
 from nrfctl.nrfsyn import nrf_from_dcf
@@ -13,14 +13,13 @@ from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, Stabilit
 from nrfctl.sstate import (
     StateSpace,
     ctrb_staircase,
-    is_detectable,
-    is_stabilizable,
     left_quotient,
     load_ss,
     match_multisets,
     _faddeev_tf,
     minimal,
     obsv_staircase,
+    pbh_failure,
     save_ss,
     ss_from_obj,
     ss_to_obj,
@@ -31,6 +30,7 @@ from nrfctl.sstate import (
     tfm_unstable_poles,
     transmission_zero_rank_test,
     unstable_eigs,
+    unstable_map_poles,
 )
 
 DISC = StabilityDomain.DISCRETE
@@ -214,10 +214,23 @@ def test_minimal_preserves_response():
 
 
 def test_pbh_stabilizable_detectable():
-    assert not is_stabilizable(StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC))
-    assert is_stabilizable(StateSpace([[0.5]], [[0.0]], [[1.0]], [[0.0]], DISC))
-    assert is_detectable(StateSpace([[0.5]], [[1.0]], [[0.0]], [[0.0]], DISC))
-    assert not is_detectable(StateSpace([[1.5]], [[1.0]], [[0.0]], [[0.0]], DISC))
+    assert pbh_failure(StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC)) == "stabilizable"
+    assert pbh_failure(StateSpace([[0.5]], [[0.0]], [[1.0]], [[0.0]], DISC)) is None
+    assert pbh_failure(StateSpace([[0.5]], [[1.0]], [[0.0]], [[0.0]], DISC)) is None
+    assert pbh_failure(StateSpace([[1.5]], [[1.0]], [[0.0]], [[0.0]], DISC)) == "detectable"
+
+
+@pytest.mark.parametrize("sys", [
+    StateSpace([[0.5, 1.0], [0.0, -0.3]], [[1.0], [1.0]], [[1.0, 0.0]], [[0.0]], DISC),
+    StateSpace([[-1.0]], [[1.0]], [[1.0]], [[2.0]], CONT),
+    StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]], DISC),
+], ids=["discrete", "continuous", "static"])
+def test_map_with_a_stable_state_matrix_is_not_reduced(sys, monkeypatch):
+    def refuse(sys):
+        raise AssertionError("minimal called on a map with no unstable mode")
+
+    monkeypatch.setattr(sstate, "minimal", refuse)
+    assert unstable_map_poles(sys) == ()
 
 
 def test_unstable_eigs_domain_split():
