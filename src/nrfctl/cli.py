@@ -188,16 +188,7 @@ def cmd_cert(args) -> CommandResult:
 def cmd_simulate(args) -> CommandResult:
     sc = simkit.load_scenario(args.scenario)
     if args.seed is not None:
-        sc = simkit.Scenario(
-            sc.horizon,
-            sc.reference,
-            sc.input_disturbance,
-            sc.measurement_noise,
-            sc.command_disturbance,
-            args.seed,
-            sc.plant,
-            sc.controller,
-        )
+        sc = simkit.Scenario(**{key: getattr(sc, key) for key in sc.__slots__} | {"seed": args.seed})
     trace = simkit.simulate(sc)
     simkit.save_trace(args.out, trace)
     report = [f"horizon: {sc.horizon}, seed: {sc.seed}"]

@@ -197,10 +197,16 @@ LOOP_OUTPUTS = ("y", "u", "z", "v")
 TABLE_INPUTS = LOOP_INPUTS[:4]
 
 
+def _signal_width(name, partition) -> int:
+    """Channel count of a loop signal: p on the measurement side (r, nu, y, z),
+    m on the command side (w, du, cmd, u, v)."""
+    m, p = partition
+    return p if name in ("r", "nu", "y", "z") else m
+
+
 def _signal_index(names, chosen, partition) -> np.ndarray:
     """Positions of the chosen signals in the stacked vector of names."""
-    m, p = partition
-    width = {name: p if name in ("r", "nu", "y", "z") else m for name in names}
+    width = {name: _signal_width(name, partition) for name in names}
     start = dict(zip(names, np.cumsum([0] + [width[n] for n in names])))
     return np.concatenate([np.arange(start[c], start[c] + width[c]) for c in chosen])
 
@@ -311,7 +317,8 @@ def closed_loop_state_matrix(
     # injections (r, w, nu, du, cmd) enter the static equations
     #   y - D u = C x + D w + nu,   u - D_K1 u + D_K2 y = C_K x_K + D_K2 r + D_K1 du + cmd
     # and the states directly (w drives the plant, r and du the controller)
-    E_r, E_w, E_nu, E_du, E_cmd = np.split(np.eye(2 * p + 3 * m), np.cumsum([p, m, p, m]))
+    widths = [_signal_width(name, (m, p)) for name in LOOP_INPUTS]
+    E_r, E_w, E_nu, E_du, E_cmd = np.split(np.eye(sum(widths)), np.cumsum(widths[:-1]))
     static_in = np.vstack([np.zeros_like(E_du), D @ E_w + E_nu, DK2 @ E_r + DK1 @ E_du + E_cmd])
     from_inputs = np.linalg.solve(Dtilde, static_in)
     B_CL = np.vstack([B @ E_w, BK2 @ E_r + BK1 @ E_du]) + left @ from_inputs
@@ -430,9 +437,13 @@ def bundle_from_obj(obj: dict) -> list[RowRealization]:
     for key in _BUNDLE_KEYS:
         if not isinstance(obj, dict) or key not in obj:
             raise InvariantViolation("bundle-fields-present", f"missing {key!r}")
+    if not isinstance(obj["rows"], list):
+        raise InvariantViolation("bundle-fields-present", "rows is not a list")
     out = []
     for rec in obj["rows"]:
-        idx = rec["index"]
+        idx = rec.get("index") if isinstance(rec, dict) and "ss" in rec else None
+        if not (isinstance(idx, int) or isinstance(idx, list) and all(isinstance(i, int) for i in idx)):
+            raise InvariantViolation("bundle-fields-present", "a row needs an ss and an integer index")
         out.append(RowRealization(idx if isinstance(idx, int) else tuple(idx), sstate.ss_from_obj(rec["ss"])))
     return out
 

@@ -13,6 +13,10 @@ a wider command vector.
 Noise is SplitMix64, one substream per channel drawn in one vectorized pass
 bit-identical to the scalar definition the tests keep, so that a scenario
 (seed included) pins the trace down to the last bit, on any platform.
+
+The loop's signal layout is written down once: ``dimpl._signal_width`` gives
+each signal's channel count, and the tables below give the scenario's spec
+fields, the trace's CSV blocks and each signal kind's file fields.
 """
 
 from __future__ import annotations
@@ -55,15 +59,16 @@ def _check_bound(bound: float) -> None:
 
 def _whole(value, invariant: str) -> int:
     """int(value), refusing a fractional, NaN or infinite float instead of
-    truncating it, and a string or null instead of parsing it."""
-    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+    truncating it, and a string, a boolean or null instead of parsing it."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
         raise InvariantViolation(invariant, f"{value!r} is not a whole number")
     return int(value)
 
 
 def _real(value, invariant: str) -> float:
-    """float(value), refusing a string, a list or null instead of parsing it."""
-    if not isinstance(value, numbers.Real):
+    """float(value), refusing a string, a boolean, a list or null instead of parsing it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvariantViolation(invariant, f"{value!r} is not a number")
     return float(value)
 
@@ -90,6 +95,14 @@ def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 # signals and scenarios
 
+# The loop's signal layout: a scenario's per-channel spec lists in the loop
+# order of dimpl.TABLE_INPUTS, a trace's CSV blocks, and a signal spec's file
+# fields per kind (the last one, a step's level or a noise bound, is required).
+# Every width is dimpl's _signal_width of the signal's name.
+_SPEC_FIELDS = ("reference", "input_disturbance", "measurement_noise", "command_disturbance")
+_TRACE_SIGNALS = ("r", "w", "nu", "du", "z", "u", "v", "y")
+_KIND_FIELDS = {"step": ("at", "level"), "uniform": ("bound",), "zero": ()}
+
 
 class SignalSpec:
     """One channel's exogenous signal: a step, silence, or bounded noise."""
@@ -97,7 +110,7 @@ class SignalSpec:
     __slots__ = ("kind", "at", "level", "bound")
 
     def __init__(self, kind: str, at: int = 0, level: float = 0.0, bound: float = 0.0):
-        if kind not in ("step", "zero", "uniform"):
+        if kind not in tuple(_KIND_FIELDS):  # a tuple: a list or an object from a file is refused too
             raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
         self.kind = kind
         self.at = _whole(at, "signal-step-at-integral")
@@ -132,27 +145,17 @@ class SignalSpec:
         return noise_block(seed, channel, self.bound, horizon)
 
     def to_obj(self) -> dict:
-        if self.kind == "step":
-            return {"kind": "step", "at": self.at, "level": self.level}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "bound": self.bound}
-        return {"kind": "zero"}
+        return {"kind": self.kind, **{f: getattr(self, f) for f in _KIND_FIELDS[self.kind]}}
 
     @staticmethod
     def from_obj(obj: dict) -> "SignalSpec":
         if not isinstance(obj, dict):
             raise InvariantViolation("signal-kind", f"a signal spec is an object, got {obj!r}")
         kind = obj.get("kind")
-        field = {"step": "level", "uniform": "bound"}.get(kind)
-        if field and field not in obj:
-            raise InvariantViolation("scenario-fields-present", f"a {kind} spec lacks {field!r}")
-        if kind == "step":
-            return SignalSpec.step(obj["level"], obj.get("at", 0))
-        if kind == "uniform":
-            return SignalSpec.uniform(obj["bound"])
-        if kind == "zero":
-            return SignalSpec.zero()
-        raise InvariantViolation("signal-kind", f"unknown kind {kind!r}")
+        fields = _KIND_FIELDS[kind] if kind in tuple(_KIND_FIELDS) else ()
+        if fields and fields[-1] not in obj:
+            raise InvariantViolation("scenario-fields-present", f"a {kind} spec lacks {fields[-1]!r}")
+        return SignalSpec(kind, **{f: obj[f] for f in fields if f in obj})
 
     def __repr__(self) -> str:
         if self.kind == "step":
@@ -199,13 +202,13 @@ class Scenario:
             raise DimensionMismatch(
                 f"plant is {plant.n_outputs}x{plant.n_inputs}, controller expects {p}x{m}"
             )
+        given = locals()  # the spec lists by field name
         self.horizon = _whole(horizon, "scenario-horizon-integral")
         if self.horizon < 0:
             raise InconsistentDimensions(f"horizon {horizon} is negative")
-        self.reference = _spec_list(reference, p, "reference")
-        self.input_disturbance = _spec_list(input_disturbance, m, "input disturbance")
-        self.measurement_noise = _spec_list(measurement_noise, p, "measurement noise")
-        self.command_disturbance = _spec_list(command_disturbance, m, "command disturbance")
+        for signal, field in zip(dimpl.TABLE_INPUTS, _SPEC_FIELDS):
+            width = dimpl._signal_width(signal, controller.partition)
+            setattr(self, field, _spec_list(given[field], width, field.replace("_", " ")))
         self.seed = _whole(seed, "scenario-seed-integral") & MASK64
         self.plant = plant
         self.controller = controller
@@ -213,25 +216,17 @@ class Scenario:
     def signals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Materialized (r, w, nu, du) arrays, horizon by channel.
 
-        Noise substream channels are numbered through the concatenation
-        reference, input disturbance, measurement noise, command disturbance,
-        so adding a channel never reshuffles the others' draws.
+        Noise substream channels are numbered through the spec lists in
+        _SPEC_FIELDS order, so adding a channel never reshuffles the draws of
+        the channels before it.
         """
-        m, p = self.controller.partition
-        offsets = [0, p, p + m, 2 * p + m]
-        groups = (
-            self.reference,
-            self.input_disturbance,
-            self.measurement_noise,
-            self.command_disturbance,
-        )
-        out = []
-        for off, specs in zip(offsets, groups):
-            cols = [
-                spec.materialize(self.horizon, self.seed, off + k)
-                for k, spec in enumerate(specs)
-            ]
+        out, channel = [], 0
+        for field in _SPEC_FIELDS:
+            specs = getattr(self, field)
+            cols = [spec.materialize(self.horizon, self.seed, channel + k)
+                    for k, spec in enumerate(specs)]
             out.append(np.column_stack(cols) if cols else np.zeros((self.horizon, 0)))
+            channel += len(specs)
         return tuple(out)
 
 
@@ -390,15 +385,14 @@ def grid5_scenario(plant: StateSpace, controller: AssembledController, seed: int
     and 0.05-bounded uniform noise on measurements and commands."""
     m, p = controller.partition
     return Scenario(
-        horizon=horizon,
-        reference=[SignalSpec.step(1.0) for _ in range(p)],
-        input_disturbance=[SignalSpec.step(0.5, at=20)]
-        + [SignalSpec.zero() for _ in range(m - 1)],
-        measurement_noise=[SignalSpec.uniform(0.05) for _ in range(p)],
-        command_disturbance=[SignalSpec.uniform(0.05) for _ in range(m)],
-        seed=seed,
-        plant=plant,
-        controller=controller,
+        horizon,
+        [SignalSpec.step(1.0) for _ in range(p)],  # r
+        [SignalSpec.step(0.5, at=20)] + [SignalSpec.zero() for _ in range(m - 1)],  # w
+        [SignalSpec.uniform(0.05) for _ in range(p)],  # nu
+        [SignalSpec.uniform(0.05) for _ in range(m)],  # du
+        seed,
+        plant,
+        controller,
     )
 
 
@@ -492,25 +486,15 @@ def trace_metrics(t: SimTrace, settle_from: int) -> TraceMetrics:
 
 
 def _trace_header(m: int, p: int) -> list[str]:
-    cols = ["n"]
-    cols += [f"r{i+1}" for i in range(p)]
-    cols += [f"w{i+1}" for i in range(m)]
-    cols += [f"nu{i+1}" for i in range(p)]
-    cols += [f"du{i+1}" for i in range(m)]
-    cols += [f"z{i+1}" for i in range(p)]
-    cols += [f"u{i+1}" for i in range(m)]
-    cols += [f"v{i+1}" for i in range(m)]
-    cols += [f"y{i+1}" for i in range(p)]
-    return cols
+    return ["n"] + [f"{s}{i+1}" for s in _TRACE_SIGNALS
+                    for i in range(dimpl._signal_width(s, (m, p)))]
 
 
 def save_trace(path: str, t: SimTrace) -> None:
     """CSV with repr-shortest doubles, so reading the file back is lossless."""
-    m = t.u.shape[1]
-    p = t.y.shape[1]
-    data = np.hstack([t.r, t.w, t.nu, t.du, t.z, t.u, t.v, t.y]).tolist()
+    data = np.hstack([getattr(t, s) for s in _TRACE_SIGNALS]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(_trace_header(m, p))
+        csv.writer(fh).writerow(_trace_header(t.u.shape[1], t.y.shape[1]))
         # no repr of a float needs csv quoting; rows end as csv.writer ends them
         fh.writelines(f"{n}," + ",".join(map(repr, row)) + "\r\n" for n, row in enumerate(data))
 
@@ -520,50 +504,29 @@ def load_trace(path: str) -> SimTrace:
         header = next(csv.reader(fh))
         body = fh.read().splitlines()
     names = [c.rstrip("0123456789") for c in header]
-    widths = {k: names.count(k) for k in ("r", "w", "nu", "du", "z", "u", "v", "y")}
     data = np.loadtxt(body, delimiter=",", ndmin=2) if body else np.zeros((0, len(header)))
-    data = data[:, 1:]  # column 0 is the step number
-    blocks = {}
-    offset = 0
-    for key in ("r", "w", "nu", "du", "z", "u", "v", "y"):
-        blocks[key] = data[:, offset : offset + widths[key]]
-        offset += widths[key]
+    # column 0 is the step number; each block is as wide as the header says
+    ends = np.cumsum([names.count(s) for s in _TRACE_SIGNALS])
+    blocks = np.split(data[:, 1:], ends, axis=1)[:-1]
     H = data.shape[0]
-    return SimTrace(
-        blocks["r"], blocks["w"], blocks["nu"], blocks["du"],
-        blocks["z"], blocks["u"], blocks["v"], blocks["y"],
-        np.zeros((H, 0)), np.zeros((H, 0)),
-    )
+    return SimTrace(*blocks, np.zeros((H, 0)), np.zeros((H, 0)))
 
 
-_SCENARIO_KEYS = (
-    "horizon",
-    "reference",
-    "input_disturbance",
-    "measurement_noise",
-    "command_disturbance",
-    "seed",
-    "plant",
-    "controller",
-)
+_SCENARIO_KEYS = ("horizon", *_SPEC_FIELDS, "seed", "plant", "controller")
 
 
 def scenario_to_obj(sc: Scenario) -> dict:
-    return {
-        "horizon": sc.horizon,
-        "reference": [s.to_obj() for s in sc.reference],
-        "input_disturbance": [s.to_obj() for s in sc.input_disturbance],
-        "measurement_noise": [s.to_obj() for s in sc.measurement_noise],
-        "command_disturbance": [s.to_obj() for s in sc.command_disturbance],
-        "seed": sc.seed,
-        "plant": sstate.ss_to_obj(sc.plant),
-        "controller": {
-            "ss": sstate.ss_to_obj(sc.controller.sys),
-            "row_orders": list(sc.controller.row_orders),
-            "partition": list(sc.controller.partition),
-            "grouping": [list(g) for g in sc.controller.grouping],
-        },
-    }
+    ctl = sc.controller
+    obj = {key: getattr(sc, key) for key in _SCENARIO_KEYS}
+    obj.update({key: [s.to_obj() for s in obj[key]] for key in _SPEC_FIELDS},
+               plant=sstate.ss_to_obj(sc.plant),
+               controller={
+                   "ss": sstate.ss_to_obj(ctl.sys),
+                   "row_orders": list(ctl.row_orders),
+                   "partition": list(ctl.partition),
+                   "grouping": [list(g) for g in ctl.grouping],
+               })
+    return obj
 
 
 def _listed(values, what: str) -> list:
@@ -587,16 +550,10 @@ def scenario_from_obj(obj: dict) -> Scenario:
         tuple(whole(ctl["partition"], "partition")),
         [tuple(whole(g, "grouping")) for g in _listed(ctl["grouping"], "grouping")],
     )
-    return Scenario(
-        horizon=obj["horizon"],
-        reference=specs("reference"),
-        input_disturbance=specs("input_disturbance"),
-        measurement_noise=specs("measurement_noise"),
-        command_disturbance=specs("command_disturbance"),
-        seed=obj["seed"],
-        plant=sstate.ss_from_obj(obj["plant"]),
-        controller=controller,
-    )
+    fields = {key: obj[key] for key in _SCENARIO_KEYS}
+    fields.update({key: specs(key) for key in _SPEC_FIELDS},
+                  plant=sstate.ss_from_obj(obj["plant"]), controller=controller)
+    return Scenario(**fields)
 
 
 def save_scenario(path: str, sc: Scenario) -> None:

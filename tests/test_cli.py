@@ -180,11 +180,19 @@ def test_nonfinite_numbers_are_named_at_the_reader(name, rational, path, invaria
     ("q.json", ("cols",), _DROP, "InvariantViolation: ratmat-fields-present"),
     ("q.json", ("domain",), "z-plane", "InvariantViolation: ratmat-fields-present"),
     ("plant.json", ("domain",), "z-plane", "InvariantViolation: ss-fields-present"),
+    ("scenario.json", ("reference", 0), {"kind": ["step"], "level": 1.0},
+     "InvariantViolation: signal-kind: unknown kind ['step']"),
+    ("scenario.json", ("reference", 0), {"kind": {"a": 1}},
+     "InvariantViolation: signal-kind: unknown kind {'a': 1}"),
+    ("scenario.json", ("horizon",), True, "InvariantViolation: scenario-horizon-integral"),
+    ("scenario.json", ("seed",), False, "InvariantViolation: scenario-seed-integral"),
+    ("scenario.json", ("reference", 0, "level"), True, "InvariantViolation: signal-level-finite"),
 ], ids=["signal-number", "signal-list", "reference-number", "controller-list", "grouping-int",
         "seed-null", "horizon-string", "level-null", "bound-string", "entries-int",
         "row-of-numbers", "nested-num", "rows-string", "partition-3", "partition-1",
         "step-no-level", "uniform-no-bound", "q-no-domain", "q-no-rows", "q-no-cols",
-        "q-unknown-domain", "plant-unknown-domain"])
+        "q-unknown-domain", "plant-unknown-domain", "kind-list", "kind-object", "horizon-true",
+        "seed-false", "level-true"])
 def test_malformed_files_are_named_at_the_reader(name, path, value, named,
                                                  demo_dir, tmp_path, capsys):
     obj = json.loads((demo_dir / name).read_text())
@@ -593,7 +601,22 @@ def test_simulate_idempotent_and_seed_override(demo_dir, tmp_path, capsys):
          "--out", str(c)]
     ) == 0
     assert a.read_bytes() != c.read_bytes()
+    # --seed changes the seed and nothing else: a file that carries seed 43 runs the same
+    obj = json.loads((demo_dir / "scenario.json").read_text())
+    obj["seed"] = 43
+    seeded, d = tmp_path / "seed43.json", tmp_path / "d.csv"
+    seeded.write_text(json.dumps(obj))
+    assert cli.main(["simulate", "--scenario", str(seeded), "--out", str(d)]) == 0
+    assert c.read_bytes() == d.read_bytes()
     capsys.readouterr()
+
+
+def test_scenario_and_trace_files_round_trip_byte_for_byte(demo_dir, tmp_path):
+    scenario, trace = tmp_path / "scenario.json", tmp_path / "trace.csv"
+    simkit.save_scenario(str(scenario), simkit.load_scenario(str(demo_dir / "scenario.json")))
+    simkit.save_trace(str(trace), simkit.load_trace(str(demo_dir / "trace.csv")))
+    assert scenario.read_bytes() == (demo_dir / "scenario.json").read_bytes()
+    assert trace.read_bytes() == (demo_dir / "trace.csv").read_bytes()
 
 
 def test_simulate_negative_horizon_is_named_error(demo_dir, tmp_path, capsys):

@@ -240,6 +240,10 @@ def test_bundle_rejects_foreign_objects():
     for obj in (5, None, True, [1, 2], "x"):  # a file that is not an object
         with pytest.raises(InvariantViolation, match="bundle-fields-present"):
             dimpl.bundle_from_obj(obj)
+    ss = sstate.ss_to_obj(StateSpace([[0.5]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]], DISC))
+    for rows in ([5], 5, [{}], [{"index": 1}], [{"index": "x", "ss": ss}]):  # malformed rows
+        with pytest.raises(InvariantViolation, match="bundle-fields-present"):
+            dimpl.bundle_from_obj({"rows": rows, "grouping": [[1]]})
 
 
 def test_eigenvalue_report(tmp_path, grid5_plant, grid5_ctrl):
