@@ -10,9 +10,14 @@ no one-step delay is inserted anywhere.  Any other loop, such as the
 beta-iteration form of a controller, runs by being written as an NRF pair on
 a wider command vector.
 
-Noise is SplitMix64, one substream per channel drawn in one vectorized pass
-bit-identical to the scalar definition the tests keep, so that a scenario
-(seed included) pins the trace down to the last bit, on any platform.
+Noise is SplitMix64 drawn in one vectorized pass bit-identical to the scalar
+definition the tests keep, so that a scenario (seed included) pins the trace
+down to the last bit, on any platform.  The channels are not independent
+substreams: channel c starts one GOLDEN step after channel c - 1 on the same
+Weyl sequence, so channel c + 1 runs one draw ahead of channel c.
+
+Trace CSVs are written and read block by block, so their memory is bounded by
+the arrays, never by one Python object per value or by the file's text.
 
 The loop's signal layout is written down once: ``dimpl._signal_width`` gives
 each signal's channel count, and the tables below give the scenario's spec
@@ -22,6 +27,7 @@ fields, the trace's CSV blocks and each signal kind's file fields.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import numbers
 
@@ -75,10 +81,12 @@ def _real(value, invariant: str) -> float:
 
 def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray:
     """The first ``count`` uniform draws on [-bound, bound] of one channel's
-    SplitMix64 substream, whose state starts at seed + GOLDEN * (channel + 1)
-    and advances by GOLDEN per draw.  One vectorized uint64 pass does, per
-    draw, the integer and IEEE operations of the scalar definition the tests
-    keep, so every draw has the same bits."""
+    SplitMix64 stream, whose state starts at seed + GOLDEN * (channel + 1)
+    and advances by GOLDEN per draw.  Every channel walks the same Weyl
+    sequence from one step further on, so channel c + 1's draw n is channel
+    c's draw n + 1.  One vectorized uint64 pass does, per draw, the
+    integer and IEEE operations of the scalar definition the tests keep, so
+    every draw has the same bits."""
     _check_bound(bound)
     start = np.uint64((int(seed) + GOLDEN * (int(channel) + 1)) & MASK64)
     # uint64 operands throughout: the products and the sum wrap modulo 2**64
@@ -216,9 +224,10 @@ class Scenario:
     def signals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Materialized (r, w, nu, du) arrays, horizon by channel.
 
-        Noise substream channels are numbered through the spec lists in
-        _SPEC_FIELDS order, so adding a channel never reshuffles the draws of
-        the channels before it.
+        Noise channels are numbered through the spec lists in _SPEC_FIELDS
+        order, so adding a channel never reshuffles the draws of the channels
+        before it.  Consecutive channels' draws are one-draw shifts of each
+        other (see ``noise_block``), not independent substreams.
         """
         out, channel = [], 0
         for field in _SPEC_FIELDS:
@@ -417,13 +426,15 @@ def simulate(sc: Scenario) -> SimTrace:
     p = ctrl.partition[1]
     loop = dimpl.closed_loop_state_matrix(plant, ctrl).map(("y", "u"), dimpl.TABLE_INPUTS)
 
-    r, w, nu, du = sc.signals()
-    e = np.hstack([r, w, nu, du])
+    # one injection array; the trace's r, w, nu and du are its column blocks
+    e = np.hstack(sc.signals())
+    widths = [dimpl._signal_width(s, ctrl.partition) for s in dimpl.TABLE_INPUTS]
+    r, w, nu, du = np.split(e, np.cumsum(widths)[:-1], axis=1)
     # row n + 1 first holds B e[n], then gains A x[n]; the loop starts at rest
     x = np.zeros((sc.horizon, loop.order))
     np.matmul(e[:-1], loop.B.T, out=x[1:])
-    rows, step = list(x), loop.A.dot
-    for prev, cur in zip(rows, rows[1:]):
+    step = loop.A.dot
+    for prev, cur in zip(x, x[1:]):
         cur += step(prev)
     yu = x @ loop.C.T + e @ loop.D.T
     y, u = yu[:, :p], yu[:, p:]
@@ -485,26 +496,54 @@ def trace_metrics(t: SimTrace, settle_from: int) -> TraceMetrics:
 # interchange
 
 
+# steps that save_trace formats at once: a block of Python floats and strings
+# is all the text a trace ever holds in memory
+_TRACE_BLOCK = 1024
+
+
 def _trace_header(m: int, p: int) -> list[str]:
     return ["n"] + [f"{s}{i+1}" for s in _TRACE_SIGNALS
                     for i in range(dimpl._signal_width(s, (m, p)))]
 
 
 def save_trace(path: str, t: SimTrace) -> None:
-    """CSV with repr-shortest doubles, so reading the file back is lossless."""
-    data = np.hstack([getattr(t, s) for s in _TRACE_SIGNALS]).tolist()
+    """CSV with repr-shortest doubles, so reading the file back is lossless.
+
+    Rows are formatted and written _TRACE_BLOCK steps at a time, so only one
+    block's values are ever held as Python floats and strings.
+    """
+    signals = [getattr(t, s) for s in _TRACE_SIGNALS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(_trace_header(t.u.shape[1], t.y.shape[1]))
-        # no repr of a float needs csv quoting; rows end as csv.writer ends them
-        fh.writelines(f"{n}," + ",".join(map(repr, row)) + "\r\n" for n, row in enumerate(data))
+        for first in range(0, t.horizon, _TRACE_BLOCK):
+            rows = np.hstack([a[first : first + _TRACE_BLOCK] for a in signals]).tolist()
+            # no repr of a float needs csv quoting; rows end as csv.writer ends them
+            fh.writelines(f"{n}," + ",".join(map(repr, row)) + "\r\n"
+                          for n, row in enumerate(rows, first))
 
 
 def load_trace(path: str) -> SimTrace:
+    """Read a ``save_trace`` file.  The rows are parsed straight from the
+    file, so memory is bounded by the arrays, never by the text.  A header
+    that is not ``_trace_header`` of its own widths, a row of another width
+    and a cell that is not a number raise InvariantViolation; ``inf`` and
+    ``nan``, which a diverged run writes, are numbers."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh))
-        body = fh.read().splitlines()
-    names = [c.rstrip("0123456789") for c in header]
-    data = np.loadtxt(body, delimiter=",", ndmin=2) if body else np.zeros((0, len(header)))
+        header = next(csv.reader(fh), [])  # an empty file has not even the "n" column
+        names = [c.rstrip("0123456789") for c in header]
+        m, p = names.count("w"), names.count("r")
+        if header != _trace_header(m, p):
+            raise InvariantViolation("trace-header-layout",
+                                     f"{','.join(header)!r} is not the m = {m}, p = {p} header")
+        first = next((line for line in fh if line.strip()), "")
+        try:  # a file without rows (horizon 0) never reaches loadtxt, which warns on no data
+            data = (np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+                    if first else np.zeros((0, len(header))))
+        except ValueError as err:  # a ragged row or a cell that is no number
+            raise InvariantViolation("trace-rows-well-formed", str(err)) from None
+    if data.shape[1] != len(header):
+        raise InvariantViolation(
+            "trace-rows-well-formed", f"rows have {data.shape[1]} cells, the header {len(header)}")
     # column 0 is the step number; each block is as wide as the header says
     ends = np.cumsum([names.count(s) for s in _TRACE_SIGNALS])
     blocks = np.split(data[:, 1:], ends, axis=1)[:-1]

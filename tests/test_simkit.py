@@ -1,6 +1,7 @@
 """Noise streams, scenario plumbing, and closed-loop simulation."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def _mix(x: int) -> int:
 
 
 def _noise_stream(seed: int, channel: int, bound: float):
-    """Reference scalar substream: the definition ``noise_block`` vectorizes."""
+    """Reference scalar stream: the definition ``noise_block`` vectorizes."""
     state = (int(seed) + simkit.GOLDEN * (int(channel) + 1)) & simkit.MASK64
     while True:
         state = (state + simkit.GOLDEN) & simkit.MASK64
@@ -262,7 +263,10 @@ def _csv_writer_trace(path, t):
             writer.writerow(row)
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 7])
+BLOCK = simkit._TRACE_BLOCK
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_trace_csv_bytes_and_bit_exact_roundtrip(tmp_path, horizon):
     m, p = 2, 3
     edge = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, -1e-300, 1.0, -7.5]
@@ -285,6 +289,100 @@ def test_trace_csv_bytes_and_bit_exact_roundtrip(tmp_path, horizon):
         got = getattr(back, name)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # bit-exact, signed zero included
+
+
+def _random_trace(horizon, m, p, seed=0):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(horizon, dimpl._signal_width(s, (m, p))))
+              for s in simkit._TRACE_SIGNALS]
+    return simkit.SimTrace(*blocks, np.zeros((horizon, 0)), np.zeros((horizon, 0)))
+
+
+def test_trace_io_memory_is_bounded_by_the_arrays(tmp_path):
+    """Saving and loading a 50,000-step, 40-channel trace never holds its text
+    or one Python float per value: the traced peak stays within 1.5 times the
+    array bytes plus a constant (the whole-trace ``tolist`` alone took five
+    times the array bytes)."""
+    t = _random_trace(50_000, 5, 5)
+    nbytes = sum(getattr(t, s).nbytes for s in simkit._TRACE_SIGNALS)  # 16 MB
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        simkit.save_trace(str(path), t)
+        back = simkit.load_trace(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.y.tobytes() == t.y.tobytes()
+    assert peak < 1.5 * nbytes + 4_000_000, \
+        f"peak {peak / 1e6:.1f} MB for {nbytes / 1e6:.1f} MB of arrays"
+
+
+def _trace_lines(tmp_path):
+    """The lines of a saved 4-step trace with m = 2, p = 3."""
+    path = tmp_path / "t.csv"
+    simkit.save_trace(str(path), _random_trace(4, 2, 3))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _bad_trace(tmp_path, lines):
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    with pytest.raises(InvariantViolation) as exc:
+        simkit.load_trace(str(path))
+    return exc.value.invariant
+
+
+def test_trace_without_its_y_block_is_named(tmp_path):
+    lines = _trace_lines(tmp_path)
+    cut = [",".join(line.split(",")[:-3]) for line in lines]  # y1, y2, y3
+    assert _bad_trace(tmp_path, cut) == "trace-header-layout"
+
+
+def test_trace_with_an_extra_column_is_named(tmp_path):
+    lines = _trace_lines(tmp_path)
+    extra = [lines[0] + ",q1"] + [line + ",0.0" for line in lines[1:]]
+    assert _bad_trace(tmp_path, extra) == "trace-header-layout"
+
+
+def test_empty_trace_file_is_named(tmp_path):
+    assert _bad_trace(tmp_path, []) == "trace-header-layout"
+
+
+def test_ragged_trace_row_is_named(tmp_path):
+    lines = _trace_lines(tmp_path)
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    assert _bad_trace(tmp_path, lines) == "trace-rows-well-formed"
+    # every row one cell short: no row is ragged, but none fits the header
+    assert _bad_trace(tmp_path, lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]]) \
+        == "trace-rows-well-formed"
+
+
+def test_non_numeric_trace_cell_is_named(tmp_path):
+    lines = _trace_lines(tmp_path)
+    cells = lines[3].split(",")
+    cells[4] = "abc"
+    lines[3] = ",".join(cells)
+    assert _bad_trace(tmp_path, lines) == "trace-rows-well-formed"
+
+
+def test_trace_without_rows_loads_empty(tmp_path):
+    """A header alone, or followed by blank lines, is a horizon-0 trace; loadtxt
+    would warn that it got no data, and the warning is an error here."""
+    header = _trace_lines(tmp_path)[0]
+    for tail in ("", "\r\n", "\r\n\r\n"):
+        path = tmp_path / "empty.csv"
+        path.write_bytes((header + "\r\n" + tail).encode())
+        back = simkit.load_trace(str(path))
+        assert back.y.shape == (0, 3) and back.u.shape == (0, 2)
+
+
+def test_diverged_trace_cells_load(tmp_path):
+    t = _random_trace(3, 2, 3)
+    t.y[0] = [np.inf, -np.inf, np.nan]
+    path = tmp_path / "t.csv"
+    simkit.save_trace(str(path), t)
+    assert simkit.load_trace(str(path)).y.tobytes() == t.y.tobytes()
 
 
 def test_superposition_without_noise(grid5_plant, grid5_ctrl):
@@ -358,7 +456,7 @@ def test_beta_iteration_diverges_while_output_matches(grid5_plant, grid5_dcf, gr
     wide = StateSpace(G.A, np.hstack([np.zeros((G.order, p)), G.B]), G.C,
                       np.hstack([np.zeros((p, p)), G.D]), DISC)
     # the unstable map is the one from the input disturbance, so a step on w
-    # is the exciting input.  Noise substreams are numbered through
+    # is the exciting input.  Noise channels are numbered through
     # (r, w, nu, du), so only the reference channels draw alike at command
     # widths 5 and 10: the noise goes there.
     refs = [SignalSpec.uniform(0.05)] * p
