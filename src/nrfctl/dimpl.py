@@ -7,8 +7,9 @@ nrf.json, or each row's entry by entry realization for a file with the
 rational matrices alone), checked against those row systems, so node i only
 ever stores the dynamics its own control law needs.
 Assembly stacks the rows into a block-diagonal state matrix, and the loop
-with the plant closes through a static coupling matrix whose invertibility is
-certified by a Schur complement before the closed-loop realization is formed.
+with the plant closes through a static coupling of (y, u) whose invertibility
+is certified by a Schur complement before the closed-loop realization is
+formed; the loop's signal layout is ``factor``'s.
 
 That realization is the one place a loop is closed: every stability verdict
 reads it, and simulation steps it.  It maps every injection (reference,
@@ -36,6 +37,7 @@ from .errors import (
     SingularCoupling,
     audit,
 )
+from .factor import LOOP_INPUTS, LOOP_OUTPUTS, TABLE_INPUTS, _injections, _readout, _signal_index
 from .nrfsyn import NrfPair
 from .ratmat import RationalMatrix, probe_points
 from . import sstate
@@ -188,28 +190,6 @@ def assemble(rows: list[RowRealization]) -> AssembledController:
 # ---------------------------------------------------------------------------
 # closing the loop
 
-# Injections into the loop (reference, plant-input disturbance, sensor noise,
-# command-channel disturbance, additive command) and the loop signals read out.
-LOOP_INPUTS = ("r", "w", "nu", "du", "cmd")
-LOOP_OUTPUTS = ("y", "u", "z", "v")
-# the sixteen-block table a user checks: every output from every injection
-# except the command, which only the H-tilde map uses
-TABLE_INPUTS = LOOP_INPUTS[:4]
-
-
-def _signal_width(name, partition) -> int:
-    """Channel count of a loop signal: p on the measurement side (r, nu, y, z),
-    m on the command side (w, du, cmd, u, v)."""
-    m, p = partition
-    return p if name in ("r", "nu", "y", "z") else m
-
-
-def _signal_index(names, chosen, partition) -> np.ndarray:
-    """Positions of the chosen signals in the stacked vector of names."""
-    width = {name: _signal_width(name, partition) for name in names}
-    start = dict(zip(names, np.cumsum([0] + [width[n] for n in names])))
-    return np.concatenate([np.arange(start[c], start[c] + width[c]) for c in chosen])
-
 
 class ClosedLoopRealization:
     """The interconnection as one ``StateSpace`` plus its static coupling data.
@@ -217,7 +197,7 @@ class ClosedLoopRealization:
     ``sys`` maps the injections LOOP_INPUTS to the loop signals LOOP_OUTPUTS,
     its state the plant's coordinates over the controller's, and ``map`` cuts
     out any sub-map of it.  ``Dtilde`` and ``schur`` are the coupling matrix
-    and its Schur complement, ``partition`` the controller's (m, p).
+    of (y, u) and its Schur complement, ``partition`` the controller's (m, p).
     """
 
     __slots__ = ("sys", "Dtilde", "schur", "partition")
@@ -258,16 +238,16 @@ def closed_loop_state_matrix(
     """Close the loop z = r - y, v = u + w, y = G v + nu around the plant.
 
     The controller reads u + du and z, and the command injection adds to its
-    output: u = Phi (u + du) + Gamma z + cmd.  The three static unknowns per
-    step are (-u, y, u); they couple through
+    output: u = Phi (u + du) + Gamma z + cmd.  The two static unknowns per
+    step are (y, u); they couple through
 
-        Dtilde = [ I    0    I  ]
-                 [ 0    I   -D  ]
-                 [ D_K1 D_K2  I ]
+        Dtilde = [ I     -D        ]
+                 [ D_K2   I - D_K1 ]
 
     whose invertibility is equivalent to that of the Schur complement
-    I - D_K1 + D_K2 D (eliminate the first two block rows).  Both tests must
-    agree before the realization is assembled.
+    I - D_K1 + D_K2 D (eliminate y).  Both tests must agree before the
+    realization is assembled.  z and v are read out of (y, u) by
+    ``factor._readout``.
     """
     m, p = ctrl.partition
     if plant.n_inputs != m or plant.n_outputs != p:
@@ -282,13 +262,7 @@ def closed_loop_state_matrix(
     DK1, DK2 = DK[:, :m], DK[:, m:]
     BK1, BK2 = BK[:, :m], BK[:, m:]
 
-    Dtilde = np.block(
-        [
-            [np.eye(m), np.zeros((m, p)), np.eye(m)],
-            [np.zeros((p, m)), np.eye(p), -D],
-            [DK1, DK2, np.eye(m)],
-        ]
-    )
+    Dtilde = np.block([[np.eye(p), -D], [DK2, np.eye(m) - DK1]])
     schur = np.eye(m) - DK1 + DK2 @ D
     ok_schur, r_schur = sstate._invertibility(schur)
     ok_direct, r_direct = sstate._invertibility(Dtilde)
@@ -297,37 +271,19 @@ def closed_loop_state_matrix(
             f"coupling matrix is singular (schur {r_schur:.3e}, direct {r_direct:.3e})"
         )
 
-    n_g, n_k = plant.order, ctrl.order
-    left = np.block(
-        [
-            [np.zeros((n_g, m)), np.zeros((n_g, p)), B],
-            [-BK1, -BK2, np.zeros((n_k, m))],
-        ]
-    )
-    right = np.block(
-        [
-            [np.zeros((m, n_g)), np.zeros((m, n_k))],
-            [C, np.zeros((p, n_k))],
-            [np.zeros((m, n_g)), CK],
-        ]
-    )
-    from_states = np.linalg.solve(Dtilde, right)
+    # (y, u) drive the states: u + w the plant, u + du and r - y the controller
+    left = np.block([[np.zeros((plant.order, p)), B], [-BK2, BK1]])
+    from_states = np.linalg.solve(Dtilde, sstate._block_diag([C, CK]))
     A_CL = sstate._block_diag([A, AK]) + left @ from_states
 
     # injections (r, w, nu, du, cmd) enter the static equations
-    #   y - D u = C x + D w + nu,   u - D_K1 u + D_K2 y = C_K x_K + D_K2 r + D_K1 du + cmd
+    #   y - D u = C x + D w + nu,   D_K2 y + u - D_K1 u = C_K x_K + D_K2 r + D_K1 du + cmd
     # and the states directly (w drives the plant, r and du the controller)
-    widths = [_signal_width(name, (m, p)) for name in LOOP_INPUTS]
-    E_r, E_w, E_nu, E_du, E_cmd = np.split(np.eye(sum(widths)), np.cumsum(widths[:-1]))
-    static_in = np.vstack([np.zeros_like(E_du), D @ E_w + E_nu, DK2 @ E_r + DK1 @ E_du + E_cmd])
+    E_r, E_w, E_nu, E_du, E_cmd = _injections(LOOP_INPUTS, (m, p))
+    static_in = np.vstack([D @ E_w + E_nu, DK2 @ E_r + DK1 @ E_du + E_cmd])
     from_inputs = np.linalg.solve(Dtilde, static_in)
     B_CL = np.vstack([B @ E_w, BK2 @ E_r + BK1 @ E_du]) + left @ from_inputs
-    y, u = slice(m, m + p), slice(m + p, None)
-    C_CL = np.vstack([from_states[y], from_states[u], -from_states[y], from_states[u]])
-    D_CL = np.vstack(
-        [from_inputs[y], from_inputs[u], E_r - from_inputs[y], from_inputs[u] + E_w]
-    )
-    sys = StateSpace(A_CL, B_CL, C_CL, D_CL, plant.domain)
+    sys = StateSpace(A_CL, B_CL, *_readout(from_states, from_inputs, (m, p)), plant.domain)
     return ClosedLoopRealization(sys, Dtilde, schur, (m, p))
 
 

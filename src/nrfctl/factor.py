@@ -16,7 +16,9 @@ unparsed views; a file with the factors alone is realized by
 ``DoublyCoprime.from_factors`` and audited there.  The Youla shift is two
 series connections of the realizations with Q, and the closed-loop table and
 every later stage read the shifted realizations; no factor is multiplied
-symbolically.
+symbolically.  The loop's signal layout (the injections, the loop signals,
+their widths and the readout of z and v) is written down here once, and
+``dimpl`` and ``simkit`` read it.
 """
 
 from __future__ import annotations
@@ -470,44 +472,76 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
 
 
 # ---------------------------------------------------------------------------
+# the loop's signal layout
+
+# Injections into the loop (reference, plant-input disturbance, sensor noise,
+# command-channel disturbance, additive command) and the loop signals read out.
+LOOP_INPUTS = ("r", "w", "nu", "du", "cmd")
+LOOP_OUTPUTS = ("y", "u", "z", "v")
+# the sixteen-block table a user checks: every output from every injection
+# except the command, which only the H-tilde map uses
+TABLE_INPUTS = LOOP_INPUTS[:4]
+
+
+def _signal_width(name, partition) -> int:
+    """Channel count of a loop signal: p on the measurement side (r, nu, y, z),
+    m on the command side (w, du, cmd, u, v)."""
+    m, p = partition
+    return p if name in ("r", "nu", "y", "z") else m
+
+
+def _signal_index(names, chosen, partition) -> np.ndarray:
+    """Positions of the chosen signals in the stacked vector of names."""
+    width = {name: _signal_width(name, partition) for name in names}
+    start = dict(zip(names, np.cumsum([0] + [width[n] for n in names])))
+    return np.concatenate([np.arange(start[c], start[c] + width[c]) for c in chosen])
+
+
+def _injections(names, partition) -> list[np.ndarray]:
+    """Each named injection's identity rows in the stacked vector of names."""
+    widths = [_signal_width(name, partition) for name in names]
+    return np.split(np.eye(sum(widths)), np.cumsum(widths[:-1]))
+
+
+def _readout(C, D, partition):
+    """(C, D) of the loop signals (y, u) to those of (y, u, z, v), by
+    z = r - y and v = u + w; r and w lead the injections, as in LOOP_INPUTS."""
+    m, p = partition
+    E_r, E_w = np.split(np.eye(p + m, D.shape[1]), [p])
+    y, u = slice(0, p), slice(p, None)
+    return (np.vstack([C[y], C[u], -C[y], C[u]]),
+            np.vstack([D[y], D[u], E_r - D[y], D[u] + E_w]))
+
+
+# ---------------------------------------------------------------------------
 # closed-loop maps
 
 
 def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> StateSpace:
-    """The closed-loop table (r, w, nu, du) -> (y, u, z, v), in state space.
+    """The closed-loop table TABLE_INPUTS -> LOOP_OUTPUTS, in state space.
 
-    Every block is affine in R W, with R = [N; M] and
-    W = [X_Q, Y_Q, -X_Q, -(Y_Q - diag Y_Q)] (du enters through the hollow
-    part of Y_Q, as it does in the NRF loop).  So the table is S R W + D0,
-    with S = [I 0; 0 I; -I 0; 0 I] and the constant D0 holding the identity
-    terms of y <- nu, u <- w, z <- r and z <- nu.  R is a slice of the right
-    Bézout realization; W is four column blocks of the shifted left one plus
-    diag Y_Q on the du columns, joined in series with R.
-    Signals are ordered as dimpl's TABLE_INPUTS and LOOP_OUTPUTS.
+    The (y, u) rows are affine in R W, with R = [N; M] and
+    W = [X_Q, Y_Q, -X_Q, -(Y_Q - diag Y_Q)] on (r, w, nu, du) (du enters
+    through the hollow part of Y_Q, as it does in the NRF loop):
+    y = N W + nu and u = M W - w, and ``_readout`` adds z and v.  R is a
+    slice of the right Bézout realization; W is the top rows [Y_Q X_Q] of the
+    shifted left one, fed from the injections, plus diag Y_Q on the du
+    columns, joined in series with R.
     """
     p, m = dcf.shape
     dom = dcf.domain
     R = dcf.right.select([*range(m, m + p), *range(m)], range(m))
-    X, Y = [*range(m, m + p)], [*range(m)]
-    W = shift.left.select(range(m), X + Y + X + Y)
-    sign = np.repeat([1.0, 1.0, -1.0, -1.0], [p, m, p, m])
+    E_r, E_w, E_nu, E_du = _injections(TABLE_INPUTS, (m, p))
+    # Y_Q reads w - du and X_Q reads r - nu
+    feed = np.vstack([E_w - E_du, E_r - E_nu])
+    top = shift.left.select(range(m), range(m + p))
     Om = diagonal([shift.YQ.select([i], [i]) for i in range(m)])
-    pad = lambda M: np.hstack([np.zeros((M.shape[0], 2 * p + m)), M])
     W = parallel(
-        StateSpace(W.A, W.B * sign, W.C, W.D * sign, dom),
-        StateSpace(Om.A, pad(Om.B), Om.C, pad(Om.D), dom),
+        StateSpace(top.A, top.B @ feed, top.C, top.D @ feed, dom),
+        StateSpace(Om.A, Om.B @ E_du, Om.C, Om.D @ E_du, dom),
     )
     RW = series(R, W)
-    Ip, Im = np.eye(p), np.eye(m)
-    Zpp, Zpm, Zmp, Zmm = np.zeros((p, p)), np.zeros((p, m)), np.zeros((m, p)), np.zeros((m, m))
-    S = np.block([[Ip, Zpm], [Zmp, Im], [-Ip, Zpm], [Zmp, Im]])
-    D0 = np.block([
-        [Zpp, Zpm, Ip, Zpm],
-        [Zmp, -Im, Zmp, Zmm],
-        [Ip, Zpm, -Ip, Zpm],
-        [Zmp, Zmm, Zmp, Zmm],
-    ])
-    table = StateSpace(RW.A, RW.B, S @ RW.C, S @ RW.D + D0, dom)
+    table = StateSpace(RW.A, RW.B, *_readout(RW.C, RW.D + np.vstack([E_nu, -E_w]), (m, p)), dom)
     bad = unstable_eigs(table.A, dom)
     if bad:
         raise UnstableMap(f"closed-loop table has unstable modes {list(bad)}")
@@ -528,7 +562,7 @@ def _cross_check_vs_loop(dcf: DoublyCoprime, shift: YoulaShift, table: StateSpac
     got = table.eval_many(pts)
     L = shift.left.eval_many(pts)
     YQ, XQ, Nt, Mt = L[:, :m, :m], L[:, :m, m:], -L[:, m:, :m], L[:, m:, m:]
-    E_r, E_w, E_nu, _ = np.split(np.eye(2 * (p + m)), np.cumsum([p, m, p]))
+    E_r, E_w, E_nu, _ = _injections(TABLE_INPUTS, (m, p))
     want = np.full_like(got, np.nan)  # a point where the loop is singular stays NaN
     for k in range(len(pts)):
         hollow = YQ[k] - np.diag(np.diag(YQ[k]))

@@ -19,7 +19,7 @@ Weyl sequence, so channel c + 1 runs one draw ahead of channel c.
 Trace CSVs are written and read block by block, so their memory is bounded by
 the arrays, never by one Python object per value or by the file's text.
 
-The loop's signal layout is written down once: ``dimpl._signal_width`` gives
+The loop's signal layout is ``factor``'s: ``factor._signal_width`` gives
 each signal's channel count, and the tables below give the scenario's spec
 fields, the trace's CSV blocks and each signal kind's file fields.
 """
@@ -40,6 +40,7 @@ from .errors import (
     InvariantViolation,
     NonDiscrete,
 )
+from .factor import TABLE_INPUTS, DoublyCoprime, _signal_width
 from .ratmat import (
     Polynomial,
     RationalFunction,
@@ -104,9 +105,9 @@ def noise_block(seed: int, channel: int, bound: float, count: int) -> np.ndarray
 # signals and scenarios
 
 # The loop's signal layout: a scenario's per-channel spec lists in the loop
-# order of dimpl.TABLE_INPUTS, a trace's CSV blocks, and a signal spec's file
+# order of factor.TABLE_INPUTS, a trace's CSV blocks, and a signal spec's file
 # fields per kind (the last one, a step's level or a noise bound, is required).
-# Every width is dimpl's _signal_width of the signal's name.
+# Every width is factor's _signal_width of the signal's name.
 _SPEC_FIELDS = ("reference", "input_disturbance", "measurement_noise", "command_disturbance")
 _TRACE_SIGNALS = ("r", "w", "nu", "du", "z", "u", "v", "y")
 _KIND_FIELDS = {"step": ("at", "level"), "uniform": ("bound",), "zero": ()}
@@ -214,29 +215,27 @@ class Scenario:
         self.horizon = _whole(horizon, "scenario-horizon-integral")
         if self.horizon < 0:
             raise InconsistentDimensions(f"horizon {horizon} is negative")
-        for signal, field in zip(dimpl.TABLE_INPUTS, _SPEC_FIELDS):
-            width = dimpl._signal_width(signal, controller.partition)
+        for signal, field in zip(TABLE_INPUTS, _SPEC_FIELDS):
+            width = _signal_width(signal, controller.partition)
             setattr(self, field, _spec_list(given[field], width, field.replace("_", " ")))
         self.seed = _whole(seed, "scenario-seed-integral") & MASK64
         self.plant = plant
         self.controller = controller
 
-    def signals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Materialized (r, w, nu, du) arrays, horizon by channel.
+    def signals(self) -> np.ndarray:
+        """The materialized injection (r, w, nu, du), horizon by channel.
 
-        Noise channels are numbered through the spec lists in _SPEC_FIELDS
-        order, so adding a channel never reshuffles the draws of the channels
-        before it.  Consecutive channels' draws are one-draw shifts of each
-        other (see ``noise_block``), not independent substreams.
+        Channels are numbered through the spec lists in _SPEC_FIELDS order,
+        and column c is channel c, so adding a channel never reshuffles the
+        draws of the channels before it.  Consecutive channels' draws are
+        one-draw shifts of each other (see ``noise_block``), not independent
+        substreams.
         """
-        out, channel = [], 0
-        for field in _SPEC_FIELDS:
-            specs = getattr(self, field)
-            cols = [spec.materialize(self.horizon, self.seed, channel + k)
-                    for k, spec in enumerate(specs)]
-            out.append(np.column_stack(cols) if cols else np.zeros((self.horizon, 0)))
-            channel += len(specs)
-        return tuple(out)
+        specs = [spec for field in _SPEC_FIELDS for spec in getattr(self, field)]
+        e = np.empty((self.horizon, len(specs)))
+        for channel, spec in enumerate(specs):
+            e[:, channel] = spec.materialize(self.horizon, self.seed, channel)
+        return e
 
 
 class SimTrace:
@@ -337,8 +336,6 @@ def grid5_dcf():
     functions; deadbeat-flavored observer and state-feedback poles at 0.5.
     Realized and validated on construction.
     """
-    from .factor import DoublyCoprime
-
     D = StabilityDomain.DISCRETE
     rf = lambda n, d: RationalFunction(Polynomial(n), Polynomial(d))
     U, Uinv = _grid5_coupling()
@@ -424,11 +421,11 @@ def simulate(sc: Scenario) -> SimTrace:
     if ctrl.sys.domain is not StabilityDomain.DISCRETE:
         raise NonDiscrete("controller realization must be discrete")
     p = ctrl.partition[1]
-    loop = dimpl.closed_loop_state_matrix(plant, ctrl).map(("y", "u"), dimpl.TABLE_INPUTS)
+    loop = dimpl.closed_loop_state_matrix(plant, ctrl).map(("y", "u"), TABLE_INPUTS)
 
     # one injection array; the trace's r, w, nu and du are its column blocks
-    e = np.hstack(sc.signals())
-    widths = [dimpl._signal_width(s, ctrl.partition) for s in dimpl.TABLE_INPUTS]
+    e = sc.signals()
+    widths = [_signal_width(s, ctrl.partition) for s in TABLE_INPUTS]
     r, w, nu, du = np.split(e, np.cumsum(widths)[:-1], axis=1)
     # row n + 1 first holds B e[n], then gains A x[n]; the loop starts at rest
     x = np.zeros((sc.horizon, loop.order))
@@ -503,7 +500,7 @@ _TRACE_BLOCK = 1024
 
 def _trace_header(m: int, p: int) -> list[str]:
     return ["n"] + [f"{s}{i+1}" for s in _TRACE_SIGNALS
-                    for i in range(dimpl._signal_width(s, (m, p)))]
+                    for i in range(_signal_width(s, (m, p)))]
 
 
 def save_trace(path: str, t: SimTrace) -> None:
@@ -525,9 +522,10 @@ def save_trace(path: str, t: SimTrace) -> None:
 def load_trace(path: str) -> SimTrace:
     """Read a ``save_trace`` file.  The rows are parsed straight from the
     file, so memory is bounded by the arrays, never by the text.  A header
-    that is not ``_trace_header`` of its own widths, a row of another width
-    and a cell that is not a number raise InvariantViolation; ``inf`` and
-    ``nan``, which a diverged run writes, are numbers."""
+    that is not ``_trace_header`` of its own widths, a row of another width,
+    a cell that is not a number and a step column that does not count
+    0, 1, 2, ... raise InvariantViolation; ``inf`` and ``nan``, which a
+    diverged run writes, are numbers."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), [])  # an empty file has not even the "n" column
         names = [c.rstrip("0123456789") for c in header]
@@ -544,10 +542,12 @@ def load_trace(path: str) -> SimTrace:
     if data.shape[1] != len(header):
         raise InvariantViolation(
             "trace-rows-well-formed", f"rows have {data.shape[1]} cells, the header {len(header)}")
-    # column 0 is the step number; each block is as wide as the header says
+    H = data.shape[0]
+    if not np.array_equal(data[:, 0], np.arange(H)):
+        raise InvariantViolation("trace-rows-well-formed", "the step column n is not 0, 1, 2, ...")
+    # each block after the step column is as wide as the header says
     ends = np.cumsum([names.count(s) for s in _TRACE_SIGNALS])
     blocks = np.split(data[:, 1:], ends, axis=1)[:-1]
-    H = data.shape[0]
     return SimTrace(*blocks, np.zeros((H, 0)), np.zeros((H, 0)))
 
 

@@ -270,3 +270,56 @@ def test_eigenvalue_flags_follow_the_stability_margin():
     cl = dimpl.closed_loop_state_matrix(plant, ctrl)
     assert not cl.is_stable
     assert [r[3] for r in dimpl.eigenvalue_rows(cl)] == [0, 1]
+
+
+@pytest.mark.parametrize("n, m, p", [(3, 1, 2), (3, 2, 1), (4, 2, 3)])
+def test_non_square_loop(tmp_path, n, m, p):
+    """A plant with p != m: the symbolic table and the realized loop agree,
+    both read z = r - y and v = u + w off (y, u), a simulation keeps the two
+    identities and its trace survives the CSV, and a tall plant survives
+    ss_to_tf and tfm_to_ss (which realizes it through its transpose)."""
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(n, n))
+    A *= 1.1 / np.max(np.abs(np.linalg.eigvals(A)))
+    plant = StateSpace(A, rng.normal(size=(n, m)), rng.normal(size=(p, n)), np.zeros((p, m)), DISC)
+    dcf = factor.dcf_from_ss(plant, *factor.place_gains(plant, [0.3 + 0.1 * k for k in range(n)]))
+    shift = factor.youla_shift(dcf, RationalMatrix.zeros(m, p, DISC))
+    pair = nrfsyn.nrf_from_dcf(dcf, shift)
+    table = factor.closed_loop_maps(dcf, shift)
+    report = dimpl.verify_internal_stability(pair, plant)
+    assert report.stable
+    loop = report.loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
+    pts = probe_points(DISC, 5)
+    assert np.max(np.abs(table.eval_many(pts) - loop.eval_many(pts))) < 1e-8
+
+    # rows (y, u, z, v), columns (r, w, nu, du): z and v are read off (y, u)
+    E_r, E_w = np.eye(p, 2 * (p + m)), np.eye(m, 2 * (p + m), k=p)
+    for sys in (table, loop):
+        Cy, Cu, Cz, Cv = np.split(sys.C, np.cumsum([p, m, p]))
+        Dy, Du, Dz, Dv = np.split(sys.D, np.cumsum([p, m, p]))
+        assert np.array_equal(Cz, -Cy) and np.array_equal(Cv, Cu)
+        assert np.array_equal(Dz, E_r - Dy) and np.array_equal(Dv, Du + E_w)
+
+    ctrl = dimpl.assemble(dimpl.realize_rows(pair))
+    sc = simkit.Scenario(
+        50,
+        [simkit.SignalSpec.step(1.0)] * p,
+        [simkit.SignalSpec.step(0.5, at=10)] + [simkit.SignalSpec.zero()] * (m - 1),
+        [simkit.SignalSpec.uniform(0.05)] * p,
+        [simkit.SignalSpec.uniform(0.05)] * m,
+        7, plant, ctrl,
+    )
+    t = simkit.simulate(sc)
+    assert t.y.shape == (50, p) and t.u.shape == (50, m)
+    assert np.array_equal(t.z, t.r - t.y) and np.array_equal(t.v, t.u + t.w)
+    path = tmp_path / "t.csv"
+    simkit.save_trace(str(path), t)
+    back = simkit.load_trace(str(path))
+    for name in simkit._TRACE_SIGNALS:
+        assert getattr(back, name).tobytes() == getattr(t, name).tobytes()
+
+    if p > m:
+        again = sstate.tfm_to_ss(sstate.ss_to_tf(plant))
+        assert again.order == n
+        want = plant.eval_many(pts)
+        assert np.max(np.abs(again.eval_many(pts) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nrfctl import dimpl, nrfsyn, simkit
+from nrfctl import dimpl, factor, nrfsyn, simkit
 from nrfctl.errors import InconsistentDimensions, InvariantViolation, NonDiscrete
 from nrfctl.nrfsyn import NrfPair
 from nrfctl.ratmat import RationalMatrix, StabilityDomain, probe_points
@@ -194,7 +194,7 @@ def test_grid5_closed_forms_are_reduced(grid5_tfm, grid5_dcf):
 def test_simulate_loop_identities(grid5_plant, grid5_ctrl):
     sc = simkit.grid5_scenario(grid5_plant, grid5_ctrl, seed=42, horizon=100)
     t = simkit.simulate(sc)
-    r, w, nu, du = sc.signals()
+    r, w, nu, du = np.split(sc.signals(), np.cumsum([5, 5, 5]), axis=1)
     assert np.array_equal(t.z, r - t.y)
     assert np.array_equal(t.v, t.u + w)
     assert t.horizon == 100
@@ -228,7 +228,7 @@ def test_simulate_matches_per_step_recursion(grid5_plant, grid5_ctrl):
     loop = dimpl.closed_loop_state_matrix(grid5_plant, grid5_ctrl).map(
         ("y", "u"), dimpl.TABLE_INPUTS
     )
-    drive = np.hstack(sc.signals())[:-1] @ loop.B.T
+    drive = sc.signals()[:-1] @ loop.B.T
     x = np.zeros((sc.horizon, loop.order))
     for n in range(1, sc.horizon):
         x[n] = loop.A @ x[n - 1] + drive[n - 1]
@@ -293,7 +293,7 @@ def test_trace_csv_bytes_and_bit_exact_roundtrip(tmp_path, horizon):
 
 def _random_trace(horizon, m, p, seed=0):
     rng = np.random.default_rng(seed)
-    blocks = [rng.normal(size=(horizon, dimpl._signal_width(s, (m, p))))
+    blocks = [rng.normal(size=(horizon, factor._signal_width(s, (m, p))))
               for s in simkit._TRACE_SIGNALS]
     return simkit.SimTrace(*blocks, np.zeros((horizon, 0)), np.zeros((horizon, 0)))
 
@@ -363,6 +363,14 @@ def test_non_numeric_trace_cell_is_named(tmp_path):
     cells = lines[3].split(",")
     cells[4] = "abc"
     lines[3] = ",".join(cells)
+    assert _bad_trace(tmp_path, lines) == "trace-rows-well-formed"
+
+
+def test_trace_step_column_is_checked(tmp_path):
+    """Column n must count 0, 1, 2, ...: rows numbered 5, 3, 9 are refused,
+    not loaded as steps 0, 1, 2."""
+    lines = _trace_lines(tmp_path)[:4]
+    lines[1:] = [f"{n}," + line.split(",", 1)[1] for n, line in zip((5, 3, 9), lines[1:])]
     assert _bad_trace(tmp_path, lines) == "trace-rows-well-formed"
 
 
