@@ -51,6 +51,8 @@ from .ratmat import (
 )
 from .sstate import (
     StateSpace,
+    _eval_stacked,
+    _unstable_modes,
     ctrb_staircase,
     diagonal,
     is_unstable,
@@ -73,10 +75,11 @@ _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, avoid=()):
     """Audit left right = I at the probe points clear of ``avoid``, and return
-    both maps' values there; both maps are stable, so any such points clear
-    all their poles."""
+    both maps' values there, from one ``_eval_stacked`` call (one batched
+    solve per block of points when the orders agree); both maps are stable,
+    so any such points clear all their poles."""
     pts = probe_points(left.domain, 20, avoid=avoid)
-    L, R = left.eval_many(pts), right.eval_many(pts)
+    L, R = _eval_stacked([left, right], pts)
     audit(invariant, L @ R - np.eye(left.n_outputs), PROBE_TOL)
     return L, R
 
@@ -199,12 +202,14 @@ class DoublyCoprime:
                 raise InvariantViolation(
                     "factor-stable", f"the {name} Bézout matrix has unstable poles {list(bad)}"
                 )
-        self._audit_gains_and_identities()
+        self._audit_gains_and_identities(np.linalg.eigvals(self.plant().A))
 
-    def _audit_gains_and_identities(self):
+    def _audit_gains_and_identities(self, poles):
         """The gains at infinity off the diagonal blocks of D, then the Bézout
-        identity and the two plant quotients off one evaluation of each
-        realization, at probe points clear of the poles of G = Mt^-1 Nt."""
+        identity and the two plant quotients off one evaluation of both
+        realizations, at probe points clear of ``poles``, which must hold the
+        unstable poles of G = Mt^-1 Nt: no other pole can reach the probe
+        contour (``tolerances``)."""
         p, m = self.shape
         top, bottom = slice(0, m), slice(m, m + p)
         blocks = (("Y", self.left, top), ("Yt", self.right, bottom),
@@ -212,8 +217,7 @@ class DoublyCoprime:
         for name, sys, blk in blocks:
             gain = sys.D[blk, blk]
             audit("gain-at-infinity", gain - np.eye(gain.shape[0]), PROBE_TOL, f"{name}(inf)")
-        L, R = _check_inverse(self.left, self.right, "bezout-identity",
-                              avoid=np.linalg.eigvals(self.plant().A))
+        L, R = _check_inverse(self.left, self.right, "bezout-identity", avoid=poles)
         # Mt^-1 Nt off the lower rows [-Nt Mt] of left against N M^-1 off right
         audit("plant-quotients-agree",
               np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
@@ -224,13 +228,16 @@ class DoublyCoprime:
 # construction from state space
 
 
-def _require_pbh(plant: StateSpace):
-    """(A, B) stabilizable, then (A, C) detectable, by the PBH tests."""
-    failure = pbh_failure(plant)
+def _require_pbh(plant: StateSpace) -> list[complex]:
+    """(A, B) stabilizable, then (A, C) detectable, by the PBH tests; returns
+    the distinct unstable modes of A that both tests ran at."""
+    modes = _unstable_modes(plant)
+    failure = pbh_failure(plant, modes)
     if failure == "stabilizable":
         raise NotStabilizable("the pair (A, B) fails the PBH stabilizability test")
     if failure == "detectable":
         raise NotDetectable("the pair (A, C) fails the PBH detectability test")
+    return modes
 
 
 def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprime:
@@ -239,11 +246,14 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     F must make A + BF stable and L must make A + LC stable; the two Bézout
     realizations then read off the observer/state-feedback parameterization.
     Their state matrices are A + LC and A + BF, whose stability is decided
-    here, so only the gain and identity audits of ``validate`` run.
+    here from one ``eigvals`` call on both, so only the gain and identity
+    audits of ``validate`` run.  Each spectrum is computed once: the
+    distinct unstable modes of A that the PBH tests run at are the plant
+    poles the probe points avoid, and G = Mt^-1 Nt is not realized.
     """
     if float(np.max(np.abs(plant.D), initial=0.0)) != 0.0:
         raise NotStrictlyProper("plant must be strictly proper (D = 0)")
-    _require_pbh(plant)
+    modes = _require_pbh(plant)
     A, B, C = plant.A, plant.B, plant.C
     n, m, p = plant.order, plant.n_inputs, plant.n_outputs
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -254,14 +264,15 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
         raise DimensionMismatch(f"L must be {n}x{p}")
     AF = A + B @ F
     AL = A + L @ C
-    if unstable_eigs(AF, plant.domain):
+    eig_F, eig_L = np.linalg.eigvals(np.stack([AF, AL]))
+    if is_unstable(eig_F, plant.domain).any():
         raise GainsNotStabilizing("A + BF has eigenvalues outside the stability region")
-    if unstable_eigs(AL, plant.domain):
+    if is_unstable(eig_L, plant.domain).any():
         raise GainsNotStabilizing("A + LC has eigenvalues outside the stability region")
     FC, I = np.vstack([F, C]), np.eye(m + p)
     dcf = DoublyCoprime(StateSpace(AL, np.hstack([-B, L]), FC, I, plant.domain),
                         StateSpace(AF, np.hstack([B, -L]), FC, I, plant.domain), (p, m))
-    dcf._audit_gains_and_identities()
+    dcf._audit_gains_and_identities(modes)
     return dcf
 
 

@@ -8,9 +8,10 @@ rank).  Matrices carry a stability domain tag so that discrete and continuous
 objects never mix silently.  ``RationalMatrix.support`` gives the boolean
 mask of nonzero entries, the oracle for the realizations' supports.
 
-Pole computations for whole matrices live in the state-space layer
-(``sstate.tfm_unstable_poles``), which is the only reliable way to get
-multiplicities right without a symbolic Smith-McMillan form.
+Pole computations for whole matrices live in the state-space layer: the
+eigenvalues of the minimal realization ``sstate.tfm_to_ss`` are the poles
+with their multiplicities, which is the only reliable way to get them right
+without a symbolic Smith-McMillan form.
 """
 
 from __future__ import annotations
@@ -76,17 +77,6 @@ class Polynomial:
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial((1.0,))
-
-    @staticmethod
-    def from_roots(roots, lead: float = 1.0) -> "Polynomial":
-        """Build lead * prod (x - r).  Complex roots must come in conjugate pairs."""
-        roots = list(roots)
-        if not roots:
-            return Polynomial((lead,))
-        desc = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
-        if np.abs(desc.imag).max() > 1e-6 * (1.0 + np.abs(desc.real).max()):
-            raise ValueError("root multiset is not closed under conjugation")
-        return Polynomial((desc.real * lead)[::-1])
 
     @property
     def degree(self) -> float:
@@ -290,13 +280,6 @@ class RationalMatrix:
             [[funcs[i] if i == j else z for j in range(n)] for i in range(n)], domain
         )
 
-    @staticmethod
-    def from_const(mat, domain: StabilityDomain) -> "RationalMatrix":
-        arr = np.asarray(mat, dtype=float)
-        return RationalMatrix(
-            [[RationalFunction.const(v) for v in row] for row in arr], domain
-        )
-
     # ---- structure ----------------------------------------------------
     def entry(self, i: int, j: int) -> RationalFunction:
         return self.entries[i][j]
@@ -371,10 +354,6 @@ class RationalMatrix:
     @property
     def is_proper(self) -> bool:
         return all(e.is_proper for row in self.entries for e in row)
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return all(e.is_strictly_proper for row in self.entries for e in row)
 
     def gain_at_infinity(self) -> np.ndarray:
         return np.array(

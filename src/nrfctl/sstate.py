@@ -6,7 +6,9 @@ orthogonal staircases, never by comparing computed roots, and the transfer
 function is preserved up to floating point.  ``unstable_map_poles`` reads the
 unstable poles of a map off its minimal realization, with one PBH pair against
 its own B and C per distinct unstable mode; ``pbh_failure`` is the one PBH
-verdict on stabilizability and detectability.
+verdict on stabilizability and detectability.  Every frequency response
+comes from one kernel, ``_eval_stacked``, which solves the pencils of
+systems of one order in shared batches.
 """
 
 from __future__ import annotations
@@ -82,22 +84,9 @@ class StateSpace:
         return self.eval_many([point])[0]
 
     def eval_many(self, points) -> np.ndarray:
-        """Frequency responses at every point, shape (K, outputs, inputs).
-
-        Batched solves on the stacked pencils x_k I - A, one per block of
-        points.
-        """
-        x = np.asarray(points, dtype=complex).ravel()
-        n = self.order
-        out = np.empty((x.size, self.n_outputs, self.n_inputs), dtype=complex)
-        out[:] = self.D
-        if n == 0:
-            return out
-        for blk in _point_blocks(x.size, n * (n + self.n_inputs)):
-            xb = x[blk, None, None]
-            rhs = np.broadcast_to(self.B, (xb.shape[0],) + self.B.shape)
-            out[blk] += self.C @ np.linalg.solve(xb * np.eye(n) - self.A, rhs)
-        return out
+        """Frequency responses at every point, shape (K, outputs, inputs),
+        from ``_eval_stacked``."""
+        return _eval_stacked([self], points)[0]
 
     def select(self, rows, cols) -> "StateSpace":
         """The map from the inputs ``cols`` to the outputs ``rows`` (index
@@ -125,6 +114,32 @@ class StateSpace:
             f"StateSpace(order={self.order}, outputs={self.n_outputs}, "
             f"inputs={self.n_inputs}, domain={self.domain.value})"
         )
+
+
+def _eval_stacked(systems, points) -> list[np.ndarray]:
+    """Each system's frequency responses D + C (x_k I - A)^-1 B at every
+    point, shape (K, outputs, inputs): the one evaluation kernel.
+
+    Systems of equal order and input count share batched solves on their
+    stacked pencils x_k I - A, one per block of points.  Each pencil is
+    solved on its own, so every value has the bits of its system evaluated
+    alone.
+    """
+    x = np.asarray(points, dtype=complex).ravel()
+    outs = [np.empty((x.size, s.n_outputs, s.n_inputs), dtype=complex) for s in systems]
+    groups = {}
+    for out, s in zip(outs, systems):
+        out[:] = s.D
+        if s.order:
+            groups.setdefault((s.order, s.n_inputs), []).append((out, s))
+    for (n, m), members in groups.items():
+        A = np.array([s.A for _, s in members])[:, None]
+        B = np.array([s.B for _, s in members])[:, None]  # broadcast over the points
+        for blk in _point_blocks(x.size, len(members) * n * (n + m)):
+            pencils = x[blk, None, None] * np.eye(n) - A
+            for (out, s), X in zip(members, np.linalg.solve(pencils, B)):
+                out[blk] += s.C @ X
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +439,17 @@ def _unstable_modes(sys: StateSpace) -> list[complex]:
     return list({(lam.real.hex(), lam.imag.hex()): lam for lam in lams}.values())
 
 
-def pbh_failure(sys: StateSpace) -> str | None:
+def pbh_failure(sys: StateSpace, modes=None) -> str | None:
     """The first PBH test sys fails, "stabilizable" before "detectable", or
     None: each test runs at every distinct unstable eigenvalue of A, and both
-    read one computation of them."""
-    modes = _unstable_modes(sys)
+    read one computation of them, ``modes`` from ``_unstable_modes`` when the
+    caller has it."""
+    if modes is None:
+        modes = _unstable_modes(sys)
     for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
         if not all(_pbh_rank_ok(A, Bc, lam) for lam in modes):
             return name
     return None
-
-
-def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:
-    """Full row rank of the system pencil [A - pI, B; C, D] at one point."""
-    n = sys.order
-    top = np.hstack([sys.A - point * np.eye(n), sys.B]).astype(complex)
-    bottom = np.hstack([sys.C, sys.D]).astype(complex)
-    P = np.vstack([top, bottom])
-    S = np.linalg.svd(P, compute_uv=False)
-    if P.shape[0] > P.shape[1] or S.size == 0 or S[0] == 0.0:
-        return False
-    return int(np.sum(S > RANK_REL_TOL * S[0])) == P.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +499,6 @@ def ss_to_tf(sys: StateSpace) -> RationalMatrix:
             row.append(_faddeev_tf(sub.A, sub.B[:, 0], sub.C[0, :], float(sub.D[0, 0])))
         rows.append(row)
     return RationalMatrix(rows, sys.domain)
-
-
-def tfm_unstable_poles(mat: RationalMatrix) -> tuple[complex, ...]:
-    """Unstable pole multiset of a proper rational matrix.
-
-    A joint realization of all rows is reduced to a minimal one; its unstable
-    eigenvalues are exactly the unstable poles with structural multiplicity.
-    """
-    if not mat.is_proper:
-        raise NotProper("pole extraction needs a proper matrix")
-    return unstable_eigs(tfm_to_ss(mat).A, mat.domain)
 
 
 def match_multisets(a, b, tol: float) -> bool:

@@ -27,10 +27,16 @@ scaled by max(1, largest entry magnitude of the rows matched):
     assembly-linearity           PROBE_TOL        assembly - stacked rows, scaled at each point
 
 ``DoublyCoprime.validate`` reads the Bézout identity and the plant quotients
-from one evaluation of each Bézout realization, at one set of probe points
-moved clear of the plant's poles (those of Mt^-1 Nt on the left realization):
-left right - I there, and Mt^-1 Nt solved pointwise from the lower rows of
-left against N M^-1 from right.
+from one evaluation of both Bézout realizations, at one set of probe points
+moved clear of the plant's unstable poles: left right - I there, and
+Mt^-1 Nt solved pointwise from the lower rows of left against N M^-1 from
+right.  Those are the only poles that can reach the probe contour: the
+points start on |z| = 2 (Re s = 1), and at most 50 moves of 0.0154 keep them
+outside |z| = 1.2 (at Re s >= 1), while a stable pole lies inside
+|z| = 1 - STABILITY_MARGIN (left of Re s = -STABILITY_MARGIN).
+``dcf_from_ss`` passes the unstable modes of A that its PBH tests ran at;
+``validate`` passes the eigenvalues of its realization of Mt^-1 Nt, and on
+every tested plant both give the same points.
 
 ``factor.hinf_grid_norm`` bounds the largest singular value at every grid
 point once, from above (the Frobenius norm of a power of the point's Gram

@@ -1,0 +1,49 @@
+"""Test-only references: constructors and pole and zero tests that the
+package itself never needs."""
+
+import numpy as np
+
+from nrfctl.errors import NotProper
+from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
+from nrfctl.sstate import StateSpace, tfm_to_ss, unstable_eigs
+from nrfctl.tolerances import RANK_REL_TOL
+
+
+def poly_from_roots(roots, lead: float = 1.0) -> Polynomial:
+    """Build lead * prod (x - r).  Complex roots must come in conjugate pairs."""
+    roots = list(roots)
+    if not roots:
+        return Polynomial((lead,))
+    desc = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
+    if np.abs(desc.imag).max() > 1e-6 * (1.0 + np.abs(desc.real).max()):
+        raise ValueError("root multiset is not closed under conjugation")
+    return Polynomial((desc.real * lead)[::-1])
+
+
+def const_ratmat(mat, domain: StabilityDomain) -> RationalMatrix:
+    """The constant matrix ``mat`` as a rational matrix."""
+    arr = np.asarray(mat, dtype=float)
+    return RationalMatrix([[RationalFunction.const(v) for v in row] for row in arr], domain)
+
+
+def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:
+    """Full row rank of the system pencil [A - pI, B; C, D] at one point."""
+    n = sys.order
+    top = np.hstack([sys.A - point * np.eye(n), sys.B]).astype(complex)
+    bottom = np.hstack([sys.C, sys.D]).astype(complex)
+    P = np.vstack([top, bottom])
+    S = np.linalg.svd(P, compute_uv=False)
+    if P.shape[0] > P.shape[1] or S.size == 0 or S[0] == 0.0:
+        return False
+    return int(np.sum(S > RANK_REL_TOL * S[0])) == P.shape[0]
+
+
+def tfm_unstable_poles(mat: RationalMatrix) -> tuple[complex, ...]:
+    """Unstable pole multiset of a proper rational matrix.
+
+    A joint realization of all rows is reduced to a minimal one; its unstable
+    eigenvalues are exactly the unstable poles with structural multiplicity.
+    """
+    if not mat.is_proper:
+        raise NotProper("pole extraction needs a proper matrix")
+    return unstable_eigs(tfm_to_ss(mat).A, mat.domain)

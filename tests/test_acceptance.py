@@ -24,9 +24,9 @@ from nrfctl.sstate import (
     StateSpace,
     match_multisets,
     tfm_to_ss,
-    tfm_unstable_poles,
-    transmission_zero_rank_test,
 )
+
+from helpers import const_ratmat, tfm_unstable_poles, transmission_zero_rank_test
 
 DISC = StabilityDomain.DISCRETE
 
@@ -183,7 +183,7 @@ def _bordered(rng, funcs):
         if abs(np.linalg.det(V)) > 0.3:
             break
     D = RationalMatrix.diag(funcs, DISC)
-    return RationalMatrix.from_const(W, DISC) @ D @ RationalMatrix.from_const(V, DISC)
+    return const_ratmat(W, DISC) @ D @ const_ratmat(V, DISC)
 
 
 def test_ac7_unstable_pole_preservation_suite():

@@ -22,7 +22,9 @@ from nrfctl.ratmat import (
     StabilityDomain,
     probe_points,
 )
-from nrfctl.sstate import StateSpace, match_multisets, tfm_unstable_poles
+from nrfctl.sstate import StateSpace, match_multisets
+
+from helpers import tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 

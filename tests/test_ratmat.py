@@ -24,8 +24,10 @@ from nrfctl.ratmat import (
     ratmat_to_obj,
     save_ratmat,
 )
-from nrfctl.sstate import tfm_to_ss, tfm_unstable_poles
+from nrfctl.sstate import tfm_to_ss
 from nrfctl.tolerances import COEFF_ZERO_REL
+
+from helpers import poly_from_roots, tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -97,10 +99,10 @@ def test_polynomial_arithmetic_matches_numpy():
 
 
 def test_from_roots_conjugation_guard():
-    p = Polynomial.from_roots([0.3 + 0.4j, 0.3 - 0.4j])
+    p = poly_from_roots([0.3 + 0.4j, 0.3 - 0.4j])
     assert np.allclose(p.coeffs, [0.25, -0.6, 1.0])
     with pytest.raises(ValueError):
-        Polynomial.from_roots([0.3 + 0.4j])
+        poly_from_roots([0.3 + 0.4j])
 
 
 # --- rational functions ---
@@ -109,8 +111,8 @@ def test_from_roots_conjugation_guard():
 def test_reduction_cancels_common_root():
     # (z-1)(z-2) / (z-1)(z-3): the constructor keeps the common root, and
     # realization is where it leaves, as (z-2)/(z-3)
-    num = Polynomial.from_roots([1.0, 2.0])
-    den = Polynomial.from_roots([1.0, 3.0])
+    num = poly_from_roots([1.0, 2.0])
+    den = poly_from_roots([1.0, 3.0])
     f = RationalFunction(num, den)
     assert f.den.degree == 2
     sys = tfm_to_ss(RationalMatrix([[f]], DISC))
@@ -147,7 +149,7 @@ def test_eval_many_matches_entrywise_on_mixed_entries():
             z = 0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
             roots += [z, np.conj(z)]
         roots += [rng.uniform(-0.9, 0.9)] * (deg - len(roots))
-        return Polynomial.from_roots(roots)
+        return poly_from_roots(roots)
 
     entries = [
         [RationalFunction.const(0.0), RationalFunction.const(-2.5),
@@ -202,8 +204,8 @@ def test_reciprocal_and_properness():
 )
 def test_field_ops_agree_pointwise(na, pa, nb, pb):
     """Symbolic sum/product must agree with pointwise complex arithmetic."""
-    a = RationalFunction(Polynomial(na), Polynomial.from_roots(pa))
-    b = RationalFunction(Polynomial(nb), Polynomial.from_roots(pb))
+    a = RationalFunction(Polynomial(na), poly_from_roots(pa))
+    b = RationalFunction(Polynomial(nb), poly_from_roots(pb))
     x = 1.7 + 0.9j  # away from every admissible pole
     try:
         va, vb = a(x), b(x)

@@ -27,11 +27,11 @@ from nrfctl.sstate import (
     stack_outputs,
     tf_to_ss_obsv,
     tfm_to_ss,
-    tfm_unstable_poles,
-    transmission_zero_rank_test,
     unstable_eigs,
     unstable_map_poles,
 )
+
+from helpers import tfm_unstable_poles, transmission_zero_rank_test
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
