@@ -149,7 +149,7 @@ class AssembledController:
         return self.sys.order
 
     def unstable_modes(self):
-        return sstate.unstable_eigs(self.sys.A, self.sys.domain)
+        return self.sys.unstable_eigenvalues
 
     def __repr__(self) -> str:
         m, p = self.partition
@@ -215,10 +215,10 @@ class ClosedLoopRealization:
         return self.sys.domain
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.sys.A)
+        return self.sys.eigenvalues
 
     def unstable_modes(self):
-        return sstate.unstable_eigs(self.sys.A, self.sys.domain)
+        return self.sys.unstable_eigenvalues
 
     @property
     def is_stable(self) -> bool:
@@ -349,9 +349,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
         (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
         if sstate.unstable_map_poles(H.select([i], [j]))]
 
-    avoid = np.concatenate(
-        [loop.eigenvalues(), np.linalg.eigvals(plant.A), np.linalg.eigvals(ctrl.sys.A)]
-    )
+    avoid = np.concatenate([loop.eigenvalues(), plant.eigenvalues, ctrl.sys.eigenvalues])
     pts, rows_e = pair.probe_rows(11, avoid)
     Phi_e, Gamma_e, G_e = rows_e[:, :, :m], rows_e[:, :, m:], plant.eval_many(pts)
     eye = np.broadcast_to(np.eye(m), Phi_e.shape)

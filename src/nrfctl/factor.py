@@ -23,6 +23,7 @@ their widths and the readout of z and v) is written down here once, and
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -52,7 +53,6 @@ from .ratmat import (
 from .sstate import (
     StateSpace,
     _eval_stacked,
-    _unstable_modes,
     ctrb_staircase,
     diagonal,
     is_unstable,
@@ -66,20 +66,25 @@ from .sstate import (
     ss_to_obj,
     ss_to_tf,
     tfm_to_ss,
-    unstable_eigs,
 )
 from .tolerances import CROSS_CHECK_TOL, GRID_NORM_TOL, POLE_MATCH_TOL, PROBE_TOL
 
 _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
-def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, avoid=()):
-    """Audit left right = I at the probe points clear of ``avoid``, and return
-    both maps' values there, from one ``_eval_stacked`` call (one batched
-    solve per block of points when the orders agree); both maps are stable,
-    so any such points clear all their poles."""
-    pts = probe_points(left.domain, 20, avoid=avoid)
-    L, R = _eval_stacked([left, right], pts)
+def _probe_contour(plant: StateSpace) -> tuple[complex, ...]:
+    """The 20 probe points clear of the plant's distinct unstable modes, kept
+    on the plant: no other pole can reach them (``tolerances``)."""
+    return plant._fact("probe_contour", lambda: tuple(
+        probe_points(plant.domain, 20, avoid=plant.distinct_unstable_modes)))
+
+
+def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, points=None):
+    """Audit left right = I at ``points`` (the 20 probe points by default),
+    and return both maps' values there, from one ``_eval_stacked`` call (one
+    batched solve per block of points when the orders agree); both maps are
+    stable, so the points clear all their poles."""
+    L, R = _eval_stacked([left, right], probe_points(left.domain, 20) if points is None else points)
     audit(invariant, L @ R - np.eye(left.n_outputs), PROBE_TOL)
     return L, R
 
@@ -116,7 +121,7 @@ class DoublyCoprime:
     ``_json``, unparsed until first read and written back as they were).
     """
 
-    __slots__ = ("left", "right", "shape", "_views", "_json")
+    __slots__ = ("left", "right", "shape", "_views", "_json", "_plant", "_bezout")
 
     M, N, Mt, Nt, X, Y, Xt, Yt = (_view(name) for name in _FIELDS)
 
@@ -124,6 +129,7 @@ class DoublyCoprime:
         self.left, self.right, self.shape = left, right, shape
         self._views = {}
         self._json = {}
+        self._plant = self._bezout = None
 
     @classmethod
     def from_factors(cls, M, N, Mt, Nt, X, Y, Xt, Yt) -> "DoublyCoprime":
@@ -162,16 +168,18 @@ class DoublyCoprime:
 
     def bezout_residual(self) -> float:
         """Max deviation of the Bézout product of the eight rational factors
-        from identity over probe points.
+        from identity over probe points, computed once per object.
 
         The factors are evaluated over all probe points and multiplied
         numerically point by point.  Stable factors need no probe avoidance.
         """
-        pts = probe_points(self.domain, 20)
-        f = {name: mat.eval_many(pts) for name, mat in self.factors().items()}
-        left = np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]])
-        right = np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]])
-        return float(np.max(np.abs(left @ right - np.eye(left.shape[1])), initial=0.0))
+        if self._bezout is None:
+            pts = probe_points(self.domain, 20)
+            f = {name: mat.eval_many(pts) for name, mat in self.factors().items()}
+            left = np.block([[f["Y"], f["X"]], [-f["Nt"], f["Mt"]]])
+            right = np.block([[f["M"], -f["Xt"]], [f["N"], f["Yt"]]])
+            self._bezout = float(np.max(np.abs(left @ right - np.eye(left.shape[1])), initial=0.0))
+        return self._bezout
 
     def realized(self, name: str) -> StateSpace:
         """Factor ``name`` as its signed block of ``left`` or ``right``."""
@@ -183,10 +191,13 @@ class DoublyCoprime:
 
     def plant(self) -> StateSpace:
         """G = Mt^-1 Nt: minus the Nt columns of Mt^-1 [-Nt Mt], the lower rows
-        of ``left``, on its realization."""
-        p, m = self.shape
-        lower = range(m, m + p)
-        return -left_quotient(self.left.select(lower, range(m + p)), lower).select(range(p), range(m))
+        of ``left``, on its realization; realized once per object."""
+        if self._plant is None:
+            p, m = self.shape
+            lower = range(m, m + p)
+            quotient = left_quotient(self.left.select(lower, range(m + p)), lower)
+            self._plant = -quotient.select(range(p), range(m))
+        return self._plant
 
     def validate(self):
         """Check every structural invariant; raise with the violated one named.
@@ -194,22 +205,22 @@ class DoublyCoprime:
         Every check reads the realizations.  Stability is read off their
         eigenvalues (a left Bézout matrix realized from rational factors is
         minimal, so a common factor in a JSON entry cancels), then
-        ``_audit_gains_and_identities`` runs.
+        ``_audit_gains_and_identities`` runs at the probe contour of its
+        realization of G = Mt^-1 Nt.
         """
         for name, sys in (("left", self.left), ("right", self.right)):
-            bad = unstable_eigs(sys.A, self.domain)
+            bad = sys.unstable_eigenvalues
             if bad:
                 raise InvariantViolation(
                     "factor-stable", f"the {name} Bézout matrix has unstable poles {list(bad)}"
                 )
-        self._audit_gains_and_identities(np.linalg.eigvals(self.plant().A))
+        self._audit_gains_and_identities(_probe_contour(self.plant()))
 
-    def _audit_gains_and_identities(self, poles):
+    def _audit_gains_and_identities(self, points):
         """The gains at infinity off the diagonal blocks of D, then the Bézout
         identity and the two plant quotients off one evaluation of both
-        realizations, at probe points clear of ``poles``, which must hold the
-        unstable poles of G = Mt^-1 Nt: no other pole can reach the probe
-        contour (``tolerances``)."""
+        realizations at ``points``, which must clear the unstable poles of
+        G = Mt^-1 Nt: a plant's ``_probe_contour``."""
         p, m = self.shape
         top, bottom = slice(0, m), slice(m, m + p)
         blocks = (("Y", self.left, top), ("Yt", self.right, bottom),
@@ -217,7 +228,7 @@ class DoublyCoprime:
         for name, sys, blk in blocks:
             gain = sys.D[blk, blk]
             audit("gain-at-infinity", gain - np.eye(gain.shape[0]), PROBE_TOL, f"{name}(inf)")
-        L, R = _check_inverse(self.left, self.right, "bezout-identity", avoid=poles)
+        L, R = _check_inverse(self.left, self.right, "bezout-identity", points=points)
         # Mt^-1 Nt off the lower rows [-Nt Mt] of left against N M^-1 off right
         audit("plant-quotients-agree",
               np.linalg.solve(L[:, m:, m:], -L[:, m:, :m])
@@ -228,16 +239,14 @@ class DoublyCoprime:
 # construction from state space
 
 
-def _require_pbh(plant: StateSpace) -> list[complex]:
-    """(A, B) stabilizable, then (A, C) detectable, by the PBH tests; returns
-    the distinct unstable modes of A that both tests ran at."""
-    modes = _unstable_modes(plant)
-    failure = pbh_failure(plant, modes)
+def _require_pbh(plant: StateSpace):
+    """(A, B) stabilizable, then (A, C) detectable, by the plant's kept PBH
+    verdict: a failing one raises on every call."""
+    failure = pbh_failure(plant)
     if failure == "stabilizable":
         raise NotStabilizable("the pair (A, B) fails the PBH stabilizability test")
     if failure == "detectable":
         raise NotDetectable("the pair (A, C) fails the PBH detectability test")
-    return modes
 
 
 def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprime:
@@ -247,13 +256,14 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     realizations then read off the observer/state-feedback parameterization.
     Their state matrices are A + LC and A + BF, whose stability is decided
     here from one ``eigvals`` call on both, so only the gain and identity
-    audits of ``validate`` run.  Each spectrum is computed once: the
-    distinct unstable modes of A that the PBH tests run at are the plant
-    poles the probe points avoid, and G = Mt^-1 Nt is not realized.
+    audits of ``validate`` run.  The plant's spectral facts are the ones it
+    keeps, shared with ``place_gains``: its PBH verdict, and its probe
+    contour clear of the unstable modes that verdict was decided at; G =
+    Mt^-1 Nt is not realized.
     """
     if float(np.max(np.abs(plant.D), initial=0.0)) != 0.0:
         raise NotStrictlyProper("plant must be strictly proper (D = 0)")
-    modes = _require_pbh(plant)
+    _require_pbh(plant)
     A, B, C = plant.A, plant.B, plant.C
     n, m, p = plant.order, plant.n_inputs, plant.n_outputs
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -272,7 +282,7 @@ def dcf_from_ss(plant: StateSpace, F: np.ndarray, L: np.ndarray) -> DoublyCoprim
     FC, I = np.vstack([F, C]), np.eye(m + p)
     dcf = DoublyCoprime(StateSpace(AL, np.hstack([-B, L]), FC, I, plant.domain),
                         StateSpace(AF, np.hstack([B, -L]), FC, I, plant.domain), (p, m))
-    dcf._audit_gains_and_identities(modes)
+    dcf._audit_gains_and_identities(_probe_contour(plant))
     return dcf
 
 
@@ -414,6 +424,9 @@ def place_gains(plant: StateSpace, targets) -> tuple[np.ndarray, np.ndarray]:
     n = plant.order
     if len(targets) != n:
         raise DimensionMismatch(f"need exactly {n} targets, got {len(targets)}")
+    for t in targets:
+        if not cmath.isfinite(t):
+            raise PlacementFailed(f"target {t} is not finite")
     if not match_multisets(np.conjugate(targets), targets, 1e-9):
         raise PlacementFailed("target set is not closed under conjugation")
     for t in targets:
@@ -475,7 +488,7 @@ def youla_shift(dcf: DoublyCoprime, Q: RationalMatrix) -> YoulaShift:
     if not Q.is_proper:
         raise UnstableParameter("Q must be proper")
     q = tfm_to_ss(Q)  # minimal, so its eigenvalues are the poles of Q
-    if unstable_eigs(q.A, Q.domain):
+    if q.unstable_eigenvalues:
         raise UnstableParameter("Q has poles outside the stability region")
     shift = YoulaShift(Q, series(_shear(q, 1.0), dcf.left), series(dcf.right, _shear(q, -1.0)))
     _check_inverse(shift.left, shift.right, "shifted-bezout-identity")
@@ -553,7 +566,7 @@ def closed_loop_maps(dcf: DoublyCoprime, shift: YoulaShift) -> StateSpace:
     )
     RW = series(R, W)
     table = StateSpace(RW.A, RW.B, *_readout(RW.C, RW.D + np.vstack([E_nu, -E_w]), (m, p)), dom)
-    bad = unstable_eigs(table.A, dom)
+    bad = table.unstable_eigenvalues
     if bad:
         raise UnstableMap(f"closed-loop table has unstable modes {list(bad)}")
     _cross_check_vs_loop(dcf, shift, table)

@@ -123,7 +123,7 @@ class NrfPair:
         """Probe points clear of every row system's eigenvalues and of ``avoid``,
         and [Phi Gamma] evaluated there off the row systems, shape
         (count, m, m + p)."""
-        eigs = [np.linalg.eigvals(s.A) for s in self.row_systems]
+        eigs = [s.eigenvalues for s in self.row_systems]
         pts = probe_points(self.domain, count, avoid=np.concatenate([*eigs, np.ravel(avoid)]))
         return pts, np.concatenate([s.eval_many(pts) for s in self.row_systems], axis=1)
 

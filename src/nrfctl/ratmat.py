@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -450,6 +451,20 @@ def _domain_from_obj(value, invariant: str) -> StabilityDomain:
         raise InvariantViolation(invariant, f"unknown domain {value!r}") from None
 
 
+def _floats_from_obj(value, invariant: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array; a boolean, a
+    string, an object or null anywhere in it raises ``invariant`` instead of
+    being read as a number or failing inside numpy."""
+    cells = [value]
+    while cells:
+        cell = cells.pop()
+        if isinstance(cell, list):
+            cells.extend(cell)
+        elif isinstance(cell, bool) or not isinstance(cell, numbers.Real):
+            raise InvariantViolation(invariant, f"{cell!r} is not a number")
+    return np.asarray(value, dtype=float)
+
+
 def ratmat_from_obj(obj: dict) -> RationalMatrix:
     rows = obj.get("entries") if isinstance(obj, dict) else None
     is_cell = lambda c: isinstance(c, dict) and {"num", "den"} <= c.keys()
@@ -460,7 +475,8 @@ def ratmat_from_obj(obj: dict) -> RationalMatrix:
     if missing:
         raise InvariantViolation("ratmat-fields-present", f"missing {missing}")
     domain = _domain_from_obj(obj["domain"], "ratmat-fields-present")
-    coeffs = [np.asarray(c[k], dtype=float) for row in rows for c in row for k in ("num", "den")]
+    coeffs = [_floats_from_obj(c[k], "ratmat-finite") for row in rows for c in row
+              for k in ("num", "den")]
     if any(c.ndim > 1 for c in coeffs):
         raise InvariantViolation("ratmat-fields-present", "a coefficient list is nested")
     if not all(np.isfinite(c).all() for c in coeffs):

@@ -3,12 +3,14 @@
 A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
 ``tfm_to_ss``): poles shared between entries are merged by rank decisions of
 orthogonal staircases, never by comparing computed roots, and the transfer
-function is preserved up to floating point.  ``unstable_map_poles`` reads the
-unstable poles of a map off its minimal realization, with one PBH pair against
-its own B and C per distinct unstable mode; ``pbh_failure`` is the one PBH
-verdict on stabilizability and detectability.  Every frequency response
-comes from one kernel, ``_eval_stacked``, which solves the pencils of
-systems of one order in shared batches.
+function is preserved up to floating point.  A realization keeps the
+spectral facts of its own A, each computed once: eig(A), its unstable
+eigenvalues and their distinct modes, and ``pbh_failure``, the realization's
+one PBH verdict on stabilizability and detectability.  ``unstable_map_poles``
+reads the unstable poles of a map off its minimal realization, with one PBH
+pair against its own B and C per distinct unstable mode.  Every frequency
+response comes from one kernel, ``_eval_stacked``, which solves the pencils
+of systems of one order in shared batches.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .ratmat import (
     RationalMatrix,
     StabilityDomain,
     _domain_from_obj,
+    _floats_from_obj,
     _point_blocks,
 )
 from .tolerances import RANK_REL_TOL, STABILITY_MARGIN
@@ -39,9 +42,15 @@ class StateSpace:
 
     Zero-order (purely static) systems are first class: A is then 0 x 0 and
     the quadruple degenerates to the constant gain D.
+
+    The arrays are read-only, and one that views memory another array can
+    still write is copied first.  So the spectral facts of A are kept: each
+    is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
+    ``distinct_unstable_modes``, the PBH verdict of ``pbh_failure`` and
+    ``factor``'s probe contour) and returned as kept after.
     """
 
-    __slots__ = ("A", "B", "C", "D", "domain")
+    __slots__ = ("A", "B", "C", "D", "domain", "_facts")
 
     def __init__(self, A, B, C, D, domain: StabilityDomain):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -62,10 +71,33 @@ class StateSpace:
             raise DimensionMismatch(
                 f"inconsistent shapes A{A.shape} B{B.shape} C{C.shape} D{D.shape}"
             )
-        for arr in (A, B, C, D):
-            arr.setflags(write=False)
-        self.A, self.B, self.C, self.D = A, B, C, D
+        self.A, self.B, self.C, self.D = map(_frozen, (A, B, C, D))
         self.domain = domain
+        self._facts = {}
+
+    def _fact(self, name: str, compute):
+        """The kept fact ``name``: ``compute()`` on first read, then as kept."""
+        if name not in self._facts:
+            self._facts[name] = compute()
+        return self._facts[name]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """eig(A), read-only."""
+        return self._fact("eigenvalues", lambda: _frozen(np.linalg.eigvals(self.A)))
+
+    @property
+    def unstable_eigenvalues(self) -> tuple[complex, ...]:
+        """The eigenvalues ``is_unstable`` flags, multiplicities kept, sorted
+        by real then imaginary part."""
+        return self._fact("unstable", lambda: _sorted_unstable(self.eigenvalues, self.domain))
+
+    @property
+    def distinct_unstable_modes(self) -> tuple[complex, ...]:
+        """The unstable eigenvalues, one copy of each bitwise-distinct value:
+        a PBH test at an identical eigenvalue runs the identical SVD."""
+        return self._fact("modes", lambda: tuple(
+            {(z.real.hex(), z.imag.hex()): z for z in self.unstable_eigenvalues}.values()))
 
     @property
     def order(self) -> int:
@@ -114,6 +146,18 @@ class StateSpace:
             f"StateSpace(order={self.order}, outputs={self.n_outputs}, "
             f"inputs={self.n_inputs}, domain={self.domain.value})"
         )
+
+
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M, read-only; a view of memory that some array can still write is
+    copied first, with its layout, so no kept fact can go stale."""
+    base = M.base
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None:
+        M = M.copy(order="K")
+    M.setflags(write=False)
+    return M
 
 
 def _eval_stacked(systems, points) -> list[np.ndarray]:
@@ -370,12 +414,16 @@ def is_unstable(lam, domain: StabilityDomain):
     return np.real(lam) >= -STABILITY_MARGIN
 
 
-def unstable_eigs(A: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
-    """Eigenvalues of A that ``is_unstable`` flags, multiplicities kept, sorted
-    by real then imaginary part."""
-    lams = np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=float)))
+def _sorted_unstable(lams: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
     bad = map(complex, lams[is_unstable(lams, domain)])
     return tuple(sorted(bad, key=lambda z: (z.real, z.imag)))
+
+
+def unstable_eigs(A: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
+    """Eigenvalues of a matrix that ``is_unstable`` flags, multiplicities
+    kept, sorted by real then imaginary part; a realization keeps those of
+    its A as ``StateSpace.unstable_eigenvalues``."""
+    return _sorted_unstable(np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=float))), domain)
 
 
 def _pbh_rank_ok(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
@@ -411,10 +459,10 @@ def unstable_map_poles(sys: StateSpace) -> tuple[complex, ...]:
     distinct nearest mode.  A repeated mode passes when the map reaches and
     sees it in some direction.
     """
-    modes = unstable_eigs(sys.A, sys.domain)
+    modes = sys.unstable_eigenvalues
     if not modes:
         return ()
-    poles = unstable_eigs(minimal(sys).A, sys.domain)
+    poles = minimal(sys).unstable_eigenvalues
     nearest = [int(np.argmin(np.abs(np.asarray(modes) - lam))) for lam in poles]
     passes = {k: _pbh_reaches(sys.A, sys.B, modes[k]) and _pbh_reaches(sys.A.T, sys.C.T, modes[k])
               for k in dict.fromkeys(nearest)}
@@ -432,24 +480,18 @@ def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
     return ratio > RANK_REL_TOL, ratio
 
 
-def _unstable_modes(sys: StateSpace) -> list[complex]:
-    """The unstable eigenvalues of A, one copy of each bitwise-distinct value:
-    a PBH test at an identical eigenvalue runs the identical SVD."""
-    lams = unstable_eigs(sys.A, sys.domain)
-    return list({(lam.real.hex(), lam.imag.hex()): lam for lam in lams}.values())
+def pbh_failure(sys: StateSpace) -> str | None:
+    """The realization's one PBH verdict, kept on it: the first test sys
+    fails, "stabilizable" before "detectable", or None.  Each test runs at
+    every distinct unstable eigenvalue of A (``distinct_unstable_modes``)."""
 
+    def verdict():
+        for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
+            if not all(_pbh_rank_ok(A, Bc, lam) for lam in sys.distinct_unstable_modes):
+                return name
+        return None
 
-def pbh_failure(sys: StateSpace, modes=None) -> str | None:
-    """The first PBH test sys fails, "stabilizable" before "detectable", or
-    None: each test runs at every distinct unstable eigenvalue of A, and both
-    read one computation of them, ``modes`` from ``_unstable_modes`` when the
-    caller has it."""
-    if modes is None:
-        modes = _unstable_modes(sys)
-    for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
-        if not all(_pbh_rank_ok(A, Bc, lam) for lam in modes):
-            return name
-    return None
+    return sys._fact("pbh", verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +582,8 @@ def ss_from_obj(obj: dict) -> StateSpace:
     if missing:
         raise InvariantViolation("ss-fields-present", f"missing {list(missing)}")
     domain = _domain_from_obj(obj["domain"], "ss-fields-present")
-    D = np.atleast_2d(np.asarray(obj["D"], dtype=float))
-    A = np.asarray(obj["A"], dtype=float)
+    A, B, C, D = (_floats_from_obj(obj[key], "ss-finite") for key in "ABCD")
+    D = np.atleast_2d(D)
     n = A.shape[0] if A.ndim == 2 else (0 if A.size == 0 else 1)
     if A.size == 0:
         A = np.zeros((0, 0))
@@ -549,8 +591,8 @@ def ss_from_obj(obj: dict) -> StateSpace:
         C = np.zeros((D.shape[0], 0))
     else:
         A = np.atleast_2d(A)
-        B = np.atleast_2d(np.asarray(obj["B"], dtype=float)).reshape(n, -1)
-        C = np.atleast_2d(np.asarray(obj["C"], dtype=float)).reshape(-1, n)
+        B = np.atleast_2d(B).reshape(n, -1)
+        C = np.atleast_2d(C).reshape(-1, n)
     if not all(np.isfinite(M).all() for M in (A, B, C, D)):
         raise InvariantViolation("ss-finite", "an entry of A, B, C or D is NaN or infinite")
     return StateSpace(A, B, C, D, domain)

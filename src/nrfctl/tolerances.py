@@ -34,9 +34,11 @@ right.  Those are the only poles that can reach the probe contour: the
 points start on |z| = 2 (Re s = 1), and at most 50 moves of 0.0154 keep them
 outside |z| = 1.2 (at Re s >= 1), while a stable pole lies inside
 |z| = 1 - STABILITY_MARGIN (left of Re s = -STABILITY_MARGIN).
-``dcf_from_ss`` passes the unstable modes of A that its PBH tests ran at;
-``validate`` passes the eigenvalues of its realization of Mt^-1 Nt, and on
-every tested plant both give the same points.
+Both audits read the probe contour a plant keeps (``factor._probe_contour``),
+moved clear of the plant's kept distinct unstable modes, the ones its PBH
+verdict was decided at: ``dcf_from_ss`` that of the plant it factors,
+``validate`` that of its realization of Mt^-1 Nt.  On every tested plant
+both give the same points.
 
 ``factor.hinf_grid_norm`` bounds the largest singular value at every grid
 point once, from above (the Frobenius norm of a power of the point's Gram

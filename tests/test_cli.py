@@ -14,6 +14,7 @@ from nrfctl.ratmat import (
     RationalFunction,
     RationalMatrix,
     StabilityDomain,
+    ratmat_to_obj,
     save_ratmat,
 )
 from nrfctl.sstate import StateSpace
@@ -208,6 +209,51 @@ def test_malformed_files_are_named_at_the_reader(name, path, value, named,
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith(named) and out.endswith("status: error\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("name, path, value, named", [
+    ("plant.json", ("A",), {}, "InvariantViolation: ss-finite: {} is not a number"),
+    ("plant.json", ("A", 0, 0), True, "InvariantViolation: ss-finite: True is not a number"),
+    ("plant.json", ("C", 0), "1", "InvariantViolation: ss-finite: '1' is not a number"),
+    ("plant.json", ("D", 0, 0), None, "InvariantViolation: ss-finite: None is not a number"),
+    ("dcf.json", ("left", "B", 0, 0), False, "InvariantViolation: ss-finite: False is not a number"),
+    ("q.json", ("entries", 0, 0, "den"), {}, "InvariantViolation: ratmat-finite: {} is not a number"),
+    ("q.json", ("entries", 0, 0, "num", 0), True,
+     "InvariantViolation: ratmat-finite: True is not a number"),
+    ("plant-tfm.json", ("entries", 0, 0, "den"), {},
+     "InvariantViolation: ratmat-finite: {} is not a number"),
+], ids=["plant-A-object", "plant-A-true", "plant-C-string", "plant-D-null", "dcf-left-false",
+        "q-den-object", "q-num-true", "plant-tfm-den-object"])
+def test_non_numeric_matrix_cells_are_named_at_the_reader(name, path, value, named,
+                                                          demo_dir, tmp_path, capsys):
+    if name == "plant-tfm.json":
+        obj = ratmat_to_obj(simkit.grid5_tfm())
+    else:
+        obj = json.loads((demo_dir / name).read_text())
+    _set(obj, path, value)
+    bad, out_file = tmp_path / name, tmp_path / "out.json"
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "plant.json": ["dcf", "--plant", bad, "--out", out_file],
+        "plant-tfm.json": ["dcf", "--plant", bad, "--out", out_file],
+        "dcf.json": ["nrf", "--dcf", bad, "--q", demo_dir / "q.json", "--out", out_file],
+        "q.json": ["nrf", "--dcf", demo_dir / "dcf.json", "--q", bad, "--out", out_file],
+    }[name]
+    code = cli.main([str(a) for a in argv])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(named) and out.endswith("status: error\n")
+    assert not out_file.exists()
+
+
+def test_dcf_refuses_a_target_that_is_not_finite(demo_dir, tmp_path, capsys):
+    out_file = tmp_path / "dcf.json"
+    code = cli.main(["dcf", "--plant", str(demo_dir / "plant.json"),
+                     "--targets", "0.1,0.2,nan,0.3,0.3,0.3,0.3,0.3,0.3", "--out", str(out_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == "PlacementFailed: target (nan+0j) is not finite\nstatus: error\n"
     assert not out_file.exists()
 
 

@@ -211,20 +211,75 @@ def _count_calls(monkeypatch, owner, name, seen):
     monkeypatch.setattr(owner, name, counting)
 
 
-def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
-    # eig(A) once, for the PBH tests and the probe points alike, and eig(A + BF)
-    # with eig(A + LC) in one call; one PBH SVD per test at the n integrators,
-    # all at 1; both Bézout realizations in one batched solve, and one solve
-    # for the plant quotient Mt^-1 Nt
-    plant, F, L = platoon_gains(4)
+def _fresh(plant):
+    """A copy of plant that keeps no spectral fact yet: session fixtures and
+    the cached platoon gains share warm ones."""
+    return StateSpace(plant.A, plant.B, plant.C, plant.D, plant.domain)
+
+
+def _calls(monkeypatch, run, watched):
     seen = {}
-    for owner, name in ((np.linalg, "eigvals"), (sstate, "_pbh_rank_ok"),
-                        (StateSpace, "eval_many"), (factor, "_eval_stacked"),
-                        (np.linalg, "solve")):
+    for owner, name in watched:
         _count_calls(monkeypatch, owner, name, seen)
-    dcf_from_ss(plant, F, L)
+    run()
     monkeypatch.undo()
-    assert seen == {"eigvals": 2, "_pbh_rank_ok": 2, "_eval_stacked": 1, "solve": 2}
+    return seen
+
+
+def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
+    # on a plant that keeps no fact yet: eig(A) once, for the PBH tests and the
+    # probe points alike, and eig(A + BF) with eig(A + LC) in one call; one PBH
+    # SVD per test at the n integrators, all at 1; one probe contour; both
+    # Bézout realizations in one batched solve, and one solve for the plant
+    # quotient Mt^-1 Nt
+    plant, F, L = platoon_gains(4)
+    watched = ((np.linalg, "eigvals"), (sstate, "_pbh_rank_ok"), (StateSpace, "eval_many"),
+               (factor, "_eval_stacked"), (np.linalg, "solve"), (factor, "probe_points"))
+    cold = _fresh(plant)
+    assert _calls(monkeypatch, lambda: dcf_from_ss(cold, F, L), watched) == {
+        "eigvals": 2, "_pbh_rank_ok": 2, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
+    # place_gains decided eig(A) and the PBH verdict on the same plant object
+    placed = _fresh(plant)
+    place_gains(placed, _platoon_targets(placed.order, 0.6))
+    assert _calls(monkeypatch, lambda: dcf_from_ss(placed, F, L), watched) == {
+        "eigvals": 1, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
+    # and a second factorization of it reuses the probe contour too
+    assert _calls(monkeypatch, lambda: dcf_from_ss(placed, F, L), watched) == {
+        "eigvals": 1, "_eval_stacked": 1, "solve": 2}
+
+
+@pytest.mark.parametrize("plant, error", [
+    (StateSpace([[2.0]], [[0.0]], [[1.0]], [[0.0]], DISC), NotStabilizable),
+    (StateSpace([[2.0]], [[1.0]], [[0.0]], [[0.0]], DISC), NotDetectable),
+], ids=["not-stabilizable", "not-detectable"])
+def test_a_failing_pbh_verdict_raises_on_every_call(plant, error):
+    # the verdict is kept on the plant, and each call reads it again
+    for _ in range(2):
+        with pytest.raises(error):
+            place_gains(plant, [0.5])
+        with pytest.raises(error):
+            dcf_from_ss(plant, [[-1.5]], [[-1.5]])
+    assert sstate.pbh_failure(plant) is not None
+    assert sstate.pbh_failure(plant) == sstate.pbh_failure(_fresh(plant))
+
+
+def test_a_factorization_keeps_its_plant_and_bezout_residual(monkeypatch):
+    seen = {}
+    _count_calls(monkeypatch, RationalMatrix, "eval_many", seen)
+    dcf = simkit.grid5_dcf()  # from_factors audits the residual of the given factors
+    residual = dcf.bezout_residual()
+    monkeypatch.undo()
+    assert seen == {"eval_many": 8}  # each factor once
+    assert dcf.bezout_residual() == residual < 1e-8
+    assert dcf.plant() is dcf.plant()
+
+
+def test_place_gains_refuses_a_target_that_is_not_finite(grid5_plant):
+    targets = [0.1, 0.2, float("nan"), 0.3, 0.3, 0.3, 0.3, 0.3, 0.3]
+    with pytest.raises(PlacementFailed, match=r"target \(nan\+0j\) is not finite"):
+        place_gains(grid5_plant, targets)
+    with pytest.raises(PlacementFailed, match=r"target \(inf\+0j\) is not finite"):
+        place_gains(StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC), [float("inf")])
 
 
 def _record(monkeypatch, owner, name):

@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 from nrfctl import simkit, sstate
 from nrfctl.errors import NotProper
-from nrfctl.factor import place_gains
+from nrfctl.factor import _probe_contour, place_gains
 from nrfctl.nrfsyn import nrf_from_dcf
-from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
+from nrfctl.ratmat import (
+    Polynomial,
+    RationalFunction,
+    RationalMatrix,
+    StabilityDomain,
+    probe_points,
+)
 from nrfctl.sstate import (
     StateSpace,
     ctrb_staircase,
@@ -231,6 +237,54 @@ def test_map_with_a_stable_state_matrix_is_not_reduced(sys, monkeypatch):
 
     monkeypatch.setattr(sstate, "minimal", refuse)
     assert unstable_map_poles(sys) == ()
+
+
+def _direct_pbh_verdict(sys):
+    """The PBH verdict from eig(A) computed here, tested at every copy of every
+    unstable eigenvalue."""
+    lams = unstable_eigs(sys.A, sys.domain)
+    for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
+        if not all(sstate._pbh_rank_ok(A, Bc, lam) for lam in lams):
+            return name
+    return None
+
+
+@pytest.mark.parametrize("name", ["grid5", *(f"chain-{n}" for n in range(2, 9))])
+def test_kept_spectral_facts_have_the_bits_of_direct_calls(name):
+    if name == "grid5":
+        plant = simkit.build_grid5_plant()
+    else:
+        plant = simkit.build_network_plant(np.eye(int(name[6:]), k=-1, dtype=bool))
+    lams = np.linalg.eigvals(plant.A)
+    unstable = unstable_eigs(plant.A, plant.domain)
+    distinct = list({(z.real.hex(), z.imag.hex()): z for z in unstable}.values())
+    contour = probe_points(plant.domain, 20, avoid=lams)
+    verdict = _direct_pbh_verdict(plant)
+    assert unstable and verdict is None
+    for _ in range(2):  # the first read computes each fact, the second returns it as kept
+        assert plant.eigenvalues.dtype == lams.dtype
+        assert plant.eigenvalues.tobytes() == lams.tobytes()
+        assert np.array(plant.unstable_eigenvalues).tobytes() == np.array(unstable).tobytes()
+        assert np.array(plant.distinct_unstable_modes).tobytes() == np.array(distinct).tobytes()
+        assert pbh_failure(plant) == verdict
+        assert np.array(_probe_contour(plant)).tobytes() == np.array(contour).tobytes()
+    assert plant.eigenvalues is plant.eigenvalues and not plant.eigenvalues.flags.writeable
+
+
+def test_a_realization_on_writable_memory_keeps_its_own_copy():
+    base = np.array([[0.5, 1.0, 7.0], [0.0, 2.0, 7.0], [7.0, 7.0, 7.0]])
+    B, C, D = np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]), np.zeros((1, 1))
+    read_before = StateSpace(base[:2, :2], B, C, D, DISC)
+    kept = (read_before.eigenvalues.tobytes(), read_before.unstable_eigenvalues,
+            pbh_failure(read_before))
+    read_after = StateSpace(base[:2, :2], B, C, D, DISC)
+    base[:] = 0.0  # the caller's array stays writable, and its writes reach no realization
+    for sys in (read_before, read_after):
+        assert np.array_equal(sys.A, [[0.5, 1.0], [0.0, 2.0]])
+        assert (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, pbh_failure(sys)) == kept
+    assert kept[1:] == ((2.0 + 0j,), None)
+    # a view of a realization's own read-only arrays is not copied
+    assert np.shares_memory(read_before.truncated(1).A, read_before.A)
 
 
 def test_unstable_eigs_domain_split():
