@@ -53,18 +53,14 @@ def main() -> int:
     print(f"row realizations: orders {orders}, controller total {ctrl.order}")
 
     cl = dimpl.closed_loop_state_matrix(plant, ctrl)
-    eigs = cl.eigenvalues()
-    radius = max(abs(v) for v in eigs)
+    radius = max(abs(v) for v in cl.eigenvalues())
     print(f"closed loop: A_CL is {cl.order}x{cl.order}, "
           f"spectral radius {radius:.9f}")
     if cl.is_stable:
         norm = hinf_grid_norm(cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu")), grid=args.grid)
         print(f"closed-loop grid norm over (r, w, nu), 12 blocks: {norm:.6g}")
     eig_path = os.path.join(args.out, "acl_eigs.csv")
-    with open(eig_path, "w") as fh:
-        fh.write("re,im,modulus\n")
-        for v in sorted(eigs, key=abs, reverse=True):
-            fh.write(f"{v.real:.12g},{v.imag:.12g},{abs(v):.12g}\n")
+    dimpl.save_eigenvalue_report(eig_path, cl)
 
     sc = simkit.grid5_scenario(plant, ctrl, seed=args.seed, horizon=args.horizon)
     trace = simkit.simulate(sc)

@@ -6,7 +6,8 @@ finding ("violated": an instability certificate fired or a stability check
 failed, reported after a successful run), 1 for operational errors.  All
 numbers print with 12 significant digits.  ``dcf`` writes the factorization
 it reports without checking its rational coefficients, and ``demo`` audits
-the grid5 NRF rows against their closed form at probe points.
+the grid5 NRF rows against their closed form at probe points.  Plant files
+are read by ``sstate.load_ss``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import sys
 
 from . import dimpl, factor, nrfsyn, simkit, sstate
 from .errors import NrfError
-from .ratmat import load_ratmat, ratmat_from_obj, save_ratmat
-from .sstate import StateSpace
+from .ratmat import load_ratmat, save_ratmat
 
 
 def _fmt(x) -> str:
@@ -54,18 +54,6 @@ class CommandResult:
 # file plumbing
 
 
-def _load_plant(path: str) -> StateSpace:
-    """Plant file: state-space JSON, or a rational matrix to realize first."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
-    if "A" in obj:
-        return sstate.ss_from_obj(obj)
-    if "entries" in obj:
-        return sstate.tfm_to_ss(ratmat_from_obj(obj))
-    raise NrfError(f"{path}: neither a state-space nor a rational-matrix file")
-
-
 def _load_patterns(path: str):
     """(X, Y) as the file holds them; ``nrfsyn.sparsity_correspondence`` reads
     them as boolean masks and checks their shapes."""
@@ -82,6 +70,10 @@ def _save_patterns(path: str, patterns) -> None:
         fh.write(json.dumps({"X": X.tolist(), "Y": Y.tolist()}, indent=1))
 
 
+def _grid_norm_line(table, grid: int) -> str:
+    return f"closed-loop grid norm ({grid} points): {_fmt(factor.hinf_grid_norm(table, grid))}"
+
+
 def _parse_targets(text: str, count: int) -> list[complex]:
     items = [complex(tok.strip().replace("i", "j")) for tok in text.split(",") if tok.strip()]
     if len(items) != count:
@@ -91,13 +83,7 @@ def _parse_targets(text: str, count: int) -> list[complex]:
 
 def _parse_grouping(text: str) -> list[list[int]]:
     """Blocks separated by ';', row numbers inside a block separated by ','."""
-    out = []
-    for block in text.split(";"):
-        block = block.strip()
-        if not block:
-            continue
-        out.append([int(tok) for tok in block.split(",")])
-    return out
+    return [[int(tok) for tok in block.split(",")] for block in text.split(";") if block.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +91,7 @@ def _parse_grouping(text: str) -> list[list[int]]:
 
 
 def cmd_dcf(args) -> CommandResult:
-    plant = _load_plant(args.plant)
+    plant = sstate.load_ss(args.plant)
     if args.targets:
         targets = _parse_targets(args.targets, plant.order)
     else:
@@ -136,7 +122,7 @@ def cmd_nrf(args) -> CommandResult:
 
 def cmd_check(args) -> CommandResult:
     pair = nrfsyn.load_nrf(args.nrf)
-    check = dimpl.verify_internal_stability(pair, _load_plant(args.plant))
+    check = dimpl.verify_internal_stability(pair, sstate.load_ss(args.plant))
     report = []
     for (out, inp), bad in check.block_poles.items():
         verdict = "stable" if not bad else "UNSTABLE " + str([_fmt_complex(b) for b in bad])
@@ -146,10 +132,7 @@ def cmd_check(args) -> CommandResult:
     report.append(f"H-tilde cross-check disagreement: {_fmt(check.max_disagreement)}")
     if check.stable and args.grid:
         table = check.loop.map(dimpl.LOOP_OUTPUTS, dimpl.TABLE_INPUTS)
-        report.append(
-            f"closed-loop grid norm ({args.grid} points): "
-            f"{_fmt(factor.hinf_grid_norm(table, args.grid))}"
-        )
+        report.append(_grid_norm_line(table, args.grid))
     return CommandResult("ok" if check.stable else "violated", report)
 
 
@@ -159,7 +142,7 @@ def cmd_realize(args) -> CommandResult:
     rows = dimpl.realize_rows(pair, grouping)
     ctrl = dimpl.assemble(rows)
     dimpl.save_bundle(args.out, rows)
-    unstable = ctrl.unstable_modes()
+    unstable = ctrl.sys.unstable_eigenvalues
     report = [
         f"row orders: {ctrl.row_orders} (total {ctrl.order})",
         f"controller unstable modes: [{', '.join(_fmt_complex(v) for v in unstable)}]",
@@ -255,11 +238,7 @@ def cmd_demo(args) -> CommandResult:
         f"closed-loop order {cl.order}, spectral radius {_fmt(radius)}, stable: {cl.is_stable}"
     )
     if cl.is_stable and args.grid:
-        table = cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu"))
-        report.append(
-            f"closed-loop grid norm ({args.grid} points): "
-            f"{_fmt(factor.hinf_grid_norm(table, args.grid))}"
-        )
+        report.append(_grid_norm_line(cl.map(dimpl.LOOP_OUTPUTS, ("r", "w", "nu")), args.grid))
     if not cl.is_stable:
         return CommandResult("violated", report, artifacts)
 
@@ -354,9 +333,7 @@ def main(argv=None) -> int:
     try:
         # looked up on each call, so a rebound cmd_* (a tracer, a test) is the one run
         result = globals()[f"cmd_{args.command}"](args)
-    except NrfError as exc:
-        result = CommandResult("error", [f"{type(exc).__name__}: {exc}"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (NrfError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         result = CommandResult("error", [f"{type(exc).__name__}: {exc}"])
     for line in result.report:
         print(line)

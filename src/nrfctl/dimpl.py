@@ -148,9 +148,6 @@ class AssembledController:
     def order(self) -> int:
         return self.sys.order
 
-    def unstable_modes(self):
-        return self.sys.unstable_eigenvalues
-
     def __repr__(self) -> str:
         m, p = self.partition
         return (
@@ -217,12 +214,9 @@ class ClosedLoopRealization:
     def eigenvalues(self) -> np.ndarray:
         return self.sys.eigenvalues
 
-    def unstable_modes(self):
-        return self.sys.unstable_eigenvalues
-
     @property
     def is_stable(self) -> bool:
-        return not self.unstable_modes()
+        return not self.sys.unstable_eigenvalues
 
     def map(self, outputs, inputs) -> StateSpace:
         """Realization from the named injections to the named loop signals."""
@@ -396,9 +390,12 @@ def bundle_from_obj(obj: dict) -> list[RowRealization]:
     out = []
     for rec in obj["rows"]:
         idx = rec.get("index") if isinstance(rec, dict) and "ss" in rec else None
-        if not (isinstance(idx, int) or isinstance(idx, list) and all(isinstance(i, int) for i in idx)):
+        if not (type(idx) is int or isinstance(idx, list) and all(type(i) is int for i in idx)):
             raise InvariantViolation("bundle-fields-present", "a row needs an ss and an integer index")
         out.append(RowRealization(idx if isinstance(idx, int) else tuple(idx), sstate.ss_from_obj(rec["ss"])))
+    grouping = obj["grouping"]
+    if grouping != [list(r.rows) for r in out] or any(type(i) is not int for g in grouping for i in g):
+        raise InvariantViolation("bundle-fields-present", "grouping is not the rows' own groups")
     return out
 
 

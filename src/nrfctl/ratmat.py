@@ -251,13 +251,7 @@ class RationalMatrix:
     # ---- constructors -------------------------------------------------
     @staticmethod
     def identity(n: int, domain: StabilityDomain) -> "RationalMatrix":
-        return RationalMatrix(
-            [
-                [RationalFunction.const(1.0 if i == j else 0.0) for j in range(n)]
-                for i in range(n)
-            ],
-            domain,
-        )
+        return RationalMatrix.scalar(RationalFunction.const(1.0), n, domain)
 
     @staticmethod
     def zeros(rows: int, cols: int, domain: StabilityDomain) -> "RationalMatrix":
@@ -267,19 +261,14 @@ class RationalMatrix:
     @staticmethod
     def scalar(f: RationalFunction, n: int, domain: StabilityDomain) -> "RationalMatrix":
         """f times the identity."""
-        z = RationalFunction.const(0.0)
-        return RationalMatrix(
-            [[f if i == j else z for j in range(n)] for i in range(n)], domain
-        )
+        return RationalMatrix.diag([f] * n, domain)
 
     @staticmethod
     def diag(funcs, domain: StabilityDomain) -> "RationalMatrix":
-        funcs = list(funcs)
-        z = RationalFunction.const(0.0)
-        n = len(funcs)
+        """The diagonal matrix of ``funcs``, zero off the diagonal."""
+        funcs, z = list(funcs), RationalFunction.const(0.0)
         return RationalMatrix(
-            [[funcs[i] if i == j else z for j in range(n)] for i in range(n)], domain
-        )
+            [[f if i == j else z for j in range(len(funcs))] for i, f in enumerate(funcs)], domain)
 
     # ---- structure ----------------------------------------------------
     def entry(self, i: int, j: int) -> RationalFunction:
@@ -345,11 +334,6 @@ class RationalMatrix:
                 out_row.append(acc)
             out.append(out_row)
         return RationalMatrix(out, self.domain)
-
-    def scale(self, f: RationalFunction) -> "RationalMatrix":
-        return RationalMatrix(
-            [[f * e for e in row] for row in self.entries], self.domain
-        )
 
     # ---- analysis -------------------------------------------------------
     @property
@@ -474,6 +458,9 @@ def ratmat_from_obj(obj: dict) -> RationalMatrix:
     missing = [key for key in ("domain", "rows", "cols") if key not in obj]
     if missing:
         raise InvariantViolation("ratmat-fields-present", f"missing {missing}")
+    if any(isinstance(obj[key], (bool, float)) for key in ("rows", "cols")):
+        raise InvariantViolation("ratmat-fields-present", "rows and cols must be integers, "
+                                 f"got {obj['rows']!r} and {obj['cols']!r}")
     domain = _domain_from_obj(obj["domain"], "ratmat-fields-present")
     coeffs = [_floats_from_obj(c[k], "ratmat-finite") for row in rows for c in row
               for k in ("num", "den")]

@@ -10,7 +10,8 @@ one PBH verdict on stabilizability and detectability.  ``unstable_map_poles``
 reads the unstable poles of a map off its minimal realization, with one PBH
 pair against its own B and C per distinct unstable mode.  Every frequency
 response comes from one kernel, ``_eval_stacked``, which solves the pencils
-of systems of one order in shared batches.
+of systems of one order in shared batches.  ``load_ss`` is the one plant-file
+reader, of state-space or rational-matrix JSON.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     InvariantViolation,
     NotProper,
     NotSquare,
+    NrfError,
 )
 from .ratmat import (
     RationalFunction,
@@ -33,6 +35,7 @@ from .ratmat import (
     _domain_from_obj,
     _floats_from_obj,
     _point_blocks,
+    ratmat_from_obj,
 )
 from .tolerances import RANK_REL_TOL, STABILITY_MARGIN
 
@@ -90,7 +93,9 @@ class StateSpace:
     def unstable_eigenvalues(self) -> tuple[complex, ...]:
         """The eigenvalues ``is_unstable`` flags, multiplicities kept, sorted
         by real then imaginary part."""
-        return self._fact("unstable", lambda: _sorted_unstable(self.eigenvalues, self.domain))
+        return self._fact("unstable", lambda: tuple(sorted(
+            map(complex, self.eigenvalues[is_unstable(self.eigenvalues, self.domain)]),
+            key=lambda z: (z.real, z.imag))))
 
     @property
     def distinct_unstable_modes(self) -> tuple[complex, ...]:
@@ -207,7 +212,7 @@ def tf_to_ss_obsv(row: RationalMatrix) -> StateSpace:
     if not row.is_proper:
         raise NotProper("row has an improper entry")
     k = row.cols
-    D = np.array([[e.gain_at_infinity() for e in row.entries[0]]])
+    D = row.gain_at_infinity()
     sys = StateSpace(np.zeros((0, 0)), np.zeros((0, k)), np.zeros((1, 0)), D, row.domain)
     for j, e in enumerate(row.entries[0]):
         n = int(e.den.degree)
@@ -414,18 +419,6 @@ def is_unstable(lam, domain: StabilityDomain):
     return np.real(lam) >= -STABILITY_MARGIN
 
 
-def _sorted_unstable(lams: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
-    bad = map(complex, lams[is_unstable(lams, domain)])
-    return tuple(sorted(bad, key=lambda z: (z.real, z.imag)))
-
-
-def unstable_eigs(A: np.ndarray, domain: StabilityDomain) -> tuple[complex, ...]:
-    """Eigenvalues of a matrix that ``is_unstable`` flags, multiplicities
-    kept, sorted by real then imaginary part; a realization keeps those of
-    its A as ``StateSpace.unstable_eigenvalues``."""
-    return _sorted_unstable(np.linalg.eigvals(np.atleast_2d(np.asarray(A, dtype=float))), domain)
-
-
 def _pbh_rank_ok(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
     n = A.shape[0]
     M = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
@@ -604,5 +597,12 @@ def save_ss(sys: StateSpace, path: str):
 
 
 def load_ss(path: str) -> StateSpace:
-    with open(path) as fh:
-        return ss_from_obj(json.load(fh))
+    """A plant file: state-space JSON, or a rational matrix ``tfm_to_ss`` realizes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
+    if "A" in obj:
+        return ss_from_obj(obj)
+    if "entries" in obj:
+        return tfm_to_ss(ratmat_from_obj(obj))
+    raise NrfError(f"{path}: neither a state-space nor a rational-matrix file")

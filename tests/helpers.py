@@ -5,7 +5,7 @@ import numpy as np
 
 from nrfctl.errors import NotProper
 from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
-from nrfctl.sstate import StateSpace, tfm_to_ss, unstable_eigs
+from nrfctl.sstate import StateSpace, tfm_to_ss
 from nrfctl.tolerances import RANK_REL_TOL
 
 
@@ -24,6 +24,12 @@ def const_ratmat(mat, domain: StabilityDomain) -> RationalMatrix:
     """The constant matrix ``mat`` as a rational matrix."""
     arr = np.asarray(mat, dtype=float)
     return RationalMatrix([[RationalFunction.const(v) for v in row] for row in arr], domain)
+
+
+def unstable_eigs(A, domain: StabilityDomain) -> tuple[complex, ...]:
+    """Unstable eigenvalues of a bare matrix, sorted: the kept fact
+    ``unstable_eigenvalues`` of a realization with no inputs or outputs on it."""
+    return StateSpace(A, [], [], np.zeros((0, 0)), domain).unstable_eigenvalues
 
 
 def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:

@@ -718,6 +718,28 @@ def test_report_numbers_use_twelve_significant_digits(demo_dir, capsys):
     assert len(mantissa) <= 12
 
 
+@pytest.mark.parametrize("rows, cols", [(True, True), (1.0, 1), (1, 1.0), (False, 1)],
+                         ids=["true-true", "float-rows", "float-cols", "false-rows"])
+def test_nrf_refuses_a_q_shape_that_is_not_integers(rows, cols, tmp_path, capsys):
+    sstate.save_ss(StateSpace([[1.2]], [[1.0]], [[1.0]], [[0.0]], DISC), str(tmp_path / "p.json"))
+    dcf, out_file = str(tmp_path / "dcf.json"), tmp_path / "nrf.json"
+    assert cli.main(["dcf", "--plant", str(tmp_path / "p.json"), "--targets", "0.5",
+                     "--out", dcf]) == 0
+    q = ratmat_to_obj(RationalMatrix.zeros(1, 1, DISC))
+    good, bad = tmp_path / "q.json", tmp_path / "q-bad.json"
+    good.write_text(json.dumps(q))
+    bad.write_text(json.dumps(q | {"rows": rows, "cols": cols}))
+    assert cli.main(["nrf", "--dcf", dcf, "--q", str(good), "--out", str(out_file)]) == 0
+    out_file.unlink()
+    capsys.readouterr()
+    code = cli.main(["nrf", "--dcf", dcf, "--q", str(bad), "--out", str(out_file)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("InvariantViolation: ratmat-fields-present")
+    assert out.endswith("status: error\n")
+    assert not out_file.exists()
+
+
 def test_plant_file_may_be_rational(tmp_path, capsys):
     save_ratmat(simkit.grid5_tfm(), str(tmp_path / "g.json"))
     code = cli.main(

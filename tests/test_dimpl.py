@@ -77,7 +77,7 @@ def test_controller_unstable_modes_equal_tfm_poles(grid5_pair, grid5_ctrl):
     of [Phi Gamma], no more and no less."""
     table = grid5_pair.Phi.hstack(grid5_pair.Gamma)
     want = tfm_unstable_poles(table)
-    got = grid5_ctrl.unstable_modes()
+    got = grid5_ctrl.sys.unstable_eigenvalues
     assert match_multisets(got, want, 1e-6)
     assert match_multisets(got, [1.0] * 5, 1e-6)
 
@@ -246,6 +246,35 @@ def test_bundle_rejects_foreign_objects():
     for rows in ([5], 5, [{}], [{"index": 1}], [{"index": "x", "ss": ss}]):  # malformed rows
         with pytest.raises(InvariantViolation, match="bundle-fields-present"):
             dimpl.bundle_from_obj({"rows": rows, "grouping": [[1]]})
+
+
+@pytest.mark.parametrize("index", [True, False, [True], [1.0]],
+                         ids=["true", "false", "[true]", "[1.0]"])
+def test_bundle_refuses_an_index_that_is_not_an_integer(index):
+    ss = sstate.ss_to_obj(StateSpace([[0.5]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]], DISC))
+    assert [r.rows for r in dimpl.bundle_from_obj({"rows": [{"index": 1, "ss": ss}],
+                                                   "grouping": [[1]]})] == [(1,)]
+    with pytest.raises(InvariantViolation, match="bundle-fields-present"):
+        dimpl.bundle_from_obj({"rows": [{"index": index, "ss": ss}], "grouping": [[1]]})
+
+
+@pytest.mark.parametrize("grouping", [
+    [[9, 9]], [], [[1], [2], [3], [4]], [[2], [1], [3], [4], [5]], [[1, 2], [3], [4], [5]],
+    [[True], [2], [3], [4], [5]], [[1.0], [2], [3], [4], [5]], "x", None,
+], ids=["foreign", "empty", "short", "reordered", "merged", "bool", "float", "string", "null"])
+def test_bundle_refuses_a_grouping_that_is_not_its_rows_groups(grouping, grid5_rows):
+    obj = dimpl.bundle_to_obj(grid5_rows)
+    assert obj["grouping"] == [[1], [2], [3], [4], [5]]
+    obj["grouping"] = grouping
+    with pytest.raises(InvariantViolation, match="bundle-fields-present: grouping"):
+        dimpl.bundle_from_obj(obj)
+
+
+def test_bundle_of_grouped_rows_round_trips(grid5_pair):
+    rows = dimpl.realize_rows(grid5_pair, [[1], [2, 3], [4], [5]])
+    obj = dimpl.bundle_to_obj(rows)
+    assert obj["grouping"] == [[1], [2, 3], [4], [5]]
+    assert dimpl.bundle_to_obj(dimpl.bundle_from_obj(obj)) == obj
 
 
 def test_eigenvalue_report(tmp_path, grid5_plant, grid5_ctrl):

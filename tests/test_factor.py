@@ -42,7 +42,9 @@ from nrfctl.ratmat import (
     ratmat_from_obj,
     ratmat_to_obj,
 )
-from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, tfm_to_ss, unstable_eigs
+from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, tfm_to_ss
+
+from helpers import unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 
@@ -334,7 +336,8 @@ def test_check_inverse_values_have_the_bits_of_separate_evaluations(
     dcf = run()
     monkeypatch.undo()
     [((left, right, _), kwargs, (L, R))] = checks
-    pts = probe_points(left.domain, 20, avoid=kwargs.get("avoid", ()))
+    pts = kwargs.get("points")  # the contour the check was given, else its default
+    pts = probe_points(left.domain, 20) if pts is None else pts
     for got, sys in ((L, left), (R, right)):
         assert got.tobytes() == sys.eval_many(pts).tobytes() == _eval_alone(sys, pts).tobytes()
     if case == "padded-right":
@@ -686,7 +689,7 @@ def test_affinity_in_q(grid5_dcf):
     qb = RationalMatrix.scalar(
         RationalFunction(Polynomial([-0.2]), Polynomial([0.5, 1.0])), 5, DISC
     )
-    qm = (qa + qb).scale(RationalFunction.const(0.5))
+    qm = RationalMatrix.scalar(RationalFunction.const(0.5), 5, DISC) @ (qa + qb)
     pts = probe_points(DISC, 4)
     ma, mb, mm = (closed_loop_maps(grid5_dcf, youla_shift(grid5_dcf, q)).eval_many(pts)
                   for q in (qa, qb, qm))

@@ -34,11 +34,12 @@ from nrfctl.sstate import (
     minimal,
     ss_to_tf,
     tfm_to_ss,
-    unstable_eigs,
     unstable_map_poles,
 )
 from nrfctl.tolerances import POLE_MATCH_TOL
 from nrfctl import simkit
+
+from helpers import unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfctl import simkit, sstate
-from nrfctl.errors import NotProper
+from nrfctl.errors import NotProper, NrfError
 from nrfctl.factor import _probe_contour, place_gains
 from nrfctl.nrfsyn import nrf_from_dcf
 from nrfctl.ratmat import (
@@ -15,6 +15,7 @@ from nrfctl.ratmat import (
     RationalMatrix,
     StabilityDomain,
     probe_points,
+    save_ratmat,
 )
 from nrfctl.sstate import (
     StateSpace,
@@ -33,11 +34,10 @@ from nrfctl.sstate import (
     stack_outputs,
     tf_to_ss_obsv,
     tfm_to_ss,
-    unstable_eigs,
     unstable_map_poles,
 )
 
-from helpers import tfm_unstable_poles, transmission_zero_rank_test
+from helpers import tfm_unstable_poles, transmission_zero_rank_test, unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -349,3 +349,26 @@ def test_ss_json_roundtrip(tmp_path):
     assert back.order == 2 and back.domain is DISC
     assert np.array_equal(back.A, sys.A)
     assert ss_to_obj(ss_from_obj(ss_to_obj(sys))) == ss_to_obj(sys)
+
+
+def test_load_ss_reads_a_plant_file_in_either_form(tmp_path):
+    plant = simkit.build_grid5_plant()  # what `nrfctl demo grid5` writes as plant.json
+    save_ss(plant, str(tmp_path / "plant.json"))
+    save_ratmat(ss_to_tf(plant), str(tmp_path / "plant-tf.json"))
+    from_ss, from_tf = (load_ss(str(tmp_path / name)) for name in ("plant.json", "plant-tf.json"))
+    assert ss_to_obj(from_ss) == ss_to_obj(plant)
+    assert from_tf.order == 7  # minimal: three lags of the network form share their input
+    pts = probe_points(DISC, 20)
+    want = plant.eval_many(pts)
+    assert np.max(np.abs(from_tf.eval_many(pts) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("text", ['{"B": [[1.0]]}', "{}", "5", "null", "true", "[1, 2]", '"x"'],
+                         ids=["other-keys", "empty", "int", "null", "bool", "list", "string"])
+def test_load_ss_names_a_file_of_neither_form(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(NrfError) as exc:
+        load_ss(str(path))
+    assert type(exc.value) is NrfError
+    assert str(exc.value) == f"{path}: neither a state-space nor a rational-matrix file"
