@@ -77,9 +77,14 @@ class RowRealization:
 
 
 def _as_group(index) -> tuple[int, ...]:
-    if isinstance(index, int):
-        return (index,)
-    return tuple(int(i) for i in index)
+    return (index,) if isinstance(index, int) else tuple(index)
+
+
+def _check_partition(grouping, m: int) -> None:
+    """Refuse a grouping whose row numbers are not the integers 1..m, each once."""
+    rows = [i for g in grouping for i in g]
+    if any(type(i) is not int for i in rows) or sorted(rows) != list(range(1, m + 1)):
+        raise InconsistentDimensions(f"grouping {grouping} is not a partition of rows 1..{m}")
 
 
 def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
@@ -94,12 +99,8 @@ def realize_rows(pair: NrfPair, grouping=None) -> list[RowRealization]:
     m, p = pair.shape
     if grouping is None:
         grouping = [[i] for i in range(1, m + 1)]
-    groups = [_as_group(g if not isinstance(g, int) else (g,)) for g in grouping]
-    flat = sorted(i for g in groups for i in g)
-    if flat != list(range(1, m + 1)):
-        raise InconsistentDimensions(
-            f"grouping {groups} is not a partition of rows 1..{m}"
-        )
+    groups = [_as_group(g) for g in grouping]
+    _check_partition(groups, m)
     pts, values = pair.probe_rows(7)
     out = []
     for g in groups:
@@ -137,8 +138,7 @@ class AssembledController:
         self.grouping = tuple(tuple(g) for g in grouping)
         if p < 0 or sys.D.shape != (m, m + p):
             raise InconsistentDimensions(f"partition {m, p} does not fit D of shape {sys.D.shape}")
-        if sorted(i for g in self.grouping for i in g) != list(range(1, m + 1)):
-            raise InconsistentDimensions(f"grouping {self.grouping} does not partition 1..{m}")
+        _check_partition(self.grouping, m)
         if len(self.row_orders) != len(self.grouping) or sum(self.row_orders) != sys.order:
             raise InconsistentDimensions(
                 f"row orders {self.row_orders} do not split order {sys.order} over the grouping"
@@ -331,12 +331,13 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     m, p = pair.shape
     ctrl = assemble(realize_rows(pair))
     loop = closed_loop_state_matrix(plant, ctrl)
+
+    # a stable A_CL settles every map: none is cut out or reduced.  Read
+    # first, eig(A_CL) is kept by every map cut after; H-tilde's output -u
+    # has the poles of u, so its sign enters only the pointwise cross-check
+    stable = loop.is_stable
     H = loop.map(("u", "u", "y"), ("cmd", "du", "r"))
     sign = np.concatenate([np.ones(m), -np.ones(m), np.ones(p)])[:, None]
-    H = StateSpace(H.A, H.B, sign * H.C, sign * H.D, H.domain)
-
-    # a stable A_CL settles every map: none is cut out or reduced
-    stable = loop.is_stable
     block_poles = {(out, inp): () if stable else sstate.unstable_map_poles(loop.map((out,), (inp,)))
                    for out in LOOP_OUTPUTS for inp in TABLE_INPUTS}
     unstable_entries = [] if stable else [
@@ -351,7 +352,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     left_e = np.concatenate([eye, -eye, G_e], axis=1)
     right_e = np.concatenate([eye, Phi_e, Gamma_e], axis=2)
     H_e = left_e @ np.linalg.solve(S_e, right_e)
-    worst = float(np.max(np.abs(H.eval_many(pts) - H_e), initial=0.0))
+    worst = float(np.max(np.abs(sign * H.eval_many(pts) - H_e), initial=0.0))
     return InternalStabilityReport(block_poles, unstable_entries, worst, loop)
 
 

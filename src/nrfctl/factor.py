@@ -347,7 +347,6 @@ def _place_onesided(A: np.ndarray, B: np.ndarray, targets: list[complex]):
     """
     n = A.shape[0]
     m = B.shape[1]
-    dom = StabilityDomain.DISCRETE  # staircase helper ignores the domain
     Z = np.eye(n)
     Acur = A.copy()
     Bcur = B.copy()
@@ -357,14 +356,9 @@ def _place_onesided(A: np.ndarray, B: np.ndarray, targets: list[complex]):
     for j in range(m):
         if offset == n or not remaining:
             break
-        sub = StateSpace(
-            Acur[offset:, offset:],
-            Bcur[offset:, j : j + 1],
-            np.zeros((1, n - offset)),
-            [[0.0]],
-            dom,
+        _, _, _, k, V = ctrb_staircase(
+            Acur[offset:, offset:], Bcur[offset:, j : j + 1], np.zeros((0, n - offset))
         )
-        staired, k, V = ctrb_staircase(sub)
         if k == 0:
             continue
         W = np.eye(n)

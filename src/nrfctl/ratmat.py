@@ -458,7 +458,7 @@ def ratmat_from_obj(obj: dict) -> RationalMatrix:
     missing = [key for key in ("domain", "rows", "cols") if key not in obj]
     if missing:
         raise InvariantViolation("ratmat-fields-present", f"missing {missing}")
-    if any(isinstance(obj[key], (bool, float)) for key in ("rows", "cols")):
+    if any(type(obj[key]) is not int for key in ("rows", "cols")):
         raise InvariantViolation("ratmat-fields-present", "rows and cols must be integers, "
                                  f"got {obj['rows']!r} and {obj['cols']!r}")
     domain = _domain_from_obj(obj["domain"], "ratmat-fields-present")

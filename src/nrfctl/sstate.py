@@ -3,10 +3,13 @@
 A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
 ``tfm_to_ss``): poles shared between entries are merged by rank decisions of
 orthogonal staircases, never by comparing computed roots, and the transfer
-function is preserved up to floating point.  A realization keeps the
-spectral facts of its own A, each computed once: eig(A), its unstable
-eigenvalues and their distinct modes, and ``pbh_failure``, the realization's
-one PBH verdict on stabilizability and detectability.  ``unstable_map_poles``
+function is preserved up to floating point.  The staircases take and
+return arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal``, ``tf_to_ss_obsv``
+and ``ss_to_tf`` slice them and build their result only.  A realization
+keeps the spectral facts of its own A, each computed once: eig(A), its
+unstable eigenvalues and their distinct modes, and ``pbh_failure``, the
+realization's one PBH verdict on stabilizability and detectability; a map
+cut from it keeps the facts of A.  ``unstable_map_poles``
 reads the unstable poles of a map off its minimal realization, with one PBH
 pair against its own B and C per distinct unstable mode.  Every frequency
 response comes from one kernel, ``_eval_stacked``, which solves the pencils
@@ -50,7 +53,8 @@ class StateSpace:
     still write is copied first.  So the spectral facts of A are kept: each
     is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
     ``distinct_unstable_modes``, the PBH verdict of ``pbh_failure`` and
-    ``factor``'s probe contour) and returned as kept after.
+    ``factor``'s probe contour) and returned as kept after.  ``select`` and
+    negation pass on those read so far, all but the PBH verdict.
     """
 
     __slots__ = ("A", "B", "C", "D", "domain", "_facts")
@@ -129,22 +133,17 @@ class StateSpace:
         """The map from the inputs ``cols`` to the outputs ``rows`` (index
         sequences, repeats allowed), on the same state."""
         rows, cols = list(rows), list(cols)
-        return StateSpace(
-            self.A, self.B[:, cols], self.C[rows], self.D[np.ix_(rows, cols)], self.domain
-        )
+        return self._on_same_state(self.B[:, cols], self.C[rows], self.D[np.ix_(rows, cols)])
 
     def __neg__(self) -> "StateSpace":
-        return StateSpace(self.A, self.B, -self.C, -self.D, self.domain)
+        return self._on_same_state(self.B, -self.C, -self.D)
 
-    def transformed(self, T: np.ndarray) -> "StateSpace":
-        """Similarity transform by an orthogonal T (x = T xi)."""
-        return StateSpace(T.T @ self.A @ T, T.T @ self.B, self.C @ T, self.D, self.domain)
-
-    def truncated(self, k: int) -> "StateSpace":
-        """Keep the leading k states."""
-        return StateSpace(
-            self.A[:k, :k], self.B[:k, :], self.C[:, :k], self.D, self.domain
-        )
+    def _on_same_state(self, B, C, D) -> "StateSpace":
+        """(A, B, C, D), keeping the facts of A read so far; the PBH verdict
+        reads B and C, so it is never passed on."""
+        sys = StateSpace(self.A, B, C, D, self.domain)
+        sys._facts = {k: v for k, v in self._facts.items() if k != "pbh"}
+        return sys
 
     def __repr__(self) -> str:
         return (
@@ -213,23 +212,21 @@ def tf_to_ss_obsv(row: RationalMatrix) -> StateSpace:
         raise NotProper("row has an improper entry")
     k = row.cols
     D = row.gain_at_infinity()
-    sys = StateSpace(np.zeros((0, 0)), np.zeros((0, k)), np.zeros((1, 0)), D, row.domain)
+    A, B, C = np.zeros((0, 0)), np.zeros((0, k)), np.zeros((1, 0))
     for j, e in enumerate(row.entries[0]):
         n = int(e.den.degree)
         if n < 1:
             continue  # static entries contribute only through D
-        A = np.eye(n, k=-1)
-        A[:, n - 1] = -np.asarray(e.den.coeffs[:-1], dtype=float)
-        B = np.zeros((n, k))
+        Aj = np.eye(n, k=-1)
+        Aj[:, n - 1] = -np.asarray(e.den.coeffs[:-1], dtype=float)
+        Bj = np.zeros((n, k))
         strict = (e.num - e.den.scaled(D[0, j])).coeffs[:n]  # trailing terms are zero
-        B[: len(strict), j] = strict
-        C = np.zeros((1, n))
-        C[0, n - 1] = 1.0
-        staired, k_obs, _ = obsv_staircase(
-            parallel(sys, StateSpace(A, B, C, np.zeros((1, k)), row.domain))
-        )
-        sys = staired.truncated(k_obs)
-    return sys
+        Bj[: len(strict), j] = strict
+        Cj = np.eye(1, n, n - 1)
+        A, B, C, n_obs, _ = obsv_staircase(_block_diag([A, Aj]), np.vstack([B, Bj]),
+                                           np.hstack([C, Cj]))
+        A, B, C = A[:n_obs, :n_obs], B[:n_obs], C[:, :n_obs]
+    return StateSpace(A, B, C, D, row.domain)
 
 
 def tfm_to_ss(mat: RationalMatrix) -> StateSpace:
@@ -342,28 +339,25 @@ def _block_rank(M: np.ndarray, scale: float) -> tuple[int, np.ndarray]:
     return r, U
 
 
-def ctrb_staircase(sys: StateSpace) -> tuple[StateSpace, int, np.ndarray]:
-    """Orthogonal controllability staircase.
+def ctrb_staircase(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Orthogonal controllability staircase of the arrays (A, B, C).
 
-    Returns ``(transformed, controllable_order, T)`` where
-    ``transformed = (T' A T, T' B, C T, D)`` has the block structure
+    Returns ``(T' A T, T' B, C T, k, T)``, where the transformed pair has
+    the block structure
 
-        A = [Ac  X ]   B = [Bc]
-            [0   Au]       [0 ]
+        T' A T = [Ac  X ]   T' B = [Bc]
+                 [0   Au]          [0 ]
 
-    with the leading ``controllable_order`` states controllable.  T is
-    orthogonal, so the transfer function is untouched.
+    with the leading ``k`` states controllable.  T is orthogonal, so the
+    transfer function is untouched; C may have no rows.
     """
-    n = sys.order
+    n = A.shape[0]
     T = np.eye(n)
     if n == 0:
-        return sys, 0, T
-    A = sys.A.copy()
-    B = sys.B.copy()
-    C = sys.C.copy()
+        return A, B, C, 0, T
+    A, B, C = A.copy(), B.copy(), C.copy()
     scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
-    j = 0
-    prev = 0
+    j = prev = 0
     while j < n:
         M = B[j:, :] if j == 0 else A[j:, prev:j]
         r, U = _block_rank(M, scale)
@@ -377,33 +371,26 @@ def ctrb_staircase(sys: StateSpace) -> tuple[StateSpace, int, np.ndarray]:
         T = T @ Ublk
         prev = j
         j += r
-    out = StateSpace(A, B, C, sys.D, sys.domain)
-    return out, j, T
+    return A, B, C, j, T
 
 
-def obsv_staircase(sys: StateSpace) -> tuple[StateSpace, int, np.ndarray]:
-    """Orthogonal observability staircase (dual of ctrb_staircase).
+def obsv_staircase(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Orthogonal observability staircase of the arrays (A, B, C), the dual
+    of ``ctrb_staircase``: ``(T' A T, T' B, C T, k, T)`` with the ``k``
+    observable states leading,
 
-    The transformed system has the observable block leading:
-
-        A = [Ao   0 ]   C = [Co  0]
-            [X    Au]
+        T' A T = [Ao  0 ]   C T = [Co  0]
+                 [X   Au]
     """
-    dual = StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T, sys.domain)
-    _, k, T = ctrb_staircase(dual)
-    out = sys.transformed(T)
-    return out, k, T
-
-
-def _controllable_part(sys: StateSpace) -> StateSpace:
-    staired, k, _ = ctrb_staircase(sys)
-    return staired.truncated(k)
+    k, T = ctrb_staircase(A.T, C.T, B.T)[3:]
+    return T.T @ A @ T, T.T @ B, C @ T, k, T
 
 
 def minimal(sys: StateSpace) -> StateSpace:
     """Minimal realization: observable part first, then its controllable part."""
-    staired, k_obs, _ = obsv_staircase(sys)
-    return _controllable_part(staired.truncated(k_obs))
+    A, B, C, k, _ = obsv_staircase(sys.A, sys.B, sys.C)
+    A, B, C, k, _ = ctrb_staircase(A[:k, :k], B[:k], C[:, :k])
+    return StateSpace(A[:k, :k], B[:k], C[:, :k], sys.D, sys.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +509,15 @@ def ss_to_tf(sys: StateSpace) -> RationalMatrix:
     """
     rows = []
     for i in range(sys.n_outputs):
-        staired, k_obs, T = obsv_staircase(sys.select([i], range(sys.n_inputs)))
+        A, _, C, k_obs, T = obsv_staircase(sys.A, sys.B, sys.C[[i]])
         row = []
         for j in range(sys.n_inputs):
             # one column at a time, as minimal forms it: a product with all
             # of B can round differently and shift the coefficients
-            sub = StateSpace(
-                staired.A, T.T @ sys.B[:, [j]], staired.C, sys.D[[i], :][:, [j]], sys.domain
+            Aj, Bj, Cj, k, _ = ctrb_staircase(
+                A[:k_obs, :k_obs], (T.T @ sys.B[:, [j]])[:k_obs], C[:, :k_obs]
             )
-            sub = _controllable_part(sub.truncated(k_obs))
-            row.append(_faddeev_tf(sub.A, sub.B[:, 0], sub.C[0, :], float(sub.D[0, 0])))
+            row.append(_faddeev_tf(Aj[:k, :k], Bj[:k, 0], Cj[0, :k], float(sys.D[i, j])))
         rows.append(row)
     return RationalMatrix(rows, sys.domain)
 
@@ -576,16 +562,6 @@ def ss_from_obj(obj: dict) -> StateSpace:
         raise InvariantViolation("ss-fields-present", f"missing {list(missing)}")
     domain = _domain_from_obj(obj["domain"], "ss-fields-present")
     A, B, C, D = (_floats_from_obj(obj[key], "ss-finite") for key in "ABCD")
-    D = np.atleast_2d(D)
-    n = A.shape[0] if A.ndim == 2 else (0 if A.size == 0 else 1)
-    if A.size == 0:
-        A = np.zeros((0, 0))
-        B = np.zeros((0, D.shape[1]))
-        C = np.zeros((D.shape[0], 0))
-    else:
-        A = np.atleast_2d(A)
-        B = np.atleast_2d(B).reshape(n, -1)
-        C = np.atleast_2d(C).reshape(-1, n)
     if not all(np.isfinite(M).all() for M in (A, B, C, D)):
         raise InvariantViolation("ss-finite", "an entry of A, B, C or D is NaN or infinite")
     return StateSpace(A, B, C, D, domain)

@@ -169,7 +169,7 @@ def test_nonfinite_numbers_are_named_at_the_reader(name, rational, path, invaria
     ("q.json", ("entries",), 5, "InvariantViolation: ratmat-fields-present"),
     ("q.json", ("entries", 0), [0.0] * 5, "InvariantViolation: ratmat-fields-present"),
     ("q.json", ("entries", 0, 0, "num"), [[0.0]], "InvariantViolation: ratmat-fields-present"),
-    ("q.json", ("rows",), "5", "DimensionMismatch: declared shape"),
+    ("q.json", ("rows",), "5", "InvariantViolation: ratmat-fields-present"),
     ("scenario.json", ("controller", "partition"), [5, 5, 5], "InconsistentDimensions: partition"),
     ("scenario.json", ("controller", "partition"), [5], "InconsistentDimensions: partition"),
     ("scenario.json", ("reference", 0, "level"), _DROP,
@@ -718,8 +718,10 @@ def test_report_numbers_use_twelve_significant_digits(demo_dir, capsys):
     assert len(mantissa) <= 12
 
 
-@pytest.mark.parametrize("rows, cols", [(True, True), (1.0, 1), (1, 1.0), (False, 1)],
-                         ids=["true-true", "float-rows", "float-cols", "false-rows"])
+@pytest.mark.parametrize("rows, cols", [(True, True), (1.0, 1), (1, 1.0), (False, 1), ("1", 1),
+                                        (1, None), ([1], 1)],
+                         ids=["true-true", "float-rows", "float-cols", "false-rows", "string-rows",
+                              "null-cols", "list-rows"])
 def test_nrf_refuses_a_q_shape_that_is_not_integers(rows, cols, tmp_path, capsys):
     sstate.save_ss(StateSpace([[1.2]], [[1.0]], [[1.0]], [[0.0]], DISC), str(tmp_path / "p.json"))
     dcf, out_file = str(tmp_path / "dcf.json"), tmp_path / "nrf.json"

@@ -1,6 +1,7 @@
 """Row-by-row realization, assembly, and closed-loop state-matrix checks."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ def test_grouping_must_partition(grid5_pair):
         dimpl.realize_rows(grid5_pair, [[1, 2], [2, 3], [4], [5]])
     with pytest.raises(InconsistentDimensions):
         dimpl.realize_rows(grid5_pair, [[1], [2]])
+
+
+@pytest.mark.parametrize("grouping", [[[1.9], [2.2, 3], [4], [5.5]], [[True], [2, 3], [4], [5]],
+                                      [[1], ["2", 3], [4], [5]]],
+                         ids=["fractional", "boolean", "string"])
+def test_grouping_rows_are_integers(grid5_pair, grid5_ctrl, grouping):
+    # a row number that is not an integer is refused, never truncated to one
+    message = "is not a partition of rows 1..5"
+    with pytest.raises(InconsistentDimensions, match=message):
+        dimpl.realize_rows(grid5_pair, grouping)
+    with pytest.raises(InconsistentDimensions, match=message):
+        dimpl.AssembledController(grid5_ctrl.sys, grid5_ctrl.row_orders, (5, 5), grouping)
 
 
 def test_assemble_refuses_rows_of_unequal_input_width(grid5_rows):
@@ -149,6 +162,25 @@ def test_stable_loop_reduces_no_map(grid5_pair, grid5_plant, monkeypatch):
     assert len(report.block_poles) == 16
     assert not any(report.block_poles.values())
     assert report.unstable_entries == ()
+
+
+def test_unstable_loop_takes_the_loop_spectrum_once(grid5_pair, grid5_plant, monkeypatch):
+    # the demo pair, read back as `nrfctl check` reads nrf.json, around the
+    # grid5 plant with B negated (CI's check-negB case): every map cut from
+    # the loop keeps eig(A_CL), so of all eigvals calls one is on the 24 x 24 A_CL
+    pair = nrfsyn.nrf_from_obj(json.loads(json.dumps(nrfsyn.nrf_to_obj(grid5_pair))))
+    plant = StateSpace(grid5_plant.A, -grid5_plant.B, grid5_plant.C, grid5_plant.D, DISC)
+    shapes, eigvals = [], np.linalg.eigvals
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    report = dimpl.verify_internal_stability(pair, plant)
+    assert not report.stable and report.loop.order == 24
+    assert shapes.count((24, 24)) == 1
+    assert len(shapes) == 254
 
 
 @pytest.mark.parametrize("n", range(3, 11))

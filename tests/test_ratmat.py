@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfctl.errors import (
+    DimensionMismatch,
     DivisionByZeroFunction,
     EvaluationAtPole,
 )
@@ -294,3 +295,9 @@ def test_json_roundtrip(tmp_path):
     assert np.allclose(A.eval(z), B.eval(z))
     # object form is stable under a second round trip
     assert ratmat_to_obj(ratmat_from_obj(ratmat_to_obj(A))) == ratmat_to_obj(A)
+
+
+def test_integer_shape_that_misses_the_entries_is_a_dimension_mismatch():
+    obj = ratmat_to_obj(RationalMatrix([[lag(1.0, 0.2), lag(2.0, -0.5)]], DISC))
+    with pytest.raises(DimensionMismatch, match="declared shape"):
+        ratmat_from_obj(obj | {"cols": 3})

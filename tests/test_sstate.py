@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfctl import simkit, sstate
-from nrfctl.errors import NotProper, NrfError
+from nrfctl.errors import DimensionMismatch, NotProper, NrfError
 from nrfctl.factor import _probe_contour, place_gains
 from nrfctl.nrfsyn import nrf_from_dcf
 from nrfctl.ratmat import (
@@ -199,10 +199,32 @@ def test_staircases_split_dimensions():
     B = np.array([[1.0], [0.0]])
     C = np.array([[1.0, 0.0]])
     sys = StateSpace(A, B, C, [[0.0]], DISC)
-    _, k_c, _ = ctrb_staircase(sys)
-    _, k_o, _ = obsv_staircase(sys)
+    k_c = ctrb_staircase(A, B, C)[3]
+    k_o = obsv_staircase(A, B, C)[3]
     assert k_c == 1 and k_o == 1
     assert minimal(sys).order == 1
+
+
+def test_each_reduction_builds_one_state_space_its_result(monkeypatch):
+    # the staircases run on arrays: minimal and tf_to_ss_obsv build their
+    # result only, and ss_to_tf builds none
+    A = np.diag([0.5, 0.8, -0.3])
+    A[0, 1] = 0.2
+    sys = StateSpace(A, [[1.0, 0.0], [0.0, 0.0], [0.5, 1.0]], [[1.0, 0.0, 1.0], [0.0, 0.0, 2.0]],
+                     np.zeros((2, 2)), DISC)
+    row = RationalMatrix([[lag(1.0, 0.2), lag(2.0, 0.2), lag(1.0, 0.7)]], DISC)
+    built, init = [], StateSpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(StateSpace, "__init__", counting)
+    for reduce, arg, count in ((minimal, sys, 1), (tf_to_ss_obsv, row, 1), (ss_to_tf, sys, 0)):
+        built.clear()
+        reduce(arg)
+        assert len(built) == count, reduce.__name__
+    assert minimal(sys).order == 2 and tf_to_ss_obsv(row).order == 2
 
 
 def test_minimal_preserves_response():
@@ -284,7 +306,8 @@ def test_a_realization_on_writable_memory_keeps_its_own_copy():
         assert (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, pbh_failure(sys)) == kept
     assert kept[1:] == ((2.0 + 0j,), None)
     # a view of a realization's own read-only arrays is not copied
-    assert np.shares_memory(read_before.truncated(1).A, read_before.A)
+    view = StateSpace(read_before.A[:1, :1], B[:1], C[:, :1], D, DISC)
+    assert np.shares_memory(view.A, read_before.A)
 
 
 def test_unstable_eigs_domain_split():
@@ -349,6 +372,29 @@ def test_ss_json_roundtrip(tmp_path):
     assert back.order == 2 and back.domain is DISC
     assert np.array_equal(back.A, sys.A)
     assert ss_to_obj(ss_from_obj(ss_to_obj(sys))) == ss_to_obj(sys)
+
+
+_PLANT_2X2 = {"domain": "discrete", "A": [[0.5, 0.0], [0.0, 0.2]], "B": [[1.0, 2.0], [3.0, 4.0]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "D": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("fields", [
+    {"B": [[1.0, 2.0, 3.0, 4.0]]},  # four numbers in one row: not the 2 x 2 B
+    {"C": [[1.0], [0.0]], "D": [[0.0]], "B": [[1.0], [0.0]]},  # one output's C as a column
+    {"A": [], "B": [[5.0]], "C": [[1.0]], "D": [[0.0]]},  # a B for a system without states
+], ids=["B-one-row", "C-column", "empty-A-with-B"])
+def test_ss_from_obj_leaves_shapes_to_the_constructor(fields):
+    with pytest.raises(DimensionMismatch):
+        ss_from_obj(_PLANT_2X2 | fields)
+
+
+def test_static_system_json_roundtrip():
+    sys = StateSpace(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)),
+                     [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], DISC)
+    obj = ss_to_obj(sys)
+    back = ss_from_obj(obj)
+    assert (back.order, back.n_outputs, back.n_inputs) == (0, 2, 3)
+    assert ss_to_obj(back) == obj
 
 
 def test_load_ss_reads_a_plant_file_in_either_form(tmp_path):
