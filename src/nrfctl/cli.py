@@ -55,12 +55,19 @@ class CommandResult:
 
 
 def _load_patterns(path: str):
-    """(X, Y) as the file holds them; ``nrfsyn.sparsity_correspondence`` reads
-    them as boolean masks and checks their shapes."""
+    """(X, Y) as the file holds them, each cell a JSON boolean or 0/1;
+    ``nrfsyn.sparsity_correspondence`` reads them as boolean masks and checks
+    their shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "X" not in obj or "Y" not in obj:
         raise NrfError(f"{path}: pattern file needs boolean masks 'X' and 'Y'")
+    cells = [obj["X"], obj["Y"]]
+    for cell in cells:  # a list's cells are appended and read in turn
+        if isinstance(cell, list):
+            cells.extend(cell)
+        elif not (type(cell) is bool or type(cell) is int and cell in (0, 1)):
+            raise NrfError(f"{path}: mask cell {cell!r} is neither a boolean nor 0/1")
     return obj["X"], obj["Y"]
 
 

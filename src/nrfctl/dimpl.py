@@ -77,7 +77,7 @@ class RowRealization:
 
 
 def _as_group(index) -> tuple[int, ...]:
-    return (index,) if isinstance(index, int) else tuple(index)
+    return tuple(index) if hasattr(index, "__iter__") else (index,)
 
 
 def _check_partition(grouping, m: int) -> None:
@@ -135,7 +135,7 @@ class AssembledController:
         if len(self.partition) != 2:
             raise InconsistentDimensions(f"partition {self.partition} is not (m, p)")
         m, p = self.partition
-        self.grouping = tuple(tuple(g) for g in grouping)
+        self.grouping = tuple(map(_as_group, grouping))
         if p < 0 or sys.D.shape != (m, m + p):
             raise InconsistentDimensions(f"partition {m, p} does not fit D of shape {sys.D.shape}")
         _check_partition(self.grouping, m)
@@ -332,27 +332,30 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     ctrl = assemble(realize_rows(pair))
     loop = closed_loop_state_matrix(plant, ctrl)
 
-    # a stable A_CL settles every map: none is cut out or reduced.  Read
-    # first, eig(A_CL) is kept by every map cut after; H-tilde's output -u
-    # has the poles of u, so its sign enters only the pointwise cross-check
+    # a stable A_CL settles every map: none is cut out or reduced.  Each
+    # distinct map is reduced once: the v = u + w blocks (v ends LOOP_OUTPUTS)
+    # take the poles of the u blocks, whose (A, B, C) they have, and H is cut
+    # with the rows (u, y), its rows -u taking the verdicts of its rows u
     stable = loop.is_stable
-    H = loop.map(("u", "u", "y"), ("cmd", "du", "r"))
-    sign = np.concatenate([np.ones(m), -np.ones(m), np.ones(p)])[:, None]
+    H = loop.map(("u", "y"), ("cmd", "du", "r"))
     block_poles = {(out, inp): () if stable else sstate.unstable_map_poles(loop.map((out,), (inp,)))
-                   for out in LOOP_OUTPUTS for inp in TABLE_INPUTS}
-    unstable_entries = [] if stable else [
-        (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
-        if sstate.unstable_map_poles(H.select([i], [j]))]
+                   for out in LOOP_OUTPUTS if out != "v" for inp in TABLE_INPUTS}
+    block_poles.update({("v", inp): block_poles["u", inp] for inp in TABLE_INPUTS})
+    bad = set() if stable else {(i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
+                                if sstate.unstable_map_poles(H.select([i], [j]))}
+    unstable_entries = [(i, j) for i, k in enumerate([*range(m), *range(m + p)])
+                        for j in range(H.n_inputs) if (k, j) in bad]
 
+    # the rows -u disagree as the rows u do, |-a - (-b)| = |a - b|
     avoid = np.concatenate([loop.eigenvalues(), plant.eigenvalues, ctrl.sys.eigenvalues])
     pts, rows_e = pair.probe_rows(11, avoid)
     Phi_e, Gamma_e, G_e = rows_e[:, :, :m], rows_e[:, :, m:], plant.eval_many(pts)
     eye = np.broadcast_to(np.eye(m), Phi_e.shape)
     S_e = eye - Phi_e + Gamma_e @ G_e
-    left_e = np.concatenate([eye, -eye, G_e], axis=1)
+    left_e = np.concatenate([eye, G_e], axis=1)
     right_e = np.concatenate([eye, Phi_e, Gamma_e], axis=2)
     H_e = left_e @ np.linalg.solve(S_e, right_e)
-    worst = float(np.max(np.abs(sign * H.eval_many(pts) - H_e), initial=0.0))
+    worst = float(np.max(np.abs(H.eval_many(pts) - H_e), initial=0.0))
     return InternalStabilityReport(block_poles, unstable_entries, worst, loop)
 
 

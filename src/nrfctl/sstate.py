@@ -5,11 +5,12 @@ A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
 orthogonal staircases, never by comparing computed roots, and the transfer
 function is preserved up to floating point.  The staircases take and
 return arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal``, ``tf_to_ss_obsv``
-and ``ss_to_tf`` slice them and build their result only.  A realization
-keeps the spectral facts of its own A, each computed once: eig(A), its
-unstable eigenvalues and their distinct modes, and ``pbh_failure``, the
-realization's one PBH verdict on stabilizability and detectability; a map
-cut from it keeps the facts of A.  ``unstable_map_poles``
+and ``ss_to_tf`` slice them and build their result only.  The maps on one
+state matrix, a realization and the maps cut from it, share one store of
+the spectral facts of A, each computed once: eig(A), its unstable
+eigenvalues and their distinct modes.  Each map keeps its own
+``pbh_failure``, its one PBH verdict on stabilizability and detectability.
+``unstable_map_poles``
 reads the unstable poles of a map off its minimal realization, with one PBH
 pair against its own B and C per distinct unstable mode.  Every frequency
 response comes from one kernel, ``_eval_stacked``, which solves the pencils
@@ -49,21 +50,20 @@ class StateSpace:
     Zero-order (purely static) systems are first class: A is then 0 x 0 and
     the quadruple degenerates to the constant gain D.
 
-    The arrays are read-only, and one that views memory another array can
-    still write is copied first.  So the spectral facts of A are kept: each
-    is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
-    ``distinct_unstable_modes``, the PBH verdict of ``pbh_failure`` and
-    ``factor``'s probe contour) and returned as kept after.  ``select`` and
-    negation pass on those read so far, all but the PBH verdict.
+    The arrays are read-only, and one that the caller can still write, or
+    that views memory some array can still write, is copied first.  So the
+    facts of A are kept: each is computed on first read (``eigenvalues``,
+    ``unstable_eigenvalues``, ``distinct_unstable_modes`` and ``factor``'s
+    probe contour) and returned as kept after.  The maps that ``select`` and
+    negation cut share their parent's store of these facts by reference, so
+    each is computed once for all maps on one A, whichever reads it first.
+    The PBH verdict of ``pbh_failure`` reads B and C too: each map keeps its own.
     """
 
-    __slots__ = ("A", "B", "C", "D", "domain", "_facts")
+    __slots__ = ("A", "B", "C", "D", "domain", "_facts", "_pbh")
 
     def __init__(self, A, B, C, D, domain: StabilityDomain):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        D = np.atleast_2d(np.asarray(D, dtype=float))
+        A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, D))
         if A.size == 0:
             A = np.zeros((0, 0))
         n = A.shape[0]
@@ -81,6 +81,7 @@ class StateSpace:
         self.A, self.B, self.C, self.D = map(_frozen, (A, B, C, D))
         self.domain = domain
         self._facts = {}
+        self._pbh = None  # (verdict,) once read
 
     def _fact(self, name: str, compute):
         """The kept fact ``name``: ``compute()`` on first read, then as kept."""
@@ -139,10 +140,9 @@ class StateSpace:
         return self._on_same_state(self.B, -self.C, -self.D)
 
     def _on_same_state(self, B, C, D) -> "StateSpace":
-        """(A, B, C, D), keeping the facts of A read so far; the PBH verdict
-        reads B and C, so it is never passed on."""
+        """(A, B, C, D), sharing this map's store of the facts of A."""
         sys = StateSpace(self.A, B, C, D, self.domain)
-        sys._facts = {k: v for k, v in self._facts.items() if k != "pbh"}
+        sys._facts = self._facts
         return sys
 
     def __repr__(self) -> str:
@@ -153,12 +153,13 @@ class StateSpace:
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:
-    """M, read-only; a view of memory that some array can still write is
-    copied first, with its layout, so no kept fact can go stale."""
+    """M, read-only; M is copied first, with its layout, when it is writable
+    or views memory that some array can still write, so the caller's array
+    stays writable and no kept fact can go stale."""
     base = M.base
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    if base is not None:
+    if base is not None or M.flags.writeable:
         M = M.copy(order="K")
     M.setflags(write=False)
     return M
@@ -464,14 +465,11 @@ def pbh_failure(sys: StateSpace) -> str | None:
     """The realization's one PBH verdict, kept on it: the first test sys
     fails, "stabilizable" before "detectable", or None.  Each test runs at
     every distinct unstable eigenvalue of A (``distinct_unstable_modes``)."""
-
-    def verdict():
-        for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
-            if not all(_pbh_rank_ok(A, Bc, lam) for lam in sys.distinct_unstable_modes):
-                return name
-        return None
-
-    return sys._fact("pbh", verdict)
+    if sys._pbh is None:
+        tests = (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T))
+        sys._pbh = (next((name for name, A, Bc in tests if not all(
+            _pbh_rank_ok(A, Bc, lam) for lam in sys.distinct_unstable_modes)), None),)
+    return sys._pbh[0]
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +527,7 @@ def match_multisets(a, b, tol: float) -> bool:
     if len(a) != len(b):
         return False
     rem = list(b)
-    for x in a:
-        if not rem:
-            return False
+    for x in a:  # one value of rem goes per value of a, so rem is never empty here
         j = min(range(len(rem)), key=lambda i: abs(rem[i] - x))
         if abs(rem[j] - x) > tol:
             return False
@@ -544,13 +540,7 @@ def match_multisets(a, b, tol: float) -> bool:
 
 
 def ss_to_obj(sys: StateSpace) -> dict:
-    return {
-        "domain": sys.domain.value,
-        "A": sys.A.tolist(),
-        "B": sys.B.tolist(),
-        "C": sys.C.tolist(),
-        "D": sys.D.tolist(),
-    }
+    return {"domain": sys.domain.value, **{key: getattr(sys, key).tolist() for key in "ABCD"}}
 
 
 _SS_KEYS = ("domain", "A", "B", "C", "D")

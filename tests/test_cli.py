@@ -348,6 +348,34 @@ def test_nrf_refuses_malformed_patterns(masks, line, demo_dir, tmp_path, capsys)
     assert not (tmp_path / "x.json").exists()  # the patterns are read before the write
 
 
+@pytest.mark.parametrize("cell", ["false", None, {}, 2, 0.5],
+                         ids=["string", "null", "object", "two", "fraction"])
+def test_nrf_refuses_a_mask_cell_that_is_no_boolean(cell, demo_dir, tmp_path, capsys):
+    # np.asarray(..., dtype=bool) would read "false" as True and null as False
+    masks = json.loads((demo_dir / "patterns.json").read_text())
+    masks["X"][2][4] = cell
+    bad = tmp_path / "patterns.json"
+    bad.write_text(json.dumps(masks))
+    code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(demo_dir / "q.json"),
+                     "--patterns", str(bad), "--out", str(tmp_path / "x.json")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out == [f"NrfError: {bad}: mask cell {cell!r} is neither a boolean nor 0/1",
+                   "status: error"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_nrf_refuses_a_pattern_file_of_strings(demo_dir, tmp_path, capsys):
+    masks = json.loads((demo_dir / "patterns.json").read_text())
+    strings = {k: [[json.dumps(v) for v in row] for row in M] for k, M in masks.items()}
+    bad = tmp_path / "patterns.json"
+    bad.write_text(json.dumps(strings))
+    code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(demo_dir / "q.json"),
+                     "--patterns", str(bad), "--out", str(tmp_path / "x.json")])
+    assert code == 1 and capsys.readouterr().out.endswith("status: error\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("text", [
     None,  # no pattern file at all
     "{not json",
@@ -632,6 +660,16 @@ def test_cert_on_numerically_factored_grid5(demo_dir, tmp_path, capsys):
     poles = [complex(t) for t in line[0].split("[")[1].rstrip("]").split(",")]
     assert len(poles) == 5
     assert all(abs(p - 1.0) <= 1e-6 for p in poles)
+
+
+def test_dcf_places_complex_conjugate_targets(demo_dir, tmp_path, capsys):
+    # the pair 0.6 +- 0.2i is the surplus the two uncontrollable lag modes leave
+    dcf = tmp_path / "dcf.json"
+    assert cli.main(
+        ["dcf", "--plant", str(demo_dir / "plant.json"), "--targets",
+         "0.5+0.1i,0.5-0.1i,0.3,0.35,0.4,0.45,0.6+0.2i,0.6-0.2i,0.7", "--out", str(dcf)]
+    ) == 0
+    assert capsys.readouterr().out.endswith("status: ok\n") and dcf.exists()
 
 
 def test_simulate_idempotent_and_seed_override(demo_dir, tmp_path, capsys):

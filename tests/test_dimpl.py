@@ -59,8 +59,8 @@ def test_grouping_must_partition(grid5_pair):
 
 
 @pytest.mark.parametrize("grouping", [[[1.9], [2.2, 3], [4], [5.5]], [[True], [2, 3], [4], [5]],
-                                      [[1], ["2", 3], [4], [5]]],
-                         ids=["fractional", "boolean", "string"])
+                                      [[1], ["2", 3], [4], [5]], [1.5, 2, 3, 4, 5]],
+                         ids=["fractional", "boolean", "string", "fractional-scalar"])
 def test_grouping_rows_are_integers(grid5_pair, grid5_ctrl, grouping):
     # a row number that is not an integer is refused, never truncated to one
     message = "is not a partition of rows 1..5"
@@ -180,7 +180,33 @@ def test_unstable_loop_takes_the_loop_spectrum_once(grid5_pair, grid5_plant, mon
     report = dimpl.verify_internal_stability(pair, plant)
     assert not report.stable and report.loop.order == 24
     assert shapes.count((24, 24)) == 1
-    assert len(shapes) == 254
+    assert len(shapes) == 175
+
+
+def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, monkeypatch):
+    # CI's check-negB case: the v = u + w blocks have the (A, B, C) of the u
+    # blocks and H-tilde's rows -u the poles of its rows u, so of the 16 blocks
+    # and 15 x 15 entries, 12 blocks and 10 x 15 entries are reduced
+    pair = nrfsyn.nrf_from_obj(json.loads(json.dumps(nrfsyn.nrf_to_obj(grid5_pair))))
+    plant = StateSpace(grid5_plant.A, -grid5_plant.B, grid5_plant.C, grid5_plant.D, DISC)
+    calls, reduce = [], sstate.unstable_map_poles
+
+    def counting(sys):
+        calls.append(sys)
+        return reduce(sys)
+
+    monkeypatch.setattr(sstate, "unstable_map_poles", counting)
+    report = dimpl.verify_internal_stability(pair, plant)
+    assert not report.stable and len(calls) == 162
+    # the verdicts passed on are those of the maps' own reductions
+    loop = report.loop
+    for (out, inp), poles in report.block_poles.items():
+        assert reduce(loop.map((out,), (inp,))) == poles, (out, inp)
+    H = loop.map(("u", "u", "y"), ("cmd", "du", "r"))
+    assert report.unstable_entries == tuple(
+        (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
+        if reduce(H.select([i], [j])))
+    assert report.unstable_entries and report.block_poles["v", "w"]
 
 
 @pytest.mark.parametrize("n", range(3, 11))

@@ -142,6 +142,43 @@ def test_place_refuses_missed_targets_beside_coincident_untouched_modes():
     assert not match_multisets(got, placed + untouched, 1e-6)
 
 
+def test_place_complex_conjugate_targets():
+    # a double integrator-like Jordan block: the pair is placed as a pair
+    plant = StateSpace([[1.0, 1.0], [0.0, 1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], DISC)
+    targets = [0.5 + 0.2j, 0.5 - 0.2j]
+    F, L = place_gains(plant, targets)
+    assert np.allclose(F, [[-0.29, -1.0]], atol=1e-12)
+    assert match_multisets(np.linalg.eigvals(plant.A + plant.B @ F), targets, 1e-9)
+    assert match_multisets(np.linalg.eigvals(plant.A + L @ plant.C), targets, 1e-9)
+
+
+def test_place_conjugate_pair_beside_uncontrollable_modes(grid5_plant):
+    # seven controllable states: the surplus pair 0.6 +- 0.2i is dropped for
+    # the two lag modes at 0.8 that no input moves
+    targets = [0.5 + 0.1j, 0.5 - 0.1j, 0.3, 0.35, 0.4, 0.45, 0.6 + 0.2j, 0.6 - 0.2j, 0.7]
+    F, L = place_gains(grid5_plant, targets)
+    placed, untouched = factor._place_onesided(grid5_plant.A, grid5_plant.B, targets)[1]
+    assert placed == [0.5 + 0.1j, 0.5 - 0.1j, 0.3, 0.35, 0.4, 0.45, 0.7]
+    assert np.allclose(untouched, [0.8, 0.8])
+    got = np.linalg.eigvals(grid5_plant.A + grid5_plant.B @ F)
+    assert match_multisets(got, placed + untouched, 1e-6)
+    assert match_multisets(np.linalg.eigvals(grid5_plant.A + L @ grid5_plant.C), targets, 1e-6)
+
+
+def test_place_refuses_a_conjugate_pair_across_staircase_blocks():
+    # each observer block holds one state, so the pair 0.5 +- 0.2i has no block
+    # to go to once the real target 0.3 is placed; the state feedback still
+    # places it in the two-state block of input 2
+    plant = StateSpace(np.diag([1.1, 1.2, 1.3]), [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], np.eye(3),
+                       np.zeros((3, 2)), DISC)
+    targets = [0.5 + 0.2j, 0.5 - 0.2j, 0.3]
+    F, (placed, untouched) = factor._place_onesided(plant.A, plant.B, targets)
+    assert match_multisets(np.linalg.eigvals(plant.A + plant.B @ F), targets, 1e-9)
+    assert placed == targets and untouched == []
+    with pytest.raises(PlacementFailed, match="conjugate target pair straddles a staircase block"):
+        place_gains(plant, targets)
+
+
 def test_place_input_validation():
     plant = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], DISC)
     with pytest.raises(DimensionMismatch):

@@ -299,12 +299,12 @@ def _random_trace(horizon, m, p, seed=0):
 
 
 def test_trace_io_memory_is_bounded_by_the_arrays(tmp_path):
-    """Saving and loading a 50,000-step, 40-channel trace never holds its text
+    """Saving and loading a 10,000-step, 40-channel trace never holds its text
     or one Python float per value: the traced peak stays within 1.5 times the
-    array bytes plus a constant (the whole-trace ``tolist`` alone took five
-    times the array bytes)."""
-    t = _random_trace(50_000, 5, 5)
-    nbytes = sum(getattr(t, s).nbytes for s in simkit._TRACE_SIGNALS)  # 16 MB
+    array bytes plus a constant (the whole-trace ``tolist`` alone takes five
+    times the array bytes, and so does a reader that splits the whole text)."""
+    t = _random_trace(10_000, 5, 5)
+    nbytes = sum(getattr(t, s).nbytes for s in simkit._TRACE_SIGNALS)  # 3.2 MB
     path = tmp_path / "t.csv"
     tracemalloc.start()
     try:

@@ -310,6 +310,40 @@ def test_a_realization_on_writable_memory_keeps_its_own_copy():
     assert np.shares_memory(view.A, read_before.A)
 
 
+def test_a_realization_never_freezes_its_callers_arrays():
+    A, B, C, D = 0.5 * np.eye(2), np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]), np.zeros((1, 1))
+    sys = StateSpace(A, B, C, D, DISC)
+    kept = (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, sys.eval(2.0).tobytes())
+    assert all(M.flags.writeable for M in (A, B, C, D))
+    A[0, 0], B[1, 0], C[0, 1], D[0, 0] = 3.0, 1.0, 1.0, 1.0
+    assert np.array_equal(sys.A, 0.5 * np.eye(2)) and not sys.A.flags.writeable
+    assert (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, sys.eval(2.0).tobytes()) == kept
+    assert kept[1] == () and pbh_failure(sys) is None
+
+
+def test_cuts_share_one_store_of_the_facts_of_a(monkeypatch):
+    # the input 2 reaches the unstable mode 1.5, the input 1 does not
+    parent = StateSpace(np.diag([1.5, 0.5]), [[0.0, 1.0], [1.0, 0.0]], np.eye(2),
+                        np.zeros((2, 2)), DISC)
+    first, second = parent.select([0], [0]), -parent.select([0, 1], [1]).select([0], [0])
+    shapes, eigvals = [], np.linalg.eigvals
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    # the cuts read first, the parent last: eig(A) is computed once
+    assert first.unstable_eigenvalues == second.unstable_eigenvalues == (1.5 + 0j,)
+    assert second.distinct_unstable_modes == (1.5 + 0j,) and parent.eigenvalues.size == 2
+    assert shapes == [(2, 2)]
+    assert parent.eigenvalues is first.eigenvalues is second.eigenvalues
+    # the PBH verdict reads B and C, so each map keeps its own
+    assert pbh_failure(first) == "stabilizable"
+    assert pbh_failure(parent) is None and pbh_failure(second) is None
+    assert pbh_failure(parent.select([0], [0])) == "stabilizable"
+
+
 def test_unstable_eigs_domain_split():
     A = np.diag([0.5, 1.5, -2.0])
     disc = unstable_eigs(A, DISC)
