@@ -323,7 +323,7 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     The poles of any loop map are among the eigenvalues of A_CL, so a stable
     A_CL settles every map at once; otherwise each map's unstable poles are
     those of its minimal realization that pass the PBH tests of
-    ``sstate.unstable_map_poles``.  H-tilde is the map from the command, du and r
+    ``sstate.reached_poles``.  H-tilde is the map from the command, du and r
     injections to (u, -u, y).  Its realization is cross-checked against
     (I - Phi + Gamma G)^-1 formed pointwise from G and the row systems'
     values of [Phi Gamma]; the rational views are not read.
@@ -332,17 +332,18 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     ctrl = assemble(realize_rows(pair))
     loop = closed_loop_state_matrix(plant, ctrl)
 
-    # a stable A_CL settles every map: none is cut out or reduced.  Each
-    # distinct map is reduced once: the v = u + w blocks (v ends LOOP_OUTPUTS)
-    # take the poles of the u blocks, whose (A, B, C) they have, and H is cut
-    # with the rows (u, y), its rows -u taking the verdicts of its rows u
+    # a stable A_CL settles every map: none is cut out or reduced.  Each distinct
+    # map is reduced once: the v = u + w blocks (v ends LOOP_OUTPUTS) take the u
+    # blocks' poles, whose (A, B, C) they have, and H is cut with the rows (u, y),
+    # its rows -u taking the rows u's verdicts, its entries reduced in one pass
     stable = loop.is_stable
     H = loop.map(("u", "y"), ("cmd", "du", "r"))
     block_poles = {(out, inp): () if stable else sstate.unstable_map_poles(loop.map((out,), (inp,)))
                    for out in LOOP_OUTPUTS if out != "v" for inp in TABLE_INPUTS}
     block_poles.update({("v", inp): block_poles["u", inp] for inp in TABLE_INPUTS})
-    bad = set() if stable else {(i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
-                                if sstate.unstable_map_poles(H.select([i], [j]))}
+    bad = set() if stable else {
+        (i, j) for i, j, *part in sstate.entry_reductions(H)
+        if sstate.reached_poles(H.select([i], [j]), StateSpace(*part, H.D[i, j], H.domain))}
     unstable_entries = [(i, j) for i, k in enumerate([*range(m), *range(m + p)])
                         for j in range(H.n_inputs) if (k, j) in bad]
 
@@ -406,11 +407,6 @@ def bundle_from_obj(obj: dict) -> list[RowRealization]:
 def save_bundle(path: str, rows: list[RowRealization]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(bundle_to_obj(rows), indent=2))
-
-
-def load_bundle(path: str) -> list[RowRealization]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return bundle_from_obj(json.load(fh))
 
 
 def eigenvalue_rows(cl: ClosedLoopRealization) -> list[tuple[float, float, float, int]]:

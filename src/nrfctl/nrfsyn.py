@@ -46,6 +46,7 @@ from .ratmat import (
 from .sstate import (
     StateSpace,
     diagonal,
+    finite_norm,
     left_quotient,
     minimal,
     parallel,
@@ -142,7 +143,7 @@ def row_support(systems) -> np.ndarray:
     minimal single-output system the entry is zero exactly when that column is."""
     mask = []
     for s in systems:
-        norms = np.linalg.norm(np.vstack([s.B, s.D]), axis=0)
+        norms = finite_norm(np.vstack([s.B, s.D]), axis=0)
         mask.append(norms > RANK_REL_TOL * max(1.0, float(norms.max())))
     return np.array(mask)
 

@@ -166,10 +166,6 @@ class RationalFunction:
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree
 
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.degree < self.den.degree
-
     def gain_at_infinity(self) -> float:
         """Limit at |x| -> inf for proper functions."""
         if self.num.degree < self.den.degree:

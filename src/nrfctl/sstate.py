@@ -3,19 +3,19 @@
 A proper rational matrix is realized entry by entry (``tf_to_ss_obsv``,
 ``tfm_to_ss``): poles shared between entries are merged by rank decisions of
 orthogonal staircases, never by comparing computed roots, and the transfer
-function is preserved up to floating point.  The staircases take and
-return arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal``, ``tf_to_ss_obsv``
-and ``ss_to_tf`` slice them and build their result only.  The maps on one
-state matrix, a realization and the maps cut from it, share one store of
-the spectral facts of A, each computed once: eig(A), its unstable
-eigenvalues and their distinct modes.  Each map keeps its own
-``pbh_failure``, its one PBH verdict on stabilizability and detectability.
-``unstable_map_poles``
-reads the unstable poles of a map off its minimal realization, with one PBH
-pair against its own B and C per distinct unstable mode.  Every frequency
-response comes from one kernel, ``_eval_stacked``, which solves the pencils
-of systems of one order in shared batches.  ``load_ss`` is the one plant-file
-reader, of state-space or rational-matrix JSON.
+function is preserved up to floating point.  The staircases take and return
+arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal`` and ``tf_to_ss_obsv`` slice
+them and build their result only, and ``entry_reductions`` reduces every
+entry of a map with one observability staircase per output row.  The maps on
+one state matrix, a realization and its cuts, share one store of the spectral
+facts of A, each computed once: eig(A), its unstable eigenvalues and their
+distinct modes.  Each map keeps its own ``pbh_failure``, its one PBH verdict.
+``reached_poles`` keeps a reduction's unstable poles whose nearest mode
+passes a PBH pair against the map's own B and C, one pair per distinct mode,
+and ``unstable_map_poles`` applies it to the minimal realization.  Every
+frequency response comes from one kernel, ``_eval_stacked``, which solves the
+pencils of systems of one order in shared batches.  ``load_ss`` is the one
+plant-file reader, of state-space or rational-matrix JSON.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ class StateSpace:
     Zero-order (purely static) systems are first class: A is then 0 x 0 and
     the quadruple degenerates to the constant gain D.
 
-    The arrays are read-only, and one that the caller can still write, or
-    that views memory some array can still write, is copied first.  So the
-    facts of A are kept: each is computed on first read (``eigenvalues``,
-    ``unstable_eigenvalues``, ``distinct_unstable_modes`` and ``factor``'s
-    probe contour) and returned as kept after.  The maps that ``select`` and
-    negation cut share their parent's store of these facts by reference, so
-    each is computed once for all maps on one A, whichever reads it first.
-    The PBH verdict of ``pbh_failure`` reads B and C too: each map keeps its own.
+    The arrays lie on immutable ``bytes`` buffers, an array elsewhere copied
+    onto one first, so nobody can write them, and the facts of A are kept:
+    each is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
+    ``distinct_unstable_modes`` and ``factor``'s probe contour) and returned
+    as kept after.  The maps that ``select`` and negation cut share their
+    parent's store of these facts by reference, so each is computed once for
+    all maps on one A, whichever reads it first.  The PBH verdict of
+    ``pbh_failure`` reads B and C too: each map keeps its own.
     """
 
     __slots__ = ("A", "B", "C", "D", "domain", "_facts", "_pbh")
@@ -153,15 +153,15 @@ class StateSpace:
 
 
 def _frozen(M: np.ndarray) -> np.ndarray:
-    """M, read-only; M is copied first, with its layout, when it is writable
-    or views memory that some array can still write, so the caller's array
-    stays writable and no kept fact can go stale."""
-    base = M.base
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
+    """M on memory that nobody can make writable: M itself when it lies on an
+    immutable ``bytes`` buffer, else a copy over one with the layout that
+    ``copy(order="K")`` gives it, so no kept fact can go stale."""
+    base = M
+    while isinstance(base, np.ndarray):
         base = base.base
-    if base is not None or M.flags.writeable:
-        M = M.copy(order="K")
-    M.setflags(write=False)
+    if not isinstance(base, bytes):
+        order = "F" if M.ndim == 2 and abs(M.strides[0]) < abs(M.strides[1]) else "C"
+        M = np.ndarray(M.shape, M.dtype, M.tobytes(order), order=order)
     return M
 
 
@@ -340,6 +340,19 @@ def _block_rank(M: np.ndarray, scale: float) -> tuple[int, np.ndarray]:
     return r, U
 
 
+def finite_norm(M: np.ndarray, axis=None):
+    """``np.linalg.norm(M, axis=axis)``, to the bit where it is finite, else
+    rescaled by M's largest magnitude; ``InvariantViolation`` if still infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.linalg.norm(M, axis=axis)
+        if np.isinf(v).any() if axis is not None else v == np.inf:
+            big = np.max(np.abs(M))
+            v = np.where(np.isinf(v), big * np.linalg.norm(M / big, axis=axis), v)
+            if not np.isfinite(v).all():
+                raise InvariantViolation("finite-norm", "the norm exceeds the largest float")
+    return v
+
+
 def ctrb_staircase(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """Orthogonal controllability staircase of the arrays (A, B, C).
 
@@ -357,7 +370,7 @@ def ctrb_staircase(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     if n == 0:
         return A, B, C, 0, T
     A, B, C = A.copy(), B.copy(), C.copy()
-    scale = max(1.0, float(np.linalg.norm(A)), float(np.linalg.norm(B)))
+    scale = max(1.0, float(finite_norm(A)), float(finite_norm(B)))
     j = prev = 0
     while j < n:
         M = B[j:, :] if j == 0 else A[j:, prev:j]
@@ -430,20 +443,19 @@ def _pbh_reaches(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
 
 
 def unstable_map_poles(sys: StateSpace) -> tuple[complex, ...]:
-    """Unstable poles of a map; () without a reduction when sys.A has no
-    unstable mode.
+    """Unstable poles of a map, ``reached_poles`` of its minimal realization;
+    () without a reduction when sys.A has no unstable mode."""
+    return reached_poles(sys, minimal(sys)) if sys.unstable_eigenvalues else ()
 
-    The staircase in ``minimal`` can keep a mode that the map reaches or
-    sees only to rounding, so a pole of the minimal realization is kept only
-    when the nearest unstable mode of sys.A passes both PBH tests against the
-    map's own B (controllability) and C (observability), run once per
-    distinct nearest mode.  A repeated mode passes when the map reaches and
-    sees it in some direction.
-    """
-    modes = sys.unstable_eigenvalues
-    if not modes:
-        return ()
-    poles = minimal(sys).unstable_eigenvalues
+
+def reached_poles(sys: StateSpace, reduced: StateSpace) -> tuple[complex, ...]:
+    """The unstable poles of ``reduced``, a staircase reduction of the map
+    sys, that sys reaches and sees: a staircase can keep a mode the map
+    reaches or sees only to rounding, so a pole is kept only when the nearest
+    unstable mode of sys.A passes both PBH tests against the map's own B and
+    C, run once per distinct nearest mode.  A repeated mode passes when the
+    map reaches and sees it in some direction."""
+    modes, poles = sys.unstable_eigenvalues, reduced.unstable_eigenvalues
     nearest = [int(np.argmin(np.abs(np.asarray(modes) - lam))) for lam in poles]
     passes = {k: _pbh_reaches(sys.A, sys.B, modes[k]) and _pbh_reaches(sys.A.T, sys.C.T, modes[k])
               for k in dict.fromkeys(nearest)}
@@ -497,26 +509,26 @@ def _faddeev_tf(A: np.ndarray, b: np.ndarray, c: np.ndarray, d: float) -> Ration
     return RationalFunction(num_desc[::-1], den_desc[::-1])
 
 
-def ss_to_tf(sys: StateSpace) -> RationalMatrix:
-    """Entrywise transfer matrix; each entry is reduced over its own minimal part.
-
-    The observability staircase of entry (i, j) depends only on (A, c_i), so
-    it runs once per output row; each column then takes its own
-    controllability staircase, and the result is the same as ``minimal`` on
-    every entry.
-    """
-    rows = []
+def entry_reductions(sys: StateSpace):
+    """Each entry (i, j) of sys on its own minimal part, row by row: yields
+    ``(i, j, A, B, C)``, the arrays of ``minimal(sys.select([i], [j]))``.  The
+    observability staircase of (i, j) reads (A, c_i) and never B, so it runs
+    once per output row; each column takes its own controllability staircase."""
     for i in range(sys.n_outputs):
         A, _, C, k_obs, T = obsv_staircase(sys.A, sys.B, sys.C[[i]])
-        row = []
         for j in range(sys.n_inputs):
             # one column at a time, as minimal forms it: a product with all
             # of B can round differently and shift the coefficients
-            Aj, Bj, Cj, k, _ = ctrb_staircase(
-                A[:k_obs, :k_obs], (T.T @ sys.B[:, [j]])[:k_obs], C[:, :k_obs]
-            )
-            row.append(_faddeev_tf(Aj[:k, :k], Bj[:k, 0], Cj[0, :k], float(sys.D[i, j])))
-        rows.append(row)
+            Aj, Bj, Cj, k, _ = ctrb_staircase(A[:k_obs, :k_obs], (T.T @ sys.B[:, [j]])[:k_obs],
+                                              C[:, :k_obs])
+            yield i, j, Aj[:k, :k], Bj[:k], Cj[:, :k]
+
+
+def ss_to_tf(sys: StateSpace) -> RationalMatrix:
+    """Entrywise transfer matrix, each entry off its ``entry_reductions`` part."""
+    rows = [[] for _ in range(sys.n_outputs)]
+    for i, j, A, B, C in entry_reductions(sys):
+        rows[i].append(_faddeev_tf(A, B[:, 0], C[0], float(sys.D[i, j])))
     return RationalMatrix(rows, sys.domain)
 
 

@@ -183,22 +183,38 @@ def test_unstable_loop_takes_the_loop_spectrum_once(grid5_pair, grid5_plant, mon
     assert len(shapes) == 175
 
 
+def _negated_b_loop_check(grid5_pair, grid5_plant):
+    """CI's check-negB case: the demo pair, read back as `nrfctl check` reads
+    nrf.json, and the grid5 plant with B negated."""
+    pair = nrfsyn.nrf_from_obj(json.loads(json.dumps(nrfsyn.nrf_to_obj(grid5_pair))))
+    return pair, StateSpace(grid5_plant.A, -grid5_plant.B, grid5_plant.C, grid5_plant.D, DISC)
+
+
 def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, monkeypatch):
     # CI's check-negB case: the v = u + w blocks have the (A, B, C) of the u
     # blocks and H-tilde's rows -u the poles of its rows u, so of the 16 blocks
-    # and 15 x 15 entries, 12 blocks and 10 x 15 entries are reduced
-    pair = nrfsyn.nrf_from_obj(json.loads(json.dumps(nrfsyn.nrf_to_obj(grid5_pair))))
-    plant = StateSpace(grid5_plant.A, -grid5_plant.B, grid5_plant.C, grid5_plant.D, DISC)
+    # and 15 x 15 entries, 12 blocks are reduced one by one and the 10 x 15
+    # entries in one entry_reductions pass
+    pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
     calls, reduce = [], sstate.unstable_map_poles
+    passes, entries, entry_reductions = [], [], sstate.entry_reductions
 
     def counting(sys):
         calls.append(sys)
         return reduce(sys)
 
+    def counting_entries(sys):
+        passes.append(sys.D.shape)
+        for entry in entry_reductions(sys):
+            entries.append(entry[:2])
+            yield entry
+
     monkeypatch.setattr(sstate, "unstable_map_poles", counting)
+    monkeypatch.setattr(sstate, "entry_reductions", counting_entries)
     report = dimpl.verify_internal_stability(pair, plant)
-    assert not report.stable and len(calls) == 162
-    # the verdicts passed on are those of the maps' own reductions
+    assert not report.stable and len(calls) == 12
+    assert passes == [(10, 15)] and len(entries) == 150
+    # the verdicts passed on are those of the maps' and the entries' own reductions
     loop = report.loop
     for (out, inp), poles in report.block_poles.items():
         assert reduce(loop.map((out,), (inp,))) == poles, (out, inp)
@@ -207,6 +223,54 @@ def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, m
         (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
         if reduce(H.select([i], [j])))
     assert report.unstable_entries and report.block_poles["v", "w"]
+
+
+def test_unstable_loop_runs_one_observability_staircase_per_row(grid5_pair, grid5_plant,
+                                                                monkeypatch):
+    # CI's check-negB case: the 5 row realizations, the 12 distinct blocks and
+    # the 10 rows of H-tilde take one observability staircase each, where a
+    # staircase per H-tilde entry took 167
+    pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
+    calls, staircase = [], sstate.obsv_staircase
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return staircase(*args)
+
+    monkeypatch.setattr(sstate, "obsv_staircase", counting)
+    report = dimpl.verify_internal_stability(pair, plant)
+    assert not report.stable and len(calls) == 27
+    assert calls.count((24, 24)) == 22
+
+
+def _negated_b_chain_loop(platoon, n):
+    """Chain of n vehicles (benchmark targets, Q = 0): its pair's loop around
+    the plant with B negated."""
+    plant, dcf, shift = platoon(n)
+    ctrl = dimpl.assemble(dimpl.realize_rows(nrfsyn.nrf_from_dcf(dcf, shift)))
+    negated = StateSpace(plant.A, -plant.B, plant.C, plant.D, DISC)
+    return dimpl.closed_loop_state_matrix(negated, ctrl)
+
+
+@pytest.mark.parametrize("case", ["grid5", 3, 4, 5])
+def test_entry_reductions_are_each_entrys_own_minimal_realization(
+        case, grid5_pair, grid5_plant, platoon):
+    # H-tilde of an unstable loop: the pass's arrays have the bytes of
+    # minimal on each entry cut out alone
+    if case == "grid5":
+        pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
+        loop = dimpl.closed_loop_state_matrix(plant, dimpl.assemble(dimpl.realize_rows(pair)))
+    else:
+        loop = _negated_b_chain_loop(platoon, case)
+    assert not loop.is_stable
+    H = loop.map(("u", "y"), ("cmd", "du", "r"))
+    seen = []
+    for i, j, A, B, C in sstate.entry_reductions(H):
+        alone = sstate.minimal(H.select([i], [j]))
+        assert [M.tobytes() for M in (A, B, C)] == [M.tobytes() for M in (alone.A, alone.B, alone.C)]
+        assert (A.shape, B.shape, C.shape) == (alone.A.shape, alone.B.shape, alone.C.shape)
+        seen.append((i, j))
+    assert seen == [(i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -285,7 +349,7 @@ def test_internal_stability_flags_unstable_sensing():
 def test_bundle_roundtrip(tmp_path, grid5_rows):
     path = tmp_path / "rows.json"
     dimpl.save_bundle(str(path), grid5_rows)
-    back = dimpl.load_bundle(str(path))
+    back = dimpl.bundle_from_obj(json.loads(path.read_text(encoding="utf-8")))
     assert [r.index for r in back] == [r.index for r in grid5_rows]
     assert [r.order for r in back] == [r.order for r in grid5_rows]
     ctrl = dimpl.assemble(back)

@@ -227,6 +227,14 @@ def test_support_off_the_rows_matches_the_views(case, grid5_dcf, grid5_shift, pl
             assert np.all(norms[~row] <= 1e-12) and np.all(norms[row] >= 1e-3)
 
 
+def test_support_of_a_huge_column_is_not_lost_to_overflow():
+    # a column norm of 1e160 squared overflows: the row still reads it nonzero
+    sys = StateSpace([[0.5]], [[1e160, 1.0, 0.0]], [[1.0]], [[0.0, 0.0, 0.0]], DISC)
+    assert row_support([sys]).tolist() == [[True, False, False]]
+    sys = StateSpace([[0.5]], [[1e160, 1e155, 0.0]], [[1.0]], [[0.0, 0.0, 0.0]], DISC)
+    assert row_support([sys]).tolist() == [[True, True, False]]
+
+
 def test_sparsity_correspondence_names_a_disagreement(grid5_pair, grid5_shift,
                                                        no_rational_views):
     # [Y_Q X_Q] given an entry outside X that the pair does not have

@@ -190,10 +190,10 @@ def test_eval_many_names_first_pole_in_point_order():
 
 def test_reciprocal_and_properness():
     f = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([3.0, 1.0]))
-    assert f.is_proper and not f.is_strictly_proper
+    assert f.is_proper and f.gain_at_infinity() != 0
     g = RationalFunction(f.den, f.num)
     assert abs(f(2.0) * g(2.0) - 1.0) < 1e-12
-    assert lag(1.0, 0.5).is_strictly_proper
+    assert lag(1.0, 0.5).gain_at_infinity() == 0
 
 
 @settings(max_examples=60, deadline=None)

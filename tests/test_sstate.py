@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfctl import simkit, sstate
-from nrfctl.errors import DimensionMismatch, NotProper, NrfError
+from nrfctl.errors import DimensionMismatch, InvariantViolation, NotProper, NrfError
 from nrfctl.factor import _probe_contour, place_gains
 from nrfctl.nrfsyn import nrf_from_dcf
 from nrfctl.ratmat import (
@@ -20,6 +20,7 @@ from nrfctl.ratmat import (
 from nrfctl.sstate import (
     StateSpace,
     ctrb_staircase,
+    finite_norm,
     left_quotient,
     load_ss,
     match_multisets,
@@ -319,6 +320,60 @@ def test_a_realization_never_freezes_its_callers_arrays():
     assert np.array_equal(sys.A, 0.5 * np.eye(2)) and not sys.A.flags.writeable
     assert (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, sys.eval(2.0).tobytes()) == kept
     assert kept[1] == () and pbh_failure(sys) is None
+
+
+def test_a_realization_keeps_no_array_its_caller_can_make_writable():
+    # a caller's own read-only array: turning writing back on and writing
+    # reaches neither the realization's A, its evaluations nor its kept facts
+    A = 0.5 * np.eye(2)
+    A.setflags(write=False)
+    sys = StateSpace(A, [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]], DISC)
+    kept = (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, sys.eval(2.0).tobytes())
+    A.setflags(write=True)
+    A[0, 0] = 3.0
+    assert sys.A[0, 0] == 0.5 and sys.eval(2.0)[0, 0] == 1.0 / 1.5
+    assert (sys.eigenvalues.tobytes(), sys.unstable_eigenvalues, sys.eval(2.0).tobytes()) == kept
+    for M in (sys.A, sys.B, sys.C, sys.D, sys.eigenvalues, sys.select([0], [0]).B):
+        with pytest.raises(ValueError):
+            M.setflags(write=True)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_realization_keeps_the_layout_of_its_arrays(order):
+    A = np.asarray([[0.5, 0.1], [0.2, 0.3]], order=order)
+    sys = StateSpace(A, np.ones((2, 1)), np.ones((1, 2)), [[0.0]], DISC)
+    assert np.array_equal(sys.A, A) and sys.A.strides == A.strides
+    assert StateSpace(A.T, sys.B, sys.C, sys.D, DISC).A.strides == A.T.strides
+
+
+def test_norm_of_huge_entries_does_not_overflow():
+    # finite norms keep np.linalg.norm's bits; an overflowing sum of squares
+    # is rescaled by the largest magnitude
+    rng = np.random.default_rng(3)
+    for M in (rng.normal(size=(6, 4)), 1e150 * rng.normal(size=(3, 3)), np.zeros((2, 0))):
+        assert finite_norm(M) == np.linalg.norm(M)
+        assert finite_norm(M, axis=0).tobytes() == np.linalg.norm(M, axis=0).tobytes()
+    M = np.array([[3e160, 1.0], [4e160, 2.0]])
+    assert abs(finite_norm(M) / 5e160 - 1.0) < 1e-15
+    assert abs(finite_norm(M, axis=0)[0] / 5e160 - 1.0) < 1e-15
+    assert finite_norm(M, axis=0)[1] == np.sqrt(5.0)
+    # a norm beyond the largest float is refused by name, never read as inf
+    for M in (np.full((2, 1), 1.5e308), np.array([[np.inf, 1.0]])):
+        with pytest.raises(InvariantViolation, match="finite-norm"):
+            finite_norm(M)
+
+
+def test_huge_coefficients_realize_at_their_order():
+    # 1e160 / (z - 0.5): a rank scale that overflowed to inf read every
+    # staircase block as rank zero and realized it at order 0
+    big = RationalMatrix([[RationalFunction(Polynomial([1e160]), Polynomial([-0.5, 1.0]))]], DISC)
+    sys = tfm_to_ss(big)
+    assert sys.order == 1
+    assert abs(sys.eval(2.0)[0, 0] / big.eval(2.0)[0, 0] - 1.0) < 1e-12
+    assert ctrb_staircase(np.array([[0.5]]), np.array([[1e160]]), np.ones((1, 1)))[3] == 1
+    beyond = [RationalFunction(Polynomial([1.5e308]), Polynomial([-p, 1.0])) for p in (0.5, 0.6)]
+    with pytest.raises(InvariantViolation, match="finite-norm"):
+        tfm_to_ss(RationalMatrix([beyond], DISC))
 
 
 def test_cuts_share_one_store_of_the_facts_of_a(monkeypatch):
