@@ -101,7 +101,8 @@ def audit(invariant: str, deviation, tol: float, where: str = "") -> None:
     ``deviation`` is a (K, rows, cols) stack with one point per probe, or one
     matrix or scalar for a single point; the residual at a point is its
     largest entry magnitude.  A point with a NaN entry has no residual and is
-    skipped.  A relative audit passes its deviation already scaled.
+    skipped; with no residual at any point the audit fails.  A relative audit
+    passes its deviation already scaled.
     """
     dev = np.abs(np.asarray(deviation))
     stack = dev.ndim == 3
@@ -111,4 +112,7 @@ def audit(invariant: str, deviation, tol: float, where: str = "") -> None:
         k = int(bad[0])
         detail = f"residual {res[k]:.3e} >= tolerance {tol:g}"
         detail += f" at probe point {k}" if stack else ""
+        raise InvariantViolation(invariant, f"{where}: {detail}" if where else detail)
+    if res.size and np.isnan(res).all():
+        detail = "no point has a residual, each is NaN"
         raise InvariantViolation(invariant, f"{where}: {detail}" if where else detail)

@@ -83,9 +83,12 @@ def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, points=N
     """Audit left right = I at ``points`` (the 20 probe points by default),
     and return both maps' values there, from one ``_eval_stacked`` call (one
     batched solve per block of points when the orders agree); both maps are
-    stable, so the points clear all their poles."""
+    stable, so the points clear all their poles.  A product entry that is not
+    finite, as after an overflow, fails as an infinite residual."""
     L, R = _eval_stacked([left, right], probe_points(left.domain, 20) if points is None else points)
-    audit(invariant, L @ R - np.eye(left.n_outputs), PROBE_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = L @ R - np.eye(left.n_outputs)
+    audit(invariant, np.where(np.isfinite(dev), dev, np.inf), PROBE_TOL)
     return L, R
 
 
@@ -378,13 +381,9 @@ def _place_onesided(A: np.ndarray, B: np.ndarray, targets: list[complex]):
         F[j, :] += Frow
         Acur = Acur + np.outer(Bcur[:, j], Frow)
         offset += k
-    dropped = list(remaining)
-    placed = []
-    for t in targets:
-        if t in dropped:
-            dropped.remove(t)
-        else:
-            placed.append(t)
+    placed = list(targets)  # less the dropped targets, their first copies
+    for t in remaining:
+        placed.remove(t)
     return F @ Z.T, (placed, list(np.linalg.eigvals(Acur[offset:, offset:])))
 
 

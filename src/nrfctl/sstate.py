@@ -8,11 +8,11 @@ arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal`` and ``tf_to_ss_obsv`` slice
 them and build their result only, and ``entry_reductions`` reduces every
 entry of a map with one observability staircase per output row.  The maps on
 one state matrix, a realization and its cuts, share one store of the spectral
-facts of A, each computed once: eig(A), its unstable eigenvalues and their
-distinct modes.  Each map keeps its own ``pbh_failure``, its one PBH verdict.
-``reached_poles`` keeps a reduction's unstable poles whose nearest mode
-passes a PBH pair against the map's own B and C, one pair per distinct mode,
-and ``unstable_map_poles`` applies it to the minimal realization.  Every
+facts of A, each computed once: eig(A), its unstable eigenvalues, their
+distinct modes and the singular values of A - lam I per side and mode.  One
+PBH test serves each map's own ``pbh_failure`` verdict and ``reached_poles``,
+a reduction's unstable poles whose nearest mode the map's B reaches and C
+sees, which ``unstable_map_poles`` applies to the minimal realization.  Every
 frequency response comes from one kernel, ``_eval_stacked``, which solves the
 pencils of systems of one order in shared batches.  ``load_ss`` is the one
 plant-file reader, of state-space or rational-matrix JSON.
@@ -53,11 +53,11 @@ class StateSpace:
     The arrays lie on immutable ``bytes`` buffers, an array elsewhere copied
     onto one first, so nobody can write them, and the facts of A are kept:
     each is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
-    ``distinct_unstable_modes`` and ``factor``'s probe contour) and returned
-    as kept after.  The maps that ``select`` and negation cut share their
-    parent's store of these facts by reference, so each is computed once for
-    all maps on one A, whichever reads it first.  The PBH verdict of
-    ``pbh_failure`` reads B and C too: each map keeps its own.
+    ``distinct_unstable_modes``, ``factor``'s probe contour and the singular
+    values of A - lam I) and returned as kept after.  The maps that ``select``
+    and negation cut share their parent's store by reference, so each is
+    computed once for all maps on one A, whichever reads it first.  The PBH
+    verdict of ``pbh_failure`` reads B and C too: each map keeps its own.
     """
 
     __slots__ = ("A", "B", "C", "D", "domain", "_facts", "_pbh")
@@ -83,7 +83,7 @@ class StateSpace:
         self._facts = {}
         self._pbh = None  # (verdict,) once read
 
-    def _fact(self, name: str, compute):
+    def _fact(self, name, compute):
         """The kept fact ``name``: ``compute()`` on first read, then as kept."""
         if name not in self._facts:
             self._facts[name] = compute()
@@ -420,26 +420,22 @@ def is_unstable(lam, domain: StabilityDomain):
     return np.real(lam) >= -STABILITY_MARGIN
 
 
-def _pbh_rank_ok(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
+def _pbh_passes(sys: StateSpace, side: str, lam: complex, *, full: bool) -> bool:
+    """The one PBH test, of (A, B) on side "B" or (A', C') on side "C", at lam:
+    the singular values S of [A - lam I, Bc] above RANK_REL_TOL * S[0] number
+    n with ``full`` (Bc reaches every eigenvector), else more than those of
+    A - lam I, kept per side and mode (Bc reaches some eigenvector)."""
+    A, Bc = (sys.A, sys.B) if side == "B" else (sys.A.T, sys.C.T)
     n = A.shape[0]
     M = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
     S = np.linalg.svd(M, compute_uv=False)
-    return S.size > 0 and S[-1] > RANK_REL_TOL * S[0]
-
-
-def _pbh_reaches(A: np.ndarray, Bc: np.ndarray, lam: complex) -> bool:
-    """PBH test that Bc reaches some eigenvector of A at lam.
-
-    Appending Bc must raise the numerical rank of A - lam I.  At a simple
-    eigenvalue this is ``_pbh_rank_ok``; at a repeated one it asks for one
-    direction, not all of them.
-    """
-    n = A.shape[0]
-    M = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
-    S = np.linalg.svd(M, compute_uv=False)
-    S_A = np.linalg.svd(M[:, :n], compute_uv=False)
     cut = RANK_REL_TOL * S[0]
-    return int(np.sum(S > cut)) > int(np.sum(S_A > cut))
+    rank = int(np.sum(S > cut))
+    if full:
+        return rank == n
+    S_A = sys._fact(("pencil", side, lam.real.hex(), lam.imag.hex()),
+                    lambda: np.linalg.svd(M[:, :n], compute_uv=False))
+    return rank > int(np.sum(S_A > cut))
 
 
 def unstable_map_poles(sys: StateSpace) -> tuple[complex, ...]:
@@ -457,7 +453,7 @@ def reached_poles(sys: StateSpace, reduced: StateSpace) -> tuple[complex, ...]:
     map reaches and sees it in some direction."""
     modes, poles = sys.unstable_eigenvalues, reduced.unstable_eigenvalues
     nearest = [int(np.argmin(np.abs(np.asarray(modes) - lam))) for lam in poles]
-    passes = {k: _pbh_reaches(sys.A, sys.B, modes[k]) and _pbh_reaches(sys.A.T, sys.C.T, modes[k])
+    passes = {k: all(_pbh_passes(sys, side, modes[k], full=False) for side in "BC")
               for k in dict.fromkeys(nearest)}
     return tuple(lam for lam, k in zip(poles, nearest) if passes[k])
 
@@ -478,9 +474,9 @@ def pbh_failure(sys: StateSpace) -> str | None:
     fails, "stabilizable" before "detectable", or None.  Each test runs at
     every distinct unstable eigenvalue of A (``distinct_unstable_modes``)."""
     if sys._pbh is None:
-        tests = (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T))
-        sys._pbh = (next((name for name, A, Bc in tests if not all(
-            _pbh_rank_ok(A, Bc, lam) for lam in sys.distinct_unstable_modes)), None),)
+        sys._pbh = (next((name for name, side in (("stabilizable", "B"), ("detectable", "C"))
+                          if not all(_pbh_passes(sys, side, lam, full=True)
+                                     for lam in sys.distinct_unstable_modes)), None),)
     return sys._pbh[0]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 
 from nrfctl.errors import NotProper
 from nrfctl.ratmat import Polynomial, RationalFunction, RationalMatrix, StabilityDomain
-from nrfctl.sstate import StateSpace, tfm_to_ss
+from nrfctl.sstate import StateSpace, minimal, tfm_to_ss
 from nrfctl.tolerances import RANK_REL_TOL
 
 
@@ -30,6 +30,39 @@ def unstable_eigs(A, domain: StabilityDomain) -> tuple[complex, ...]:
     """Unstable eigenvalues of a bare matrix, sorted: the kept fact
     ``unstable_eigenvalues`` of a realization with no inputs or outputs on it."""
     return StateSpace(A, [], [], np.zeros((0, 0)), domain).unstable_eigenvalues
+
+
+def pencil_ranks(A, Bc, lam) -> tuple[int, int]:
+    """The PBH ranks at lam from their definition: the SVD ranks of the pencil
+    [A - lam I, Bc] and of A - lam I, both counted above RANK_REL_TOL times the
+    pencil's largest singular value."""
+    n = A.shape[0]
+    P = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
+    cut = RANK_REL_TOL * np.linalg.svd(P, compute_uv=False)[0]
+    return tuple(int(np.sum(np.linalg.svd(M, compute_uv=False) > cut)) for M in (P, P[:, :n]))
+
+
+def pbh_at_every_copy(A, Bc, domain: StabilityDomain) -> bool:
+    """The PBH test of (A, Bc): full row rank of the pencil at every copy of
+    every unstable eigenvalue of A."""
+    return all(pencil_ranks(A, Bc, lam)[0] == A.shape[0] for lam in unstable_eigs(A, domain))
+
+
+def poles_tested_at_every_pole(sys: StateSpace) -> tuple[complex, ...]:
+    """The per-pole reference of ``reached_poles``: each unstable pole of the
+    minimal realization is kept when, at its nearest unstable mode mu of
+    sys.A, appending B raises the rank of A - mu I and appending C' that of
+    its transpose."""
+    modes = unstable_eigs(sys.A, sys.domain)
+    if not modes:
+        return ()
+    kept = []
+    for lam in unstable_eigs(minimal(sys).A, sys.domain):
+        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
+        if all(rank > floor for rank, floor in (pencil_ranks(sys.A, sys.B, mu),
+                                                 pencil_ranks(sys.A.T, sys.C.T, mu))):
+            kept.append(lam)
+    return tuple(kept)
 
 
 def transmission_zero_rank_test(sys: StateSpace, point: complex) -> bool:

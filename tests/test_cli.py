@@ -410,17 +410,18 @@ def test_nrf_rejects_unstable_q(demo_dir, tmp_path, capsys):
 
 def test_nrf_refuses_a_huge_q_it_cannot_realize(demo_dir, tmp_path, capsys):
     # Q = diag(1e160 / (z - 0.5)): an overflowing rank scale realized Q at
-    # order 0, so nrf wrote the Q = 0 pair with status ok
+    # order 0, so nrf wrote the Q = 0 pair with status ok.  The shifted
+    # Bezout product overflows, and its own audit refuses it without a warning
     huge = tmp_path / "q_huge.json"
     save_ratmat(RationalMatrix.scalar(
         RationalFunction(Polynomial([1e160]), Polynomial([-0.5, 1.0])), 5, DISC), str(huge))
     out = tmp_path / "x.json"
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(huge),
-                         "--out", str(out)])
+    code = cli.main(["nrf", "--dcf", str(demo_dir / "dcf.json"), "--q", str(huge),
+                     "--out", str(out)])
     report = capsys.readouterr().out
     assert code == 1 and not out.exists()
     assert "status: ok" not in report and report.splitlines()[-1] == "status: error"
+    assert "shifted-bezout-identity" in report
 
 
 def test_check_grid5_all_stable(demo_dir, capsys):

@@ -243,6 +243,33 @@ def test_unstable_loop_runs_one_observability_staircase_per_row(grid5_pair, grid
     assert calls.count((24, 24)) == 22
 
 
+@pytest.mark.parametrize("case", ["grid5", 5])
+def test_unstable_loop_takes_each_pencil_spectrum_once_per_side(case, grid5_pair, grid5_plant,
+                                                                platoon, monkeypatch):
+    # the singular values of A_CL - lam I are a kept fact of the loop: the 12
+    # blocks and 150 H-tilde entries that test a mode share one SVD of it per
+    # side, where each PBH test took its own
+    if case == "grid5":
+        pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
+    else:
+        plant, dcf, shift = platoon(case)
+        pair = nrfsyn.nrf_from_dcf(dcf, shift)
+        plant = StateSpace(plant.A, -plant.B, plant.C, plant.D, DISC)
+    seen, svd = [], np.linalg.svd
+
+    def counting(M, *args, **kwargs):
+        seen.append((M.shape, M.dtype))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    report = dimpl.verify_internal_stability(pair, plant)
+    monkeypatch.undo()
+    n, modes = report.loop.order, report.loop.sys.distinct_unstable_modes
+    square = seen.count(((n, n), np.dtype(complex)))
+    assert not report.stable and 0 < square <= 2 * len(modes)
+    assert case == "grid5" or 2 * len(modes) == 10
+
+
 def _negated_b_chain_loop(platoon, n):
     """Chain of n vehicles (benchmark targets, Q = 0): its pair's loop around
     the plant with B negated."""

@@ -44,7 +44,7 @@ from nrfctl.ratmat import (
 )
 from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, tfm_to_ss
 
-from helpers import unstable_eigs
+from helpers import pbh_at_every_copy, unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 
@@ -272,11 +272,11 @@ def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
     # Bézout realizations in one batched solve, and one solve for the plant
     # quotient Mt^-1 Nt
     plant, F, L = platoon_gains(4)
-    watched = ((np.linalg, "eigvals"), (sstate, "_pbh_rank_ok"), (StateSpace, "eval_many"),
+    watched = ((np.linalg, "eigvals"), (sstate, "_pbh_passes"), (StateSpace, "eval_many"),
                (factor, "_eval_stacked"), (np.linalg, "solve"), (factor, "probe_points"))
     cold = _fresh(plant)
     assert _calls(monkeypatch, lambda: dcf_from_ss(cold, F, L), watched) == {
-        "eigvals": 2, "_pbh_rank_ok": 2, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
+        "eigvals": 2, "_pbh_passes": 2, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
     # place_gains decided eig(A) and the PBH verdict on the same plant object
     placed = _fresh(plant)
     place_gains(placed, _platoon_targets(placed.order, 0.6))
@@ -414,11 +414,6 @@ def test_rational_factors_of_the_known_failing_draws(seed, n, m, p):
     assert dcf.bezout_residual() < 1e-8
 
 
-def _pbh_reference(A, Bc, domain):
-    """The PBH test at every copy of every unstable eigenvalue."""
-    return all(sstate._pbh_rank_ok(A, Bc, lam) for lam in unstable_eigs(A, domain))
-
-
 @pytest.mark.parametrize("name", [*(f"chain-{n}" for n in range(2, 9)), "grid5", "cyclic-4",
                                   "mesh-3x3"])
 def test_pbh_at_distinct_modes_equals_the_test_at_every_copy(name, grid5_plant):
@@ -431,7 +426,8 @@ def test_pbh_at_distinct_modes_equals_the_test_at_every_copy(name, grid5_plant):
     else:
         n = int(name.split("-")[1])
         plant = simkit.build_network_plant(np.eye(n, k=-1, dtype=bool))
-    want = (_pbh_reference(plant.A, plant.B, DISC), _pbh_reference(plant.A.T, plant.C.T, DISC))
+    want = (pbh_at_every_copy(plant.A, plant.B, DISC),
+            pbh_at_every_copy(plant.A.T, plant.C.T, DISC))
     assert want == (True, True)
     assert sstate.pbh_failure(plant) is None
 

@@ -39,7 +39,7 @@ from nrfctl.sstate import (
 from nrfctl.tolerances import POLE_MATCH_TOL
 from nrfctl import simkit
 
-from helpers import unstable_eigs
+from helpers import poles_tested_at_every_pole
 
 DISC = StabilityDomain.DISCRETE
 
@@ -331,20 +331,6 @@ def test_mr3_keeps_every_integrator_of_a_cyclic_network():
     assert match_multisets(cert.unstable_poles_found, want, POLE_MATCH_TOL)
 
 
-def _poles_tested_at_every_pole(sys):
-    """The per-pole reference: each unstable pole of the minimal realization
-    runs both PBH tests at its nearest unstable mode of sys.A."""
-    modes = unstable_eigs(sys.A, sys.domain)
-    if not modes:
-        return ()
-    kept = []
-    for lam in unstable_eigs(minimal(sys).A, sys.domain):
-        mu = modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))]
-        if sstate._pbh_reaches(sys.A, sys.B, mu) and sstate._pbh_reaches(sys.A.T, sys.C.T, mu):
-            kept.append(lam)
-    return tuple(kept)
-
-
 @pytest.mark.parametrize("name", ["grid5-mr2", "grid5-mr3", *(f"chain-{n}" for n in range(2, 9))])
 def test_map_poles_at_distinct_modes_equal_the_per_pole_tests(name, grid5_dcf, grid5_shift,
                                                               platoon):
@@ -353,7 +339,7 @@ def test_map_poles_at_distinct_modes_equal_the_per_pole_tests(name, grid5_dcf, g
         witness = make(grid5_dcf, grid5_shift).witness_map
     else:
         witness = mr3_certificate(*platoon(int(name.split("-")[1]))[1:]).witness_map
-    assert unstable_map_poles(witness) == _poles_tested_at_every_pole(witness)
+    assert unstable_map_poles(witness) == poles_tested_at_every_pole(witness)
 
 
 @pytest.mark.parametrize("variant", ["B-negated", "A00-2", "B-times-3"])
@@ -369,7 +355,7 @@ def test_loop_map_poles_equal_the_per_pole_tests(variant, grid5_plant, grid5_ctr
     assert not loop.is_stable
     maps = [loop.map((out,), (inp,)) for out in dimpl.LOOP_OUTPUTS for inp in dimpl.TABLE_INPUTS]
     got = [unstable_map_poles(sys) for sys in maps]
-    assert got == [_poles_tested_at_every_pole(sys) for sys in maps]
+    assert got == [poles_tested_at_every_pole(sys) for sys in maps]
     assert any(got)
 
 
@@ -377,8 +363,9 @@ def test_mr3_runs_one_pbh_pair_per_distinct_mode(platoon, monkeypatch):
     # the eight poles of the chain n = 8 witness share one nearest mode at 1
     _, dcf, shift = platoon(8)
     calls = []
-    reaches = sstate._pbh_reaches
-    monkeypatch.setattr(sstate, "_pbh_reaches", lambda *args: calls.append(1) or reaches(*args))
+    passes = sstate._pbh_passes
+    monkeypatch.setattr(sstate, "_pbh_passes",
+                        lambda *args, **kwargs: calls.append(1) or passes(*args, **kwargs))
     cert = mr3_certificate(dcf, shift)
     monkeypatch.undo()
     assert len(cert.unstable_poles_found) == 8 and len(calls) == 2

@@ -38,7 +38,14 @@ from nrfctl.sstate import (
     unstable_map_poles,
 )
 
-from helpers import tfm_unstable_poles, transmission_zero_rank_test, unstable_eigs
+from helpers import (
+    pbh_at_every_copy,
+    pencil_ranks,
+    poles_tested_at_every_pole,
+    tfm_unstable_poles,
+    transmission_zero_rank_test,
+    unstable_eigs,
+)
 
 DISC = StabilityDomain.DISCRETE
 CONT = StabilityDomain.CONTINUOUS
@@ -263,13 +270,49 @@ def test_map_with_a_stable_state_matrix_is_not_reduced(sys, monkeypatch):
 
 
 def _direct_pbh_verdict(sys):
-    """The PBH verdict from eig(A) computed here, tested at every copy of every
-    unstable eigenvalue."""
-    lams = unstable_eigs(sys.A, sys.domain)
+    """The PBH verdict from the reference test at every copy of every unstable
+    eigenvalue."""
     for name, A, Bc in (("stabilizable", sys.A, sys.B), ("detectable", sys.A.T, sys.C.T)):
-        if not all(sstate._pbh_rank_ok(A, Bc, lam) for lam in lams):
+        if not pbh_at_every_copy(A, Bc, sys.domain):
             return name
     return None
+
+
+def _repeated_mode_system(seed: int, n: int) -> StateSpace:
+    """n states on a random orthogonal basis: the unstable mode 1.5 twice,
+    on two directions of which B reaches one and C sees both, and n - 2
+    stable modes."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = rng.standard_normal((n - 2, n - 2))
+    S *= 0.9 / np.max(np.abs(np.linalg.eigvals(S)))
+    A = np.zeros((n, n))
+    A[:2, :2], A[2:, 2:] = 1.5 * np.eye(2), S
+    B = np.vstack([[[1.0], [0.0]], rng.standard_normal((n - 2, 1))])
+    return StateSpace(Q @ A @ Q.T, Q @ B, rng.standard_normal((2, n)) @ Q.T, np.zeros((2, 1)), DISC)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pbh_verdicts_at_a_repeated_mode_equal_the_reference(seed):
+    # one PBH routine for both questions: B reaches the double mode in one
+    # direction, so the full-rank test fails and the reach test passes
+    sys = _repeated_mode_system(seed, 4 + seed)
+    dual = StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T, DISC)
+    lams = unstable_eigs(sys.A, DISC)
+    assert len(lams) == 2
+    for side, A, Bc in (("B", sys.A, sys.B), ("C", sys.A.T, sys.C.T)):
+        for lam in lams:
+            rank, floor = pencil_ranks(A, Bc, lam)
+            for _ in range(2):  # the second reach test reads A - lam I's kept values
+                assert sstate._pbh_passes(sys, side, lam, full=True) is (rank == sys.order)
+                assert sstate._pbh_passes(sys, side, lam, full=False) is (rank > floor)
+            assert (rank, floor) == ((sys.order - 1, sys.order - 2) if side == "B"
+                                     else (sys.order, sys.order - 2))
+    assert pbh_failure(sys) == _direct_pbh_verdict(sys) == "stabilizable"
+    assert pbh_failure(dual) == _direct_pbh_verdict(dual) == "detectable"
+    for system in (sys, dual):
+        poles = sstate.unstable_map_poles(system)
+        assert len(poles) == 1 and poles == poles_tested_at_every_pole(system)
 
 
 @pytest.mark.parametrize("name", ["grid5", *(f"chain-{n}" for n in range(2, 9))])
