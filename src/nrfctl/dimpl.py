@@ -40,7 +40,7 @@ from .errors import (
 from .factor import LOOP_INPUTS, LOOP_OUTPUTS, TABLE_INPUTS, _injections, _readout, _signal_index
 from .nrfsyn import NrfPair
 from .ratmat import RationalMatrix, probe_points
-from . import sstate
+from . import factor, sstate
 from .sstate import StateSpace
 from .tolerances import PROBE_TOL
 
@@ -326,8 +326,10 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     ``sstate.reached_poles``.  H-tilde is the map from the command, du and r
     injections to (u, -u, y).  Its realization is cross-checked against
     (I - Phi + Gamma G)^-1 formed pointwise from G and the row systems'
-    values of [Phi Gamma]; the rational views are not read.
-    """
+    values of [Phi Gamma]; the rational views are not read.  A plant that
+    fails PBH is refused first, as ``dcf_from_ss`` refuses it: the rank tests
+    on the loop maps can read the loop around it as stable when it is not."""
+    factor._require_pbh(plant)
     m, p = pair.shape
     ctrl = assemble(realize_rows(pair))
     loop = closed_loop_state_matrix(plant, ctrl)

@@ -73,10 +73,10 @@ _FIELDS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 
 
 def _probe_contour(plant: StateSpace) -> tuple[complex, ...]:
-    """The 20 probe points clear of the plant's distinct unstable modes, kept
-    on the plant: no other pole can reach them (``tolerances``)."""
+    """The 20 probe points clear of the plant's unstable eigenvalues, kept on
+    the plant: no other pole can reach them (``tolerances``)."""
     return plant._fact("probe_contour", lambda: tuple(
-        probe_points(plant.domain, 20, avoid=plant.distinct_unstable_modes)))
+        probe_points(plant.domain, 20, avoid=plant.unstable_eigenvalues)))
 
 
 def _check_inverse(left: StateSpace, right: StateSpace, invariant: str, points=None):

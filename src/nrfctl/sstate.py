@@ -8,11 +8,11 @@ arrays, ``(T'AT, T'B, CT, k, T)``; ``minimal`` and ``tf_to_ss_obsv`` slice
 them and build their result only, and ``entry_reductions`` reduces every
 entry of a map with one observability staircase per output row.  The maps on
 one state matrix, a realization and its cuts, share one store of the spectral
-facts of A, each computed once: eig(A), its unstable eigenvalues, their
-distinct modes and the singular values of A - lam I per side and mode.  One
-PBH test serves each map's own ``pbh_failure`` verdict and ``reached_poles``,
-a reduction's unstable poles whose nearest mode the map's B reaches and C
-sees, which ``unstable_map_poles`` applies to the minimal realization.  Every
+facts of A, each computed once: eig(A), its unstable eigenvalues and the PBH
+pencil spectra, of [A - lam I, Bc] per side, mode and tested columns.  One PBH
+test over them serves ``pbh_failure`` and ``reached_poles``, a reduction's
+unstable poles whose nearest mode the map's B reaches and C sees, which
+``unstable_map_poles`` applies to the minimal realization.  Every
 frequency response comes from one kernel, ``_eval_stacked``, which solves the
 pencils of systems of one order in shared batches.  ``load_ss`` is the one
 plant-file reader, of state-space or rational-matrix JSON.
@@ -53,14 +53,14 @@ class StateSpace:
     The arrays lie on immutable ``bytes`` buffers, an array elsewhere copied
     onto one first, so nobody can write them, and the facts of A are kept:
     each is computed on first read (``eigenvalues``, ``unstable_eigenvalues``,
-    ``distinct_unstable_modes``, ``factor``'s probe contour and the singular
-    values of A - lam I) and returned as kept after.  The maps that ``select``
-    and negation cut share their parent's store by reference, so each is
-    computed once for all maps on one A, whichever reads it first.  The PBH
-    verdict of ``pbh_failure`` reads B and C too: each map keeps its own.
+    ``factor``'s probe contour and the PBH pencil spectra, keyed by side,
+    mode and the bytes of the tested columns) and returned as kept after.
+    The maps that ``select`` and negation cut share their parent's store by
+    reference, so each is computed once for all maps on one A, whichever
+    reads it first, and two cuts that test the same columns share one SVD.
     """
 
-    __slots__ = ("A", "B", "C", "D", "domain", "_facts", "_pbh")
+    __slots__ = ("A", "B", "C", "D", "domain", "_facts")
 
     def __init__(self, A, B, C, D, domain: StabilityDomain):
         A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B, C, D))
@@ -81,7 +81,6 @@ class StateSpace:
         self.A, self.B, self.C, self.D = map(_frozen, (A, B, C, D))
         self.domain = domain
         self._facts = {}
-        self._pbh = None  # (verdict,) once read
 
     def _fact(self, name, compute):
         """The kept fact ``name``: ``compute()`` on first read, then as kept."""
@@ -101,13 +100,6 @@ class StateSpace:
         return self._fact("unstable", lambda: tuple(sorted(
             map(complex, self.eigenvalues[is_unstable(self.eigenvalues, self.domain)]),
             key=lambda z: (z.real, z.imag))))
-
-    @property
-    def distinct_unstable_modes(self) -> tuple[complex, ...]:
-        """The unstable eigenvalues, one copy of each bitwise-distinct value:
-        a PBH test at an identical eigenvalue runs the identical SVD."""
-        return self._fact("modes", lambda: tuple(
-            {(z.real.hex(), z.imag.hex()): z for z in self.unstable_eigenvalues}.values()))
 
     @property
     def order(self) -> int:
@@ -424,18 +416,23 @@ def _pbh_passes(sys: StateSpace, side: str, lam: complex, *, full: bool) -> bool
     """The one PBH test, of (A, B) on side "B" or (A', C') on side "C", at lam:
     the singular values S of [A - lam I, Bc] above RANK_REL_TOL * S[0] number
     n with ``full`` (Bc reaches every eigenvector), else more than those of
-    A - lam I, kept per side and mode (Bc reaches some eigenvector)."""
-    A, Bc = (sys.A, sys.B) if side == "B" else (sys.A.T, sys.C.T)
-    n = A.shape[0]
-    M = np.hstack([A - lam * np.eye(n), Bc]).astype(complex)
-    S = np.linalg.svd(M, compute_uv=False)
+    A - lam I (Bc reaches some eigenvector), each a kept ``_pencil_spectrum``."""
+    Bc = sys.B if side == "B" else sys.C.T
+    S = _pencil_spectrum(sys, side, lam, Bc)
     cut = RANK_REL_TOL * S[0]
-    rank = int(np.sum(S > cut))
+    rank = int(np.count_nonzero(S > cut))
     if full:
-        return rank == n
-    S_A = sys._fact(("pencil", side, lam.real.hex(), lam.imag.hex()),
-                    lambda: np.linalg.svd(M[:, :n], compute_uv=False))
-    return rank > int(np.sum(S_A > cut))
+        return rank == sys.order
+    return rank > int(np.count_nonzero(_pencil_spectrum(sys, side, lam, Bc[:, :0]) > cut))
+
+
+def _pencil_spectrum(sys: StateSpace, side: str, lam: complex, Bc: np.ndarray) -> np.ndarray:
+    """The singular values of [A - lam I, Bc] (A' on side "C"), a fact of A
+    kept under the side, the bits of lam and the bytes of Bc: maps on one A
+    that test the same columns share it, and no columns give A - lam I's."""
+    A = sys.A if side == "B" else sys.A.T
+    return sys._fact((side, lam.real.hex(), lam.imag.hex(), Bc.tobytes()), lambda: np.linalg.svd(
+        np.hstack([A - lam * np.eye(sys.order), Bc]).astype(complex), compute_uv=False))
 
 
 def unstable_map_poles(sys: StateSpace) -> tuple[complex, ...]:
@@ -449,13 +446,12 @@ def reached_poles(sys: StateSpace, reduced: StateSpace) -> tuple[complex, ...]:
     sys, that sys reaches and sees: a staircase can keep a mode the map
     reaches or sees only to rounding, so a pole is kept only when the nearest
     unstable mode of sys.A passes both PBH tests against the map's own B and
-    C, run once per distinct nearest mode.  A repeated mode passes when the
-    map reaches and sees it in some direction."""
+    C.  A repeated mode passes when the map reaches and sees it in some
+    direction."""
     modes, poles = sys.unstable_eigenvalues, reduced.unstable_eigenvalues
-    nearest = [int(np.argmin(np.abs(np.asarray(modes) - lam))) for lam in poles]
-    passes = {k: all(_pbh_passes(sys, side, modes[k], full=False) for side in "BC")
-              for k in dict.fromkeys(nearest)}
-    return tuple(lam for lam, k in zip(poles, nearest) if passes[k])
+    nearest = [modes[int(np.argmin(np.abs(np.asarray(modes) - lam)))] for lam in poles]
+    return tuple(lam for lam, mu in zip(poles, nearest)
+                 if all(_pbh_passes(sys, side, mu, full=False) for side in "BC"))
 
 
 def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
@@ -470,14 +466,12 @@ def _invertibility(Mat: np.ndarray) -> tuple[bool, float]:
 
 
 def pbh_failure(sys: StateSpace) -> str | None:
-    """The realization's one PBH verdict, kept on it: the first test sys
-    fails, "stabilizable" before "detectable", or None.  Each test runs at
-    every distinct unstable eigenvalue of A (``distinct_unstable_modes``)."""
-    if sys._pbh is None:
-        sys._pbh = (next((name for name, side in (("stabilizable", "B"), ("detectable", "C"))
-                          if not all(_pbh_passes(sys, side, lam, full=True)
-                                     for lam in sys.distinct_unstable_modes)), None),)
-    return sys._pbh[0]
+    """The first PBH test sys fails, "stabilizable" before "detectable", or
+    None, each run once per distinct unstable eigenvalue of A off the kept
+    pencil spectra, so a second call takes no SVD."""
+    return next((name for name, side in (("stabilizable", "B"), ("detectable", "C"))
+                 if not all(_pbh_passes(sys, side, lam, full=True)
+                            for lam in dict.fromkeys(sys.unstable_eigenvalues))), None)
 
 
 # ---------------------------------------------------------------------------

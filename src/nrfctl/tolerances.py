@@ -35,8 +35,8 @@ points start on |z| = 2 (Re s = 1), and at most 50 moves of 0.0154 keep them
 outside |z| = 1.2 (at Re s >= 1), while a stable pole lies inside
 |z| = 1 - STABILITY_MARGIN (left of Re s = -STABILITY_MARGIN).
 Both audits read the probe contour a plant keeps (``factor._probe_contour``),
-moved clear of the plant's kept distinct unstable modes, the ones its PBH
-verdict was decided at: ``dcf_from_ss`` that of the plant it factors,
+moved clear of the plant's kept unstable eigenvalues, the ones its PBH
+verdict is decided at: ``dcf_from_ss`` that of the plant it factors,
 ``validate`` that of its realization of Mt^-1 Nt.  On every tested plant
 both give the same points.
 

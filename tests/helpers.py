@@ -42,6 +42,20 @@ def pencil_ranks(A, Bc, lam) -> tuple[int, int]:
     return tuple(int(np.sum(np.linalg.svd(M, compute_uv=False) > cut)) for M in (P, P[:, :n]))
 
 
+def pencil_svds(monkeypatch) -> list:
+    """Patch np.linalg.svd to record the shape of each complex matrix it
+    factors, the PBH pencils [A - lam I, Bc]; the list fills as calls run."""
+    shapes, svd = [], np.linalg.svd
+
+    def counting(M, *args, **kwargs):
+        if np.ndim(M) == 2 and np.iscomplexobj(M):
+            shapes.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
 def pbh_at_every_copy(A, Bc, domain: StabilityDomain) -> bool:
     """The PBH test of (A, Bc): full row rank of the pencil at every copy of
     every unstable eigenvalue of A."""

@@ -478,6 +478,22 @@ def test_check_stable_for_shifted_youla_parameter(demo_dir, tmp_path, capsys):
     assert "H-tilde entries: all stable" in out.splitlines()
 
 
+@pytest.mark.parametrize("key, scale, error", [("B", -1e8, "NotStabilizable"),
+                                                ("C", 1e8, "NotDetectable")])
+def test_check_refuses_a_plant_that_fails_pbh(key, scale, error, demo_dir, tmp_path, capsys):
+    # the demo pair around the demo plant with B or C scaled: the loop has 10
+    # unstable eigenvalues that the rank tests on the loop maps miss, so the
+    # plant's own verdict is read first, as dcf reads it
+    plant = json.loads((demo_dir / "plant.json").read_text())
+    plant[key] = [[scale * v for v in row] for row in plant[key]]
+    (tmp_path / "plant.json").write_text(json.dumps(plant))
+    code = cli.main(["check", "--nrf", str(demo_dir / "nrf.json"),
+                     "--plant", str(tmp_path / "plant.json")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.startswith(f"{error}: ") and captured.out.endswith("status: error\n")
+
+
 def test_check_flags_unstable_loop(tmp_path, capsys):
     zero = RationalMatrix.zeros(2, 2, DISC)
     nrfsyn.save_nrf(nrfsyn.NrfPair(zero, zero), str(tmp_path / "nrf0.json"))

@@ -13,6 +13,8 @@ from nrfctl.errors import (
     DimensionMismatch,
     InconsistentDimensions,
     InvariantViolation,
+    NotDetectable,
+    NotStabilizable,
     NrfError,
     SingularCoupling,
 )
@@ -24,8 +26,9 @@ from nrfctl.ratmat import (
     probe_points,
 )
 from nrfctl.sstate import StateSpace, match_multisets
+from nrfctl.tolerances import RANK_REL_TOL
 
-from helpers import tfm_unstable_poles
+from helpers import pencil_ranks, pencil_svds, tfm_unstable_poles
 
 DISC = StabilityDomain.DISCRETE
 
@@ -246,28 +249,65 @@ def test_unstable_loop_runs_one_observability_staircase_per_row(grid5_pair, grid
 @pytest.mark.parametrize("case", ["grid5", 5])
 def test_unstable_loop_takes_each_pencil_spectrum_once_per_side(case, grid5_pair, grid5_plant,
                                                                 platoon, monkeypatch):
-    # the singular values of A_CL - lam I are a kept fact of the loop: the 12
-    # blocks and 150 H-tilde entries that test a mode share one SVD of it per
-    # side, where each PBH test took its own
+    # CI's check-negB case, or chain n = case (benchmark targets, Q = 0) with B
+    # negated.  The pencil spectra are kept facts of the loop per side, mode
+    # and tested columns, so per distinct unstable mode A_CL - lam I takes one
+    # SVD per side, and with the 15 H-tilde columns and 4 block input sets on
+    # side B and the 10 H-tilde rows and 3 block output sets on side C at most
+    # 34, where each entry's tests took their own (294 on grid5, 1630 on chain n = 5)
     if case == "grid5":
         pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
     else:
         plant, dcf, shift = platoon(case)
         pair = nrfsyn.nrf_from_dcf(dcf, shift)
         plant = StateSpace(plant.A, -plant.B, plant.C, plant.D, DISC)
-    seen, svd = [], np.linalg.svd
-
-    def counting(M, *args, **kwargs):
-        seen.append((M.shape, M.dtype))
-        return svd(M, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    pencils = pencil_svds(monkeypatch)
     report = dimpl.verify_internal_stability(pair, plant)
     monkeypatch.undo()
-    n, modes = report.loop.order, report.loop.sys.distinct_unstable_modes
-    square = seen.count(((n, n), np.dtype(complex)))
-    assert not report.stable and 0 < square <= 2 * len(modes)
-    assert case == "grid5" or 2 * len(modes) == 10
+    n = report.loop.order
+    modes = len({(z.real.hex(), z.imag.hex()) for z in report.loop.sys.unstable_eigenvalues})
+    on_loop = [shape for shape in pencils if shape[0] == n]
+    assert not report.stable and modes == {"grid5": 8, 5: 5}[case]
+    assert 0 < on_loop.count((n, n)) <= 2 * modes
+    assert len(on_loop) <= 34 * modes
+
+
+def test_kept_pencil_verdicts_equal_the_reference(platoon):
+    # every pencil spectrum an unstable verify keeps on A_CL counts the ranks
+    # of the reference test at its side, mode and tested columns: at each of
+    # the 3 modes, the 9 H-tilde columns and 4 block input sets, and the 6
+    # H-tilde rows and 3 block output sets
+    plant, dcf, shift = platoon(3)
+    negated = StateSpace(plant.A, -plant.B, plant.C, plant.D, DISC)
+    loop = dimpl.verify_internal_stability(nrfsyn.nrf_from_dcf(dcf, shift), negated).loop.sys
+    n, kept = loop.order, loop._facts
+    pencils = [key for key in kept if isinstance(key, tuple) and key[3]]
+    assert len(pencils) == 3 * (9 + 4 + 6 + 3)
+    for side, re, im, columns in pencils:
+        lam = complex(float.fromhex(re), float.fromhex(im))
+        A = loop.A if side == "B" else loop.A.T
+        S, S_A = kept[side, re, im, columns], kept[side, re, im, b""]
+        cut = RANK_REL_TOL * S[0]
+        ranks = (int(np.sum(S > cut)), int(np.sum(S_A > cut)))
+        assert ranks == pencil_ranks(A, np.frombuffer(columns).reshape(n, -1), lam)
+
+
+@pytest.mark.parametrize("key, scale, error", [("B", -1e8, NotStabilizable),
+                                                ("C", 1e8, NotDetectable)])
+def test_verify_refuses_a_plant_that_fails_pbh(key, scale, error, grid5_pair, grid5_plant):
+    # the loop around the scaled plant has 10 unstable eigenvalues, which the
+    # rank tests on the loop maps miss: the plant's own verdict is read first,
+    # with dcf_from_ss's rule and errors
+    B, C = grid5_plant.B, grid5_plant.C
+    B, C = (scale * B, C) if key == "B" else (B, scale * C)
+    plant = StateSpace(grid5_plant.A, B, C, grid5_plant.D, DISC)
+    ctrl = dimpl.assemble(dimpl.realize_rows(grid5_pair))
+    assert len(dimpl.closed_loop_state_matrix(plant, ctrl).sys.unstable_eigenvalues) == 10
+    with pytest.raises(error):
+        dimpl.verify_internal_stability(grid5_pair, plant)
+    with pytest.raises(error):
+        factor.dcf_from_ss(plant, np.zeros((plant.n_inputs, plant.order)),
+                           np.zeros((plant.order, plant.n_outputs)))
 
 
 def _negated_b_chain_loop(platoon, n):

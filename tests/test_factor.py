@@ -44,7 +44,7 @@ from nrfctl.ratmat import (
 )
 from nrfctl.sstate import StateSpace, match_multisets, ss_to_tf, tfm_to_ss
 
-from helpers import pbh_at_every_copy, unstable_eigs
+from helpers import pbh_at_every_copy, pencil_svds, unstable_eigs
 
 DISC = StabilityDomain.DISCRETE
 
@@ -257,27 +257,30 @@ def _fresh(plant):
 
 
 def _calls(monkeypatch, run, watched):
+    """The calls of each watched function that ``run`` makes, and its PBH
+    pencil SVDs, if any, under "pencil svd"."""
     seen = {}
     for owner, name in watched:
         _count_calls(monkeypatch, owner, name, seen)
+    pencils = pencil_svds(monkeypatch)
     run()
     monkeypatch.undo()
-    return seen
+    return seen | ({"pencil svd": len(pencils)} if pencils else {})
 
 
 def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
     # on a plant that keeps no fact yet: eig(A) once, for the PBH tests and the
-    # probe points alike, and eig(A + BF) with eig(A + LC) in one call; one PBH
-    # SVD per test at the n integrators, all at 1; one probe contour; both
-    # Bézout realizations in one batched solve, and one solve for the plant
-    # quotient Mt^-1 Nt
+    # probe points alike, and eig(A + BF) with eig(A + LC) in one call; one
+    # pencil SVD per test at the n integrators, all at 1; one probe contour;
+    # both Bézout realizations in one batched solve, and one solve for the
+    # plant quotient Mt^-1 Nt
     plant, F, L = platoon_gains(4)
-    watched = ((np.linalg, "eigvals"), (sstate, "_pbh_passes"), (StateSpace, "eval_many"),
+    watched = ((np.linalg, "eigvals"), (StateSpace, "eval_many"),
                (factor, "_eval_stacked"), (np.linalg, "solve"), (factor, "probe_points"))
     cold = _fresh(plant)
     assert _calls(monkeypatch, lambda: dcf_from_ss(cold, F, L), watched) == {
-        "eigvals": 2, "_pbh_passes": 2, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
-    # place_gains decided eig(A) and the PBH verdict on the same plant object
+        "eigvals": 2, "pencil svd": 2, "_eval_stacked": 1, "solve": 2, "probe_points": 1}
+    # place_gains decided eig(A) and the PBH pencil spectra on the same plant object
     placed = _fresh(plant)
     place_gains(placed, _platoon_targets(placed.order, 0.6))
     assert _calls(monkeypatch, lambda: dcf_from_ss(placed, F, L), watched) == {
@@ -292,7 +295,8 @@ def test_dcf_from_ss_decides_each_fact_once(platoon_gains, monkeypatch):
     (StateSpace([[2.0]], [[1.0]], [[0.0]], [[0.0]], DISC), NotDetectable),
 ], ids=["not-stabilizable", "not-detectable"])
 def test_a_failing_pbh_verdict_raises_on_every_call(plant, error):
-    # the verdict is kept on the plant, and each call reads it again
+    # the pencil spectra are kept on the plant, and each call reads the verdict
+    # off them again
     for _ in range(2):
         with pytest.raises(error):
             place_gains(plant, [0.5])

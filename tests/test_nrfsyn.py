@@ -39,7 +39,7 @@ from nrfctl.sstate import (
 from nrfctl.tolerances import POLE_MATCH_TOL
 from nrfctl import simkit
 
-from helpers import poles_tested_at_every_pole
+from helpers import pencil_svds, poles_tested_at_every_pole
 
 DISC = StabilityDomain.DISCRETE
 
@@ -360,15 +360,13 @@ def test_loop_map_poles_equal_the_per_pole_tests(variant, grid5_plant, grid5_ctr
 
 
 def test_mr3_runs_one_pbh_pair_per_distinct_mode(platoon, monkeypatch):
-    # the eight poles of the chain n = 8 witness share one nearest mode at 1
+    # the eight poles of the chain n = 8 witness share one nearest mode at 1:
+    # per side, one SVD of the pencil and one of A - lam I
     _, dcf, shift = platoon(8)
-    calls = []
-    passes = sstate._pbh_passes
-    monkeypatch.setattr(sstate, "_pbh_passes",
-                        lambda *args, **kwargs: calls.append(1) or passes(*args, **kwargs))
+    pencils = pencil_svds(monkeypatch)
     cert = mr3_certificate(dcf, shift)
     monkeypatch.undo()
-    assert len(cert.unstable_poles_found) == 8 and len(calls) == 2
+    assert len(cert.unstable_poles_found) == 8 and len(pencils) == 4
     assert cert.mode == "mr3"
     assert repr(cert) == f"InstabilityCertificate(mode=mr3, poles={list(cert.unstable_poles_found)})"
 

@@ -41,6 +41,7 @@ from nrfctl.sstate import (
 from helpers import (
     pbh_at_every_copy,
     pencil_ranks,
+    pencil_svds,
     poles_tested_at_every_pole,
     tfm_unstable_poles,
     transmission_zero_rank_test,
@@ -323,16 +324,20 @@ def test_kept_spectral_facts_have_the_bits_of_direct_calls(name):
         plant = simkit.build_network_plant(np.eye(int(name[6:]), k=-1, dtype=bool))
     lams = np.linalg.eigvals(plant.A)
     unstable = unstable_eigs(plant.A, plant.domain)
-    distinct = list({(z.real.hex(), z.imag.hex()): z for z in unstable}.values())
     contour = probe_points(plant.domain, 20, avoid=lams)
     verdict = _direct_pbh_verdict(plant)
+    pencils = [(side, lam, cols, np.linalg.svd(np.hstack([A - lam * np.eye(plant.order), cols])
+                                               .astype(complex), compute_uv=False))
+               for side, A, Bc in (("B", plant.A, plant.B), ("C", plant.A.T, plant.C.T))
+               for lam in unstable for cols in (Bc, Bc[:, :0])]
     assert unstable and verdict is None
     for _ in range(2):  # the first read computes each fact, the second returns it as kept
         assert plant.eigenvalues.dtype == lams.dtype
         assert plant.eigenvalues.tobytes() == lams.tobytes()
         assert np.array(plant.unstable_eigenvalues).tobytes() == np.array(unstable).tobytes()
-        assert np.array(plant.distinct_unstable_modes).tobytes() == np.array(distinct).tobytes()
         assert pbh_failure(plant) == verdict
+        for side, lam, cols, S in pencils:
+            assert sstate._pencil_spectrum(plant, side, lam, cols).tobytes() == S.tobytes()
         assert np.array(_probe_contour(plant)).tobytes() == np.array(contour).tobytes()
     assert plant.eigenvalues is plant.eigenvalues and not plant.eigenvalues.flags.writeable
 
@@ -433,13 +438,28 @@ def test_cuts_share_one_store_of_the_facts_of_a(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     # the cuts read first, the parent last: eig(A) is computed once
     assert first.unstable_eigenvalues == second.unstable_eigenvalues == (1.5 + 0j,)
-    assert second.distinct_unstable_modes == (1.5 + 0j,) and parent.eigenvalues.size == 2
+    assert parent.eigenvalues.size == 2
     assert shapes == [(2, 2)]
     assert parent.eigenvalues is first.eigenvalues is second.eigenvalues
-    # the PBH verdict reads B and C, so each map keeps its own
+    # the PBH verdict reads B and C, whose bytes key the pencil spectra
     assert pbh_failure(first) == "stabilizable"
     assert pbh_failure(parent) is None and pbh_failure(second) is None
     assert pbh_failure(parent.select([0], [0])) == "stabilizable"
+
+
+def test_cuts_testing_the_same_columns_share_one_pencil_svd(monkeypatch):
+    # B's first column reaches the unstable mode 1.5; the cuts from it to
+    # either output test it once, each C row on its own, and a negated cut
+    # tests its own C row, whose bytes differ
+    parent = StateSpace(np.diag([1.5, 0.5]), [[1.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 0.0]],
+                        np.zeros((2, 2)), DISC)
+    first, second = parent.select([0], [0]), parent.select([1], [0])
+    pencils = pencil_svds(monkeypatch)
+    counts = []
+    for sys in (first, second, -first, first, second, -first):
+        assert pbh_failure(sys) is None
+        counts.append(len(pencils))
+    assert counts == [2, 3, 4, 4, 4, 4] and set(pencils) == {(2, 3)}
 
 
 def test_unstable_eigs_domain_split():
