@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import dimpl, factor, nrfsyn, simkit, sstate
 from .errors import NrfError
 from .ratmat import load_ratmat, save_ratmat
@@ -55,9 +57,9 @@ class CommandResult:
 
 
 def _load_patterns(path: str):
-    """(X, Y) as the file holds them, each cell a JSON boolean or 0/1;
-    ``nrfsyn.sparsity_correspondence`` reads them as boolean masks and checks
-    their shapes."""
+    """(X, Y) as boolean arrays, each cell a JSON boolean or 0/1 and each mask
+    with rows of equal length; ``nrfsyn.sparsity_correspondence`` checks their
+    shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "X" not in obj or "Y" not in obj:
@@ -68,7 +70,9 @@ def _load_patterns(path: str):
             cells.extend(cell)
         elif not (type(cell) is bool or type(cell) is int and cell in (0, 1)):
             raise NrfError(f"{path}: mask cell {cell!r} is neither a boolean nor 0/1")
-    return obj["X"], obj["Y"]
+    # every cell is a boolean, so numpy can only refuse the shape
+    return tuple(_parsed(functools.partial(np.asarray, dtype=bool), obj[key],
+                         f"{path}: mask {key!r} has rows of unequal length") for key in "XY")
 
 
 def _save_patterns(path: str, patterns) -> None:
@@ -81,8 +85,18 @@ def _grid_norm_line(table, grid: int) -> str:
     return f"closed-loop grid norm ({grid} points): {_fmt(factor.hinf_grid_norm(table, grid))}"
 
 
+def _parsed(parse, value, error: str):
+    """parse(value), with a ValueError raised as ``NrfError(error)``."""
+    try:
+        return parse(value)
+    except ValueError:
+        raise NrfError(error) from None
+
+
 def _parse_targets(text: str, count: int) -> list[complex]:
-    items = [complex(tok.strip().replace("i", "j")) for tok in text.split(",") if tok.strip()]
+    complex_i = lambda tok: complex(tok.replace("i", "j"))
+    items = [_parsed(complex_i, tok, f"--targets: {tok!r} is not a number")
+             for tok in map(str.strip, text.split(",")) if tok]
     if len(items) != count:
         raise NrfError(f"need {count} pole targets, got {len(items)}")
     return items
@@ -90,7 +104,8 @@ def _parse_targets(text: str, count: int) -> list[complex]:
 
 def _parse_grouping(text: str) -> list[list[int]]:
     """Blocks separated by ';', row numbers inside a block separated by ','."""
-    return [[int(tok) for tok in block.split(",")] for block in text.split(";") if block.strip()]
+    return [[_parsed(int, tok, f"--grouping: {tok!r} is not a number") for tok in block.split(",")]
+            for block in text.split(";") if block.strip()]
 
 
 # ---------------------------------------------------------------------------

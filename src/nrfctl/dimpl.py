@@ -335,14 +335,16 @@ def verify_internal_stability(pair: NrfPair, plant: StateSpace) -> InternalStabi
     loop = closed_loop_state_matrix(plant, ctrl)
 
     # a stable A_CL settles every map: none is cut out or reduced.  Each distinct
-    # map is reduced once: the v = u + w blocks (v ends LOOP_OUTPUTS) take the u
-    # blocks' poles, whose (A, B, C) they have, and H is cut with the rows (u, y),
-    # its rows -u taking the rows u's verdicts, its entries reduced in one pass
+    # map is reduced once: the z = r - y and v = u + w blocks (z and v end
+    # LOOP_OUTPUTS) take the y and u blocks' poles, whose A and B they have and
+    # whose C they have up to sign, and H is cut with the rows (u, y), its rows
+    # -u taking the rows u's verdicts, its entries reduced in one pass
     stable = loop.is_stable
     H = loop.map(("u", "y"), ("cmd", "du", "r"))
     block_poles = {(out, inp): () if stable else sstate.unstable_map_poles(loop.map((out,), (inp,)))
-                   for out in LOOP_OUTPUTS if out != "v" for inp in TABLE_INPUTS}
-    block_poles.update({("v", inp): block_poles["u", inp] for inp in TABLE_INPUTS})
+                   for out in ("y", "u") for inp in TABLE_INPUTS}
+    block_poles.update({(out, inp): block_poles[src, inp]
+                        for out, src in (("z", "y"), ("v", "u")) for inp in TABLE_INPUTS})
     bad = set() if stable else {
         (i, j) for i, j, *part in sstate.entry_reductions(H)
         if sstate.reached_poles(H.select([i], [j]), StateSpace(*part, H.D[i, j], H.domain))}

@@ -11,12 +11,12 @@ from their eigenvalues, gains from their feedthrough, identities from their
 values at deterministic probe points.  The eight rational factors are views
 for JSON and printing, converted on first read.  dcf.json holds the factors
 and, beside them, ``left``, ``right`` and ``shape``: a reader takes the
-realizations as they are and validates them, and keeps the factors as
-unparsed views; a file with the factors alone is realized by
-``DoublyCoprime.from_factors`` and audited there.  The Youla shift is two
-series connections of the realizations with Q, and the closed-loop table and
-every later stage read the shifted realizations; no factor is multiplied
-symbolically.  The loop's signal layout (the injections, the loop signals,
+realizations as they are and validates them, and neither reads nor keeps
+the factors, so a loaded factorization's views come from its realizations;
+a file with the factors alone is realized by ``DoublyCoprime.from_factors``
+and audited there.  The Youla shift is two series connections of the
+realizations with Q, and the closed-loop table and every later stage read
+the shifted realizations; no factor is multiplied symbolically.  The loop's signal layout (the injections, the loop signals,
 their widths and the readout of z and v) is written down here once, and
 ``dimpl`` and ``simkit`` read it.
 """
@@ -103,8 +103,7 @@ _BLOCKS = {"M": ("right", 0, 0, 1, 1), "N": ("right", 1, 0, 1, 1), "Mt": ("left"
 def _view(name: str) -> property:
     def read(self) -> RationalMatrix:
         if name not in self._views:
-            self._views[name] = (ratmat_from_obj(self._json[name]) if name in self._json
-                                 else ss_to_tf(self.realized(name)))
+            self._views[name] = ss_to_tf(self.realized(name))
         return self._views[name]
 
     return property(read, doc=f"{name} as a rational matrix, converted on first read")
@@ -119,19 +118,17 @@ class DoublyCoprime:
     quantities); G is recovered as Mt^-1 Nt = N M^-1.  ``realized(name)`` is
     a factor's signed block of a realization, and the eight factors are
     rational views for JSON and printing, each ``ss_to_tf`` of that block on
-    first read; ``from_factors`` keeps the rational factors it is given, and
-    a factorization read from JSON keeps the file's rational entries (in
-    ``_json``, unparsed until first read and written back as they were).
+    first read; ``from_factors`` keeps the rational factors it is given as
+    its views.
     """
 
-    __slots__ = ("left", "right", "shape", "_views", "_json", "_plant", "_bezout")
+    __slots__ = ("left", "right", "shape", "_views", "_plant", "_bezout")
 
     M, N, Mt, Nt, X, Y, Xt, Yt = (_view(name) for name in _FIELDS)
 
     def __init__(self, left: StateSpace, right: StateSpace, shape: tuple[int, int]):
         self.left, self.right, self.shape = left, right, shape
         self._views = {}
-        self._json = {}
         self._plant = self._bezout = None
 
     @classmethod
@@ -746,7 +743,7 @@ def _frobenius_squared(H: np.ndarray) -> np.ndarray:
 def dcf_to_obj(dcf: DoublyCoprime) -> dict:
     """The eight rational factors, then the realizations ``left``, ``right``
     and ``shape`` [p, m] that a reader takes as authoritative."""
-    obj = {name: dcf._json.get(name) or ratmat_to_obj(getattr(dcf, name)) for name in _FIELDS}
+    obj = {name: ratmat_to_obj(getattr(dcf, name)) for name in _FIELDS}
     obj.update(left=ss_to_obj(dcf.left), right=ss_to_obj(dcf.right), shape=list(dcf.shape))
     return obj
 
@@ -756,8 +753,8 @@ _REALIZATION = ("left", "right", "shape")
 
 def dcf_from_obj(obj: dict) -> DoublyCoprime:
     """Read a factorization.  With ``left``, ``right`` and ``shape`` present,
-    the realizations are taken as they are and ``validate``d; the rational
-    factors become its views unread.  A file with the rational factors alone
+    the realizations are taken as they are and ``validate``d, and the rational
+    factors are neither read nor kept.  A file with the rational factors alone
     goes through ``DoublyCoprime.from_factors``."""
     obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
     if not any(key in obj for key in _REALIZATION):
@@ -782,7 +779,6 @@ def dcf_from_obj(obj: dict) -> DoublyCoprime:
         raise DomainMismatch("left and right disagree on the stability domain")
     dcf = DoublyCoprime(left, right, (p, m))
     dcf.validate()
-    dcf._json = {name: obj[name] for name in _FIELDS if name in obj}
     return dcf
 
 

@@ -9,11 +9,12 @@ pair's stored form, as a state-space quotient of one row of a realized left
 factorization by its diagonal entry.  The loop-sensitivity audit and the
 sparsity correspondence read those rows, nrf.json stores them as
 ``row_systems`` beside the rational ``phi`` and ``gamma``, and a reader takes
-them as they are.  The rational Phi and Gamma are views read off the rows for
-JSON and printing; a file with ``phi`` and ``gamma`` alone is realized and
-audited once, in ``NrfPair(Phi, Gamma)``.  A sparsity pattern is a 2-D
-boolean array, the pattern pair is the tuple (X, Y), and every support is
-read off a realization by ``row_support``.  The left factorization
+them as they are and neither reads nor keeps ``phi`` and ``gamma``.  The
+rational Phi and Gamma are views read off the rows for JSON and printing; a
+file with ``phi`` and ``gamma`` alone is realized and audited once, in
+``NrfPair(Phi, Gamma)``.  A sparsity pattern is a 2-D boolean array, the
+pattern pair is the tuple (X, Y), and every support is read off a
+realization by ``row_support``.  The left factorization
 [Y_Q X_Q], the certificates' witnesses and the beta-iteration form are all
 slices and series connections of the realized Bézout matrices, each factor
 a ``DoublyCoprime.realized`` block.  A certificate's mode is the string "mr2"
@@ -67,16 +68,13 @@ class NrfPair:
     Phi and Gamma are rational views of it, read off by ``ss_to_tf`` on first
     use.  A pair built from rational matrices (a file with ``phi`` and
     ``gamma`` alone) realizes its rows entry by entry, audits them against
-    the matrices at probe points and keeps the matrices as the views.  A pair
-    read with its ``row_systems`` keeps the file's ``phi`` and ``gamma`` (in
-    ``_json``, unparsed until first read and written back as they were).
+    the matrices at probe points and keeps the matrices as the views.
     """
 
-    __slots__ = ("row_systems", "_Phi", "_Gamma", "_json")
+    __slots__ = ("row_systems", "_Phi", "_Gamma")
 
     def __init__(self, Phi=None, Gamma=None, row_systems=None):
         self._Phi, self._Gamma = Phi, Gamma
-        self._json = {}
         rational = row_systems is None
         if rational:
             if Phi.rows != Phi.cols:
@@ -108,9 +106,7 @@ class NrfPair:
         return m, self.row_systems[0].n_inputs - m
 
     def _views(self) -> tuple[RationalMatrix, RationalMatrix]:
-        if self._Phi is None and self._json:
-            self._Phi, self._Gamma = (ratmat_from_obj(self._json[k]) for k in ("phi", "gamma"))
-        elif self._Phi is None:
+        if self._Phi is None:
             m = len(self.row_systems)
             rows = [ss_to_tf(s).entries[0] for s in self.row_systems]
             self._Phi = RationalMatrix([r[:m] for r in rows], self.domain)
@@ -331,15 +327,14 @@ def nrf_to_obj(pair: NrfPair) -> dict:
     """``phi`` and ``gamma`` as rational matrices, then ``row_systems``, one
     state-space object per row of [Phi Gamma], which a reader takes as
     authoritative."""
-    obj = dict(pair._json) or {"phi": ratmat_to_obj(pair.Phi), "gamma": ratmat_to_obj(pair.Gamma)}
-    obj["row_systems"] = [ss_to_obj(s) for s in pair.row_systems]
-    return obj
+    return {"phi": ratmat_to_obj(pair.Phi), "gamma": ratmat_to_obj(pair.Gamma),
+            "row_systems": [ss_to_obj(s) for s in pair.row_systems]}
 
 
 def nrf_from_obj(obj: dict) -> NrfPair:
     """Read a pair.  With ``row_systems`` present, the rows are taken as they
-    are; ``phi`` and ``gamma`` become its views unread.  A file with ``phi``
-    and ``gamma`` alone realizes them in ``NrfPair(Phi, Gamma)``."""
+    are, and ``phi`` and ``gamma`` are neither read nor kept.  A file with
+    ``phi`` and ``gamma`` alone realizes them in ``NrfPair(Phi, Gamma)``."""
     obj = obj if isinstance(obj, dict) else {}  # a file that is not an object misses every key
     if "row_systems" not in obj:
         if "phi" not in obj or "gamma" not in obj:
@@ -358,10 +353,7 @@ def nrf_from_obj(obj: dict) -> NrfPair:
                                     f"one output and the same m + p >= {m} inputs")
         if sys.domain is not domain:
             raise DomainMismatch(f"row system {i} disagrees on the stability domain")
-    pair = NrfPair(row_systems=rows)
-    if "phi" in obj and "gamma" in obj:
-        pair._json = {"phi": obj["phi"], "gamma": obj["gamma"]}
-    return pair
+    return NrfPair(row_systems=rows)
 
 
 def save_nrf(pair: NrfPair, path: str):

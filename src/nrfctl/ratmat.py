@@ -433,8 +433,9 @@ def _domain_from_obj(value, invariant: str) -> StabilityDomain:
 
 def _floats_from_obj(value, invariant: str) -> np.ndarray:
     """A JSON number or nested list of numbers as a float array; a boolean, a
-    string, an object or null anywhere in it raises ``invariant`` instead of
-    being read as a number or failing inside numpy."""
+    string, an object or null anywhere in it, or rows of unequal length,
+    raise ``invariant`` instead of being read as a number or failing inside
+    numpy."""
     cells = [value]
     while cells:
         cell = cells.pop()
@@ -442,7 +443,10 @@ def _floats_from_obj(value, invariant: str) -> np.ndarray:
             cells.extend(cell)
         elif isinstance(cell, bool) or not isinstance(cell, numbers.Real):
             raise InvariantViolation(invariant, f"{cell!r} is not a number")
-    return np.asarray(value, dtype=float)
+    try:  # every cell is a number, so numpy can only refuse the shape
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise InvariantViolation(invariant, "rows of unequal length") from None
 
 
 def ratmat_from_obj(obj: dict) -> RationalMatrix:

@@ -431,11 +431,13 @@ def simulate(sc: Scenario) -> SimTrace:
     x = np.zeros((sc.horizon, loop.order))
     np.matmul(e[:-1], loop.B.T, out=x[1:])
     step = loop.A.dot
-    for prev, cur in zip(x, x[1:]):
-        cur += step(prev)
-    yu = x @ loop.C.T + e @ loop.D.T
-    y, u = yu[:, :p], yu[:, p:]
-    return SimTrace(r, w, nu, du, r - y, u, u + w, y, x[:, : plant.order], x[:, plant.order :])
+    # a diverging loop overflows to inf and nan, which trace_metrics reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prev, cur in zip(x, x[1:]):
+            cur += step(prev)
+        yu = x @ loop.C.T + e @ loop.D.T
+        y, u = yu[:, :p], yu[:, p:]
+        return SimTrace(r, w, nu, du, r - y, u, u + w, y, x[:, : plant.order], x[:, plant.order :])
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +482,14 @@ def trace_metrics(t: SimTrace, settle_from: int) -> TraceMetrics:
     H = t.horizon
     if settle_from >= H:
         raise InconsistentDimensions(f"settle_from {settle_from} >= horizon {H}")
-    max_abs_y = np.max(np.abs(t.y), axis=0)
-    tracking = np.mean(np.abs(t.y - t.r)[settle_from:], axis=0)
-    max_abs_u = np.max(np.abs(t.u), axis=0)
-    channels = [t.y[:, j] for j in range(t.y.shape[1])]
-    channels += [t.u[:, j] for j in range(t.u.shape[1])]
-    diverged = any(_channel_diverges(x) for x in channels)
+    # a diverged trace holds inf and nan, and its sums may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_abs_y = np.max(np.abs(t.y), axis=0)
+        tracking = np.mean(np.abs(t.y - t.r)[settle_from:], axis=0)
+        max_abs_u = np.max(np.abs(t.u), axis=0)
+        channels = [t.y[:, j] for j in range(t.y.shape[1])]
+        channels += [t.u[:, j] for j in range(t.u.shape[1])]
+        diverged = any(_channel_diverges(x) for x in channels)
     return TraceMetrics(max_abs_y, tracking, max_abs_u, diverged)
 
 

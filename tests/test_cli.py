@@ -332,8 +332,7 @@ _EYE5 = [[i == j for j in range(5)] for i in range(5)]
      "DimensionMismatch: sensing pattern must have one row per input"),
     (lambda X, Y: ([r + [False] for r in X], Y),
      "DimensionMismatch: patterns of shape (5, 11) for [Phi Gamma] of shape (5, 10)"),
-    (lambda X, Y: ([X[0][:3]] + X[1:], Y),
-     "ValueError: setting an array element with a sequence."),
+    (lambda X, Y: ([X[0][:3]] + X[1:], Y), "NrfError: {bad}: mask 'X' has rows of unequal length"),
 ], ids=["1d-X", "nonsquare-Y", "X-rows", "X-width", "ragged-X"])
 def test_nrf_refuses_malformed_patterns(masks, line, demo_dir, tmp_path, capsys):
     Y = json.loads((demo_dir / "patterns.json").read_text())["Y"]
@@ -344,8 +343,47 @@ def test_nrf_refuses_malformed_patterns(masks, line, demo_dir, tmp_path, capsys)
                      "--patterns", str(bad), "--out", str(tmp_path / "x.json")])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
-    assert out[0].startswith(line) and out[1:] == ["status: error"]
+    assert out[0].startswith(line.format(bad=bad)) and out[1:] == ["status: error"]
     assert not (tmp_path / "x.json").exists()  # the patterns are read before the write
+
+
+def _shorten_row(rows):
+    rows[1] = rows[1][:-1]
+
+
+@pytest.mark.parametrize("name, edit, command, line", [
+    ("plant.json", lambda o: _shorten_row(o["A"]), "dcf --plant {bad} --out {out}",
+     "InvariantViolation: ss-finite: rows of unequal length"),
+    ("dcf.json", lambda o: _shorten_row(o["left"]["C"]),
+     "nrf --dcf {bad} --q {demo}/q.json --out {out}",
+     "InvariantViolation: ss-finite: rows of unequal length"),
+    ("nrf.json", lambda o: _shorten_row(o["row_systems"][2]["B"]),
+     "check --nrf {bad} --plant {demo}/plant.json",
+     "InvariantViolation: ss-finite: rows of unequal length"),
+    ("scenario.json", lambda o: _shorten_row(o["plant"]["A"]),
+     "simulate --scenario {bad} --out {out}",
+     "InvariantViolation: ss-finite: rows of unequal length"),
+    ("patterns.json", lambda o: _shorten_row(o["X"]),
+     "nrf --dcf {demo}/dcf.json --q {demo}/q.json --patterns {bad} --out {out}",
+     "NrfError: {bad}: mask 'X' has rows of unequal length"),
+    ("q.json", lambda o: o["entries"][0][0].update(num=[[1, 2], [3]]),
+     "nrf --dcf {demo}/dcf.json --q {bad} --out {out}",
+     "InvariantViolation: ratmat-finite: rows of unequal length"),
+], ids=["plant", "dcf", "nrf", "scenario", "patterns", "q"])
+def test_a_ragged_array_is_named_at_its_reader(name, edit, command, line, demo_dir, tmp_path,
+                                               capsys):
+    # one row of a matrix, or a coefficient list, shortened: the reader that
+    # converts the cells names it, where numpy refused an inhomogeneous shape
+    obj = json.loads((demo_dir / name).read_text())
+    edit(obj)
+    bad, out = tmp_path / name, tmp_path / "out"
+    bad.write_text(json.dumps(obj))
+    argv = command.format(bad=bad, demo=demo_dir, out=out).split()
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines() == [line.format(bad=bad), "status: error"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["false", None, {}, 2, 0.5],
@@ -492,6 +530,34 @@ def test_check_refuses_a_plant_that_fails_pbh(key, scale, error, demo_dir, tmp_p
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
     assert captured.out.startswith(f"{error}: ") and captured.out.endswith("status: error\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["dcf", "--plant", "{demo}/plant.json", "--targets", "0.1,abc,0.3,0.4,0.5,0.6,0.7,0.8,0.9"],
+     "NrfError: --targets: 'abc' is not a number"),
+    (["realize", "--nrf", "{demo}/nrf.json", "--grouping", "1;2,x;3;4;5"],
+     "NrfError: --grouping: 'x' is not a number"),
+], ids=["targets", "grouping"])
+def test_a_bad_option_token_is_named(argv, line, demo_dir, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = cli.main([a.format(demo=demo_dir) for a in argv] + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines() == [line, "status: error"]
+    assert not out.exists()
+
+
+def test_a_diverging_simulation_writes_no_warning(demo_dir, tmp_path):
+    # the demo scenario with an unstable plant mode at 10: the trace overflows
+    # to inf and nan, reported as diverged, with nothing on stderr
+    sc = json.loads((demo_dir / "scenario.json").read_text())
+    sc["plant"]["A"][0][0], sc["horizon"] = 10, 320
+    (tmp_path / "scenario.json").write_text(json.dumps(sc))
+    code, out, err = _main_in_own_process(["simulate", "--scenario", str(tmp_path / "scenario.json"),
+                                           "--out", str(tmp_path / "trace.csv")])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-3:] == ["diverged: True", f"wrote: {tmp_path / 'trace.csv'}",
+                                     "status: ok"]
 
 
 def test_check_flags_unstable_loop(tmp_path, capsys):

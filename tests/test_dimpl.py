@@ -183,7 +183,7 @@ def test_unstable_loop_takes_the_loop_spectrum_once(grid5_pair, grid5_plant, mon
     report = dimpl.verify_internal_stability(pair, plant)
     assert not report.stable and report.loop.order == 24
     assert shapes.count((24, 24)) == 1
-    assert len(shapes) == 175
+    assert len(shapes) == 171
 
 
 def _negated_b_loop_check(grid5_pair, grid5_plant):
@@ -195,9 +195,10 @@ def _negated_b_loop_check(grid5_pair, grid5_plant):
 
 def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, monkeypatch):
     # CI's check-negB case: the v = u + w blocks have the (A, B, C) of the u
-    # blocks and H-tilde's rows -u the poles of its rows u, so of the 16 blocks
-    # and 15 x 15 entries, 12 blocks are reduced one by one and the 10 x 15
-    # entries in one entry_reductions pass
+    # blocks, the z = r - y blocks the (A, B, -C) of the y blocks and H-tilde's
+    # rows -u the poles of its rows u, so of the 16 blocks and 15 x 15 entries,
+    # 8 blocks are reduced one by one and the 10 x 15 entries in one
+    # entry_reductions pass
     pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
     calls, reduce = [], sstate.unstable_map_poles
     passes, entries, entry_reductions = [], [], sstate.entry_reductions
@@ -215,7 +216,7 @@ def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, m
     monkeypatch.setattr(sstate, "unstable_map_poles", counting)
     monkeypatch.setattr(sstate, "entry_reductions", counting_entries)
     report = dimpl.verify_internal_stability(pair, plant)
-    assert not report.stable and len(calls) == 12
+    assert not report.stable and len(calls) == 8
     assert passes == [(10, 15)] and len(entries) == 150
     # the verdicts passed on are those of the maps' and the entries' own reductions
     loop = report.loop
@@ -225,12 +226,12 @@ def test_unstable_loop_reduces_each_distinct_map_once(grid5_pair, grid5_plant, m
     assert report.unstable_entries == tuple(
         (i, j) for i in range(H.n_outputs) for j in range(H.n_inputs)
         if reduce(H.select([i], [j])))
-    assert report.unstable_entries and report.block_poles["v", "w"]
+    assert report.unstable_entries and report.block_poles["v", "w"] and report.block_poles["z", "r"]
 
 
 def test_unstable_loop_runs_one_observability_staircase_per_row(grid5_pair, grid5_plant,
                                                                 monkeypatch):
-    # CI's check-negB case: the 5 row realizations, the 12 distinct blocks and
+    # CI's check-negB case: the 5 row realizations, the 8 distinct blocks and
     # the 10 rows of H-tilde take one observability staircase each, where a
     # staircase per H-tilde entry took 167
     pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
@@ -242,8 +243,8 @@ def test_unstable_loop_runs_one_observability_staircase_per_row(grid5_pair, grid
 
     monkeypatch.setattr(sstate, "obsv_staircase", counting)
     report = dimpl.verify_internal_stability(pair, plant)
-    assert not report.stable and len(calls) == 27
-    assert calls.count((24, 24)) == 22
+    assert not report.stable and len(calls) == 23
+    assert calls.count((24, 24)) == 18
 
 
 @pytest.mark.parametrize("case", ["grid5", 5])
@@ -253,8 +254,8 @@ def test_unstable_loop_takes_each_pencil_spectrum_once_per_side(case, grid5_pair
     # negated.  The pencil spectra are kept facts of the loop per side, mode
     # and tested columns, so per distinct unstable mode A_CL - lam I takes one
     # SVD per side, and with the 15 H-tilde columns and 4 block input sets on
-    # side B and the 10 H-tilde rows and 3 block output sets on side C at most
-    # 34, where each entry's tests took their own (294 on grid5, 1630 on chain n = 5)
+    # side B and the 10 H-tilde rows and 2 block output sets on side C at most
+    # 33, where each entry's tests took their own (294 on grid5, 1630 on chain n = 5)
     if case == "grid5":
         pair, plant = _negated_b_loop_check(grid5_pair, grid5_plant)
     else:
@@ -269,20 +270,20 @@ def test_unstable_loop_takes_each_pencil_spectrum_once_per_side(case, grid5_pair
     on_loop = [shape for shape in pencils if shape[0] == n]
     assert not report.stable and modes == {"grid5": 8, 5: 5}[case]
     assert 0 < on_loop.count((n, n)) <= 2 * modes
-    assert len(on_loop) <= 34 * modes
+    assert len(on_loop) <= 33 * modes
 
 
 def test_kept_pencil_verdicts_equal_the_reference(platoon):
     # every pencil spectrum an unstable verify keeps on A_CL counts the ranks
     # of the reference test at its side, mode and tested columns: at each of
     # the 3 modes, the 9 H-tilde columns and 4 block input sets, and the 6
-    # H-tilde rows and 3 block output sets
+    # H-tilde rows and 2 block output sets (y and u; z and v take their poles)
     plant, dcf, shift = platoon(3)
     negated = StateSpace(plant.A, -plant.B, plant.C, plant.D, DISC)
     loop = dimpl.verify_internal_stability(nrfsyn.nrf_from_dcf(dcf, shift), negated).loop.sys
     n, kept = loop.order, loop._facts
     pencils = [key for key in kept if isinstance(key, tuple) and key[3]]
-    assert len(pencils) == 3 * (9 + 4 + 6 + 3)
+    assert len(pencils) == 3 * (9 + 4 + 6 + 2)
     for side, re, im, columns in pencils:
         lam = complex(float.fromhex(re), float.fromhex(im))
         A = loop.A if side == "B" else loop.A.T

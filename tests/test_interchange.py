@@ -8,6 +8,8 @@ import pytest
 
 from nrfctl import cli, dimpl, factor, nrfsyn
 from nrfctl.errors import DimensionMismatch, DomainMismatch, InvariantViolation
+from nrfctl.ratmat import ratmat_to_obj
+from nrfctl.sstate import ss_to_tf
 
 FACTORS = ("M", "N", "Mt", "Nt", "X", "Y", "Xt", "Yt")
 SIZES = [pytest.param(None, id="grid5"), *(pytest.param(n, id=f"platoon{n}") for n in range(2, 9))]
@@ -42,8 +44,11 @@ def test_realizations_round_trip_bit_exact(n, grid5_dcf, grid5_shift, platoon):
     back = factor.dcf_from_obj(obj)
     assert _same_arrays(back.left, dcf.left) and _same_arrays(back.right, dcf.right)
     assert back.shape == dcf.shape
-    # the rational factors are written back as they were read, unparsed
-    assert json.dumps(factor.dcf_to_obj(back), indent=1) == json.dumps(obj, indent=1)
+    # the rational factors written back are the realizations' views: a
+    # synthesized file's own keys, and in place of the grid5 closed form
+    views = {name: ratmat_to_obj(ss_to_tf(dcf.realized(name))) for name in FACTORS}
+    assert (views == {name: obj[name] for name in FACTORS}) == (n is not None)
+    assert json.dumps(factor.dcf_to_obj(back), indent=1) == json.dumps(obj | views, indent=1)
 
     pair = nrfsyn.nrf_from_dcf(dcf, shift)
     obj = _through_json(nrfsyn.nrf_to_obj(pair))
@@ -157,15 +162,21 @@ def _run(argv, capsys, *paths):
     return code, out
 
 
-def test_corrupt_rational_keys_do_not_change_the_commands(demo_dir, tmp_path, capsys):
-    # the realization keys are authoritative: garbage in the rational keys
-    # of dcf.json and nrf.json changes no command's output or file
+def _corrupt_demo_files(demo_dir):
+    """The demo's dcf.json and nrf.json with garbage in every rational key."""
     dcf = json.loads((demo_dir / "dcf.json").read_text())
     nrf = json.loads((demo_dir / "nrf.json").read_text())
     for key in FACTORS:
         dcf[key]["entries"][0][0] = {"num": [7.0, 1.0], "den": [3.0, -1.0, 1.0]}
     for key in ("phi", "gamma"):
         nrf[key]["entries"][0][0] = {"num": [7.0], "den": [0.0, 0.0, 1.0]}
+    return dcf, nrf
+
+
+def test_corrupt_rational_keys_do_not_change_the_commands(demo_dir, tmp_path, capsys):
+    # the realization keys are authoritative: garbage in the rational keys
+    # of dcf.json and nrf.json changes no command's output or file
+    dcf, nrf = _corrupt_demo_files(demo_dir)
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "dcf.json").write_text(json.dumps(dcf))
@@ -185,6 +196,28 @@ def test_corrupt_rational_keys_do_not_change_the_commands(demo_dir, tmp_path, ca
         )
     assert [o[0] for o in outputs["clean"][:4]] == [0, 0, 0, 2]
     assert outputs["corrupt"] == outputs["clean"]
+
+
+def test_loaded_views_come_from_the_realizations(demo_dir):
+    # with the realization keys present the rational keys are neither read
+    # nor kept: the corrupted files load as the clean ones do, each view is
+    # ss_to_tf of the realizations read, and both save to the same bytes,
+    # the demo's own nrf.json and the views of its closed-form dcf.json
+    clean = [json.loads((demo_dir / f"{k}.json").read_text()) for k in ("dcf", "nrf")]
+    saved = []
+    for dcf_obj, nrf_obj in (clean, _corrupt_demo_files(demo_dir)):
+        dcf = factor.dcf_from_obj(dcf_obj)
+        for name in FACTORS:
+            assert ratmat_to_obj(getattr(dcf, name)) == ratmat_to_obj(ss_to_tf(dcf.realized(name)))
+        pair = nrfsyn.nrf_from_obj(nrf_obj)
+        assert ratmat_to_obj(pair.Phi.hstack(pair.Gamma))["entries"] == [
+            ratmat_to_obj(ss_to_tf(s))["entries"][0] for s in pair.row_systems]
+        saved.append((json.dumps(factor.dcf_to_obj(dcf), indent=1),
+                      json.dumps(nrfsyn.nrf_to_obj(pair), indent=1)))
+    assert saved[1] == saved[0]
+    assert saved[0][1] == (demo_dir / "nrf.json").read_text()
+    dcf_obj = json.loads(saved[0][0])
+    assert all(dcf_obj[key] == clean[0][key] for key in ("left", "right", "shape"))
 
 
 def test_cli_reads_named_errors_from_realization_keys(demo_dir, tmp_path, capsys):

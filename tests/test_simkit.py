@@ -393,6 +393,23 @@ def test_diverged_trace_cells_load(tmp_path):
     assert simkit.load_trace(str(path)).y.tobytes() == t.y.tobytes()
 
 
+def test_a_diverging_run_raises_no_numpy_warning(grid5_plant, grid5_ctrl):
+    # the grid5 loop around its plant with A[0, 0] = 10 overflows to inf and
+    # nan in the recursion and the readout; a trace of finite values near the
+    # largest double overflows the metrics' sums.  Under the suite's
+    # filterwarnings = error, a numpy warning would fail the test
+    A = grid5_plant.A.copy()
+    A[0, 0] = 10.0
+    plant = StateSpace(A, grid5_plant.B, grid5_plant.C, grid5_plant.D, DISC)
+    t = simkit.simulate(simkit.grid5_scenario(plant, grid5_ctrl, horizon=320))
+    assert not np.isfinite(t.y).all()
+    assert simkit.trace_metrics(t, settle_from=60).diverged
+    t.y[:] = 1e308
+    t.u[:] = np.linspace(0.0, 1e308, t.horizon)[:, None]
+    met = simkit.trace_metrics(t, settle_from=60)
+    assert np.isinf(met.tracking_error).all() and (met.max_abs_y == 1e308).all()
+
+
 def test_superposition_without_noise(grid5_plant, grid5_ctrl):
     """Reference responses add: the loop is linear and starts at rest."""
 
